@@ -72,19 +72,13 @@ int main() {
                   FormatDouble(result->total_seconds, 3).c_str(),
                   FormatWithCommas(result->total_evaluated).c_str());
     }
-    // Reference points: the indexed and bitmap per-slice evaluators.
+    // Reference point: the bitmap per-slice evaluator.
     core::SliceLineConfig config;
     config.alpha = 0.95;
     config.k = 4;
     config.max_level = 3;
-    config.eval_strategy = core::SliceLineConfig::EvalStrategy::kIndex;
-    auto result = core::RunSliceLine(ds, config);
-    if (result.ok()) {
-      std::printf("    %-8s %12s   (indexed per-slice reference)\n", "index",
-                  FormatDouble(result->total_seconds, 3).c_str());
-    }
     config.eval_strategy = core::SliceLineConfig::EvalStrategy::kBitset;
-    result = core::RunSliceLine(ds, config);
+    auto result = core::RunSliceLine(ds, config);
     if (result.ok()) {
       std::printf("    %-8s %12s   (bitmap-intersection reference)\n",
                   "bitset", FormatDouble(result->total_seconds, 3).c_str());

@@ -37,9 +37,10 @@ int main() {
   mt_ops.eval_block_size = 1 << 20;
   auto ops_result = core::RunSliceLine(ds, mt_ops);
 
-  // MT-PFor: task-parallel per-slice evaluation without per-op barriers.
+  // MT-PFor: task-parallel per-slice evaluation without per-op barriers
+  // (bitmap intersection, one candidate per task).
   core::SliceLineConfig mt_pfor = base;
-  mt_pfor.eval_strategy = core::SliceLineConfig::EvalStrategy::kIndex;
+  mt_pfor.eval_strategy = core::SliceLineConfig::EvalStrategy::kBitset;
   auto pfor_result = core::RunSliceLine(ds, mt_pfor);
 
   if (!ops_result.ok() || !pfor_result.ok()) {

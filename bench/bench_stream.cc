@@ -233,7 +233,7 @@ int main() {
   // saves. At 20k the fixed enumeration cost caps the speedup near 3x.
   const data::EncodedDataset dataset = bench::Load("adult", 100000);
   const std::vector<int32_t> domains = dataset.x0.ColMaxs();
-  const data::FeatureOffsets offsets = stream::OffsetsFromDomains(domains);
+  const data::FeatureOffsets offsets = data::OffsetsFromDomains(domains);
   const core::SliceLineConfig config = BenchConfig();
   const int64_t n = dataset.n();
   std::printf("dataset=adult n=%lld m=%lld (k=%d alpha=%.2f max_level=%d)\n\n",

@@ -95,7 +95,10 @@ void ThreadPool::ParallelForRange(
   }
   const size_t num_chunks = std::min(count, workers * 4);
   const size_t chunk = (count + num_chunks - 1) / num_chunks;
-  std::atomic<size_t> remaining{0};
+  // Guarded by done_mutex. The last chunk decrements and notifies under the
+  // lock, so the caller cannot return (destroying these locals) while a
+  // worker still touches them.
+  size_t remaining = 0;
   std::mutex done_mutex;
   std::condition_variable done_cv;
   // A throwing chunk must not escape WorkerLoop (that would terminate the
@@ -107,7 +110,7 @@ void ThreadPool::ParallelForRange(
   for (size_t begin = 0; begin < count; begin += chunk) {
     ++launched;
   }
-  remaining.store(launched, std::memory_order_relaxed);
+  remaining = launched;
   for (size_t begin = 0; begin < count; begin += chunk) {
     const size_t end = std::min(begin + chunk, count);
     Submit([&, begin, end] {
@@ -118,16 +121,13 @@ void ThreadPool::ParallelForRange(
           first_error = std::current_exception();
         }
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_one();
-      }
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
   {
     std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock,
-                 [&] { return remaining.load(std::memory_order_acquire) == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
   if (has_error.load(std::memory_order_acquire)) {
     std::rethrow_exception(first_error);

@@ -1,7 +1,7 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
-#include <limits>
+#include <string>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -25,103 +25,12 @@ void SliceSet::Reserve(int64_t slices, int64_t total_columns) {
 SliceEvaluator::SliceEvaluator(const data::IntMatrix& x0,
                                const data::FeatureOffsets& offsets,
                                const std::vector<double>& errors)
-    : x0_(&x0), offsets_(&offsets), errors_(&errors),
-      packed_bitmaps_(x0.rows(), offsets.total) {
-  const int64_t n = x0.rows();
-  const int64_t m = x0.cols();
-  const int64_t l = offsets.total;
-  SLICELINE_CHECK_EQ(static_cast<int64_t>(errors.size()), n);
-  SLICELINE_CHECK_LT(n, std::numeric_limits<int32_t>::max());
-  for (double e : errors) {
-    SLICELINE_CHECK_GE(e, 0.0);
-    total_error_ += e;
-  }
+    : owned_store_(std::make_unique<const data::ColumnStore>(x0, offsets,
+                                                              errors)),
+      store_(*owned_store_) {}
 
-  // Build the CSC inverted index and the level-1 statistics in two passes.
-  basic_sizes_.assign(static_cast<size_t>(l), 0);
-  basic_error_sums_.assign(static_cast<size_t>(l), 0.0);
-  basic_max_errors_.assign(static_cast<size_t>(l), 0.0);
-  col_ptr_.assign(static_cast<size_t>(l) + 1, 0);
-  for (int64_t i = 0; i < n; ++i) {
-    const int32_t* row = x0.row(i);
-    const double e = errors[i];
-    for (int64_t j = 0; j < m; ++j) {
-      SLICELINE_CHECK(row[j] >= 1 && row[j] <= offsets.fdom[j])
-          << "X0 code out of domain at (" << i << "," << j << ")";
-      const int64_t c = offsets.fb[j] + row[j] - 1;
-      ++basic_sizes_[c];
-      basic_error_sums_[c] += e;
-      if (e > basic_max_errors_[c]) basic_max_errors_[c] = e;
-      ++col_ptr_[c + 1];
-    }
-  }
-  for (int64_t c = 0; c < l; ++c) col_ptr_[c + 1] += col_ptr_[c];
-  rows_.resize(static_cast<size_t>(n * m));
-  std::vector<int64_t> cursor(col_ptr_.begin(), col_ptr_.end() - 1);
-  for (int64_t i = 0; i < n; ++i) {
-    const int32_t* row = x0.row(i);
-    for (int64_t j = 0; j < m; ++j) {
-      const int64_t c = offsets_->fb[j] + row[j] - 1;
-      rows_[cursor[c]++] = static_cast<int32_t>(i);
-    }
-  }
-}
-
-void SliceEvaluator::EvaluateOne(const int64_t* cols, int64_t len,
-                                 double* size, double* error_sum,
-                                 double* max_error) const {
-  SLICELINE_DCHECK(len >= 1);
-  // Drive the scan from the rarest predicate's inverted list and verify the
-  // remaining predicates with O(1) probes into X0.
-  int64_t best = 0;
-  for (int64_t k = 1; k < len; ++k) {
-    if (col_ptr_[cols[k] + 1] - col_ptr_[cols[k]] <
-        col_ptr_[cols[best] + 1] - col_ptr_[cols[best]]) {
-      best = k;
-    }
-  }
-  struct Predicate {
-    int feature;
-    int32_t code;
-  };
-  // Small inline buffer for the common shallow-lattice case.
-  Predicate inline_preds[16];
-  std::vector<Predicate> heap_preds;
-  Predicate* preds = inline_preds;
-  if (len - 1 > 16) {
-    heap_preds.resize(static_cast<size_t>(len - 1));
-    preds = heap_preds.data();
-  }
-  int64_t num_preds = 0;
-  for (int64_t k = 0; k < len; ++k) {
-    if (k == best) continue;
-    const int f = offsets_->FeatureOfColumn(cols[k]);
-    preds[num_preds++] = {f, offsets_->CodeOfColumn(cols[k])};
-  }
-  double ss = 0.0;
-  double se = 0.0;
-  double sm = 0.0;
-  const int64_t drive = cols[best];
-  for (int64_t p = col_ptr_[drive]; p < col_ptr_[drive + 1]; ++p) {
-    const int32_t r = rows_[p];
-    bool match = true;
-    for (int64_t k = 0; k < num_preds; ++k) {
-      if (x0_->At(r, preds[k].feature) != preds[k].code) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      const double e = (*errors_)[r];
-      ss += 1.0;
-      se += e;
-      if (e > sm) sm = e;
-    }
-  }
-  *size = ss;
-  *error_sum = se;
-  *max_error = sm;
-}
+SliceEvaluator::SliceEvaluator(const data::ColumnStore& store)
+    : store_(store) {}
 
 namespace {
 
@@ -129,36 +38,27 @@ namespace {
 /// stop within one batch, rare enough to stay off the profile.
 constexpr size_t kGovernanceStride = 64;
 
-}  // namespace
+/// Rows per kScanBlock tile. Fixed, so the tile partial sums and their
+/// tile-order merge do not depend on the thread count.
+constexpr int64_t kScanTileRows = 4096;
 
-void SliceEvaluator::EvaluateIndex(const SliceSet& set, bool parallel,
-                                   const RunContext* ctx,
-                                   EvalResult* out) const {
-  const int64_t count = set.size();
-  auto body = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      if (ctx != nullptr && (i - begin) % kGovernanceStride == 0 &&
-          ctx->ShouldStop()) {
-        return;
-      }
-      EvaluateOne(set.Columns(i), set.Length(i), &out->sizes[i],
-                  &out->error_sums[i], &out->max_errors[i]);
-    }
-  };
-  if (parallel) {
-    GlobalThreadPool().ParallelForRange(static_cast<size_t>(count), ctx, body);
-  } else {
-    body(0, static_cast<size_t>(count));
-  }
-}
+}  // namespace
 
 void SliceEvaluator::EvaluateScanBlock(const SliceSet& set, int block_size,
                                        bool parallel, const RunContext* ctx,
                                        EvalResult* out) const {
+  const data::IntMatrix& x0 = store_.x0();
+  const data::FeatureOffsets& offsets = store_.offsets();
+  const double* errors = store_.errors().data();
   const int64_t count = set.size();
-  const int64_t n = x0_->rows();
-  const int64_t m = x0_->cols();
+  const int64_t n = x0.rows();
+  const int64_t m = x0.cols();
   const int b = std::max(1, block_size);
+  const int64_t tiles = (n + kScanTileRows - 1) / kScanTileRows;
+  // Tiles run in waves of one tile per thread; the wave width only bounds
+  // partial-sum memory; the merge below is in tile order either way.
+  const int64_t wave =
+      parallel ? static_cast<int64_t>(GlobalThreadPool().num_threads()) : 1;
 
   for (int64_t block_begin = 0; block_begin < count; block_begin += b) {
     if (ctx != nullptr && ctx->ShouldStop()) return;
@@ -168,7 +68,7 @@ void SliceEvaluator::EvaluateScanBlock(const SliceSet& set, int block_size,
     // (This mirrors the paper's X * S_b^T product: each row contributes one
     // count per matching predicate; a row is in slice s iff count == L_s.)
     std::vector<std::vector<int32_t>> col_slices(
-        static_cast<size_t>(offsets_->total));
+        static_cast<size_t>(offsets.total));
     std::vector<int32_t> lengths(static_cast<size_t>(bs));
     for (int64_t s = block_begin; s < block_end; ++s) {
       lengths[s - block_begin] = static_cast<int32_t>(set.Length(s));
@@ -181,10 +81,15 @@ void SliceEvaluator::EvaluateScanBlock(const SliceSet& set, int block_size,
     struct Partial {
       std::vector<double> ss, se, sm;
     };
-    auto scan = [&](int64_t row_begin, int64_t row_end, Partial* acc) {
+    auto scan = [&](int64_t tile, Partial* acc) {
+      acc->ss.assign(static_cast<size_t>(bs), 0.0);
+      acc->se.assign(static_cast<size_t>(bs), 0.0);
+      acc->sm.assign(static_cast<size_t>(bs), 0.0);
       std::vector<int32_t> counts(static_cast<size_t>(bs), 0);
       std::vector<int32_t> touched;
       touched.reserve(static_cast<size_t>(bs));
+      const int64_t row_begin = tile * kScanTileRows;
+      const int64_t row_end = std::min(n, row_begin + kScanTileRows);
       for (int64_t i = row_begin; i < row_end; ++i) {
         // Row-strided governance poll; a stop mid-scan leaves this block's
         // partial sums incomplete, which is fine -- the caller discards the
@@ -194,15 +99,15 @@ void SliceEvaluator::EvaluateScanBlock(const SliceSet& set, int block_size,
             ctx->ShouldStop()) {
           return;
         }
-        const int32_t* row = x0_->row(i);
+        const int32_t* row = x0.row(i);
         touched.clear();
         for (int64_t j = 0; j < m; ++j) {
-          const int64_t c = offsets_->fb[j] + row[j] - 1;
+          const int64_t c = offsets.fb[j] + row[j] - 1;
           for (int32_t s : col_slices[c]) {
             if (counts[s]++ == 0) touched.push_back(s);
           }
         }
-        const double e = (*errors_)[i];
+        const double e = errors[i];
         for (int32_t s : touched) {
           if (counts[s] == lengths[s]) {
             acc->ss[s] += 1.0;
@@ -214,34 +119,30 @@ void SliceEvaluator::EvaluateScanBlock(const SliceSet& set, int block_size,
       }
     };
 
-    auto merge_into = [&](const Partial& acc) {
-      for (int64_t s = 0; s < bs; ++s) {
-        out->sizes[block_begin + s] += acc.ss[s];
-        out->error_sums[block_begin + s] += acc.se[s];
-        out->max_errors[block_begin + s] =
-            std::max(out->max_errors[block_begin + s], acc.sm[s]);
+    std::vector<Partial> partials(static_cast<size_t>(std::min(wave, tiles)));
+    for (int64_t wave_begin = 0; wave_begin < tiles; wave_begin += wave) {
+      const int64_t wave_tiles = std::min(wave, tiles - wave_begin);
+      auto run = [&](size_t begin, size_t end) {
+        for (size_t t = begin; t < end; ++t) {
+          scan(wave_begin + static_cast<int64_t>(t), &partials[t]);
+        }
+      };
+      if (parallel) {
+        GlobalThreadPool().ParallelForRange(static_cast<size_t>(wave_tiles),
+                                            ctx, run);
+      } else {
+        run(0, static_cast<size_t>(wave_tiles));
       }
-    };
-
-    if (parallel && GlobalThreadPool().num_threads() > 1) {
-      std::mutex merge_mutex;
-      GlobalThreadPool().ParallelForRange(
-          static_cast<size_t>(n), ctx, [&](size_t rb, size_t re) {
-            Partial acc;
-            acc.ss.assign(static_cast<size_t>(bs), 0.0);
-            acc.se.assign(static_cast<size_t>(bs), 0.0);
-            acc.sm.assign(static_cast<size_t>(bs), 0.0);
-            scan(static_cast<int64_t>(rb), static_cast<int64_t>(re), &acc);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            merge_into(acc);
-          });
-    } else {
-      Partial acc;
-      acc.ss.assign(static_cast<size_t>(bs), 0.0);
-      acc.se.assign(static_cast<size_t>(bs), 0.0);
-      acc.sm.assign(static_cast<size_t>(bs), 0.0);
-      scan(0, n, &acc);
-      merge_into(acc);
+      if (ctx != nullptr && ctx->ShouldStop()) return;
+      for (int64_t t = 0; t < wave_tiles; ++t) {
+        const Partial& acc = partials[static_cast<size_t>(t)];
+        for (int64_t s = 0; s < bs; ++s) {
+          out->sizes[block_begin + s] += acc.ss[s];
+          out->error_sums[block_begin + s] += acc.se[s];
+          out->max_errors[block_begin + s] =
+              std::max(out->max_errors[block_begin + s], acc.sm[s]);
+        }
+      }
     }
   }
 }
@@ -254,25 +155,13 @@ void SliceEvaluator::EvaluateBitset(const SliceSet& set, bool parallel,
   // evaluation across ISA levels.
   const linalg::SimdKernels& kernels = linalg::ActiveKernels();
 
-  // Serial pre-pass: pack bitmaps for every distinct column that is not
-  // cached yet (lazy, so ultra-wide one-hot spaces only pay for the columns
-  // candidate slices actually touch). Each column packs its CSC inverted
-  // list exactly once per dataset lifetime.
-  {
-    std::lock_guard<std::mutex> lock(bitmap_mutex_);
-    for (int64_t s = 0; s < set.size(); ++s) {
-      for (int64_t k = 0; k < set.Length(s); ++k) {
-        const int64_t c = set.Columns(s)[k];
-        if (!packed_bitmaps_.Has(c)) {
-          packed_bitmaps_.Build(c, rows_.data() + col_ptr_[c],
-                                col_ptr_[c + 1] - col_ptr_[c]);
-        }
-      }
-    }
-  }
+  // Build the bitmaps of every column the set touches that no earlier call
+  // built; built columns are immutable, so the candidate loop reads them
+  // without locking.
+  store_.Materialize(set.Columns(0), set.total_columns(), parallel);
 
-  const int64_t words = packed_bitmaps_.words();
-  const double* errors = errors_->data();
+  const int64_t words = store_.words();
+  const double* errors = store_.errors().data();
   auto body = [&](size_t begin, size_t end) {
     // Gather each candidate's column bitmap pointers into one arena, then
     // hand contiguous chunks to the cache-blocked SIMD loop. Chunks double
@@ -285,7 +174,7 @@ void SliceEvaluator::EvaluateBitset(const SliceSet& set, bool parallel,
     for (size_t s = begin; s < end; ++s) {
       arena_offsets[s - begin] = arena.size();
       for (int64_t k = 0; k < set.Length(s); ++k) {
-        arena.push_back(packed_bitmaps_.Get(set.Columns(s)[k]));
+        arena.push_back(store_.Column(set.Columns(s)[k]));
       }
     }
     std::vector<linalg::CandidateColumns> candidates(end - begin);
@@ -322,14 +211,11 @@ StatusOr<EvalResult> SliceEvaluator::Evaluate(
   if (count == 0) return out;
   TRACE_SPAN("evaluator/evaluate", set.size());
   if (obs::MetricsEnabled()) {
-    static const char* kStrategyCounters[] = {
-        "evaluator/index/slices", "evaluator/scan_block/slices",
-        "evaluator/bitset/slices"};
     obs::MetricsRegistry* registry = obs::MetricsRegistry::Default();
     registry->GetCounter("evaluator/slices_evaluated")->Add(set.size());
     registry
-        ->GetCounter(
-            kStrategyCounters[static_cast<int>(config.eval_strategy)])
+        ->GetCounter(std::string("evaluator/") +
+                     EvalStrategyName(config.eval_strategy) + "/slices")
         ->Add(set.size());
     if (config.eval_strategy == SliceLineConfig::EvalStrategy::kBitset) {
       // Which ISA level the packed kernels dispatched at, attributable in
@@ -341,9 +227,6 @@ StatusOr<EvalResult> SliceEvaluator::Evaluate(
     }
   }
   switch (config.eval_strategy) {
-    case SliceLineConfig::EvalStrategy::kIndex:
-      EvaluateIndex(set, config.parallel, ctx, &out);
-      break;
     case SliceLineConfig::EvalStrategy::kScanBlock:
       EvaluateScanBlock(set, config.eval_block_size, config.parallel, ctx,
                         &out);

@@ -2,14 +2,14 @@
 #define SLICELINE_CORE_EVALUATOR_H_
 
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "core/slice.h"
+#include "data/column_store.h"
 #include "data/int_matrix.h"
 #include "data/onehot.h"
-#include "linalg/bitmap.h"
 
 namespace sliceline::core {
 
@@ -71,17 +71,20 @@ class EvaluatorBackend {
 };
 
 /// Evaluates slice candidates against a dataset (Section 4.4's
-/// I = (X * S^T == L) with ss/se/sm aggregations). Holds the inverted
-/// one-hot index (the CSC view of X) plus the raw codes for O(1) predicate
-/// checks, and implements the per-slice intersection strategy, the
-/// scan-shared block strategy whose block size b Figure 6(b) sweeps, and
-/// the bit-packed kBitset strategy evaluated with the runtime-dispatched
-/// SIMD kernels (AVX2/AVX-512/NEON with a portable scalar reference).
+/// I = (X * S^T == L) with ss/se/sm aggregations) over one column store:
+/// the bit-packed kBitset strategy intersects the store's column bitmaps
+/// with the runtime-dispatched SIMD kernels (AVX2/AVX-512/NEON with a
+/// portable scalar reference), and the scan-shared kScanBlock strategy,
+/// whose block size b Figure 6(b) sweeps, sweeps the store's codes.
 class SliceEvaluator : public EvaluatorBackend {
  public:
+  /// Builds a column store over (x0, offsets, errors), which must outlive
+  /// the evaluator.
   SliceEvaluator(const data::IntMatrix& x0,
                  const data::FeatureOffsets& offsets,
                  const std::vector<double>& errors);
+  /// Evaluates over an existing store, which must outlive the evaluator.
+  explicit SliceEvaluator(const data::ColumnStore& store);
 
   /// Evaluates every slice of `set` using config's strategy/block size.
   StatusOr<EvalResult> Evaluate(const SliceSet& set,
@@ -90,57 +93,32 @@ class SliceEvaluator : public EvaluatorBackend {
   /// Level-1 statistics per one-hot column (Equation 4): sizes ss0,
   /// error sums se0, and maximum tuple errors sm0.
   const std::vector<int64_t>& basic_sizes() const override {
-    return basic_sizes_;
+    return store_.basic_sizes();
   }
   const std::vector<double>& basic_error_sums() const override {
-    return basic_error_sums_;
+    return store_.basic_error_sums();
   }
   const std::vector<double>& basic_max_errors() const override {
-    return basic_max_errors_;
+    return store_.basic_max_errors();
   }
 
-  int64_t n() const override { return x0_->rows(); }
-  double total_error() const override { return total_error_; }
-  const data::FeatureOffsets& offsets() const override { return *offsets_; }
+  int64_t n() const override { return store_.rows(); }
+  double total_error() const override { return store_.total_error(); }
+  const data::FeatureOffsets& offsets() const override {
+    return store_.offsets();
+  }
 
  private:
   // The strategies poll `ctx` (when non-null) at strided slice/row
   // boundaries and bail out early on a governance stop; Evaluate() then
   // reports the stop as a governance Status.
-  void EvaluateIndex(const SliceSet& set, bool parallel,
-                     const RunContext* ctx, EvalResult* out) const;
   void EvaluateScanBlock(const SliceSet& set, int block_size, bool parallel,
                          const RunContext* ctx, EvalResult* out) const;
   void EvaluateBitset(const SliceSet& set, bool parallel,
                       const RunContext* ctx, EvalResult* out) const;
-  /// Evaluates one slice by scanning the shortest inverted list and probing
-  /// the remaining predicates in X0.
-  void EvaluateOne(const int64_t* cols, int64_t len, double* size,
-                   double* error_sum, double* max_error) const;
 
-  const data::IntMatrix* x0_;
-  const data::FeatureOffsets* offsets_;
-  const std::vector<double>* errors_;
-  double total_error_ = 0.0;
-
-  // CSC inverted index of the one-hot matrix: rows_[col_ptr_[c]..col_ptr_[c+1])
-  // lists the rows whose one-hot encoding contains column c, ascending.
-  std::vector<int64_t> col_ptr_;
-  std::vector<int32_t> rows_;
-
-  // Bit-packed per-column row bitmaps for the kBitset strategy, evaluated
-  // with the runtime-dispatched SIMD kernels (linalg/kernels_simd.h).
-  // Lazily materialized: only columns that appear in evaluated slices are
-  // built, which keeps ultra-wide datasets affordable. Guarded by
-  // bitmap_mutex_ during the serial fill pass at the start of each Evaluate
-  // call; built columns are immutable afterwards, so the parallel candidate
-  // loop reads them without locking.
-  mutable linalg::ColumnBitmaps packed_bitmaps_;
-  mutable std::mutex bitmap_mutex_;
-
-  std::vector<int64_t> basic_sizes_;
-  std::vector<double> basic_error_sums_;
-  std::vector<double> basic_max_errors_;
+  std::unique_ptr<const data::ColumnStore> owned_store_;
+  const data::ColumnStore& store_;
 };
 
 }  // namespace sliceline::core

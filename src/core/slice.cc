@@ -35,6 +35,26 @@ bool Slice::Matches(const data::IntMatrix& x0, int64_t row) const {
   return true;
 }
 
+const char* EvalStrategyName(SliceLineConfig::EvalStrategy strategy) {
+  switch (strategy) {
+    case SliceLineConfig::EvalStrategy::kScanBlock:
+      return "scan_block";
+    case SliceLineConfig::EvalStrategy::kBitset:
+      return "bitset";
+  }
+  return "unknown";
+}
+
+StatusOr<SliceLineConfig::EvalStrategy> ParseEvalStrategy(
+    const std::string& name) {
+  for (auto strategy : {SliceLineConfig::EvalStrategy::kScanBlock,
+                        SliceLineConfig::EvalStrategy::kBitset}) {
+    if (name == EvalStrategyName(strategy)) return strategy;
+  }
+  return Status::InvalidArgument("unknown eval strategy '" + name +
+                                 "' (expected scan_block or bitset)");
+}
+
 int64_t ResolveMinSupport(const SliceLineConfig& config, int64_t n) {
   if (config.min_support > 0) return config.min_support;
   const int64_t centile = (n + 99) / 100;  // ceil(n/100)

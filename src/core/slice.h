@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/run_context.h"
+#include "common/status.h"
 #include "data/encoded_dataset.h"
 #include "data/onehot.h"
 
@@ -57,16 +58,20 @@ struct SliceLineConfig {
   /// kScanBlock strategy. b=1 degenerates to task-parallel per-slice scans,
   /// huge b to one data-parallel scan.
   int eval_block_size = 16;
+  /// Both strategies share one column store (data/column_store.h). The
+  /// values are fixed because checkpoint config hashes include them.
   enum class EvalStrategy {
-    kIndex,      ///< per-slice sorted inverted-list intersection
-    kScanBlock,  ///< scan-shared row sweep over blocks of b slices
-    kBitset,     ///< bit-packed column bitmaps evaluated by the
-                 ///< runtime-dispatched SIMD kernels (default)
+    kScanBlock = 1,  ///< scan-shared row sweep over blocks of b slices
+    kBitset = 2,     ///< bit-packed column bitmaps evaluated by the
+                     ///< runtime-dispatched SIMD kernels (default)
   };
-  /// kBitset is the default hot path: all three strategies return
-  /// bit-identical results (ascending-row error accumulation everywhere),
-  /// and the packed kernels dominate on every measured workload — see
-  /// BENCH_kernels.json and DESIGN.md "Vectorized kernels".
+  /// kBitset is the default hot path: the packed kernels dominate on every
+  /// measured workload (BENCH_kernels.json, DESIGN.md "Vectorized
+  /// kernels"). Each strategy returns bit-identical results for any thread
+  /// count. kBitset sums each slice's errors in one ascending-row chain;
+  /// kScanBlock sums fixed row tiles and adds the tile sums in tile order,
+  /// so on inputs longer than one tile its error sums may differ from
+  /// kBitset's in the last bits (sizes and maxima never do).
   EvalStrategy eval_strategy = EvalStrategy::kBitset;
   bool parallel = true;  ///< use the global thread pool for evaluation
 
@@ -108,6 +113,14 @@ struct SliceLineResult {
   /// degradation and checkpoint bookkeeping; see RunOutcome.
   RunOutcome outcome;
 };
+
+/// The one spelling of an evaluation strategy ("scan_block", "bitset"),
+/// used by the worker protocol, replay files and run reports.
+const char* EvalStrategyName(SliceLineConfig::EvalStrategy strategy);
+
+/// Inverse of EvalStrategyName; InvalidArgument for any other name.
+StatusOr<SliceLineConfig::EvalStrategy> ParseEvalStrategy(
+    const std::string& name);
 
 /// Resolves the effective minimum support: config value, or the paper's
 /// default max(32, ceil(n/100)) when unset.

@@ -23,9 +23,9 @@ int64_t FeatureOffsets::ColumnOf(int feature, int32_t code) const {
   return fb[feature] + code - 1;
 }
 
-FeatureOffsets ComputeOffsets(const IntMatrix& x0) {
+FeatureOffsets OffsetsFromDomains(const std::vector<int32_t>& domains) {
   FeatureOffsets offsets;
-  offsets.fdom = x0.ColMaxs();
+  offsets.fdom = domains;
   offsets.fb.resize(offsets.fdom.size());
   offsets.fe.resize(offsets.fdom.size());
   int64_t acc = 0;
@@ -36,6 +36,10 @@ FeatureOffsets ComputeOffsets(const IntMatrix& x0) {
   }
   offsets.total = acc;
   return offsets;
+}
+
+FeatureOffsets ComputeOffsets(const IntMatrix& x0) {
+  return OffsetsFromDomains(x0.ColMaxs());
 }
 
 linalg::CsrMatrix OneHotEncode(const IntMatrix& x0,

@@ -30,7 +30,14 @@ struct FeatureOffsets {
   int64_t ColumnOf(int feature, int32_t code) const;
 };
 
-/// Computes domains and offsets from the integer-encoded matrix.
+/// Lays out the one-hot columns of explicit per-feature domains. Frozen
+/// encoder domains and shipped shard domains use this directly: appended or
+/// sharded rows may not exercise every code, so the layout must come from
+/// the dictionary, not from the data seen so far.
+FeatureOffsets OffsetsFromDomains(const std::vector<int32_t>& domains);
+
+/// Computes domains and offsets from the integer-encoded matrix:
+/// OffsetsFromDomains(x0.ColMaxs()).
 FeatureOffsets ComputeOffsets(const IntMatrix& x0);
 
 /// One-hot encodes X0 into the n x l 0/1 CSR matrix X. Direct CSR

@@ -27,15 +27,6 @@ double MonotonicSeconds() {
       .count();
 }
 
-const char* StrategyName(core::SliceLineConfig::EvalStrategy strategy) {
-  switch (strategy) {
-    case core::SliceLineConfig::EvalStrategy::kIndex: return "index";
-    case core::SliceLineConfig::EvalStrategy::kScanBlock: return "scan";
-    case core::SliceLineConfig::EvalStrategy::kBitset: return "bitset";
-  }
-  return "index";
-}
-
 /// Content fingerprint of the full input; the shard handshake key.
 std::string FingerprintDataset(const data::IntMatrix& x0,
                                const std::vector<double>& errors) {
@@ -551,7 +542,7 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     request.type = serve::WorkerRequestType::kEvalBlock;
     request.dataset_hash = dataset_hash_;
     request.shard = task.shard;
-    request.strategy = StrategyName(config.eval_strategy);
+    request.strategy = config.eval_strategy;
     request.block_size = config.eval_block_size;
     // Propagate the trace context: the worker stamps its spans with the
     // trace id and records the 1-based round as their remote parent.

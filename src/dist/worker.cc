@@ -22,33 +22,6 @@ namespace {
 /// must present a fresh session just like a restarted OS process would.
 std::atomic<int64_t> g_worker_instances{0};
 
-/// Rebuilds FeatureOffsets from shipped per-feature domains. Unlike
-/// data::ComputeOffsets this does not derive domains from the matrix -- a
-/// shard may not observe every code of a feature, and the worker must use
-/// the coordinator's global column space for partials to align.
-data::FeatureOffsets OffsetsFromDomains(const std::vector<int32_t>& fdom) {
-  data::FeatureOffsets offsets;
-  offsets.fdom = fdom;
-  offsets.fb.resize(fdom.size());
-  offsets.fe.resize(fdom.size());
-  int64_t column = 0;
-  for (size_t j = 0; j < fdom.size(); ++j) {
-    offsets.fb[j] = column;
-    column += fdom[j];
-    offsets.fe[j] = column;
-  }
-  offsets.total = column;
-  return offsets;
-}
-
-StatusOr<core::SliceLineConfig::EvalStrategy> StrategyFromName(
-    const std::string& name) {
-  if (name == "index") return core::SliceLineConfig::EvalStrategy::kIndex;
-  if (name == "scan") return core::SliceLineConfig::EvalStrategy::kScanBlock;
-  if (name == "bitset") return core::SliceLineConfig::EvalStrategy::kBitset;
-  return Status::InvalidArgument("unknown eval strategy '" + name + "'");
-}
-
 }  // namespace
 
 Worker::Worker(const WorkerOptions& options) : options_(options) {
@@ -303,7 +276,9 @@ StatusOr<std::string> Worker::HandleLoadShard(
       }
     }
     state->errors = std::move(staging.errors);
-    state->offsets = OffsetsFromDomains(staging.fdom);
+    // The coordinator's global column space, not this shard's observed
+    // maxima: partials from every shard must align column for column.
+    state->offsets = data::OffsetsFromDomains(staging.fdom);
     state->row_begin = staging.row_begin;
     state->row_end = staging.row_end;
     state->evaluator = std::make_unique<core::SliceEvaluator>(
@@ -359,8 +334,7 @@ StatusOr<std::string> Worker::HandleEvalBlock(
                             " is not loaded in this session");
   }
   core::SliceLineConfig config;
-  SLICELINE_ASSIGN_OR_RETURN(config.eval_strategy,
-                             StrategyFromName(request.strategy));
+  config.eval_strategy = request.strategy;
   if (request.block_size < 1) {
     return Status::InvalidArgument("block_size must be >= 1");
   }

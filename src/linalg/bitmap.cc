@@ -34,19 +34,4 @@ Bitmap Bitmap::FromRows(int64_t rows, const std::vector<int64_t>& set_rows) {
   return bm;
 }
 
-const uint64_t* ColumnBitmaps::Build(int64_t col, const int32_t* row_ids,
-                                     int64_t count) {
-  auto [it, inserted] = columns_.try_emplace(col);
-  if (inserted) {
-    it->second.assign(static_cast<size_t>(words_), 0);
-    uint64_t* words = it->second.data();
-    for (int64_t k = 0; k < count; ++k) {
-      const int32_t r = row_ids[k];
-      SLICELINE_DCHECK(r >= 0 && r < rows_);
-      words[r >> 6] |= uint64_t{1} << (r & 63);
-    }
-  }
-  return it->second.data();
-}
-
 }  // namespace sliceline::linalg

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace sliceline::linalg {
@@ -57,51 +56,6 @@ class Bitmap {
  private:
   int64_t rows_;
   std::vector<uint64_t> words_;
-};
-
-/// Per-one-hot-column packed row bitmaps over a fixed row space — the
-/// bit-packed view of the paper's X matrix that the SIMD evaluation path
-/// intersects instead of scanning inverted lists. Columns are built lazily
-/// (only columns that candidate slices actually touch are materialized,
-/// which keeps ultra-wide one-hot spaces affordable) and cached for the
-/// dataset's lifetime, so each column is packed exactly once.
-///
-/// Thread-compatibility contract: Build calls must be serialized by the
-/// caller (the evaluator's mutex-guarded pre-pass); Get/Has are safe to call
-/// concurrently once the columns they name are built, because built buffers
-/// are never moved or mutated.
-class ColumnBitmaps {
- public:
-  ColumnBitmaps(int64_t rows, int64_t num_columns)
-      : rows_(rows), num_columns_(num_columns), words_(BitmapWords(rows)) {}
-
-  int64_t rows() const { return rows_; }
-  int64_t num_columns() const { return num_columns_; }
-  /// Padded words per column (a multiple of kBitmapWordPad).
-  int64_t words() const { return words_; }
-  /// Columns materialized so far.
-  int64_t built() const { return static_cast<int64_t>(columns_.size()); }
-  int64_t memory_bytes() const {
-    return built() * words_ * static_cast<int64_t>(sizeof(uint64_t));
-  }
-
-  bool Has(int64_t col) const { return columns_.count(col) != 0; }
-
-  /// Packs the `count` row ids of column `col` (its inverted list) into the
-  /// column's bitmap; no-op if already built. Returns the packed words.
-  const uint64_t* Build(int64_t col, const int32_t* row_ids, int64_t count);
-
-  /// Packed words of a built column; nullptr when absent.
-  const uint64_t* Get(int64_t col) const {
-    auto it = columns_.find(col);
-    return it == columns_.end() ? nullptr : it->second.data();
-  }
-
- private:
-  int64_t rows_;
-  int64_t num_columns_;
-  int64_t words_;
-  std::unordered_map<int64_t, std::vector<uint64_t>> columns_;
 };
 
 }  // namespace sliceline::linalg

@@ -13,18 +13,6 @@ namespace sliceline::obs {
 
 namespace {
 
-const char* EvalStrategyName(core::SliceLineConfig::EvalStrategy strategy) {
-  switch (strategy) {
-    case core::SliceLineConfig::EvalStrategy::kIndex:
-      return "index";
-    case core::SliceLineConfig::EvalStrategy::kScanBlock:
-      return "scan_block";
-    case core::SliceLineConfig::EvalStrategy::kBitset:
-      return "bitset";
-  }
-  return "unknown";
-}
-
 void WriteMetricSample(JsonWriter& json, const MetricSample& sample) {
   json.BeginObject();
   json.Key("name");
@@ -172,7 +160,7 @@ void RunReport::WriteJson(std::ostream& os,
     json.Key("deduplicate");
     json.Bool(config_.deduplicate);
     json.Key("eval_strategy");
-    json.String(EvalStrategyName(config_.eval_strategy));
+    json.String(core::EvalStrategyName(config_.eval_strategy));
     json.Key("eval_block_size");
     json.Int(config_.eval_block_size);
     json.Key("parallel");

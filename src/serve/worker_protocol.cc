@@ -183,7 +183,9 @@ StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line) {
       SLICELINE_ASSIGN_OR_RETURN(request.dataset_hash,
                                  root.RequireString("dataset"));
       SLICELINE_ASSIGN_OR_RETURN(request.shard, root.RequireInt("shard"));
-      request.strategy = root.GetStringOr("strategy", "index");
+      SLICELINE_ASSIGN_OR_RETURN(
+          request.strategy,
+          core::ParseEvalStrategy(root.GetStringOr("strategy", "bitset")));
       request.block_size = root.GetIntOr("block_size", 16);
       SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* slices,
                                  RequireArray(root, "slices"));
@@ -281,7 +283,7 @@ std::string SerializeWorkerRequest(const WorkerRequest& request) {
       writer.Key("shard");
       writer.Int(request.shard);
       writer.Key("strategy");
-      writer.String(request.strategy);
+      writer.String(core::EvalStrategyName(request.strategy));
       writer.Key("block_size");
       writer.Int(request.block_size);
       writer.Key("slices");

@@ -25,7 +25,7 @@ namespace sliceline::serve {
 ///   {"id":..., "ok":false, "error":{"code":"...", "message":"..."}}
 /// so MakeErrorLine / ErrorCodeForStatus / StatusFromError are shared.
 
-inline constexpr int kWorkerProtocolVersion = 1;
+inline constexpr int kWorkerProtocolVersion = 2;
 
 /// Per-line guard of the worker protocol. load_shard chunks are sized by
 /// the coordinator to stay well under this; eval_block responses carry
@@ -106,8 +106,11 @@ struct WorkerRequest {
 
   // -- eval_block only ------------------------------------------------------
   core::SliceSet slices;
-  std::string strategy = "index";  ///< "index" | "scan" | "bitset"
-  int64_t block_size = 16;         ///< scan-shared block size b
+  /// Wire key "strategy", spelled by core::EvalStrategyName; absent
+  /// means bitset, an unknown name is rejected at parse time.
+  core::SliceLineConfig::EvalStrategy strategy =
+      core::SliceLineConfig::EvalStrategy::kBitset;
+  int64_t block_size = 16;  ///< scan-shared block size b
 };
 
 /// Validates (strict JSON) and decodes one worker request line.

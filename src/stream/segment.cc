@@ -26,55 +26,18 @@ uint64_t BaseFingerprint(const data::IntMatrix& x0,
   return ChainFingerprint(0, x0, errors);
 }
 
-data::FeatureOffsets OffsetsFromDomains(const std::vector<int32_t>& domains) {
-  data::FeatureOffsets offsets;
-  offsets.fdom = domains;
-  offsets.fb.reserve(domains.size());
-  offsets.fe.reserve(domains.size());
-  int64_t at = 0;
-  for (int32_t d : domains) {
-    offsets.fb.push_back(at);
-    at += d;
-    offsets.fe.push_back(at);
-  }
-  offsets.total = at;
-  return offsets;
-}
+namespace {
 
-StatusOr<SegmentStore> SegmentStore::Create(data::IntMatrix base_x0,
-                                            std::vector<double> base_errors,
-                                            std::vector<int32_t> domains) {
-  if (base_x0.rows() < 1) {
-    return Status::InvalidArgument("segment store needs a non-empty base");
-  }
-  if (domains.empty()) {
-    domains = base_x0.ColMaxs();
-  } else if (domains.size() != static_cast<size_t>(base_x0.cols())) {
-    return Status::InvalidArgument("domains size does not match columns");
-  }
-  SegmentStore store;
-  store.offsets_ = OffsetsFromDomains(domains);
-  store.x0_ = data::IntMatrix(0, base_x0.cols());
-  store.basic_sizes_.assign(static_cast<size_t>(store.offsets_.total), 0);
-  store.basic_error_sums_.assign(static_cast<size_t>(store.offsets_.total),
-                                 0.0);
-  store.basic_max_errors_.assign(static_cast<size_t>(store.offsets_.total),
-                                 0.0);
-  store.col_words_.resize(static_cast<size_t>(store.offsets_.total));
-  store.boundary_counts_[0] = store.basic_sizes_;
-  SLICELINE_RETURN_NOT_OK(store.Validate(base_x0, base_errors));
-  store.Ingest(base_x0, base_errors);
-  store.fingerprint_ = BaseFingerprint(base_x0, base_errors);
-  store.base_rows_ = base_x0.rows();
-  return store;
-}
-
-Status SegmentStore::Validate(const data::IntMatrix& delta,
-                              const std::vector<double>& errors) const {
+/// Rejects rows that do not fit a store of `cols` features laid out by
+/// `offsets`: wrong shape, codes outside the frozen domains, or non-finite
+/// or negative errors.
+Status ValidateRows(const data::FeatureOffsets& offsets, int64_t cols,
+                    const data::IntMatrix& delta,
+                    const std::vector<double>& errors) {
   if (delta.rows() < 1) {
     return Status::InvalidArgument("append must carry at least one row");
   }
-  if (delta.cols() != x0_.cols()) {
+  if (delta.cols() != cols) {
     return Status::InvalidArgument("append column count mismatch");
   }
   if (errors.size() != static_cast<size_t>(delta.rows())) {
@@ -89,10 +52,10 @@ Status SegmentStore::Validate(const data::IntMatrix& delta,
   for (int64_t r = 0; r < delta.rows(); ++r) {
     const int32_t* row = delta.row(r);
     for (int64_t j = 0; j < delta.cols(); ++j) {
-      if (row[j] < 1 || row[j] > offsets_.fdom[static_cast<size_t>(j)]) {
+      if (row[j] < 1 || row[j] > offsets.fdom[static_cast<size_t>(j)]) {
         return Status::InvalidArgument(
             "code " + std::to_string(row[j]) + " outside frozen domain [1, " +
-            std::to_string(offsets_.fdom[static_cast<size_t>(j)]) +
+            std::to_string(offsets.fdom[static_cast<size_t>(j)]) +
             "] for feature " + std::to_string(j));
       }
     }
@@ -100,50 +63,54 @@ Status SegmentStore::Validate(const data::IntMatrix& delta,
   return Status::OK();
 }
 
-void SegmentStore::Ingest(const data::IntMatrix& delta,
-                          const std::vector<double>& delta_errors) {
-  const int64_t row_begin = x0_.rows();
-  const int64_t new_n = row_begin + delta.rows();
-  const int64_t new_words = linalg::BitmapWords(new_n);
-  if (new_words != words_) {
-    // Padded word counts only grow, and prefix words keep their values, so
-    // segment bitmaps concatenate without repacking.
-    for (auto& words : col_words_) {
-      words.resize(static_cast<size_t>(new_words), 0);
-    }
-    words_ = new_words;
+}  // namespace
+
+SegmentStore::SegmentStore(data::IntMatrix x0, std::vector<double> errors,
+                           data::FeatureOffsets offsets)
+    : x0_(std::move(x0)),
+      errors_(std::move(errors)),
+      offsets_(std::move(offsets)),
+      columns_(x0_, offsets_, errors_),
+      base_rows_(x0_.rows()) {
+  boundary_counts_[0].assign(static_cast<size_t>(offsets_.total), 0);
+}
+
+StatusOr<std::unique_ptr<SegmentStore>> SegmentStore::Create(
+    data::IntMatrix base_x0, std::vector<double> base_errors,
+    std::vector<int32_t> domains) {
+  if (base_x0.rows() < 1) {
+    return Status::InvalidArgument("segment store needs a non-empty base");
   }
-  // One ascending-row pass extends every per-column float chain in order:
-  // the continuation of the exact chain a from-scratch build would run.
-  for (int64_t r = 0; r < delta.rows(); ++r) {
-    const int64_t row = row_begin + r;
-    const double e = delta_errors[static_cast<size_t>(r)];
-    const int32_t* codes = delta.row(r);
-    for (int64_t j = 0; j < delta.cols(); ++j) {
-      const size_t col = static_cast<size_t>(
-          offsets_.fb[static_cast<size_t>(j)] + codes[j] - 1);
-      col_words_[col][static_cast<size_t>(row >> 6)] |= 1ULL
-                                                        << (row & 63);
-      basic_sizes_[col] += 1;
-      basic_error_sums_[col] += e;
-      if (e > basic_max_errors_[col]) basic_max_errors_[col] = e;
-    }
-    total_error_ += e;
-    errors_.push_back(e);
+  if (domains.empty()) {
+    domains = base_x0.ColMaxs();
+  } else if (domains.size() != static_cast<size_t>(base_x0.cols())) {
+    return Status::InvalidArgument("domains size does not match columns");
   }
-  x0_.AppendRows(delta);
+  data::FeatureOffsets offsets = data::OffsetsFromDomains(domains);
+  SLICELINE_RETURN_NOT_OK(
+      ValidateRows(offsets, base_x0.cols(), base_x0, base_errors));
+  const uint64_t fingerprint = BaseFingerprint(base_x0, base_errors);
+  std::unique_ptr<SegmentStore> store(new SegmentStore(
+      std::move(base_x0), std::move(base_errors), std::move(offsets)));
+  store->fingerprint_ = fingerprint;
+  return store;
 }
 
 Status SegmentStore::Append(const data::IntMatrix& delta_x0,
                             const std::vector<double>& delta_errors,
                             double ingest_seconds) {
-  SLICELINE_RETURN_NOT_OK(Validate(delta_x0, delta_errors));
+  SLICELINE_RETURN_NOT_OK(
+      ValidateRows(offsets_, x0_.cols(), delta_x0, delta_errors));
   const int64_t row_begin = x0_.rows();
   // Snapshot cumulative counts at the boundary *before* ingesting, so the
   // untouched-column fast path can ask "did any rows in [P, n) hit column
   // c" by differencing against the current counts.
-  boundary_counts_[row_begin] = basic_sizes_;
-  Ingest(delta_x0, delta_errors);
+  boundary_counts_[row_begin] = columns_.basic_sizes();
+  x0_.AppendRows(delta_x0);
+  errors_.insert(errors_.end(), delta_errors.begin(), delta_errors.end());
+  // Continues every statistic chain and built bitmap over the new rows:
+  // the exact continuation a from-scratch build would run.
+  columns_.Extend();
   fingerprint_ = ChainFingerprint(fingerprint_, delta_x0, delta_errors);
   DeltaSegment segment;
   segment.row_begin = row_begin;

@@ -3,12 +3,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
+#include "data/column_store.h"
 #include "data/int_matrix.h"
 #include "data/onehot.h"
-#include "linalg/bitmap.h"
 
 namespace sliceline::stream {
 
@@ -34,27 +35,21 @@ uint64_t ChainFingerprint(uint64_t parent, const data::IntMatrix& delta,
 uint64_t BaseFingerprint(const data::IntMatrix& x0,
                          const std::vector<double>& errors);
 
-/// Builds FeatureOffsets from explicit per-feature domains (the frozen
-/// encoder domains), rather than from observed column maxima. Appended rows
-/// may exercise codes the base data never did, so the one-hot layout must be
-/// fixed by the dictionary, not by the data seen so far.
-data::FeatureOffsets OffsetsFromDomains(const std::vector<int32_t>& domains);
-
 /// Mergeable per-segment slice state for incremental evaluation.
 ///
-/// Holds the concatenated codes/errors, per-one-hot-column packed bitmaps in
-/// the global word layout of linalg/bitmap.h (bit r of word r>>6, words
-/// padded to kBitmapWordPad), per-column basic statistics, and the delta
-/// segment list. Because segment bitmaps use the same global word layout,
-/// an append only extends each column's word array — prefix words are never
-/// rewritten, which is what lets cached per-candidate statistics at prefix P
-/// be *continued* over rows [P, n) instead of recomputed.
+/// Owns the concatenated codes/errors, the frozen one-hot offsets, the delta
+/// segment list, and the data::ColumnStore over them (level-1 statistics
+/// plus lazily built column bitmaps in the global linalg/bitmap.h word
+/// layout). Because bitmaps use the global word layout, an append only
+/// extends each built column's word array -- prefix words are never
+/// rewritten, which is what lets cached per-candidate statistics at prefix
+/// P be *continued* over rows [P, n) instead of recomputed.
 ///
 /// Determinism invariant (the PR 7 rig's): every floating-point statistic is
 /// accumulated in one continuous ascending-row scalar add chain. Appends
 /// extend those chains in order, so after any append sequence every basic
-/// statistic (and total_error) is bit-identical to a from-scratch build over
-/// the concatenated data.
+/// statistic (and total_error) and every column bitmap is bit-identical to
+/// a from-scratch build over the concatenated data.
 ///
 /// Segments compact LSM-style: when the delta rows exceed a configured
 /// fraction of the base, MaybeCompact folds all segments into the base.
@@ -66,9 +61,12 @@ class SegmentStore {
   /// `domains` fixes per-feature domains (frozen dictionary); empty derives
   /// them from the base column maxima, in which case appends must not
   /// exercise unseen codes.
-  static StatusOr<SegmentStore> Create(data::IntMatrix base_x0,
-                                       std::vector<double> base_errors,
-                                       std::vector<int32_t> domains = {});
+  static StatusOr<std::unique_ptr<SegmentStore>> Create(
+      data::IntMatrix base_x0, std::vector<double> base_errors,
+      std::vector<int32_t> domains = {});
+
+  SegmentStore(const SegmentStore&) = delete;
+  SegmentStore& operator=(const SegmentStore&) = delete;
 
   /// Appends a delta in ascending row order. Fails (leaving the store
   /// unchanged) on column-count or domain violations and on non-finite or
@@ -91,19 +89,17 @@ class SegmentStore {
   const data::FeatureOffsets& offsets() const { return offsets_; }
   const std::vector<DeltaSegment>& segments() const { return segments_; }
 
-  double total_error() const { return total_error_; }
-  const std::vector<int64_t>& basic_sizes() const { return basic_sizes_; }
+  /// Level-1 statistics and column bitmaps over all rows.
+  const data::ColumnStore& columns() const { return columns_; }
+  double total_error() const { return columns_.total_error(); }
+  const std::vector<int64_t>& basic_sizes() const {
+    return columns_.basic_sizes();
+  }
   const std::vector<double>& basic_error_sums() const {
-    return basic_error_sums_;
+    return columns_.basic_error_sums();
   }
   const std::vector<double>& basic_max_errors() const {
-    return basic_max_errors_;
-  }
-
-  /// Number of 64-bit words per column bitmap (BitmapWords(n)).
-  int64_t words() const { return words_; }
-  const uint64_t* column_words(int64_t col) const {
-    return col_words_[static_cast<size_t>(col)].data();
+    return columns_.basic_max_errors();
   }
 
   /// Cumulative per-column row counts at segment boundary `row` (the counts
@@ -112,25 +108,14 @@ class SegmentStore {
   const std::vector<int64_t>* BoundaryCounts(int64_t row) const;
 
  private:
-  SegmentStore() = default;
+  SegmentStore(data::IntMatrix x0, std::vector<double> errors,
+               data::FeatureOffsets offsets);
 
-  Status Validate(const data::IntMatrix& delta,
-                  const std::vector<double>& errors) const;
-  /// Extends bitmaps/statistics with rows [x0_.rows() - delta.rows(), n).
-  void Ingest(const data::IntMatrix& delta,
-              const std::vector<double>& delta_errors);
-
+  // Declared before columns_, which borrows them.
   data::IntMatrix x0_;
   std::vector<double> errors_;
   data::FeatureOffsets offsets_;
-
-  int64_t words_ = 0;  // BitmapWords(n)
-  std::vector<std::vector<uint64_t>> col_words_;
-
-  double total_error_ = 0.0;
-  std::vector<int64_t> basic_sizes_;
-  std::vector<double> basic_error_sums_;
-  std::vector<double> basic_max_errors_;
+  data::ColumnStore columns_;
 
   uint64_t fingerprint_ = 0;
   int64_t base_rows_ = 0;

@@ -12,11 +12,11 @@ StatusOr<std::unique_ptr<StreamingSliceFinder>> StreamingSliceFinder::Create(
     const data::IntMatrix& base_x0, const std::vector<double>& base_errors,
     StreamOptions options) {
   SLICELINE_ASSIGN_OR_RETURN(
-      SegmentStore store,
+      std::unique_ptr<SegmentStore> store,
       SegmentStore::Create(base_x0, base_errors, options.domains));
   std::unique_ptr<StreamingSliceFinder> finder(
       new StreamingSliceFinder(std::move(options)));
-  finder->store_ = std::make_unique<SegmentStore>(std::move(store));
+  finder->store_ = std::move(store);
   return finder;
 }
 
@@ -42,10 +42,9 @@ StatusOr<core::SliceLineResult> StreamingSliceFinder::Find(
   StatusOr<core::SliceLineResult> result = Status::OK();
   if (fallback) {
     // Too much new data for incremental re-scoring to pay off: run the
-    // plain evaluator over the concatenated dataset (with the frozen
-    // offsets, so results stay comparable across the fallback).
-    const core::SliceEvaluator evaluator(store_->x0(), store_->offsets(),
-                                         store_->errors());
+    // plain evaluator over the store's columns (with the frozen offsets, so
+    // results stay comparable across the fallback).
+    const core::SliceEvaluator evaluator(store_->columns());
     result = core::RunSliceLineWithBackend(evaluator, config);
     if (result.ok()) result.value().outcome.stream_full_fallback = true;
     last_find_stats_ = StreamFindStats{};
@@ -94,6 +93,7 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
   const RunContext* ctx = config.run_context;
   StreamingSliceFinder* owner = owner_;
   const SegmentStore& store = *owner->store_;
+  const data::ColumnStore& columns = store.columns();
   core::EvalResult out;
   const size_t count = static_cast<size_t>(set.size());
   out.sizes.assign(count, 0.0);
@@ -103,7 +103,8 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
 
   const linalg::SimdKernels& kernels = linalg::ActiveKernels();
   const int64_t n = store.n();
-  const int64_t total_words = store.words();
+  columns.Materialize(set.Columns(0), set.total_columns(), config.parallel);
+  const int64_t total_words = columns.words();
   owner->scratch_.resize(static_cast<size_t>(total_words));
   StreamFindStats& stats = owner->find_stats_;
 
@@ -160,7 +161,7 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
         owner->column_arena_.resize(static_cast<size_t>(len));
         for (int64_t c = 0; c < len; ++c) {
           owner->column_arena_[static_cast<size_t>(c)] =
-              store.column_words(cols[c]) + w0;
+              columns.Column(cols[c]) + w0;
         }
         uint64_t* dst = owner->scratch_.data();
         kernels.intersect_columns(owner->column_arena_.data(),

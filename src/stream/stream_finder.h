@@ -84,9 +84,9 @@ class StreamingSliceFinder {
   };
 
   /// EvaluatorBackend that continues cached per-candidate chains over the
-  /// appended suffix using the bit-packed SIMD kernels. All strategies of
-  /// the plain evaluator produce the same float chains, so this backend is
-  /// bit-compatible with every eval_strategy.
+  /// appended suffix using the bit-packed SIMD kernels on the store's
+  /// column bitmaps. Its float chains are the plain evaluator's kBitset
+  /// chains, so it is bit-compatible with kBitset.
   class StreamEvaluator : public core::EvaluatorBackend {
    public:
     explicit StreamEvaluator(StreamingSliceFinder* owner) : owner_(owner) {}

@@ -50,8 +50,8 @@ std::string CheckKernelDifferential(uint64_t seed, int rounds,
 std::string CheckMetamorphic(const FuzzCase& fuzz_case);
 
 /// Determinism: identical results across repeated runs, thread-pool sizes
-/// {1, 2, 8} (bit-identical for per-slice strategies, tolerance for the
-/// scan-block merge), distributed shard counts {1, 3, 7} versus the local
+/// {1, 2, 8} (bit-identical for every strategy), distributed shard counts
+/// {1, 3, 7} versus the local
 /// engine, and fault-injected distributed runs versus fault-free ones
 /// (bit-identical short of local fallback, with reproducible fault stats).
 std::string CheckDeterminism(const FuzzCase& fuzz_case);

@@ -261,13 +261,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
   auto base = core::RunSliceLine(fuzz_case.x0, fuzz_case.errors, config);
   if (!base.ok()) return "";
 
-  // The scan-block strategy merges per-thread partials in completion order,
-  // so only the per-slice strategies guarantee bit-identical sums under
-  // parallel execution.
-  const bool bitwise =
-      !(config.parallel &&
-        config.eval_strategy == core::SliceLineConfig::EvalStrategy::kScanBlock);
-
+  // Every strategy is bit-identical across repeats and thread counts.
   // (1) Re-running the identical configuration.
   {
     auto again = core::RunSliceLine(fuzz_case.x0, fuzz_case.errors, config);
@@ -276,7 +270,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
              " re-run failed: " + again.status().ToString();
     }
     std::string diff =
-        CompareTopK(*base, *again, "re-run", kScoreTolerance, bitwise);
+        CompareTopK(*base, *again, "re-run", kScoreTolerance, /*exact=*/true);
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
   }
 
@@ -292,7 +286,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
     }
     std::string diff =
         CompareTopK(*base, *run, "threads=" + std::to_string(threads),
-                    kScoreTolerance, bitwise && threads == 1);
+                    kScoreTolerance, /*exact=*/true);
     if (!diff.empty()) {
       ResizeGlobalThreadPoolForTesting(0);
       return DescribeCase(fuzz_case) + " " + diff;

@@ -227,11 +227,10 @@ void RandomDatasetGenerator::SampleConfig(FuzzCase* fuzz_case) {
   config.prune_parents = rng_.NextBool(0.8);
   config.deduplicate = rng_.NextBool(0.9);
   static constexpr core::SliceLineConfig::EvalStrategy kStrategies[] = {
-      core::SliceLineConfig::EvalStrategy::kIndex,
       core::SliceLineConfig::EvalStrategy::kScanBlock,
       core::SliceLineConfig::EvalStrategy::kBitset,
   };
-  config.eval_strategy = kStrategies[rng_.NextUint64(3)];
+  config.eval_strategy = kStrategies[rng_.NextUint64(2)];
   config.eval_block_size = static_cast<int>(rng_.NextInt(1, 32));
   config.parallel = rng_.NextBool(0.5);
   fuzz_case->config = config;

@@ -43,15 +43,6 @@ void AppendDouble(std::string* out, double v) {
   *out += buf;
 }
 
-const char* StrategyName(core::SliceLineConfig::EvalStrategy s) {
-  switch (s) {
-    case core::SliceLineConfig::EvalStrategy::kIndex: return "index";
-    case core::SliceLineConfig::EvalStrategy::kScanBlock: return "scan-block";
-    case core::SliceLineConfig::EvalStrategy::kBitset: return "bitset";
-  }
-  return "index";
-}
-
 // ---------------------------------------------------------------------------
 // Parser: the minimal JSON subset the writer emits (one object, nested
 // "config" object, flat number arrays, escaped strings, bools).
@@ -241,15 +232,8 @@ Status ParseConfig(JsonParser* p, core::SliceLineConfig* config) {
     } else if (key == "eval_strategy") {
       std::string name;
       if (auto s = p->ParseString(&name); !s.ok()) return s;
-      if (name == "index") {
-        config->eval_strategy = core::SliceLineConfig::EvalStrategy::kIndex;
-      } else if (name == "scan-block") {
-        config->eval_strategy = core::SliceLineConfig::EvalStrategy::kScanBlock;
-      } else if (name == "bitset") {
-        config->eval_strategy = core::SliceLineConfig::EvalStrategy::kBitset;
-      } else {
-        return Status::InvalidArgument("unknown eval_strategy: " + name);
-      }
+      SLICELINE_ASSIGN_OR_RETURN(config->eval_strategy,
+                                 core::ParseEvalStrategy(name));
     } else if (key == "eval_block_size") {
       int64_t v = 0;
       if (auto s = p->ParseInt(&v); !s.ok()) return s;
@@ -299,7 +283,7 @@ std::string ReplayToJson(const ReplayRecord& record) {
   out += std::string(", \"prune_parents\": ") +
          (c.prune_parents ? "true" : "false");
   out += std::string(", \"deduplicate\": ") + (c.deduplicate ? "true" : "false");
-  out += std::string(", \"eval_strategy\": \"") + StrategyName(c.eval_strategy) +
+  out += std::string(", \"eval_strategy\": \"") + core::EvalStrategyName(c.eval_strategy) +
          "\"";
   out += ", \"eval_block_size\": " + std::to_string(c.eval_block_size);
   out += std::string(", \"parallel\": ") + (c.parallel ? "true" : "false");

@@ -121,7 +121,7 @@ std::string RunEquivalenceRound(const FuzzCase& fuzz_case,
   options.compact_ratio = compact_ratio;
   options.full_rerun_fraction = 0.0;  // force the incremental path
   const data::FeatureOffsets offsets =
-      stream::OffsetsFromDomains(options.domains);
+      data::OffsetsFromDomains(options.domains);
 
   auto finder_or = stream::StreamingSliceFinder::Create(
       RowSlice(fuzz_case.x0, 0, cuts[0]),
@@ -267,7 +267,7 @@ std::string CheckStreamEquivalence(const FuzzCase& fuzz_case) {
     return DescribeCase(fuzz_case) + " fallback was not taken";
   }
   const data::FeatureOffsets offsets =
-      stream::OffsetsFromDomains(fallback_options.domains);
+      data::OffsetsFromDomains(fallback_options.domains);
   auto want = ReferenceRun(fuzz_case, offsets, fuzz_case.x0.rows(), config);
   if (!want.ok()) {
     return DescribeCase(fuzz_case) +

@@ -91,15 +91,17 @@ TEST_F(DeterminismTest, RepeatedRunsAreBitIdentical) {
 }
 
 TEST_F(DeterminismTest, ThreadPoolSizeDoesNotChangeResult) {
-  Dataset d = MakePlanted(13, 1500);
+  // Long enough to span several kScanBlock row tiles (4096 rows each).
+  Dataset d = MakePlanted(13, 10000);
   SliceLineConfig config;
   config.k = 6;
   config.parallel = true;
-  // Per-slice strategies are bit-identical regardless of how work is split
-  // across threads; kScanBlock merges partial sums in completion order and
-  // is covered (with tolerance) by the fuzz harness instead.
+  // Every strategy is bit-identical regardless of how work is split across
+  // threads: kBitset sums each slice in one ascending-row chain, kScanBlock
+  // sums fixed row tiles and merges them in tile order.
   using EvalStrategy = SliceLineConfig::EvalStrategy;
-  for (EvalStrategy strategy : {EvalStrategy::kIndex, EvalStrategy::kBitset}) {
+  for (EvalStrategy strategy :
+       {EvalStrategy::kScanBlock, EvalStrategy::kBitset}) {
     config.eval_strategy = strategy;
     ResizeGlobalThreadPoolForTesting(1);
     auto baseline = RunSliceLine(d.x0, d.errors, config);

@@ -1,13 +1,11 @@
 // Tests of the bit-packed row-set primitives backing the SIMD evaluation
-// path: pack/unpack round-trips, popcount against a dense reference, the
-// word-boundary row counts the padding logic must get right (63/64/65), and
-// the build-once contract of the per-column bitmap cache.
+// path: pack/unpack round-trips, popcount against a dense reference, and
+// the word-boundary row counts the padding logic must get right (63/64/65).
 #include "linalg/bitmap.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -104,56 +102,6 @@ TEST(BitmapTest, EqualityComparesContents) {
   Bitmap c = Bitmap::FromRows(100, {1, 50});
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-}
-
-TEST(ColumnBitmapsTest, BuildPacksInvertedList) {
-  ColumnBitmaps bitmaps(/*rows=*/200, /*num_columns=*/5);
-  EXPECT_EQ(bitmaps.words(), BitmapWords(200));
-  EXPECT_EQ(bitmaps.built(), 0);
-  EXPECT_FALSE(bitmaps.Has(2));
-  EXPECT_EQ(bitmaps.Get(2), nullptr);
-
-  const std::vector<int32_t> rows = {0, 63, 64, 65, 199};
-  const uint64_t* words =
-      bitmaps.Build(2, rows.data(), static_cast<int64_t>(rows.size()));
-  ASSERT_NE(words, nullptr);
-  EXPECT_TRUE(bitmaps.Has(2));
-  EXPECT_EQ(bitmaps.Get(2), words);
-  EXPECT_EQ(bitmaps.built(), 1);
-  EXPECT_EQ(bitmaps.memory_bytes(),
-            bitmaps.words() * static_cast<int64_t>(sizeof(uint64_t)));
-
-  Bitmap expected = Bitmap::FromRows(200, {0, 63, 64, 65, 199});
-  EXPECT_EQ(std::memcmp(words, expected.data(),
-                        static_cast<size_t>(bitmaps.words()) *
-                            sizeof(uint64_t)),
-            0);
-}
-
-TEST(ColumnBitmapsTest, BuildIsIdempotent) {
-  ColumnBitmaps bitmaps(/*rows=*/100, /*num_columns=*/3);
-  const std::vector<int32_t> rows = {5, 10};
-  const uint64_t* first =
-      bitmaps.Build(0, rows.data(), static_cast<int64_t>(rows.size()));
-  // A second Build of the same column is a no-op: same buffer, not repacked
-  // from the (different) list.
-  const std::vector<int32_t> other = {1, 2, 3};
-  const uint64_t* second =
-      bitmaps.Build(0, other.data(), static_cast<int64_t>(other.size()));
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(bitmaps.built(), 1);
-  Bitmap expected = Bitmap::FromRows(100, {5, 10});
-  EXPECT_EQ(std::memcmp(first, expected.data(),
-                        static_cast<size_t>(bitmaps.words()) *
-                            sizeof(uint64_t)),
-            0);
-}
-
-TEST(ColumnBitmapsTest, EmptyColumnPacksToZeros) {
-  ColumnBitmaps bitmaps(/*rows=*/70, /*num_columns=*/1);
-  const uint64_t* words = bitmaps.Build(0, nullptr, 0);
-  ASSERT_NE(words, nullptr);
-  for (int64_t w = 0; w < bitmaps.words(); ++w) EXPECT_EQ(words[w], 0u);
 }
 
 }  // namespace

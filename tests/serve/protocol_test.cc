@@ -2,6 +2,7 @@
 // mapping, and the exact (bit-for-bit double) result serialization that
 // lets a client reproduce core::FormatResult output from a response.
 #include "serve/protocol.h"
+#include "serve/worker_protocol.h"
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,44 @@ TEST(ServeProtocolTest, MalformedRequestsAreRejected) {
     auto parsed = ParseRequest(line);
     EXPECT_FALSE(parsed.ok()) << line;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+}
+
+TEST(ServeProtocolTest, WorkerEvalBlockStrategyRoundTrips) {
+  using EvalStrategy = core::SliceLineConfig::EvalStrategy;
+  for (EvalStrategy strategy :
+       {EvalStrategy::kScanBlock, EvalStrategy::kBitset}) {
+    WorkerRequest request;
+    request.type = WorkerRequestType::kEvalBlock;
+    request.dataset_hash = "123";
+    request.shard = 2;
+    request.strategy = strategy;
+    request.block_size = 8;
+    request.slices.Add({1, 4});
+    auto parsed = ParseWorkerRequest(SerializeWorkerRequest(request));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->strategy, strategy);
+    EXPECT_EQ(parsed->block_size, 8);
+    ASSERT_EQ(parsed->slices.size(), 1);
+  }
+  // An absent strategy means the default bitset.
+  auto defaulted = ParseWorkerRequest(
+      "{\"type\":\"eval_block\",\"dataset\":\"1\",\"shard\":0,"
+      "\"slices\":[[0]]}\n");
+  ASSERT_TRUE(defaulted.ok()) << defaulted.status().ToString();
+  EXPECT_EQ(defaulted->strategy, EvalStrategy::kBitset);
+}
+
+TEST(ServeProtocolTest, WorkerEvalBlockRejectsUnknownStrategy) {
+  // "index" was removed with protocol version 2; "scan" is the version-1
+  // spelling of scan_block.
+  for (const char* name : {"index", "scan", "scan-block", ""}) {
+    const std::string line =
+        std::string("{\"type\":\"eval_block\",\"dataset\":\"1\",") +
+        "\"shard\":0,\"strategy\":\"" + name + "\",\"slices\":[[0]]}\n";
+    auto parsed = ParseWorkerRequest(line);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
   }
 }
 

@@ -89,7 +89,7 @@ core::SliceLineResult ReferenceRun(const StreamData& data,
                                    const core::SliceLineConfig& config) {
   const data::IntMatrix x0 = RowSlice(data.x0, 0, prefix);
   const std::vector<double> errors = ErrorSlice(data.errors, 0, prefix);
-  const data::FeatureOffsets offsets = OffsetsFromDomains(domains);
+  const data::FeatureOffsets offsets = data::OffsetsFromDomains(domains);
   const core::SliceEvaluator evaluator(x0, offsets, errors);
   auto result = core::RunSliceLineWithBackend(evaluator, config);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -128,7 +128,16 @@ TEST(StreamSegmentTest, AppendsMatchOneShotBuildBitIdentically) {
                                       ErrorSlice(data.errors, 0, 100),
                                       domains);
   ASSERT_TRUE(chained.ok()) << chained.status().ToString();
-  SegmentStore& store = chained.value();
+  SegmentStore& store = *chained.value();
+  // Build half the columns before appending, so the appends extend built
+  // bitmaps; the rest are built from all rows afterwards.
+  std::vector<int64_t> even_columns;
+  for (int64_t c = 0; c < store.offsets().total; c += 2) {
+    even_columns.push_back(c);
+  }
+  store.columns().Materialize(even_columns.data(),
+                              static_cast<int64_t>(even_columns.size()),
+                              /*parallel=*/false);
   ASSERT_TRUE(store
                   .Append(RowSlice(data.x0, 100, 180),
                           ErrorSlice(data.errors, 100, 180))
@@ -138,7 +147,7 @@ TEST(StreamSegmentTest, AppendsMatchOneShotBuildBitIdentically) {
                           ErrorSlice(data.errors, 180, 240))
                   .ok());
 
-  const SegmentStore& ref = one_shot.value();
+  const SegmentStore& ref = *one_shot.value();
   ASSERT_EQ(store.n(), ref.n());
   EXPECT_TRUE(BitEqual(store.total_error(), ref.total_error()));
   ASSERT_EQ(store.basic_sizes(), ref.basic_sizes());
@@ -153,10 +162,18 @@ TEST(StreamSegmentTest, AppendsMatchOneShotBuildBitIdentically) {
   }
   // Column bitmaps share the global word layout, so the append-built words
   // equal the one-shot words exactly.
-  ASSERT_EQ(store.words(), ref.words());
+  std::vector<int64_t> all_columns;
+  for (int64_t c = 0; c < store.offsets().total; ++c) all_columns.push_back(c);
+  const data::ColumnStore& got = store.columns();
+  const data::ColumnStore& want = ref.columns();
+  got.Materialize(all_columns.data(), store.offsets().total,
+                  /*parallel=*/false);
+  want.Materialize(all_columns.data(), ref.offsets().total,
+                   /*parallel=*/false);
+  ASSERT_EQ(got.words(), want.words());
   for (int64_t c = 0; c < store.offsets().total; ++c) {
-    EXPECT_EQ(std::memcmp(store.column_words(c), ref.column_words(c),
-                          static_cast<size_t>(store.words()) *
+    EXPECT_EQ(std::memcmp(got.Column(c), want.Column(c),
+                          static_cast<size_t>(got.words()) *
                               sizeof(uint64_t)),
               0)
         << c;
@@ -183,7 +200,7 @@ TEST(StreamSegmentTest, AppendsMatchOneShotBuildBitIdentically) {
                                            ErrorSlice(data.errors, 0, 100),
                                            domains);
   ASSERT_TRUE(prefix_store.ok());
-  EXPECT_EQ(*at_100, prefix_store.value().basic_sizes());
+  EXPECT_EQ(*at_100, prefix_store.value()->basic_sizes());
 }
 
 TEST(StreamSegmentTest, CompactionIsPureMetadata) {
@@ -193,7 +210,7 @@ TEST(StreamSegmentTest, CompactionIsPureMetadata) {
                                       ErrorSlice(data.errors, 0, 100),
                                       domains);
   ASSERT_TRUE(created.ok());
-  SegmentStore& store = created.value();
+  SegmentStore& store = *created.value();
   ASSERT_TRUE(store
                   .Append(RowSlice(data.x0, 100, 160),
                           ErrorSlice(data.errors, 100, 160))
@@ -228,7 +245,7 @@ TEST(StreamSegmentTest, RejectsMalformedAppendsLeavingStoreUnchanged) {
   auto created =
       SegmentStore::Create(data.x0, data.errors, data.x0.ColMaxs());
   ASSERT_TRUE(created.ok());
-  SegmentStore& store = created.value();
+  SegmentStore& store = *created.value();
   const uint64_t fingerprint = store.fingerprint();
 
   // Column-count mismatch.

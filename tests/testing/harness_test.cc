@@ -98,6 +98,27 @@ TEST(ReplayTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ReplayFromJson(json).ok());
 }
 
+TEST(ReplayTest, RejectsUnknownEvalStrategy) {
+  RandomDatasetGenerator generator(5);
+  ReplayRecord record;
+  record.check = "oracle";
+  record.fuzz_case = generator.Next();
+  const std::string json = ReplayToJson(record);
+  const std::string key = "\"eval_strategy\": \"";
+  const auto begin = json.find(key);
+  ASSERT_NE(begin, std::string::npos);
+  const auto value = begin + key.size();
+  const auto end = json.find('"', value);
+  // "index" names the removed strategy; "scan-block" is the old spelling.
+  for (const char* name : {"index", "scan-block"}) {
+    std::string edited = json;
+    edited.replace(value, end - value, name);
+    auto parsed = ReplayFromJson(edited);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
 TEST(ReplayTest, FileRoundTrip) {
   RandomDatasetGenerator generator(21);
   ReplayRecord record;
