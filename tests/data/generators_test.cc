@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,13 @@
 #include "data/onehot.h"
 
 namespace sliceline::data {
+
+// gtest names each parameter with its printed value, and gtest_discover_tests
+// copies that into the ctest name. Without this overload a DatasetInfo prints
+// as raw bytes, std::string heap pointers included, so the test names would
+// change with every build.
+void PrintTo(const DatasetInfo& info, std::ostream* os) { *os << info.name; }
+
 namespace {
 
 class GeneratorShapeTest : public ::testing::TestWithParam<DatasetInfo> {};
