@@ -29,6 +29,8 @@ struct ParentBounds {
     }
     ++parents;
   }
+
+  bool operator==(const ParentBounds&) const = default;
 };
 
 /// Upper bound on the score of any slice reachable below a candidate with

@@ -73,7 +73,7 @@ struct SliceLineConfig {
   /// so on inputs longer than one tile its error sums may differ from
   /// kBitset's in the last bits (sizes and maxima never do).
   EvalStrategy eval_strategy = EvalStrategy::kBitset;
-  bool parallel = true;  ///< use the global thread pool for evaluation
+  bool parallel = true;  ///< run generation and evaluation on the pool
 
   // -- governance (borrowed; must outlive the run) --
   /// Deadline / cancellation / memory-budget handle polled at level,

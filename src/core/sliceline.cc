@@ -278,6 +278,13 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
           prev, prev_stats, level, context, gov.effective_sigma(),
           topk.Threshold(), config, offsets, &bounds, &gen_stats);
     }
+    // Generation polls the run context too; a stop there discards the level
+    // and must not read as a natural end.
+    stop = gov.CheckBoundary();
+    if (stop != StopReason::kNone) {
+      stopped_level = level;
+      break;
+    }
     if (cands.size() == 0) {
       LevelStats stats;
       stats.level = level;

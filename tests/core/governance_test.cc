@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/run_context.h"
 #include "common/thread_pool.h"
+#include "core/candidates.h"
 #include "core/exhaustive.h"
 #include "core/sliceline.h"
 #include "core/sliceline_bestfirst.h"
@@ -226,6 +227,80 @@ TEST(GovernanceTest, GovernedRunWithoutLimitsMatchesUngovernedTopK) {
           << engine.name << " rank " << i;
     }
   }
+}
+
+/// Cancels its run context on the n-th time query, so "the cancel arrives
+/// while the engine is busy" happens at a reproducible poll.
+class CancelOnQueryClock : public Clock {
+ public:
+  CancelOnQueryClock(RunContext* ctx, int n) : ctx_(ctx), n_(n) {}
+  double NowSeconds() const override {
+    if (++queries_ == n_) ctx_->cancellation().Cancel();
+    return 0.0;
+  }
+
+ private:
+  RunContext* ctx_;
+  int n_;
+  mutable std::atomic<int> queries_{0};
+};
+
+TEST(GovernanceTest, CancellationDuringCandidateGenerationIsReported) {
+  const Input input = MakeInput(15, /*n=*/2000, /*m=*/8, /*max_dom=*/4);
+  for (bool parallel : {false, true}) {
+    SliceLineConfig config = BaseConfig();
+    config.min_support = 2;
+    config.parallel = parallel;
+    // The clock never reaches the deadline; setting one makes every poll
+    // query it. Query 1 is the level-2 boundary check, query 2 the first
+    // poll inside level-2 candidate generation.
+    RunContext ctx;
+    CancelOnQueryClock clock(&ctx, 2);
+    ctx.set_clock(&clock);
+    ctx.set_deadline_seconds(1.0);
+    config.run_context = &ctx;
+    auto result = RunSliceLine(input.x0, input.errors, config);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->outcome.termination,
+              RunOutcome::Termination::kCancelled);
+    EXPECT_EQ(result->outcome.stopped_at_level, 2);
+    ASSERT_EQ(result->levels.size(), 1u) << "level 2 must not be reported";
+    EXPECT_TRUE(result->outcome.WellFormed());
+  }
+}
+
+TEST(GovernanceTest, CandidateGenerationPollsAndChargesTheRunContext) {
+  const data::FeatureOffsets offsets =
+      data::OffsetsFromDomains({4, 4, 4, 4, 4, 4});
+  const ScoringContext context(1000, 100.0, 0.95);
+  SliceSet prev;
+  EvalResult stats;
+  for (int64_t c = 0; c < offsets.total; ++c) {
+    prev.Add({c});
+    stats.sizes.push_back(100);
+    stats.error_sums.push_back(50);
+    stats.max_errors.push_back(1.0);
+  }
+  SliceLineConfig config;
+  std::vector<ParentBounds> bounds;
+  CandidateGenStats gen;
+  MemoryBudget budget(0);
+  {
+    ScopedMemoryBudget scoped(&budget);
+    const SliceSet all = GeneratePairCandidates(
+        prev, stats, 2, context, 10, 0.0, config, offsets, &bounds, &gen);
+    EXPECT_EQ(all.size(), 15 * 16);  // one per pair of features x codes
+  }
+  EXPECT_GT(budget.peak_bytes(), 0);  // the pair records were charged
+  EXPECT_EQ(budget.used_bytes(), 0);
+
+  RunContext ctx;
+  ctx.cancellation().Cancel();
+  config.run_context = &ctx;
+  const SliceSet none = GeneratePairCandidates(
+      prev, stats, 2, context, 10, 0.0, config, offsets, &bounds, &gen);
+  EXPECT_EQ(none.size(), 0);
+  EXPECT_EQ(gen.pairs, 0);  // stopped before the first outer parent
 }
 
 TEST(GovernanceTest, CancellableParallelForRangeSkipsChunksAfterStop) {
