@@ -3,19 +3,20 @@
 // mapped onto this repo's executors:
 //   MT-Ops    -> data-parallel scan-shared kernels (barrier per operation),
 //   MT-PFor   -> task-parallel per-slice evaluation (parfor, no barriers),
-//   Dist-PFor -> the simulated distributed executor (row-sharded X,
-//                broadcast S, aggregate partial statistics).
-// On a single-core host the distributed rows report the simulated cluster
-// wall-clock: critical path (slowest worker per round) plus the modeled
-// communication cost, which is how the shape of the paper's 2x (MT-PFor)
-// and further 1.9x (Dist-PFor) improvements is reproduced.
+//   Dist-PFor -> the distributed coordinator on an in-process worker fleet
+//                (row-sharded X, broadcast S, aggregate partial statistics).
+// In-process workers run one after another, so the distributed rows report
+// the simulated cluster wall-clock: critical path (slowest worker per
+// round) plus the modeled communication cost of the real wire bytes, which
+// is how the shape of the paper's 2x (MT-PFor) and further 1.9x (Dist-PFor)
+// improvements is reproduced.
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "core/sliceline.h"
-#include "dist/distributed_evaluator.h"
+#include "dist/coordinator.h"
 
 int main() {
   using namespace sliceline;
@@ -56,7 +57,7 @@ int main() {
 
   for (int workers : {2, 4, 8, 12}) {
     dist::DistOptions options;
-    options.workers = workers;
+    options.local_workers = workers;
     dist::DistCostStats cost;
     auto result = dist::RunSliceLineDistributed(ds.x0, ds.errors, base,
                                                 options, &cost);
@@ -66,7 +67,7 @@ int main() {
       return 1;
     }
     const double simulated =
-        cost.critical_path_seconds + cost.EstimatedCommSeconds(options);
+        cost.critical_path_seconds + cost.EstimatedCommSeconds();
     char label[64];
     std::snprintf(label, sizeof(label), "Dist-PFor (%d workers)", workers);
     std::printf("%-22s %14s %14s   [compute=%.3fs comm=%.3fs rounds=%lld "
@@ -74,7 +75,7 @@ int main() {
                 label, FormatDouble(result->total_seconds, 3).c_str(),
                 FormatDouble(simulated, 3).c_str(),
                 cost.critical_path_seconds,
-                cost.EstimatedCommSeconds(options),
+                cost.EstimatedCommSeconds(),
                 static_cast<long long>(cost.rounds),
                 FormatWithCommas(cost.broadcast_bytes).c_str());
   }
@@ -84,7 +85,7 @@ int main() {
   // shows up as extra rounds, backoff, and duplicated compute.
   std::printf("\nFault-tolerant Dist-PFor (8 workers, seeded faults):\n");
   dist::DistOptions clean_opts;
-  clean_opts.workers = 8;
+  clean_opts.local_workers = 8;
   auto clean = dist::RunSliceLineDistributed(ds.x0, ds.errors, base,
                                              clean_opts, nullptr);
   dist::DistOptions faulty_opts = clean_opts;
@@ -112,7 +113,7 @@ int main() {
               "%s\n",
               static_cast<long long>(faulty_cost.rounds),
               FormatDouble(faulty_cost.critical_path_seconds +
-                               faulty_cost.EstimatedCommSeconds(faulty_opts),
+                               faulty_cost.EstimatedCommSeconds(),
                            3)
                   .c_str(),
               identical ? "yes" : "NO (bug)");

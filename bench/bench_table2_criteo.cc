@@ -1,13 +1,13 @@
 // Reproduces Table 2 (Criteo Slice Enumeration Statistics): per-level
 // candidate counts, valid slice counts, and cumulative elapsed time up to
 // lattice level 6 on the ultra-sparse Criteo-like dataset, evaluated with
-// the simulated distributed executor (the paper uses 1+12 Spark nodes).
+// an in-process distributed fleet (the paper uses 1+12 Spark nodes).
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "core/sliceline.h"
-#include "dist/distributed_evaluator.h"
+#include "dist/coordinator.h"
 
 int main() {
   using namespace sliceline;
@@ -25,7 +25,7 @@ int main() {
   config.k = 4;
   config.max_level = 6;
   dist::DistOptions options;
-  options.workers = 12;
+  options.local_workers = 12;
   dist::DistCostStats cost;
   auto result = dist::RunSliceLineDistributed(ds.x0, ds.errors, config,
                                               options, &cost);
@@ -52,10 +52,10 @@ int main() {
     cumulative += level.seconds;
     std::printf("%13ss", FormatDouble(cumulative, 2).c_str());
   }
-  std::printf("\n\nsimulated cluster: %d workers, rounds=%lld, "
+  std::printf("\n\nin-process cluster: %d workers, rounds=%lld, "
               "critical-path=%.3fs, comm-estimate=%.3fs\n",
-              options.workers, static_cast<long long>(cost.rounds),
-              cost.critical_path_seconds, cost.EstimatedCommSeconds(options));
+              options.local_workers, static_cast<long long>(cost.rounds),
+              cost.critical_path_seconds, cost.EstimatedCommSeconds());
   std::printf(
       "\nExpected shape (paper): only a tiny fraction of the one-hot\n"
       "columns pass the support constraint at level 1; candidate counts\n"

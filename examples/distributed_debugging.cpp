@@ -1,13 +1,14 @@
 // Distributed-style model debugging: run the identical SliceLine search
 // with the row-sharded, broadcast-based executor (the shape of the paper's
-// Spark deployment) and inspect the communication profile. Results are
+// Spark deployment) on an in-process worker fleet and inspect the
+// communication profile. Results are
 // bit-identical to local execution; only the execution strategy differs.
 #include <cstdio>
 
 #include "core/report.h"
 #include "core/sliceline.h"
 #include "data/generators/generators.h"
-#include "dist/distributed_evaluator.h"
+#include "dist/coordinator.h"
 
 int main() {
   using namespace sliceline;
@@ -32,7 +33,7 @@ int main() {
   }
 
   dist::DistOptions dopts;
-  dopts.workers = 8;
+  dopts.local_workers = 8;
   dist::DistCostStats cost;
   auto distributed =
       dist::RunSliceLineDistributed(ds.x0, ds.errors, config, dopts, &cost);
@@ -46,7 +47,8 @@ int main() {
               core::SummarizeResult(*local).c_str());
   std::printf("distributed: %s\n\n",
               core::SummarizeResult(*distributed).c_str());
-  std::printf("distributed profile (%d workers):\n", dopts.workers);
+  std::printf("distributed profile (%d in-process workers):\n",
+              dopts.local_workers);
   std::printf("  evaluation rounds : %lld (one slice-set broadcast each)\n",
               static_cast<long long>(cost.rounds));
   std::printf("  broadcast bytes   : %lld\n",
@@ -58,7 +60,7 @@ int main() {
   std::printf("  critical path     : %.3fs (slowest worker per round)\n",
               cost.critical_path_seconds);
   std::printf("  comm estimate     : %.3fs (10GbE model)\n\n",
-              cost.EstimatedCommSeconds(dopts));
+              cost.EstimatedCommSeconds());
 
   std::printf("top slices (identical under both executors):\n%s",
               core::FormatResult(*distributed, ds.feature_names).c_str());

@@ -11,9 +11,7 @@
 #include "common/hashing.h"
 #include "common/logging.h"
 #include "common/run_context.h"
-#include "common/stopwatch.h"
-#include "dist/fault_injection.h"
-#include "obs/json_writer.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
 
@@ -21,11 +19,9 @@ namespace sliceline::dist {
 
 namespace {
 
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Loop-time step of an idle recovery loop, and the socket poll per link.
+constexpr double kPollSeconds = 0.002;
+constexpr int kPollMs = 2;
 
 /// Content fingerprint of the full input; the shard handshake key.
 std::string FingerprintDataset(const data::IntMatrix& x0,
@@ -38,38 +34,112 @@ std::string FingerprintDataset(const data::IntMatrix& x0,
   return std::to_string(hasher.hash());
 }
 
+bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
+
+/// Coordinator-side checks on a gathered partial or a shard's level-1
+/// statistics: `count` entries each, sizes integral in [0, shard_rows],
+/// error sums and maxima finite and non-negative. A corrupted payload that
+/// survives the checksum (basic_stats has none) is still rejected here.
+template <typename Size>
+bool PartialInvariantsOk(const std::vector<Size>& sizes,
+                  const std::vector<double>& error_sums,
+                  const std::vector<double>& max_errors, int64_t shard_rows,
+                  size_t count) {
+  if (sizes.size() != count || error_sums.size() != count ||
+      max_errors.size() != count) {
+    return false;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const double ss = static_cast<double>(sizes[i]);
+    if (!(ss >= 0.0) || ss > static_cast<double>(shard_rows) ||
+        ss != std::floor(ss) || !FiniteNonNegative(error_sums[i]) ||
+        !FiniteNonNegative(max_errors[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Folds one shard's level-1 or slice statistics into the totals with
+/// (+, +, max). Every merge calls it shard by shard in shard-index order,
+/// which fixes the association of every float sum for any fleet and any
+/// fault schedule: shard boundaries never change, only their owners.
+template <typename Size>
+void MergeShard(const std::vector<Size>& sizes,
+                const std::vector<double>& error_sums,
+                const std::vector<double>& max_errors,
+                std::vector<Size>* total_sizes,
+                std::vector<double>* total_error_sums,
+                std::vector<double>* total_max_errors) {
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    (*total_sizes)[i] += sizes[i];
+    (*total_error_sums)[i] += error_sums[i];
+    (*total_max_errors)[i] = std::max((*total_max_errors)[i], max_errors[i]);
+  }
+}
+
 }  // namespace
 
-RemoteSliceEvaluator::RemoteSliceEvaluator(const data::IntMatrix& x0,
-                                           const std::vector<double>& errors,
-                                           const RemoteDistOptions& options)
+std::string DistFaultStats::Summary() const {
+  std::ostringstream out;
+  out << "transient=" << transient_failures << " retries=" << retries
+      << " backoff=" << backoff_seconds << "s stragglers=" << stragglers
+      << " speculative=" << speculative_reexecutions
+      << " corrupted=" << corrupted_partials << " lost=" << workers_lost
+      << " reshards=" << reshards
+      << " fallback=" << (fallback_local ? "yes" : "no");
+  return out.str();
+}
+
+Coordinator::Coordinator(const data::IntMatrix& x0,
+                         const std::vector<double>& errors,
+                         const DistOptions& options, FaultInjector injector)
     : options_(options),
       offsets_(data::ComputeOffsets(x0)),
       dataset_hash_(FingerprintDataset(x0, errors)),
       n_(x0.rows()),
       full_x0_(x0),
-      full_errors_(errors) {
-  const int workers = static_cast<int>(options.endpoints.size());
-  const std::vector<RowRange> ranges = PartitionRows(n_, workers);
-  shards_.reserve(ranges.size());
-  for (const RowRange& range : ranges) {
-    shards_.push_back(MakeShard(x0, errors, range));
+      full_errors_(errors),
+      injector_(std::move(injector)) {
+  const bool in_process = options.endpoints.empty();
+  if (in_process) {
+    simulated_clock_ = std::make_unique<SimulatedClock>();
+    clock_ = simulated_clock_.get();
+  } else {
+    clock_ = SteadyClock::Default();
   }
-  links_.resize(shards_.size());
-  link_obs_.resize(shards_.size());
-  shard_owner_.resize(shards_.size());
+  const int workers = in_process
+                          ? options.local_workers
+                          : static_cast<int>(options.endpoints.size());
+  ranges_ = PartitionRows(n_, workers);
+  links_.resize(ranges_.size());
+  shard_owner_.resize(ranges_.size());
   for (size_t w = 0; w < links_.size(); ++w) {
-    links_[w].endpoint = options.endpoints[w];
+    Link& link = links_[w];
+    if (in_process) {
+      link.transport = MakeInProcessLink();
+      link.label = "in-process #" + std::to_string(w);
+    } else {
+      const WorkerEndpoint& endpoint = options.endpoints[w];
+      link.transport = MakeSocketLink(endpoint, options.connect_timeout_ms);
+      link.label = endpoint.unix_socket.empty()
+                       ? "port " + std::to_string(endpoint.tcp_port)
+                       : endpoint.unix_socket;
+    }
+    if (injector_.enabled()) {
+      link.transport = MakeFaultyLink(std::move(link.transport), &injector_,
+                                      static_cast<int>(w), clock_);
+    }
     shard_owner_[w] = static_cast<int>(w);
   }
   alive_count_ = static_cast<int>(links_.size());
 }
 
-RemoteSliceEvaluator::~RemoteSliceEvaluator() = default;
+Coordinator::~Coordinator() = default;
 
-StatusOr<std::unique_ptr<RemoteSliceEvaluator>> RemoteSliceEvaluator::Create(
+StatusOr<std::unique_ptr<Coordinator>> Coordinator::Create(
     const data::IntMatrix& x0, const std::vector<double>& errors,
-    const RemoteDistOptions& options) {
+    const DistOptions& options, FaultInjector injector) {
   if (x0.rows() == 0 || x0.cols() == 0) {
     return Status::InvalidArgument("empty feature matrix");
   }
@@ -78,8 +148,17 @@ StatusOr<std::unique_ptr<RemoteSliceEvaluator>> RemoteSliceEvaluator::Create(
         "error vector size " + std::to_string(errors.size()) +
         " does not match " + std::to_string(x0.rows()) + " rows");
   }
-  if (options.endpoints.empty()) {
-    return Status::InvalidArgument("need at least one worker endpoint");
+  for (double e : errors) {
+    if (!FiniteNonNegative(e)) {
+      return Status::InvalidArgument("errors must be non-negative and finite");
+    }
+  }
+  if (options.endpoints.empty() == (options.local_workers < 1)) {
+    return Status::InvalidArgument(
+        "need exactly one fleet: worker endpoints or local_workers >= 1");
+  }
+  if (options.endpoints.empty() && options.trace_id != 0) {
+    return Status::InvalidArgument("trace_id requires a socket fleet");
   }
   if (options.max_retries < 0) {
     return Status::InvalidArgument("max_retries must be >= 0");
@@ -91,27 +170,50 @@ StatusOr<std::unique_ptr<RemoteSliceEvaluator>> RemoteSliceEvaluator::Create(
     return Status::InvalidArgument(
         "max_block_slices and load_chunk_cells must be >= 1");
   }
-  std::unique_ptr<RemoteSliceEvaluator> eval(
-      new RemoteSliceEvaluator(x0, errors, options));
+  if (!injector.enabled()) injector = FaultInjector(options.fault);
+  std::unique_ptr<Coordinator> eval(
+      new Coordinator(x0, errors, options, std::move(injector)));
   eval->SetupCluster();
   return eval;
 }
 
-StatusOr<obs::JsonValue> RemoteSliceEvaluator::RoundTrip(
-    Link& link, serve::WorkerRequest request, int timeout_ms) const {
-  request.id = "q" + std::to_string(link.next_request++);
-  request.trace_id = options_.trace_id;
-  const std::string line = serve::SerializeWorkerRequest(request);
-  const int64_t send_us = obs::TraceRecorder::NowMicros();
-  SLICELINE_RETURN_NOT_OK(
-      link.conn.WriteLine(line, serve::kWorkerMaxLineBytes));
+void Coordinator::Idle(double seconds) const {
+  if (simulated_clock_ != nullptr) {
+    simulated_clock_->Advance(seconds);
+  } else {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  }
+}
+
+Status Coordinator::Send(Link& link, serve::WorkerRequest* request) const {
+  request->id = "q" + std::to_string(link.next_request++);
+  request->trace_id = options_.trace_id;
+  const std::string line = serve::SerializeWorkerRequest(*request);
+  SLICELINE_RETURN_NOT_OK(link.transport->Send(line));
   cost_.broadcast_bytes += static_cast<int64_t>(line.size());
-  SLICELINE_ASSIGN_OR_RETURN(
-      const std::string reply,
-      link.conn.ReadLine(serve::kWorkerMaxLineBytes, timeout_ms));
+  return Status::OK();
+}
+
+StatusOr<obs::JsonValue> Coordinator::RoundTrip(Link& link,
+                                                serve::WorkerRequest request,
+                                                int timeout_ms) const {
+  const int64_t send_us = obs::TraceRecorder::NowMicros();
+  SLICELINE_RETURN_NOT_OK(Send(link, &request));
+  const double deadline = clock_->NowSeconds() + timeout_ms / 1000.0;
+  std::optional<LinkReply> reply;
+  for (;;) {
+    const int remaining_ms = static_cast<int>(
+        std::max(0.0, (deadline - clock_->NowSeconds()) * 1000.0));
+    SLICELINE_ASSIGN_OR_RETURN(reply, link.transport->Poll(remaining_ms));
+    if (reply.has_value()) break;
+    if (clock_->NowSeconds() >= deadline) {
+      return Status::DeadlineExceeded("worker reply timed out");
+    }
+    Idle(kPollSeconds);
+  }
   const int64_t recv_us = obs::TraceRecorder::NowMicros();
-  cost_.gather_bytes += static_cast<int64_t>(reply.size());
-  SLICELINE_ASSIGN_OR_RETURN(obs::JsonValue root, obs::ParseJson(reply));
+  cost_.gather_bytes += static_cast<int64_t>(reply->line.size());
+  SLICELINE_ASSIGN_OR_RETURN(obs::JsonValue root, obs::ParseJson(reply->line));
   if (!root.is_object()) {
     return Status::IoError("worker reply is not a JSON object");
   }
@@ -132,30 +234,25 @@ StatusOr<obs::JsonValue> RemoteSliceEvaluator::RoundTrip(
   // midpoint uncertainty is tightest.
   const obs::JsonValue* now_us = root.Find("now_us");
   if (now_us != nullptr && now_us->is_number()) {
-    const size_t w = static_cast<size_t>(&link - links_.data());
-    if (w < link_obs_.size()) {
-      LinkObs& lo = link_obs_[w];
-      const int64_t rtt_us = recv_us - send_us;
-      if (rtt_us <= lo.best_rtt_us) {
-        lo.best_rtt_us = rtt_us;
-        lo.clock_offset_us = static_cast<int64_t>(now_us->number_value()) -
-                             (send_us + recv_us) / 2;
-      }
+    const int64_t rtt_us = recv_us - send_us;
+    if (rtt_us <= link.best_rtt_us) {
+      link.best_rtt_us = rtt_us;
+      link.clock_offset_us = static_cast<int64_t>(now_us->number_value()) -
+                           (send_us + recv_us) / 2;
     }
   }
-  link.last_heartbeat = MonotonicSeconds();
+  link.last_heartbeat = clock_->NowSeconds();
   return root;
 }
 
-Status RemoteSliceEvaluator::EnsureReady(Link& link) const {
+void Coordinator::Disconnect(Link& link) const {
+  link.connected = false;
+  link.transport->Close();
+}
+
+Status Coordinator::EnsureReady(Link& link) const {
   if (link.connected) return Status::OK();
-  StatusOr<SocketConnection> conn =
-      link.endpoint.unix_socket.empty()
-          ? ConnectTcp(link.endpoint.tcp_port, options_.connect_timeout_ms)
-          : ConnectUnix(link.endpoint.unix_socket,
-                        options_.connect_timeout_ms);
-  SLICELINE_RETURN_NOT_OK(conn.status());
-  link.conn = std::move(conn).value();
+  SLICELINE_RETURN_NOT_OK(link.transport->Connect());
   link.connected = true;
 
   serve::WorkerRequest enlist;
@@ -164,14 +261,12 @@ Status RemoteSliceEvaluator::EnsureReady(Link& link) const {
   StatusOr<obs::JsonValue> reply =
       RoundTrip(link, std::move(enlist), options_.request_timeout_ms);
   if (!reply.ok()) {
-    link.connected = false;
-    link.conn.Close();
+    Disconnect(link);
     return reply.status();
   }
   const std::string session = reply->GetStringOr("session", "");
   if (session.empty()) {
-    link.connected = false;
-    link.conn.Close();
+    Disconnect(link);
     return Status::IoError("worker enlisted without a session id");
   }
   if (session != link.session) {
@@ -179,18 +274,13 @@ Status RemoteSliceEvaluator::EnsureReady(Link& link) const {
     // coordinator believed loaded is gone, and so are its counters.
     link.loaded.clear();
     link.session = session;
-    const size_t w = static_cast<size_t>(&link - links_.data());
-    if (w < link_obs_.size()) {
-      link_obs_[w].session = session;
-      link_obs_[w].os_pid = reply->GetIntOr("pid", 0);
-      link_obs_[w].counter_baseline.clear();
-    }
+    link.os_pid = reply->GetIntOr("pid", 0);
+    link.counter_baseline.clear();
   }
   return Status::OK();
 }
 
-Status RemoteSliceEvaluator::EnsureShardLoaded(Link& link,
-                                               int64_t shard) const {
+Status Coordinator::EnsureShardLoaded(Link& link, int64_t shard) const {
   SLICELINE_RETURN_NOT_OK(EnsureReady(link));
   if (link.loaded.count(shard) > 0) return Status::OK();
 
@@ -206,30 +296,30 @@ Status RemoteSliceEvaluator::EnsureShardLoaded(Link& link,
     return Status::OK();
   }
 
-  const Shard& unit = shards_[static_cast<size_t>(shard)];
-  const int64_t rows = unit.range.size();
-  const int64_t cols = unit.x0.cols();
+  const RowRange& range = ranges_[static_cast<size_t>(shard)];
+  const int64_t rows = range.size();
+  const int64_t cols = full_x0_.cols();
   const int64_t chunk_rows =
       std::max<int64_t>(1, options_.load_chunk_cells / std::max<int64_t>(
                                                            1, cols));
   const int64_t chunks = (rows + chunk_rows - 1) / chunk_rows;
   for (int64_t c = 0; c < chunks; ++c) {
-    const int64_t begin = c * chunk_rows;
-    const int64_t end = std::min(rows, begin + chunk_rows);
+    const int64_t begin = range.begin + c * chunk_rows;
+    const int64_t end = std::min(range.end, begin + chunk_rows);
     serve::WorkerRequest load;
     load.type = serve::WorkerRequestType::kLoadShard;
     load.dataset_hash = dataset_hash_;
     load.shard = shard;
-    load.chunk.row_begin = unit.range.begin;
-    load.chunk.row_end = unit.range.end;
+    load.chunk.row_begin = range.begin;
+    load.chunk.row_end = range.end;
     load.chunk.chunk = c;
     load.chunk.chunks = chunks;
-    load.chunk.chunk_row_begin = unit.range.begin + begin;
+    load.chunk.chunk_row_begin = begin;
     load.chunk.cols = cols;
-    load.chunk.codes.assign(unit.x0.row(begin),
-                            unit.x0.row(begin) + (end - begin) * cols);
-    load.chunk.errors.assign(unit.errors.begin() + begin,
-                             unit.errors.begin() + end);
+    load.chunk.codes.assign(full_x0_.row(begin),
+                            full_x0_.row(begin) + (end - begin) * cols);
+    load.chunk.errors.assign(full_errors_.begin() + begin,
+                             full_errors_.begin() + end);
     if (c == 0) load.chunk.fdom = offsets_.fdom;
     SLICELINE_ASSIGN_OR_RETURN(
         obs::JsonValue ack,
@@ -242,7 +332,7 @@ Status RemoteSliceEvaluator::EnsureShardLoaded(Link& link,
   return Status::OK();
 }
 
-Status RemoteSliceEvaluator::CollectWorkerObs(size_t w, bool baseline) const {
+Status Coordinator::CollectWorkerObs(size_t w, bool baseline) const {
   Link& link = links_[w];
   serve::WorkerRequest request;
   request.type = serve::WorkerRequestType::kGetSpans;
@@ -252,54 +342,46 @@ Status RemoteSliceEvaluator::CollectWorkerObs(size_t w, bool baseline) const {
   std::vector<obs::RemoteSpan> spans;
   std::vector<std::pair<std::string, double>> counters;
   SLICELINE_RETURN_NOT_OK(serve::ParseSpansPayload(reply, &spans, &counters));
-  LinkObs& lo = link_obs_[w];
-  lo.os_pid = reply.GetIntOr("pid", lo.os_pid);
-  if (lo.session.empty()) {
-    lo.session = reply.GetStringOr("session", "");
-  }
+  link.os_pid = reply.GetIntOr("pid", link.os_pid);
   for (obs::RemoteSpan& span : spans) {
     // The worker drains its whole buffer; keep only spans belonging to our
     // trace (a daemon-held worker may hold leftovers from earlier jobs).
     if (span.trace_id == options_.trace_id) {
-      lo.spans.push_back(std::move(span));
+      link.spans.push_back(std::move(span));
     }
   }
   for (const auto& [name, value] : counters) {
-    auto [it, inserted] = lo.counter_baseline.try_emplace(name, 0.0);
+    auto [it, inserted] = link.counter_baseline.try_emplace(name, 0.0);
     if (!baseline && !inserted) {
       const double delta = value - it->second;
-      if (delta != 0.0) lo.counter_deltas[name] += delta;
+      if (delta != 0.0) link.counter_deltas[name] += delta;
     } else if (!baseline && inserted) {
       // Counter born after the baseline pass: it started at zero.
-      if (value != 0.0) lo.counter_deltas[name] += value;
+      if (value != 0.0) link.counter_deltas[name] += value;
     }
     it->second = value;
   }
   return Status::OK();
 }
 
-void RemoteSliceEvaluator::CollectRoundObs() const {
+void Coordinator::CollectFleetObs(bool baseline) const {
   if (options_.trace_id == 0) return;
   for (size_t w = 0; w < links_.size(); ++w) {
     if (!links_[w].alive || !links_[w].connected) continue;
     // Best-effort: a failed drain only costs this round's remote spans.
-    (void)CollectWorkerObs(w, /*baseline=*/false);
+    (void)CollectWorkerObs(w, baseline);
   }
 }
 
-bool RemoteSliceEvaluator::LoseWorker(size_t worker) const {
+bool Coordinator::LoseWorker(size_t worker) const {
   Link& link = links_[worker];
   if (!link.alive) return alive_count_ > 0;
   link.alive = false;
-  link.connected = false;
-  link.conn.Close();
+  Disconnect(link);
   --alive_count_;
   ++faults_.workers_lost;
   obs::TraceInstant("dist", "worker_lost", static_cast<int64_t>(worker));
-  LOG_WARNING << "dist: worker " << worker << " ("
-              << (link.endpoint.unix_socket.empty()
-                      ? "port " + std::to_string(link.endpoint.tcp_port)
-                      : link.endpoint.unix_socket)
+  LOG_WARNING << "dist: worker " << worker << " (" << link.label
               << ") declared lost after exhausted retries";
   const double lost_fraction =
       1.0 - static_cast<double>(alive_count_) /
@@ -311,12 +393,11 @@ bool RemoteSliceEvaluator::LoseWorker(size_t worker) const {
   return true;
 }
 
-void RemoteSliceEvaluator::ReshardLostWorkers() const {
+void Coordinator::ReshardLostWorkers() const {
   int next_alive = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s = 0; s < shard_owner_.size(); ++s) {
     if (links_[static_cast<size_t>(shard_owner_[s])].alive) continue;
-    // Round-robin adoption keeps survivor load balanced (same policy as the
-    // simulated evaluator).
+    // Round-robin adoption keeps survivor load balanced.
     while (!links_[static_cast<size_t>(next_alive)].alive) {
       next_alive = (next_alive + 1) % static_cast<int>(links_.size());
     }
@@ -327,100 +408,7 @@ void RemoteSliceEvaluator::ReshardLostWorkers() const {
   }
 }
 
-void RemoteSliceEvaluator::DegradeSetup() {
-  faults_.fallback_local = true;
-  obs::TraceInstant("dist", "fallback_local");
-  fallback_ = std::make_unique<core::SliceEvaluator>(full_x0_, offsets_,
-                                                     full_errors_);
-  basic_sizes_ = fallback_->basic_sizes();
-  basic_error_sums_ = fallback_->basic_error_sums();
-  basic_max_errors_ = fallback_->basic_max_errors();
-  total_error_ = fallback_->total_error();
-  PublishDistStats(cost_, faults_);
-}
-
-void RemoteSliceEvaluator::SetupCluster() {
-  TRACE_SPAN("dist/setup_cluster", static_cast<int64_t>(links_.size()));
-  const size_t num_shards = shards_.size();
-  std::vector<serve::ShardBasicStats> stats(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    int attempts = 0;
-    for (;;) {
-      const size_t owner = static_cast<size_t>(shard_owner_[s]);
-      Link& link = links_[owner];
-      Status st = [&]() -> Status {
-        SLICELINE_RETURN_NOT_OK(
-            EnsureShardLoaded(link, static_cast<int64_t>(s)));
-        serve::WorkerRequest request;
-        request.type = serve::WorkerRequestType::kBasicStats;
-        request.dataset_hash = dataset_hash_;
-        request.shard = static_cast<int64_t>(s);
-        SLICELINE_ASSIGN_OR_RETURN(
-            obs::JsonValue reply,
-            RoundTrip(link, std::move(request), options_.request_timeout_ms));
-        SLICELINE_ASSIGN_OR_RETURN(serve::ShardBasicStats shard_stats,
-                                   serve::ParseBasicStatsPayload(reply));
-        if (shard_stats.n != shards_[s].range.size() ||
-            static_cast<int64_t>(shard_stats.sizes.size()) !=
-                offsets_.total) {
-          return Status::IoError("worker basic stats have the wrong shape");
-        }
-        stats[s] = std::move(shard_stats);
-        return Status::OK();
-      }();
-      if (st.ok()) break;
-      ++faults_.transient_failures;
-      link.connected = false;
-      link.conn.Close();
-      ++attempts;
-      if (attempts > options_.max_retries) {
-        attempts = 0;
-        if (!LoseWorker(owner)) {
-          DegradeSetup();
-          return;
-        }
-        continue;  // resharded owner gets a fresh retry budget
-      }
-      const double backoff =
-          options_.backoff_base_seconds *
-          std::pow(options_.backoff_multiplier, attempts - 1);
-      ++faults_.retries;
-      ++faults_.backoff_events;
-      faults_.backoff_seconds += backoff;
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-    }
-  }
-
-  // Merge in shard order -- identical FP addition order to the simulated
-  // evaluator's constructor.
-  const int64_t l = offsets_.total;
-  basic_sizes_.assign(static_cast<size_t>(l), 0);
-  basic_error_sums_.assign(static_cast<size_t>(l), 0.0);
-  basic_max_errors_.assign(static_cast<size_t>(l), 0.0);
-  total_error_ = 0.0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    total_error_ += stats[s].total_error;
-    for (int64_t c = 0; c < l; ++c) {
-      basic_sizes_[c] += stats[s].sizes[c];
-      basic_error_sums_[c] += stats[s].error_sums[c];
-      basic_max_errors_[c] =
-          std::max(basic_max_errors_[c], stats[s].max_errors[c]);
-    }
-  }
-
-  // Baseline pass for fleet tracing: drain setup-time spans now and pin
-  // counter baselines, so a worker reused across jobs does not leak earlier
-  // jobs' counts into this job's deltas.
-  if (options_.trace_id != 0) {
-    for (size_t w = 0; w < links_.size(); ++w) {
-      if (!links_[w].alive || !links_[w].connected) continue;
-      (void)CollectWorkerObs(w, /*baseline=*/true);
-    }
-  }
-}
-
-StatusOr<core::EvalResult> RemoteSliceEvaluator::EvaluateDegraded(
-    const core::SliceSet& set, const core::SliceLineConfig& config) const {
+const core::SliceEvaluator& Coordinator::Degrade() const {
   if (!faults_.fallback_local) {
     obs::TraceInstant("dist", "fallback_local");
   }
@@ -429,11 +417,63 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::EvaluateDegraded(
     fallback_ = std::make_unique<core::SliceEvaluator>(full_x0_, offsets_,
                                                        full_errors_);
   }
-  PublishDistStats(cost_, faults_);
-  return fallback_->Evaluate(set, config);
+  Publish();
+  return *fallback_;
 }
 
-StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
+void Coordinator::SetupCluster() {
+  TRACE_SPAN("dist/setup_cluster", static_cast<int64_t>(links_.size()));
+  std::vector<Task> tasks(ranges_.size());
+  for (size_t s = 0; s < tasks.size(); ++s) {
+    tasks[s].shard = static_cast<int64_t>(s);
+  }
+  std::vector<serve::ShardBasicStats> stats(ranges_.size());
+  StatusOr<bool> completed = RunTasks(
+      /*round=*/-1, std::move(tasks),
+      [](const Task&, serve::WorkerRequest* request) {
+        request->type = serve::WorkerRequestType::kBasicStats;
+      },
+      [&](const Task& task, const obs::JsonValue& reply) {
+        StatusOr<serve::ShardBasicStats> shard_stats =
+            serve::ParseBasicStatsPayload(reply);
+        const size_t s = static_cast<size_t>(task.shard);
+        const int64_t rows = ranges_[s].size();
+        if (!shard_stats.ok() || shard_stats->n != rows ||
+            !FiniteNonNegative(shard_stats->total_error) ||
+            !PartialInvariantsOk(shard_stats->sizes, shard_stats->error_sums,
+                                 shard_stats->max_errors, rows,
+                                 static_cast<size_t>(offsets_.total))) {
+          return false;
+        }
+        stats[s] = std::move(shard_stats).value();
+        return true;
+      },
+      /*ctx=*/nullptr);
+  if (!completed.ok() || !completed.value()) {
+    const core::SliceEvaluator& local = Degrade();
+    basic_sizes_ = local.basic_sizes();
+    basic_error_sums_ = local.basic_error_sums();
+    basic_max_errors_ = local.basic_max_errors();
+    total_error_ = local.total_error();
+    return;
+  }
+  basic_sizes_.assign(static_cast<size_t>(offsets_.total), 0);
+  basic_error_sums_.assign(static_cast<size_t>(offsets_.total), 0.0);
+  basic_max_errors_.assign(static_cast<size_t>(offsets_.total), 0.0);
+  for (const serve::ShardBasicStats& shard_stats : stats) {
+    total_error_ += shard_stats.total_error;
+    MergeShard(shard_stats.sizes, shard_stats.error_sums,
+               shard_stats.max_errors, &basic_sizes_, &basic_error_sums_,
+               &basic_max_errors_);
+  }
+
+  // Baseline pass for fleet tracing: drain setup-time spans now and pin
+  // counter baselines, so a worker reused across jobs does not leak earlier
+  // jobs' counts into this job's deltas.
+  CollectFleetObs(/*baseline=*/true);
+}
+
+StatusOr<core::EvalResult> Coordinator::Evaluate(
     const core::SliceSet& set, const core::SliceLineConfig& config) const {
   const size_t count = static_cast<size_t>(set.size());
   core::EvalResult out;
@@ -445,25 +485,15 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
   const int64_t round = next_round_++;
   TRACE_SPAN("dist/evaluate_round", round);
   if (round_hook_) round_hook_(round);
-  if (fallback_ != nullptr) return EvaluateDegraded(set, config);
-  if (alive_count_ == 0) return EvaluateDegraded(set, config);
-
-  Stopwatch round_watch;
+  if (fallback_ != nullptr || alive_count_ == 0) {
+    return Degrade().Evaluate(set, config);
+  }
   cost_.rounds += 1;
 
   // One task per (shard, slice block). The block bound caps how much work a
-  // lost request forfeits; done-flags make speculative duplicates idempotent.
-  struct Task {
-    int64_t shard = 0;
-    int64_t begin = 0;  ///< slice range [begin, end) of the full set
-    int64_t end = 0;
-    int attempts = 0;       ///< transient failures on the current owner
-    bool speculated = false;
-    bool done = false;
-  };
+  // lost request forfeits.
   std::vector<Task> tasks;
-  const int64_t num_shards = static_cast<int64_t>(shards_.size());
-  for (int64_t s = 0; s < num_shards; ++s) {
+  for (int64_t s = 0; s < static_cast<int64_t>(ranges_.size()); ++s) {
     for (int64_t begin = 0; begin < set.size();
          begin += options_.max_block_slices) {
       Task task;
@@ -473,17 +503,64 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
       tasks.push_back(task);
     }
   }
+  // Per-shard full-width partials (zeros like `out`), filled block by block.
+  std::vector<core::EvalResult> partials(ranges_.size(), out);
+  SLICELINE_ASSIGN_OR_RETURN(
+      const bool completed,
+      RunTasks(
+          round, std::move(tasks),
+          [&](const Task& task, serve::WorkerRequest* request) {
+            request->type = serve::WorkerRequestType::kEvalBlock;
+            request->strategy = config.eval_strategy;
+            request->block_size = config.eval_block_size;
+            for (int64_t i = task.begin; i < task.end; ++i) {
+              request->slices.Add(set.Columns(i),
+                                  set.Columns(i) + set.Length(i));
+            }
+          },
+          [&](const Task& task, const obs::JsonValue& reply) {
+            uint64_t sent_checksum = 0;
+            StatusOr<core::EvalResult> partial =
+                serve::ParseEvalPayload(reply, &sent_checksum);
+            const size_t block = static_cast<size_t>(task.end - task.begin);
+            if (!partial.ok() ||
+                ChecksumPartial(*partial) != sent_checksum ||
+                !PartialInvariantsOk(
+                    partial->sizes, partial->error_sums, partial->max_errors,
+                    ranges_[static_cast<size_t>(task.shard)].size(), block)) {
+              return false;
+            }
+            core::EvalResult& shard = partials[static_cast<size_t>(task.shard)];
+            std::copy(partial->sizes.begin(), partial->sizes.end(),
+                      shard.sizes.begin() + task.begin);
+            std::copy(partial->error_sums.begin(), partial->error_sums.end(),
+                      shard.error_sums.begin() + task.begin);
+            std::copy(partial->max_errors.begin(), partial->max_errors.end(),
+                      shard.max_errors.begin() + task.begin);
+            eval_slices_accepted_ += task.end - task.begin;
+            return true;
+          },
+          config.run_context));
+  if (!completed) return Degrade().Evaluate(set, config);
+
+  for (const core::EvalResult& partial : partials) {
+    MergeShard(partial.sizes, partial.error_sums, partial.max_errors,
+               &out.sizes, &out.error_sums, &out.max_errors);
+  }
+  Publish();
+  // Round boundary: drain worker span buffers + counter deltas while the
+  // connections are warm (outside the critical-path clock).
+  CollectFleetObs(/*baseline=*/false);
+  return out;
+}
+
+StatusOr<bool> Coordinator::RunTasks(
+    int64_t round, std::vector<Task> tasks,
+    const std::function<void(const Task&, serve::WorkerRequest*)>& build,
+    const std::function<bool(const Task&, const obs::JsonValue&)>& accept,
+    const RunContext* ctx) const {
   std::deque<size_t> pending;
   for (size_t t = 0; t < tasks.size(); ++t) pending.push_back(t);
-
-  // Per-shard full-width partials, filled block by block; aggregated in
-  // shard order at the end (bit-identical to the simulated evaluator).
-  std::vector<core::EvalResult> partials(static_cast<size_t>(num_shards));
-  for (core::EvalResult& partial : partials) {
-    partial.sizes.assign(count, 0.0);
-    partial.error_sums.assign(count, 0.0);
-    partial.max_errors.assign(count, 0.0);
-  }
 
   // Per-link in-flight request (at most one), by task index.
   struct InFlight {
@@ -491,11 +568,14 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     double sent_at = 0.0;
     std::string request_id;
     bool speculative = false;
+    bool straggling = false;  ///< already counted as a straggler
   };
   std::vector<InFlight> inflight(links_.size());
+  // This round's busy time and backoff per link; the slowest link's sum is
+  // the round's critical path.
+  std::vector<double> link_busy(links_.size(), 0.0);
+  std::vector<double> link_backoff(links_.size(), 0.0);
   size_t tasks_done = 0;
-
-  const RunContext* ctx = config.run_context;
 
   // Requeues the task (unless a speculative twin already finished it) and
   // applies the transient-failure bookkeeping for `worker`. Returns false
@@ -505,10 +585,7 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     const int ti = flight.task;
     flight.task = -1;
     ++faults_.transient_failures;
-    if (close_connection) {
-      links_[worker].connected = false;
-      links_[worker].conn.Close();
-    }
+    if (close_connection) Disconnect(links_[worker]);
     if (ti < 0 || tasks[static_cast<size_t>(ti)].done) return true;
     Task& task = tasks[static_cast<size_t>(ti)];
     if (flight.speculative) {
@@ -525,7 +602,8 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     const double backoff =
         options_.backoff_base_seconds *
         std::pow(options_.backoff_multiplier, task.attempts - 1);
-    links_[worker].ready_at = MonotonicSeconds() + backoff;
+    links_[worker].ready_at = clock_->NowSeconds() + backoff;
+    link_backoff[worker] += backoff;
     ++faults_.retries;
     ++faults_.backoff_events;
     faults_.backoff_seconds += backoff;
@@ -539,27 +617,14 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     const Task& task = tasks[ti];
     SLICELINE_RETURN_NOT_OK(EnsureShardLoaded(link, task.shard));
     serve::WorkerRequest request;
-    request.type = serve::WorkerRequestType::kEvalBlock;
+    build(task, &request);
     request.dataset_hash = dataset_hash_;
     request.shard = task.shard;
-    request.strategy = config.eval_strategy;
-    request.block_size = config.eval_block_size;
-    // Propagate the trace context: the worker stamps its spans with the
-    // trace id and records the 1-based round as their remote parent.
-    request.trace_id = options_.trace_id;
+    // The worker records the 1-based round as its spans' remote parent.
     request.parent_span_id = round + 1;
-    for (int64_t i = task.begin; i < task.end; ++i) {
-      request.slices.Add(set.Columns(i), set.Columns(i) + set.Length(i));
-    }
-    request.id = "r" + std::to_string(round) + "-t" + std::to_string(ti) +
-                 "-q" + std::to_string(link.next_request++);
-    const std::string line = serve::SerializeWorkerRequest(request);
-    SLICELINE_RETURN_NOT_OK(
-        link.conn.WriteLine(line, serve::kWorkerMaxLineBytes));
-    cost_.broadcast_bytes += static_cast<int64_t>(line.size());
-    inflight[worker] =
-        InFlight{static_cast<int>(ti), MonotonicSeconds(), request.id,
-                 speculative};
+    SLICELINE_RETURN_NOT_OK(Send(link, &request));
+    inflight[worker] = InFlight{static_cast<int>(ti), clock_->NowSeconds(),
+                                request.id, speculative};
     return Status::OK();
   };
 
@@ -567,7 +632,7 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     if (ctx != nullptr && ctx->ShouldStop()) {
       return StopReasonToStatus(ctx->CheckStop());
     }
-    const double now = MonotonicSeconds();
+    const double now = clock_->NowSeconds();
     bool progressed = false;
 
     // Dispatch pending tasks to their (current) shard owners.
@@ -594,46 +659,45 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
       } else {
         inflight[owner].task = static_cast<int>(ti);
         inflight[owner].speculative = false;
-        if (!fail_inflight(owner, /*close_connection=*/true)) {
-          return EvaluateDegraded(set, config);
-        }
+        if (!fail_inflight(owner, /*close_connection=*/true)) return false;
       }
     }
 
-    // Straggler detection: dispatch a speculative backup of an old in-flight
-    // block to an idle survivor (first valid response wins).
-    if (options_.speculative_execution) {
-      for (size_t w = 0; w < links_.size(); ++w) {
-        const InFlight& flight = inflight[w];
-        if (flight.task < 0 || flight.speculative) continue;
-        Task& task = tasks[static_cast<size_t>(flight.task)];
-        if (task.done || task.speculated) continue;
-        if ((now - flight.sent_at) * 1000.0 <
-            static_cast<double>(options_.straggler_after_ms)) {
+    // Straggler detection: a task in flight past straggler_after_ms counts
+    // once; with speculation on, a backup copy goes to an idle survivor
+    // (first valid response wins).
+    for (size_t w = 0; w < links_.size(); ++w) {
+      InFlight& flight = inflight[w];
+      if (flight.task < 0 || flight.speculative || flight.straggling) continue;
+      if ((now - flight.sent_at) * 1000.0 <
+          static_cast<double>(options_.straggler_after_ms)) {
+        continue;
+      }
+      flight.straggling = true;
+      ++faults_.stragglers;
+      obs::TraceInstant("dist", "straggler", static_cast<int64_t>(w));
+      Task& task = tasks[static_cast<size_t>(flight.task)];
+      if (!options_.speculative_execution || task.done || task.speculated) {
+        continue;
+      }
+      task.speculated = true;
+      for (size_t helper = 0; helper < links_.size(); ++helper) {
+        Link& candidate = links_[helper];
+        if (helper == w || !candidate.alive ||
+            inflight[helper].task >= 0 || now < candidate.ready_at) {
           continue;
         }
-        ++faults_.stragglers;
-        obs::TraceInstant("dist", "straggler", static_cast<int64_t>(w));
-        task.speculated = true;
-        for (size_t helper = 0; helper < links_.size(); ++helper) {
-          Link& candidate = links_[helper];
-          if (helper == w || !candidate.alive ||
-              inflight[helper].task >= 0 || now < candidate.ready_at) {
-            continue;
-          }
-          if (dispatch(helper, static_cast<size_t>(flight.task),
-                       /*speculative=*/true)
-                  .ok()) {
-            ++faults_.speculative_reexecutions;
-            obs::TraceInstant("dist", "speculative_reexecution",
-                              static_cast<int64_t>(helper));
-          } else {
-            inflight[helper].task = -1;
-            candidate.connected = false;
-            candidate.conn.Close();
-          }
-          break;
+        if (dispatch(helper, static_cast<size_t>(flight.task),
+                     /*speculative=*/true)
+                .ok()) {
+          ++faults_.speculative_reexecutions;
+          obs::TraceInstant("dist", "speculative_reexecution",
+                            static_cast<int64_t>(helper));
+        } else {
+          inflight[helper].task = -1;
+          Disconnect(candidate);
         }
+        break;
       }
     }
 
@@ -641,40 +705,34 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     for (size_t w = 0; w < links_.size(); ++w) {
       if (inflight[w].task < 0) continue;
       Link& link = links_[w];
-      StatusOr<bool> readable = link.conn.WaitReadable(2);
-      if (!readable.ok()) {
-        if (!fail_inflight(w, true)) return EvaluateDegraded(set, config);
+      StatusOr<std::optional<LinkReply>> reply = link.transport->Poll(kPollMs);
+      if (!reply.ok()) {
+        if (!fail_inflight(w, true)) return false;
         continue;
       }
-      if (!readable.value()) {
+      if (!reply->has_value()) {
         // Round-trip deadline: a worker that holds a request past the
         // timeout is treated as transiently failed (it may be wedged, dead,
         // or partitioned -- indistinguishable from here).
-        if ((MonotonicSeconds() - inflight[w].sent_at) * 1000.0 >
-            static_cast<double>(options_.request_timeout_ms)) {
-          if (!fail_inflight(w, true)) return EvaluateDegraded(set, config);
+        if ((clock_->NowSeconds() - inflight[w].sent_at) * 1000.0 >
+                static_cast<double>(options_.request_timeout_ms) &&
+            !fail_inflight(w, true)) {
+          return false;
         }
         continue;
       }
-      StatusOr<std::string> line =
-          link.conn.ReadLine(serve::kWorkerMaxLineBytes, 50);
-      if (!line.ok()) {
-        if (line.status().code() == StatusCode::kDeadlineExceeded) {
-          continue;  // partial frame; bytes stay buffered for the next poll
-        }
-        if (!fail_inflight(w, true)) return EvaluateDegraded(set, config);
-        continue;
-      }
-      cost_.gather_bytes += static_cast<int64_t>(line.value().size());
+      const LinkReply& line = **reply;
+      cost_.gather_bytes += static_cast<int64_t>(line.line.size());
+      cost_.worker_busy_seconds += line.busy_seconds;
+      link_busy[w] += line.busy_seconds;
       progressed = true;
 
       const int ti = inflight[w].task;
       Task& task = tasks[static_cast<size_t>(ti)];
-      const bool speculative = inflight[w].speculative;
-      StatusOr<obs::JsonValue> root = obs::ParseJson(line.value());
+      StatusOr<obs::JsonValue> root = obs::ParseJson(line.line);
       if (!root.ok() || !root->is_object() ||
           root->GetStringOr("id", "") != inflight[w].request_id) {
-        if (!fail_inflight(w, true)) return EvaluateDegraded(set, config);
+        if (!fail_inflight(w, true)) return false;
         continue;
       }
       if (!root->GetBoolOr("ok", false)) {
@@ -682,38 +740,22 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
         // the session check has not seen yet): the connection is fine, but
         // the shard belief is stale.
         link.loaded.erase(task.shard);
-        if (!fail_inflight(w, false)) return EvaluateDegraded(set, config);
+        if (!fail_inflight(w, false)) return false;
         continue;
       }
-      uint64_t sent_checksum = 0;
-      StatusOr<core::EvalResult> partial =
-          serve::ParseEvalPayload(*root, &sent_checksum);
-      const int64_t shard_rows =
-          shards_[static_cast<size_t>(task.shard)].range.size();
-      const size_t block = static_cast<size_t>(task.end - task.begin);
-      if (!partial.ok() ||
-          ChecksumPartial(partial.value()) != sent_checksum ||
-          !PartialInvariantsOk(partial.value(), shard_rows, block)) {
+      if (task.done) {  // the speculative twin already landed
+        inflight[w].task = -1;
+        continue;
+      }
+      if (!accept(task, *root)) {
         ++faults_.corrupted_partials;
         obs::TraceInstant("dist", "corrupted_partial", task.shard);
-        if (!fail_inflight(w, false)) return EvaluateDegraded(set, config);
+        if (!fail_inflight(w, false)) return false;
         continue;
       }
-      cost_.worker_busy_seconds += MonotonicSeconds() - inflight[w].sent_at;
-      link.last_heartbeat = MonotonicSeconds();
+      link.last_heartbeat = clock_->NowSeconds();
       inflight[w].task = -1;
-      if (task.done) continue;  // the speculative twin already landed
-      core::EvalResult& shard_partial =
-          partials[static_cast<size_t>(task.shard)];
-      for (size_t i = 0; i < block; ++i) {
-        const size_t at = static_cast<size_t>(task.begin) + i;
-        shard_partial.sizes[at] = partial.value().sizes[i];
-        shard_partial.error_sums[at] = partial.value().error_sums[i];
-        shard_partial.max_errors[at] = partial.value().max_errors[i];
-      }
       task.done = true;
-      (void)speculative;
-      eval_slices_accepted_ += task.end - task.begin;
       ++tasks_done;
       // If a twin of this task is still in flight elsewhere (the straggling
       // primary, or a backup the primary beat), cancel it by dropping that
@@ -722,8 +764,7 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
       for (size_t other = 0; other < links_.size(); ++other) {
         if (other == w || inflight[other].task != ti) continue;
         inflight[other].task = -1;
-        links_[other].connected = false;
-        links_[other].conn.Close();
+        Disconnect(links_[other]);
       }
     }
 
@@ -732,7 +773,7 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     for (size_t w = 0; w < links_.size(); ++w) {
       Link& link = links_[w];
       if (!link.alive || !link.connected || inflight[w].task >= 0) continue;
-      if ((MonotonicSeconds() - link.last_heartbeat) * 1000.0 <
+      if ((clock_->NowSeconds() - link.last_heartbeat) * 1000.0 <
           static_cast<double>(options_.heartbeat_interval_ms)) {
         continue;
       }
@@ -741,92 +782,98 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
       if (!RoundTrip(link, std::move(beat),
                      std::min(options_.request_timeout_ms, 250))
                .ok()) {
-        link.connected = false;
-        link.conn.Close();
+        Disconnect(link);
       }
     }
 
-    if (!progressed) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+    if (!progressed) Idle(kPollSeconds);
   }
 
-  // Aggregate in shard order: shard boundaries never change, so every
-  // floating-point sum happens in the same order as the simulated evaluator
-  // (and any fault-free run).
-  for (size_t s = 0; s < static_cast<size_t>(num_shards); ++s) {
-    for (size_t i = 0; i < count; ++i) {
-      out.sizes[i] += partials[s].sizes[i];
-      out.error_sums[i] += partials[s].error_sums[i];
-      out.max_errors[i] =
-          std::max(out.max_errors[i], partials[s].max_errors[i]);
-    }
+  double slowest = 0.0;
+  for (size_t w = 0; w < links_.size(); ++w) {
+    slowest = std::max(slowest, link_busy[w] + link_backoff[w]);
   }
-  cost_.critical_path_seconds += round_watch.ElapsedSeconds();
-  PublishDistStats(cost_, faults_);
-  // Round boundary: drain worker span buffers + counter deltas while the
-  // connections are warm (outside the critical-path clock).
-  CollectRoundObs();
-  return out;
+  cost_.critical_path_seconds += slowest;
+  return true;
 }
 
-obs::DistObsBundle RemoteSliceEvaluator::TakeObsBundle() {
+std::map<std::string, std::map<std::string, double>> Coordinator::Sections()
+    const {
+  return {
+      {"dist_cost",
+       {
+           {"rounds", static_cast<double>(cost_.rounds)},
+           {"broadcast_bytes", static_cast<double>(cost_.broadcast_bytes)},
+           {"gather_bytes", static_cast<double>(cost_.gather_bytes)},
+           {"worker_busy_seconds", cost_.worker_busy_seconds},
+           {"critical_path_seconds", cost_.critical_path_seconds},
+           {"estimated_comm_seconds", cost_.EstimatedCommSeconds()},
+           {"eval_slices_accepted",
+            static_cast<double>(eval_slices_accepted_)},
+           {"workers", static_cast<double>(links_.size())},
+           {"alive_workers", static_cast<double>(alive_count_)},
+       }},
+      {"dist_faults",
+       {
+           {"transient_failures",
+            static_cast<double>(faults_.transient_failures)},
+           {"retries", static_cast<double>(faults_.retries)},
+           {"backoff_events", static_cast<double>(faults_.backoff_events)},
+           {"backoff_seconds", faults_.backoff_seconds},
+           {"stragglers", static_cast<double>(faults_.stragglers)},
+           {"speculative_reexecutions",
+            static_cast<double>(faults_.speculative_reexecutions)},
+           {"corrupted_partials",
+            static_cast<double>(faults_.corrupted_partials)},
+           {"workers_lost", static_cast<double>(faults_.workers_lost)},
+           {"reshards", static_cast<double>(faults_.reshards)},
+           {"fallback_local", faults_.fallback_local ? 1.0 : 0.0},
+       }},
+  };
+}
+
+void Coordinator::Publish() const {
+  if (!obs::MetricsEnabled()) return;
+  for (const auto& [section, values] : Sections()) {
+    for (const auto& [name, value] : values) {
+      obs::MetricsRegistry::Default()->GetGauge("dist/" + name)->Set(value);
+    }
+  }
+}
+
+obs::DistObsBundle Coordinator::TakeObsBundle() {
   obs::DistObsBundle bundle;
   bundle.trace_id = options_.trace_id;
-  for (size_t w = 0; w < link_obs_.size(); ++w) {
-    LinkObs& lo = link_obs_[w];
-    if (lo.spans.empty() && lo.counter_deltas.empty()) continue;
+  for (size_t w = 0; w < links_.size(); ++w) {
+    Link& link = links_[w];
+    if (link.spans.empty() && link.counter_deltas.empty()) continue;
     obs::ProcessObs process;
     process.label =
         "worker " +
-        (lo.session.empty() ? "#" + std::to_string(w) : lo.session);
-    process.os_pid = lo.os_pid;
+        (link.session.empty() ? "#" + std::to_string(w) : link.session);
+    process.os_pid = link.os_pid;
     process.clock_offset_us =
-        lo.best_rtt_us == std::numeric_limits<int64_t>::max()
+        link.best_rtt_us == std::numeric_limits<int64_t>::max()
             ? 0
-            : lo.clock_offset_us;
-    process.spans = std::move(lo.spans);
-    lo.spans.clear();
-    for (const auto& [name, value] : lo.counter_deltas) {
+            : link.clock_offset_us;
+    process.spans = std::exchange(link.spans, {});
+    for (const auto& [name, value] : link.counter_deltas) {
       process.counters.emplace_back(name, value);
     }
-    lo.counter_deltas.clear();
+    link.counter_deltas.clear();
     bundle.workers.push_back(std::move(process));
   }
-  bundle.sections["dist_cost"] = {
-      {"rounds", static_cast<double>(cost_.rounds)},
-      {"broadcast_bytes", static_cast<double>(cost_.broadcast_bytes)},
-      {"gather_bytes", static_cast<double>(cost_.gather_bytes)},
-      {"worker_busy_seconds", cost_.worker_busy_seconds},
-      {"critical_path_seconds", cost_.critical_path_seconds},
-      {"eval_slices_accepted", static_cast<double>(eval_slices_accepted_)},
-      {"workers", static_cast<double>(links_.size())},
-      {"alive_workers", static_cast<double>(alive_count_)},
-  };
-  bundle.sections["dist_faults"] = {
-      {"transient_failures", static_cast<double>(faults_.transient_failures)},
-      {"retries", static_cast<double>(faults_.retries)},
-      {"backoff_events", static_cast<double>(faults_.backoff_events)},
-      {"backoff_seconds", faults_.backoff_seconds},
-      {"stragglers", static_cast<double>(faults_.stragglers)},
-      {"speculative_reexecutions",
-       static_cast<double>(faults_.speculative_reexecutions)},
-      {"corrupted_partials", static_cast<double>(faults_.corrupted_partials)},
-      {"workers_lost", static_cast<double>(faults_.workers_lost)},
-      {"reshards", static_cast<double>(faults_.reshards)},
-      {"fallback_local", faults_.fallback_local ? 1.0 : 0.0},
-  };
+  bundle.sections = Sections();
   return bundle;
 }
 
-StatusOr<core::SliceLineResult> RunSliceLineRemote(
+StatusOr<core::SliceLineResult> RunSliceLineDistributed(
     const data::IntMatrix& x0, const std::vector<double>& errors,
-    const core::SliceLineConfig& config, const RemoteDistOptions& options,
+    const core::SliceLineConfig& config, const DistOptions& options,
     DistCostStats* cost_out, DistFaultStats* faults_out,
     obs::DistObsBundle* obs_out) {
-  SLICELINE_ASSIGN_OR_RETURN(std::unique_ptr<RemoteSliceEvaluator> eval,
-                             RemoteSliceEvaluator::Create(x0, errors,
-                                                          options));
+  SLICELINE_ASSIGN_OR_RETURN(std::unique_ptr<Coordinator> eval,
+                             Coordinator::Create(x0, errors, options));
   SLICELINE_ASSIGN_OR_RETURN(core::SliceLineResult result,
                              core::RunSliceLineWithBackend(*eval, config));
   result.outcome.dist_fallback_local = eval->faults().fallback_local;

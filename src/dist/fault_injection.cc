@@ -28,22 +28,6 @@ double HashToUnit(uint64_t seed, int64_t round, int worker, int attempt,
 
 }  // namespace
 
-const char* FaultTypeToString(FaultType type) {
-  switch (type) {
-    case FaultType::kNone:
-      return "none";
-    case FaultType::kTransient:
-      return "transient";
-    case FaultType::kPermanentLoss:
-      return "loss";
-    case FaultType::kStraggler:
-      return "straggler";
-    case FaultType::kCorruption:
-      return "corruption";
-  }
-  return "unknown";
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {}
 
 void FaultInjector::Script(int64_t round, int worker, FaultType type) {

@@ -9,44 +9,42 @@
 
 namespace sliceline::dist {
 
-/// Failure taxonomy for the simulated cluster (Section 4.4's broadcast/
-/// gather execution). Each worker's evaluation round can independently
-/// fail-stop transiently, be lost for good, straggle, or ship a corrupted
-/// partial back to the driver.
+/// Failure taxonomy of the fault-injecting worker link (worker_link.h).
+/// Each worker request that returns statistics (basic_stats, eval_block)
+/// can independently fail transiently, lose the worker for good, straggle,
+/// or ship a corrupted payload back to the coordinator.
 enum class FaultType : uint8_t {
   kNone = 0,
-  /// The worker's round fails but the worker survives; a retry (after
-  /// backoff) re-evaluates its shards.
+  /// The request fails with an I/O error but the worker survives; a retry
+  /// (after backoff) re-sends it.
   kTransient = 1,
-  /// The worker is gone for the rest of the run; its shards are re-assigned
-  /// to survivors (lineage-style re-execution).
+  /// The worker is gone: this and every later request fails, so the
+  /// coordinator declares it lost and reshards onto survivors.
   kPermanentLoss = 2,
-  /// The worker's round takes `straggler_delay_seconds` longer than its
-  /// compute; speculative re-execution can mask the delay.
+  /// The reply is held for `straggler_delay_seconds` of loop time, so the
+  /// coordinator's straggler rule catches it; speculation can mask it.
   kStraggler = 3,
-  /// The worker's gathered partial is bit-flipped in transit; the driver's
-  /// checksum/invariant validation detects it and re-requests the shard.
+  /// One payload value is altered after the worker computed its checksum;
+  /// the coordinator's checksum/invariant validation rejects the reply.
   kCorruption = 4,
 };
 
-/// Returns a human-readable name ("transient", "loss", ...).
-const char* FaultTypeToString(FaultType type);
-
 /// Random fault rates plus determinism controls. All draws are pure hashes
 /// of (seed, round, worker, attempt), so a given plan produces the same
-/// fault schedule regardless of thread interleaving or evaluation order —
-/// the property the deterministic-stats tests rely on.
+/// fault schedule on every run -- the property the deterministic-stats
+/// tests rely on.
 struct FaultPlan {
   uint64_t seed = 0;
-  /// Per-(worker, round, attempt) probabilities in [0, 1]. At most one
+  /// Per-(round, worker, attempt) probabilities in [0, 1]. At most one
   /// fault fires per draw; they are tested in the order loss, transient,
   /// corruption, straggler.
   double loss_rate = 0.0;
   double transient_rate = 0.0;
   double corruption_rate = 0.0;
   double straggler_rate = 0.0;
-  /// Simulated extra latency an injected straggler adds to its round.
-  double straggler_delay_seconds = 0.05;
+  /// How long an injected straggler's reply is held. The default is twice
+  /// DistOptions::straggler_after_ms, so the straggler rule fires first.
+  double straggler_delay_seconds = 2.0;
 
   bool HasRandomFaults() const {
     return loss_rate > 0.0 || transient_rate > 0.0 || corruption_rate > 0.0 ||
@@ -54,7 +52,7 @@ struct FaultPlan {
   }
 };
 
-/// Deterministic, seedable fault source for the distributed evaluator.
+/// Deterministic, seedable fault source behind the fault-injecting link.
 /// Supports both rate-based random schedules (FaultPlan) and exact scripted
 /// faults at a given (round, worker) for unit tests. Random faults only
 /// fire on a worker's first attempt of a round unless re-drawn on retry
@@ -66,9 +64,9 @@ class FaultInjector {
   FaultInjector() = default;
   explicit FaultInjector(const FaultPlan& plan);
 
-  /// Schedules an exact fault for worker `worker`'s evaluation in logical
-  /// round `round` (attempt 0 only). Overwrites any previous script for the
-  /// same cell.
+  /// Schedules an exact fault for worker `worker`'s first request of
+  /// evaluation round `round` (round -1 is cluster setup's basic_stats).
+  /// Overwrites any previous script for the same cell.
   void Script(int64_t round, int worker, FaultType type);
 
   bool enabled() const { return plan_.HasRandomFaults() || !scripted_.empty(); }
@@ -78,7 +76,7 @@ class FaultInjector {
   /// arguments: order- and thread-independent.
   FaultType Sample(int64_t round, int worker, int attempt) const;
 
-  /// Simulated extra delay for an injected straggler.
+  /// How long an injected straggler's reply is held.
   double straggler_delay_seconds() const {
     return plan_.straggler_delay_seconds;
   }
@@ -94,8 +92,8 @@ class FaultInjector {
 };
 
 /// Order-sensitive FNV-1a style checksum over a partial's payload bytes.
-/// The driver validates every gathered partial against the checksum taken
-/// on the worker before (simulated) transmission.
+/// The coordinator validates every gathered partial against the checksum
+/// the worker took before transmission.
 uint64_t ChecksumPartial(const core::EvalResult& partial);
 
 }  // namespace sliceline::dist

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "dist/fault_injection.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -24,10 +25,33 @@ std::atomic<int64_t> g_worker_instances{0};
 
 }  // namespace
 
-Worker::Worker(const WorkerOptions& options) : options_(options) {
-  session_ = "w" + std::to_string(getpid()) + "-" +
-             std::to_string(g_worker_instances.fetch_add(1));
+std::string OkLine(const std::string& id,
+                   const std::function<void(obs::JsonWriter*)>& payload) {
+  std::ostringstream os;
+  obs::JsonWriter writer(os);
+  serve::BeginOkResponse(&writer, id);
+  payload(&writer);
+  writer.EndObject();
+  os << '\n';
+  return os.str();
 }
+
+WorkerHandler::WorkerHandler()
+    : session_("w" + std::to_string(getpid()) + "-" +
+               std::to_string(g_worker_instances.fetch_add(1))) {}
+
+std::string WorkerHandler::HandleLine(const std::string& line,
+                                      bool* shutdown) {
+  last_compute_seconds_ = 0.0;
+  StatusOr<serve::WorkerRequest> request = serve::ParseWorkerRequest(line);
+  if (!request.ok()) return serve::MakeErrorLine("", request.status());
+  if (shutdown != nullptr) {
+    *shutdown = request->type == serve::WorkerRequestType::kShutdown;
+  }
+  return Handle(request.value());
+}
+
+Worker::Worker(const WorkerOptions& options) : options_(options) {}
 
 Worker::~Worker() {
   RequestShutdown();
@@ -86,19 +110,10 @@ void Worker::ServeConnection(SocketConnection conn) {
       return;
     }
 
-    StatusOr<serve::WorkerRequest> request =
-        serve::ParseWorkerRequest(line.value());
-    std::string response;
     bool stop_after_reply = false;
-    if (!request.ok()) {
-      response = serve::MakeErrorLine("", request.status());
-    } else {
-      response = Handle(request.value());
-      stop_after_reply =
-          request.value().type == serve::WorkerRequestType::kShutdown;
-    }
+    const std::string response =
+        handler_.HandleLine(line.value(), &stop_after_reply);
     if (!conn.WriteLine(response, serve::kWorkerMaxLineBytes).ok()) return;
-    requests_served_.fetch_add(1);
     if (stop_after_reply) {
       shutdown_.store(true);
       return;
@@ -106,7 +121,7 @@ void Worker::ServeConnection(SocketConnection conn) {
   }
 }
 
-std::string Worker::Handle(const serve::WorkerRequest& request) {
+std::string WorkerHandler::Handle(const serve::WorkerRequest& request) {
   // A coordinator that sends a trace id has fleet tracing on: start
   // recording (idempotent) and stamp everything this request records so
   // get_spans can ship it back attributed to the right job.
@@ -124,17 +139,12 @@ std::string Worker::Handle(const serve::WorkerRequest& request) {
     case serve::WorkerRequestType::kEnlist:
       response = HandleEnlist(request);
       break;
-    case serve::WorkerRequestType::kHasShard: {
-      std::ostringstream os;
-      obs::JsonWriter writer(os);
-      serve::BeginOkResponse(&writer, request.id);
-      writer.Key("loaded");
-      writer.Bool(shards_.count({request.dataset_hash, request.shard}) > 0);
-      writer.EndObject();
-      os << '\n';
-      response = os.str();
+    case serve::WorkerRequestType::kHasShard:
+      response = OkLine(request.id, [&](obs::JsonWriter* writer) {
+        writer->Key("loaded");
+        writer->Bool(shards_.count({request.dataset_hash, request.shard}) > 0);
+      });
       break;
-    }
     case serve::WorkerRequestType::kLoadShard:
       response = HandleLoadShard(request);
       break;
@@ -147,33 +157,22 @@ std::string Worker::Handle(const serve::WorkerRequest& request) {
     case serve::WorkerRequestType::kGetSpans:
       response = HandleGetSpans(request);
       break;
-    case serve::WorkerRequestType::kHeartbeat: {
-      std::ostringstream os;
-      obs::JsonWriter writer(os);
-      serve::BeginOkResponse(&writer, request.id);
-      // Steady-clock sample for the coordinator's offset estimation.
-      writer.Key("now_us");
-      writer.Int(obs::TraceRecorder::NowMicros());
-      writer.EndObject();
-      os << '\n';
-      response = os.str();
+    case serve::WorkerRequestType::kHeartbeat:
+      response = OkLine(request.id, [](obs::JsonWriter* writer) {
+        // Steady-clock sample for the coordinator's offset estimation.
+        writer->Key("now_us");
+        writer->Int(obs::TraceRecorder::NowMicros());
+      });
       break;
-    }
-    case serve::WorkerRequestType::kShutdown: {
-      std::ostringstream os;
-      obs::JsonWriter writer(os);
-      serve::BeginOkResponse(&writer, request.id);
-      writer.EndObject();
-      os << '\n';
-      response = os.str();
+    case serve::WorkerRequestType::kShutdown:
+      response = OkLine(request.id, [](obs::JsonWriter*) {});
       break;
-    }
   }
   if (!response.ok()) return serve::MakeErrorLine(request.id, response.status());
   return std::move(response).value();
 }
 
-StatusOr<std::string> Worker::HandleEnlist(
+StatusOr<std::string> WorkerHandler::HandleEnlist(
     const serve::WorkerRequest& request) {
   if (request.protocol != serve::kWorkerProtocolVersion) {
     return Status::InvalidArgument(
@@ -181,23 +180,19 @@ StatusOr<std::string> Worker::HandleEnlist(
         std::to_string(request.protocol) + ", worker speaks " +
         std::to_string(serve::kWorkerProtocolVersion));
   }
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  serve::BeginOkResponse(&writer, request.id);
-  writer.Key("protocol");
-  writer.Int(serve::kWorkerProtocolVersion);
-  writer.Key("session");
-  writer.String(session_);
-  writer.Key("now_us");
-  writer.Int(obs::TraceRecorder::NowMicros());
-  writer.Key("pid");
-  writer.Int(static_cast<int64_t>(getpid()));
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("protocol");
+    writer->Int(serve::kWorkerProtocolVersion);
+    writer->Key("session");
+    writer->String(session_);
+    writer->Key("now_us");
+    writer->Int(obs::TraceRecorder::NowMicros());
+    writer->Key("pid");
+    writer->Int(static_cast<int64_t>(getpid()));
+  });
 }
 
-StatusOr<std::string> Worker::HandleLoadShard(
+StatusOr<std::string> WorkerHandler::HandleLoadShard(
     const serve::WorkerRequest& request) {
   const serve::LoadShardChunk& c = request.chunk;
   const ShardKey key{request.dataset_hash, request.shard};
@@ -290,17 +285,13 @@ StatusOr<std::string> Worker::HandleLoadShard(
               << " (" << rows << " rows) of dataset " << request.dataset_hash;
   }
 
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  serve::BeginOkResponse(&writer, request.id);
-  writer.Key("loaded");
-  writer.Bool(loaded);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("loaded");
+    writer->Bool(loaded);
+  });
 }
 
-StatusOr<std::string> Worker::HandleBasicStats(
+StatusOr<std::string> WorkerHandler::HandleBasicStats(
     const serve::WorkerRequest& request) {
   TRACE_SPAN("worker/basic_stats", request.shard);
   auto it = shards_.find({request.dataset_hash, request.shard});
@@ -316,16 +307,12 @@ StatusOr<std::string> Worker::HandleBasicStats(
   stats.error_sums = evaluator.basic_error_sums();
   stats.max_errors = evaluator.basic_max_errors();
 
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  serve::BeginOkResponse(&writer, request.id);
-  serve::WriteBasicStatsPayload(&writer, stats);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    serve::WriteBasicStatsPayload(writer, stats);
+  });
 }
 
-StatusOr<std::string> Worker::HandleEvalBlock(
+StatusOr<std::string> WorkerHandler::HandleEvalBlock(
     const serve::WorkerRequest& request) {
   TRACE_SPAN("worker/eval_block", request.shard);
   auto it = shards_.find({request.dataset_hash, request.shard});
@@ -342,9 +329,11 @@ StatusOr<std::string> Worker::HandleEvalBlock(
   // Worker-side evaluation is single-threaded: intra-worker determinism is
   // part of the bit-identical aggregation contract.
   config.parallel = false;
+  Stopwatch watch;
   SLICELINE_ASSIGN_OR_RETURN(
       core::EvalResult partial,
       it->second->evaluator->Evaluate(request.slices, config));
+  last_compute_seconds_ = watch.ElapsedSeconds();
   const uint64_t checksum = ChecksumPartial(partial);
   // Per-worker work accounting, shipped back via get_spans; the coordinator
   // cross-checks the fleet-wide sum against its own DistCost.
@@ -353,16 +342,12 @@ StatusOr<std::string> Worker::HandleEvalBlock(
   obs::MetricsRegistry::Default()->GetCounter("worker/eval_slices")
       ->Add(request.slices.size());
 
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  serve::BeginOkResponse(&writer, request.id);
-  serve::WriteEvalPayload(&writer, partial, checksum);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    serve::WriteEvalPayload(writer, partial, checksum);
+  });
 }
 
-StatusOr<std::string> Worker::HandleGetSpans(
+StatusOr<std::string> WorkerHandler::HandleGetSpans(
     const serve::WorkerRequest& request) {
   // Drain the recorder (one coordinator per worker, so everything buffered
   // belongs to it) and ship absolute counter values; the coordinator owns
@@ -381,19 +366,15 @@ StatusOr<std::string> Worker::HandleGetSpans(
     }
   }
 
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  serve::BeginOkResponse(&writer, request.id);
-  writer.Key("now_us");
-  writer.Int(obs::TraceRecorder::NowMicros());
-  writer.Key("pid");
-  writer.Int(static_cast<int64_t>(getpid()));
-  writer.Key("session");
-  writer.String(session_);
-  serve::WriteSpansPayload(&writer, spans, counters);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("now_us");
+    writer->Int(obs::TraceRecorder::NowMicros());
+    writer->Key("pid");
+    writer->Int(static_cast<int64_t>(getpid()));
+    writer->Key("session");
+    writer->String(session_);
+    serve::WriteSpansPayload(writer, spans, counters);
+  });
 }
 
 }  // namespace sliceline::dist

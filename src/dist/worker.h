@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "core/evaluator.h"
 #include "data/int_matrix.h"
 #include "data/onehot.h"
+#include "obs/json_writer.h"
 #include "serve/worker_protocol.h"
 
 namespace sliceline::dist {
@@ -32,42 +34,36 @@ struct WorkerOptions {
   int64_t drop_every = 0;
 };
 
-/// One slice-evaluation worker: owns a row shard of the one-hot matrix and
-/// its aligned error vector, shipped by the coordinator over the worker
-/// protocol (serve/worker_protocol.h), and evaluates candidate blocks on it
-/// with the local SliceEvaluator. Serves one coordinator connection at a
-/// time; when the connection drops the worker returns to accepting, so a
-/// coordinator can reconnect and re-enlist mid-run. Shards survive
-/// reconnects (keyed by dataset fingerprint), which is what the has_shard
-/// probe exploits; they do not survive process restarts, which the session
-/// string exposes.
-class Worker {
+/// One LF-terminated ok response line of the worker protocol: the
+/// `"id"`/`"ok":true` prefix, then the keys `payload` writes.
+std::string OkLine(const std::string& id,
+                   const std::function<void(obs::JsonWriter*)>& payload);
+
+/// The worker side of the protocol without its transport: the shard map
+/// (row shards of the one-hot matrix and their aligned error vectors, as
+/// shipped by the coordinator over serve/worker_protocol.h) and one handler
+/// per request type, evaluating candidate blocks with the local
+/// SliceEvaluator. The socket Worker below serves it to one coordinator
+/// connection at a time; an in-process link (worker_link.h) calls it
+/// directly. Shards are keyed by dataset fingerprint, so they survive a
+/// reconnect (what the has_shard probe exploits) but not a new handler,
+/// which the session string exposes. Not thread-safe: one caller at a time.
+class WorkerHandler {
  public:
-  explicit Worker(const WorkerOptions& options);
-  ~Worker();
+  WorkerHandler();
 
-  Worker(const Worker&) = delete;
-  Worker& operator=(const Worker&) = delete;
-
-  /// Binds the listen socket and starts the serving thread.
-  Status Start();
-
-  /// Kernel-assigned TCP port (valid after Start() on the TCP transport).
-  int tcp_port() const { return tcp_port_; }
-
-  /// Session identifier reported on enlist; unique per Worker instance so
+  /// Session identifier reported on enlist; unique per handler instance so
   /// a restarted worker (new instance, same endpoint) is detectable.
   const std::string& session() const { return session_; }
 
-  /// Asks the serving thread to exit after the in-flight request (also
-  /// triggered remotely by a shutdown request).
-  void RequestShutdown() { shutdown_.store(true); }
+  /// Handles one request line (without its trailing LF) and returns the
+  /// LF-terminated response line. Sets `*shutdown` when the request asked
+  /// the worker to exit.
+  std::string HandleLine(const std::string& line, bool* shutdown = nullptr);
 
-  /// Joins the serving thread. Safe to call more than once.
-  void Wait();
-
-  /// Requests fully served over the process lifetime (tests).
-  int64_t requests_served() const { return requests_served_.load(); }
+  /// Seconds the last HandleLine spent evaluating slices on a shard; wire
+  /// decoding and encoding are communication, not compute.
+  double last_compute_seconds() const { return last_compute_seconds_; }
 
  private:
   /// A fully loaded shard: stable-address storage for the matrix, errors,
@@ -95,30 +91,58 @@ class Worker {
 
   using ShardKey = std::pair<std::string, int64_t>;  ///< (dataset hash, shard)
 
-  void Serve();
-  /// Serves one coordinator connection until EOF/shutdown/drop.
-  void ServeConnection(SocketConnection conn);
-  /// Handles one request; returns the LF-terminated response line.
   std::string Handle(const serve::WorkerRequest& request);
-
   StatusOr<std::string> HandleEnlist(const serve::WorkerRequest& request);
   StatusOr<std::string> HandleLoadShard(const serve::WorkerRequest& request);
   StatusOr<std::string> HandleBasicStats(const serve::WorkerRequest& request);
   StatusOr<std::string> HandleEvalBlock(const serve::WorkerRequest& request);
   StatusOr<std::string> HandleGetSpans(const serve::WorkerRequest& request);
 
-  WorkerOptions options_;
   std::string session_;
+  double last_compute_seconds_ = 0.0;
+  std::map<ShardKey, std::unique_ptr<ShardState>> shards_;
+  std::map<ShardKey, ShardStaging> staging_;
+};
+
+/// One slice-evaluation worker process: serves a WorkerHandler over a Unix
+/// or TCP listen socket, one coordinator connection at a time; when the
+/// connection drops the worker returns to accepting, so a coordinator can
+/// reconnect and re-enlist mid-run.
+class Worker {
+ public:
+  explicit Worker(const WorkerOptions& options);
+  ~Worker();
+
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  /// Binds the listen socket and starts the serving thread.
+  Status Start();
+
+  /// Kernel-assigned TCP port (valid after Start() on the TCP transport).
+  int tcp_port() const { return tcp_port_; }
+
+  const std::string& session() const { return handler_.session(); }
+
+  /// Asks the serving thread to exit after the in-flight request (also
+  /// triggered remotely by a shutdown request).
+  void RequestShutdown() { shutdown_.store(true); }
+
+  /// Joins the serving thread. Safe to call more than once.
+  void Wait();
+
+ private:
+  void Serve();
+  /// Serves one coordinator connection until EOF/shutdown/drop.
+  void ServeConnection(SocketConnection conn);
+
+  WorkerOptions options_;
+  WorkerHandler handler_;  ///< serving thread only
   ListenSocket listener_;
   int tcp_port_ = -1;
   std::thread thread_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<int64_t> requests_served_{0};
   int64_t requests_seen_ = 0;  ///< serving thread only (drop_every counter)
-
-  // Serving-thread state: one connection at a time, so no locking.
-  std::map<ShardKey, std::unique_ptr<ShardState>> shards_;
-  std::map<ShardKey, ShardStaging> staging_;
 };
 
 }  // namespace sliceline::dist

@@ -14,7 +14,7 @@
 #include "core/sliceline.h"
 #include "core/sliceline_bestfirst.h"
 #include "core/sliceline_la.h"
-#include "dist/distributed_evaluator.h"
+#include "dist/coordinator.h"
 #include "testing/checks.h"
 
 namespace sliceline::testing {
@@ -297,7 +297,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
   // (3) Distributed shard counts {1, 3, 7} against the local engine.
   for (int workers : {1, 3, 7}) {
     dist::DistOptions options;
-    options.workers = workers;
+    options.local_workers = workers;
     auto distributed = dist::RunSliceLineDistributed(
         fuzz_case.x0, fuzz_case.errors, config, options);
     if (!distributed.ok()) {
@@ -316,7 +316,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
   // schedule across repeats.
   {
     dist::DistOptions clean;
-    clean.workers = 5;
+    clean.local_workers = 5;
     auto clean_run = dist::RunSliceLineDistributed(
         fuzz_case.x0, fuzz_case.errors, config, clean);
     if (!clean_run.ok()) {

@@ -13,7 +13,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/sliceline.h"
-#include "dist/distributed_evaluator.h"
+#include "dist/coordinator.h"
 #include "linalg/kernels_simd.h"
 #include "obs/metrics.h"
 #include "testing/checks.h"
@@ -156,7 +156,7 @@ TEST_F(DeterminismTest, ShardCountDoesNotChangeResult) {
   ASSERT_FALSE(local->top_k.empty());
   for (int workers : {1, 3, 7}) {
     dist::DistOptions options;
-    options.workers = workers;
+    options.local_workers = workers;
     auto result = dist::RunSliceLineDistributed(d.x0, d.errors, config,
                                                 options);
     ASSERT_TRUE(result.ok());
@@ -170,7 +170,7 @@ TEST_F(DeterminismTest, FaultInjectedRunsMatchFaultFree) {
   SliceLineConfig config;
   config.k = 5;
   dist::DistOptions clean;
-  clean.workers = 5;
+  clean.local_workers = 5;
   auto fault_free = dist::RunSliceLineDistributed(d.x0, d.errors, config,
                                                   clean);
   ASSERT_TRUE(fault_free.ok());

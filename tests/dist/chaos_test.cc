@@ -136,8 +136,8 @@ class ChaosTest : public ::testing::Test {
     return out;
   }
 
-  RemoteDistOptions Options() const {
-    RemoteDistOptions options;
+  DistOptions Options() const {
+    DistOptions options;
     options.endpoints = Endpoints();
     options.connect_timeout_ms = 500;
     options.request_timeout_ms = 3000;
@@ -177,8 +177,8 @@ TEST_F(ChaosTest, FaultFreeFleetMatchesSingleNodeBitForBit) {
 
   StartFleet();
   DistFaultStats faults;
-  auto remote = RunSliceLineRemote(input.x0, input.errors, config, Options(),
-                                   nullptr, &faults);
+  auto remote = RunSliceLineDistributed(input.x0, input.errors, config,
+                                        Options(), nullptr, &faults);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_FALSE(faults.fallback_local);
   EXPECT_EQ(faults.workers_lost, 0);
@@ -194,9 +194,9 @@ TEST_F(ChaosTest, SigkilledWorkerAtLevelBoundaryPreservesTopK) {
   ASSERT_TRUE(local.ok());
 
   StartFleet();
-  RemoteDistOptions options = Options();
+  DistOptions options = Options();
   options.request_timeout_ms = 1000;
-  auto eval = RemoteSliceEvaluator::Create(input.x0, input.errors, options);
+  auto eval = Coordinator::Create(input.x0, input.errors, options);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   (*eval)->set_round_hook([&](int64_t round) {
     if (round == 1) fleet_[2]->Kill();  // SIGKILL at a level boundary
@@ -219,10 +219,10 @@ TEST_F(ChaosTest, SuspendedStragglerIsMaskedBySpeculation) {
   ASSERT_TRUE(local.ok());
 
   StartFleet();
-  RemoteDistOptions options = Options();
+  DistOptions options = Options();
   options.straggler_after_ms = 200;    // fast straggler detection
   options.request_timeout_ms = 10000;  // ... well before the hard timeout
-  auto eval = RemoteSliceEvaluator::Create(input.x0, input.errors, options);
+  auto eval = Coordinator::Create(input.x0, input.errors, options);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   (*eval)->set_round_hook([&](int64_t round) {
     if (round == 1) fleet_[1]->Suspend();  // SIGSTOP: wedged, not dead
@@ -249,12 +249,12 @@ TEST_F(ChaosTest, TransientConnectionDropsAreRetried) {
   // Small eval blocks force enough requests per worker that the drop fires
   // repeatedly during the run.
   StartFleet({"--drop-every", "9"});
-  RemoteDistOptions options = Options();
+  DistOptions options = Options();
   options.request_timeout_ms = 1000;
   options.max_block_slices = 16;
   DistFaultStats faults;
-  auto remote = RunSliceLineRemote(input.x0, input.errors, config, options,
-                                   nullptr, &faults);
+  auto remote = RunSliceLineDistributed(input.x0, input.errors, config,
+                                        options, nullptr, &faults);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_GT(faults.transient_failures, 0);
   EXPECT_GT(faults.retries, 0);
@@ -271,9 +271,9 @@ TEST_F(ChaosTest, KilledAndRestartedWorkerReenlists) {
   ASSERT_TRUE(local.ok());
 
   StartFleet();
-  RemoteDistOptions options = Options();
+  DistOptions options = Options();
   options.request_timeout_ms = 1000;
-  auto eval = RemoteSliceEvaluator::Create(input.x0, input.errors, options);
+  auto eval = Coordinator::Create(input.x0, input.errors, options);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   (*eval)->set_round_hook([&](int64_t round) {
     if (round == 1) {
@@ -302,10 +302,10 @@ TEST_F(ChaosTest, LosingMostOfTheFleetDegradesGracefully) {
   ASSERT_TRUE(local.ok());
 
   StartFleet();
-  RemoteDistOptions options = Options();
+  DistOptions options = Options();
   options.request_timeout_ms = 1000;
   options.max_lost_fraction = 0.5;
-  auto eval = RemoteSliceEvaluator::Create(input.x0, input.errors, options);
+  auto eval = Coordinator::Create(input.x0, input.errors, options);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   (*eval)->set_round_hook([&](int64_t round) {
     if (round == 1) {

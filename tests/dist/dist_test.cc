@@ -1,6 +1,9 @@
-#include "dist/distributed_evaluator.h"
+#include "dist/coordinator.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "core/sliceline.h"
@@ -81,7 +84,7 @@ TEST_P(DistributedEquivalenceTest, MatchesLocalExecution) {
   config.min_support = 15;
   auto local = core::RunSliceLine(input.x0, input.errors, config);
   DistOptions options;
-  options.workers = workers;
+  options.local_workers = workers;
   DistCostStats cost;
   auto distributed = RunSliceLineDistributed(input.x0, input.errors, config,
                                              options, &cost);
@@ -121,7 +124,7 @@ TEST(DistributedTest, ShardDomainSmallerThanGlobal) {
   config.min_support = 1;
   config.k = 3;
   DistOptions options;
-  options.workers = 4;
+  options.local_workers = 4;
   auto result =
       RunSliceLineDistributed(x0, errors, config, options, nullptr);
   ASSERT_TRUE(result.ok());
@@ -130,31 +133,56 @@ TEST(DistributedTest, ShardDomainSmallerThanGlobal) {
   EXPECT_EQ(result->top_k[0].stats.size, 1);
 }
 
-TEST(DistributedTest, CostEstimateUsesOptions) {
+TEST(DistributedTest, CostEstimateUsesFixedInterconnect) {
+  // 1.25e9 bytes/s (~10 GbE) plus 5 ms per round.
   DistCostStats cost;
   cost.rounds = 10;
-  cost.broadcast_bytes = 1000000;
-  cost.gather_bytes = 500000;
-  DistOptions options;
-  options.network_bytes_per_second = 1e6;
-  options.latency_per_round_seconds = 0.01;
-  EXPECT_NEAR(cost.EstimatedCommSeconds(options), 1.5 + 0.1, 1e-9);
+  cost.broadcast_bytes = 1000000000;
+  cost.gather_bytes = 250000000;
+  EXPECT_NEAR(cost.EstimatedCommSeconds(), 1.0 + 0.05, 1e-9);
 }
 
 TEST(DistributedTest, ValidatesInputs) {
   RandomInput input = MakeRandom(13, 50, 2, 3);
   DistOptions options;
-  options.workers = 0;
+  options.local_workers = 0;
   EXPECT_FALSE(RunSliceLineDistributed(input.x0, input.errors,
                                        core::SliceLineConfig(), options,
                                        nullptr)
                    .ok());
-  options.workers = 2;
+  options.local_workers = 2;
   std::vector<double> wrong(10, 0.1);
   EXPECT_FALSE(RunSliceLineDistributed(input.x0, wrong,
                                        core::SliceLineConfig(), options,
                                        nullptr)
                    .ok());
+  // Both fleet kinds at once is ambiguous.
+  options.endpoints = {WorkerEndpoint{"", 1}};
+  EXPECT_FALSE(RunSliceLineDistributed(input.x0, input.errors,
+                                       core::SliceLineConfig(), options,
+                                       nullptr)
+                   .ok());
+}
+
+TEST(DistributedTest, NonFiniteOrNegativeErrorsAreInvalidOnEitherFleet) {
+  RandomInput input = MakeRandom(13, 50, 2, 3);
+  DistOptions in_process;
+  in_process.local_workers = 2;
+  // Nothing listens on port 1: the check must fire before any connect.
+  DistOptions sockets;
+  sockets.endpoints = {WorkerEndpoint{"", 1}, WorkerEndpoint{"", 1}};
+  for (double bad : {std::nan(""), -0.5,
+                     std::numeric_limits<double>::infinity()}) {
+    std::vector<double> errors = input.errors;
+    errors[7] = bad;
+    for (const DistOptions& options : {in_process, sockets}) {
+      auto eval = Coordinator::Create(input.x0, errors, options);
+      ASSERT_FALSE(eval.ok()) << "error " << bad;
+      EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(eval.status().message(),
+                "errors must be non-negative and finite");
+    }
+  }
 }
 
 }  // namespace

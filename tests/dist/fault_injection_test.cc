@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "core/sliceline.h"
-#include "dist/distributed_evaluator.h"
+#include "dist/coordinator.h"
 
 namespace sliceline::dist {
 namespace {
@@ -45,18 +45,26 @@ struct DistRun {
   int alive_workers = 0;
 };
 
+/// Options for an in-process fleet of `workers`.
+DistOptions Fleet(int workers) {
+  DistOptions options;
+  options.local_workers = workers;
+  return options;
+}
+
 /// Runs the distributed enumeration with optional scripted faults applied to
-/// every logical round in [0, 16) for the given workers.
+/// every evaluation round in [0, 16) for the given workers.
 DistRun RunWithFaults(const RandomInput& input, const DistOptions& options,
                       const std::vector<std::pair<int, FaultType>>& scripts) {
-  auto evaluator =
-      DistributedSliceEvaluator::Create(input.x0, input.errors, options);
-  EXPECT_TRUE(evaluator.ok()) << evaluator.status().ToString();
+  FaultInjector injector(options.fault);
   for (const auto& [worker, type] : scripts) {
     for (int64_t round = 0; round < 16; ++round) {
-      evaluator.value()->injector().Script(round, worker, type);
+      injector.Script(round, worker, type);
     }
   }
+  auto evaluator = Coordinator::Create(input.x0, input.errors, options,
+                                       std::move(injector));
+  EXPECT_TRUE(evaluator.ok()) << evaluator.status().ToString();
   auto result = core::RunSliceLineWithBackend(**evaluator, TestConfig());
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return DistRun{std::move(result).value(), evaluator.value()->cost(),
@@ -127,17 +135,14 @@ TEST(FaultInjectorTest, ChecksumDetectsCorruption) {
 class FaultToleranceTest : public ::testing::Test {
  protected:
   FaultToleranceTest() : input_(MakeRandom(11, 600, 5, 4)) {
-    DistOptions options;
-    options.workers = 4;
-    fault_free_ = RunWithFaults(input_, options, {});
+    fault_free_ = RunWithFaults(input_, Fleet(4), {});
   }
   RandomInput input_;
   DistRun fault_free_;
 };
 
 TEST_F(FaultToleranceTest, TransientFailureRetriesWithBackoff) {
-  DistOptions options;
-  options.workers = 4;
+  DistOptions options = Fleet(4);
   DistRun run = RunWithFaults(input_, options,
                               {{1, FaultType::kTransient}});
   ExpectIdenticalTopK(fault_free_.result, run.result);
@@ -151,8 +156,7 @@ TEST_F(FaultToleranceTest, TransientFailureRetriesWithBackoff) {
 }
 
 TEST_F(FaultToleranceTest, PermanentLossReshardsOntoSurvivors) {
-  DistOptions options;
-  options.workers = 4;
+  DistOptions options = Fleet(4);
   DistRun run = RunWithFaults(input_, options,
                               {{2, FaultType::kPermanentLoss}});
   ExpectIdenticalTopK(fault_free_.result, run.result);
@@ -164,8 +168,7 @@ TEST_F(FaultToleranceTest, PermanentLossReshardsOntoSurvivors) {
 
 TEST_F(FaultToleranceTest, KofNLossStillReproducesTopK) {
   // 2 of 4 workers lost (exactly the 0.5 default threshold, not past it).
-  DistOptions options;
-  options.workers = 4;
+  DistOptions options = Fleet(4);
   DistRun run = RunWithFaults(
       input_, options,
       {{1, FaultType::kPermanentLoss}, {3, FaultType::kPermanentLoss}});
@@ -176,8 +179,7 @@ TEST_F(FaultToleranceTest, KofNLossStillReproducesTopK) {
 }
 
 TEST_F(FaultToleranceTest, CorruptionDetectedAndForcesRetryRound) {
-  DistOptions options;
-  options.workers = 4;
+  DistOptions options = Fleet(4);
   DistRun run = RunWithFaults(input_, options,
                               {{0, FaultType::kCorruption}});
   ExpectIdenticalTopK(fault_free_.result, run.result);
@@ -189,8 +191,7 @@ TEST_F(FaultToleranceTest, CorruptionDetectedAndForcesRetryRound) {
 }
 
 TEST_F(FaultToleranceTest, StragglerTriggersSpeculativeReexecution) {
-  DistOptions options;
-  options.workers = 4;
+  DistOptions options = Fleet(4);
   DistRun run = RunWithFaults(input_, options,
                               {{3, FaultType::kStraggler}});
   ExpectIdenticalTopK(fault_free_.result, run.result);
@@ -204,8 +205,7 @@ TEST_F(FaultToleranceTest, StragglerTriggersSpeculativeReexecution) {
 }
 
 TEST_F(FaultToleranceTest, StragglerWithoutSpeculationPaysDelay) {
-  DistOptions options;
-  options.workers = 4;
+  DistOptions options = Fleet(4);
   options.speculative_execution = false;
   options.fault.straggler_delay_seconds = 1.5;
   DistRun run = RunWithFaults(input_, options,
@@ -218,8 +218,7 @@ TEST_F(FaultToleranceTest, StragglerWithoutSpeculationPaysDelay) {
 }
 
 TEST_F(FaultToleranceTest, TooManyLossesFallBackToLocal) {
-  DistOptions options;
-  options.workers = 4;  // losing 3 of 4 exceeds max_lost_fraction = 0.5
+  DistOptions options = Fleet(4);  // losing 3 of 4 exceeds 0.5 lost
   DistRun run = RunWithFaults(input_, options,
                               {{0, FaultType::kPermanentLoss},
                                {1, FaultType::kPermanentLoss},
@@ -240,8 +239,7 @@ TEST_F(FaultToleranceTest, TooManyLossesFallBackToLocal) {
 }
 
 TEST_F(FaultToleranceTest, ExhaustedRetryBudgetDegradesGracefully) {
-  DistOptions options;
-  options.workers = 4;
+  DistOptions options = Fleet(4);
   options.max_retries = 2;
   options.fault.seed = 5;
   options.fault.transient_rate = 1.0;  // every attempt of every round fails
@@ -257,8 +255,7 @@ TEST_F(FaultToleranceTest, ExhaustedRetryBudgetDegradesGracefully) {
 }
 
 TEST_F(FaultToleranceTest, RandomScheduleIsDeterministicPerSeed) {
-  DistOptions options;
-  options.workers = 6;
+  DistOptions options = Fleet(6);
   options.fault.seed = 99;
   options.fault.transient_rate = 0.15;
   options.fault.straggler_rate = 0.1;
@@ -278,40 +275,46 @@ TEST_F(FaultToleranceTest, RandomScheduleIsDeterministicPerSeed) {
   }
 }
 
-TEST_F(FaultToleranceTest, MixedScheduleUnderThreadsMatchesSerial) {
-  DistOptions options;
-  options.workers = 4;
-  options.fault.seed = 123;
-  options.fault.transient_rate = 0.2;
-  options.fault.straggler_rate = 0.2;
-  DistRun serial = RunWithFaults(input_, options, {});
-  options.use_threads = true;
-  DistRun threaded = RunWithFaults(input_, options, {});
-  EXPECT_EQ(serial.faults, threaded.faults);
-  ExpectIdenticalTopK(serial.result, threaded.result);
+TEST_F(FaultToleranceTest, CorruptedBasicStatsAreRetried) {
+  // Setup is round -1: one out-of-range value in worker 2's first
+  // basic_stats reply must be rejected and the shard re-requested.
+  FaultInjector injector;
+  injector.Script(-1, 2, FaultType::kCorruption);
+  auto eval = Coordinator::Create(input_.x0, input_.errors, Fleet(4),
+                                  std::move(injector));
+  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
+  auto clean = Coordinator::Create(input_.x0, input_.errors, Fleet(4));
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ((*eval)->faults().corrupted_partials, 1);
+  EXPECT_EQ((*eval)->faults().retries, 1);
+  EXPECT_FALSE((*eval)->faults().fallback_local);
+  EXPECT_EQ((*eval)->basic_sizes(), (*clean)->basic_sizes());
+  EXPECT_EQ((*eval)->basic_error_sums(), (*clean)->basic_error_sums());
+  EXPECT_EQ((*eval)->basic_max_errors(), (*clean)->basic_max_errors());
+  EXPECT_EQ((*eval)->total_error(), (*clean)->total_error());
 }
 
 TEST(DistFactoryTest, CreateValidatesInputs) {
   RandomInput input = MakeRandom(13, 50, 2, 3);
   DistOptions options;
-  options.workers = 0;
+  options.local_workers = 0;
   EXPECT_FALSE(
-      DistributedSliceEvaluator::Create(input.x0, input.errors, options).ok());
-  options.workers = 2;
+      Coordinator::Create(input.x0, input.errors, options).ok());
+  options.local_workers = 2;
   std::vector<double> wrong(10, 0.1);
-  auto mismatch = DistributedSliceEvaluator::Create(input.x0, wrong, options);
+  auto mismatch = Coordinator::Create(input.x0, wrong, options);
   EXPECT_FALSE(mismatch.ok());
   EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
   options.max_lost_fraction = 1.5;
   EXPECT_FALSE(
-      DistributedSliceEvaluator::Create(input.x0, input.errors, options).ok());
+      Coordinator::Create(input.x0, input.errors, options).ok());
   options.max_lost_fraction = 0.5;
   options.max_retries = -1;
   EXPECT_FALSE(
-      DistributedSliceEvaluator::Create(input.x0, input.errors, options).ok());
+      Coordinator::Create(input.x0, input.errors, options).ok());
   options.max_retries = 3;
   EXPECT_TRUE(
-      DistributedSliceEvaluator::Create(input.x0, input.errors, options).ok());
+      Coordinator::Create(input.x0, input.errors, options).ok());
 }
 
 TEST(DistFaultStatsTest, SummaryMentionsEveryCounter) {

@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "core/sliceline.h"
-#include "dist/distributed_evaluator.h"
 #include "dist/worker.h"
 
 namespace sliceline::dist {
@@ -75,8 +74,8 @@ class WorkerFleet {
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 
-RemoteDistOptions FastOptions(const WorkerFleet& fleet) {
-  RemoteDistOptions options;
+DistOptions FastOptions(const WorkerFleet& fleet) {
+  DistOptions options;
   options.endpoints = fleet.endpoints();
   options.connect_timeout_ms = 500;
   options.request_timeout_ms = 5000;
@@ -86,7 +85,7 @@ RemoteDistOptions FastOptions(const WorkerFleet& fleet) {
   return options;
 }
 
-TEST(RemoteDistTest, BitIdenticalToSimulatedEvaluator) {
+TEST(RemoteDistTest, BitIdenticalToInProcessFleet) {
   RandomInput input = MakeRandom(11, 400, 5, 4);
   core::SliceLineConfig config;
   config.k = 6;
@@ -95,17 +94,17 @@ TEST(RemoteDistTest, BitIdenticalToSimulatedEvaluator) {
   WorkerFleet fleet(3);
   DistCostStats cost;
   DistFaultStats faults;
-  auto remote = RunSliceLineRemote(input.x0, input.errors, config,
-                                   FastOptions(fleet), &cost, &faults);
+  auto remote = RunSliceLineDistributed(input.x0, input.errors, config,
+                                        FastOptions(fleet), &cost, &faults);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
-  DistOptions sim_options;
-  sim_options.workers = 3;
+  DistOptions in_process;
+  in_process.local_workers = 3;
   auto simulated = RunSliceLineDistributed(input.x0, input.errors, config,
-                                           sim_options);
+                                           in_process);
   ASSERT_TRUE(simulated.ok());
 
-  // Same shard boundaries, same per-shard evaluation, same shard-order
+  // Same shard boundaries, same worker request handler, same shard-order
   // merge: every floating-point value must match bit for bit.
   ASSERT_EQ(remote->top_k.size(), simulated->top_k.size());
   for (size_t i = 0; i < remote->top_k.size(); ++i) {
@@ -133,8 +132,8 @@ TEST(RemoteDistTest, MatchesLocalExecution) {
   ASSERT_TRUE(local.ok());
 
   WorkerFleet fleet(4);
-  auto remote = RunSliceLineRemote(input.x0, input.errors, config,
-                                   FastOptions(fleet));
+  auto remote = RunSliceLineDistributed(input.x0, input.errors, config,
+                                        FastOptions(fleet));
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   ASSERT_EQ(remote->top_k.size(), local->top_k.size());
   for (size_t i = 0; i < remote->top_k.size(); ++i) {
@@ -154,9 +153,9 @@ TEST(RemoteDistTest, WorkerDeathMidRunReshardsOntoSurvivors) {
   ASSERT_TRUE(local.ok());
 
   WorkerFleet fleet(3);
-  RemoteDistOptions options = FastOptions(fleet);
+  DistOptions options = FastOptions(fleet);
   options.request_timeout_ms = 1000;
-  auto eval = RemoteSliceEvaluator::Create(input.x0, input.errors, options);
+  auto eval = Coordinator::Create(input.x0, input.errors, options);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   (*eval)->set_round_hook([&](int64_t round) {
     if (round == 1) fleet.Kill(1);
@@ -188,10 +187,10 @@ TEST(RemoteDistTest, TooManyDeathsDegradeToLocalFallback) {
   ASSERT_TRUE(local.ok());
 
   WorkerFleet fleet(4);
-  RemoteDistOptions options = FastOptions(fleet);
+  DistOptions options = FastOptions(fleet);
   options.request_timeout_ms = 1000;
   options.max_lost_fraction = 0.25;  // a second loss crosses the threshold
-  auto eval = RemoteSliceEvaluator::Create(input.x0, input.errors, options);
+  auto eval = Coordinator::Create(input.x0, input.errors, options);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   (*eval)->set_round_hook([&](int64_t round) {
     if (round == 1) {
@@ -220,15 +219,15 @@ TEST(RemoteDistTest, DegradationIsRecordedInRunOutcome) {
   config.min_support = 8;
   // Endpoints that point at nothing: every worker is unreachable, so setup
   // degrades immediately and the run completes on the local fallback.
-  RemoteDistOptions options;
+  DistOptions options;
   options.endpoints = {WorkerEndpoint{"", 1}, WorkerEndpoint{"", 1}};
   options.connect_timeout_ms = 100;
   options.request_timeout_ms = 200;
   options.max_retries = 0;
   options.backoff_base_seconds = 0.001;
   DistFaultStats faults;
-  auto result = RunSliceLineRemote(input.x0, input.errors, config, options,
-                                   nullptr, &faults);
+  auto result = RunSliceLineDistributed(input.x0, input.errors, config,
+                                        options, nullptr, &faults);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(faults.fallback_local);
   EXPECT_TRUE(result->outcome.dist_fallback_local);
@@ -254,12 +253,12 @@ TEST(RemoteDistTest, TransientDropsAreRetriedTransparently) {
   // Every 7th request is answered by an abrupt disconnect. Small eval
   // blocks force enough requests per worker that several drops fire.
   WorkerFleet fleet(2, /*drop_every=*/7);
-  RemoteDistOptions options = FastOptions(fleet);
+  DistOptions options = FastOptions(fleet);
   options.request_timeout_ms = 1000;
   options.max_block_slices = 4;
   DistFaultStats faults;
-  auto remote = RunSliceLineRemote(input.x0, input.errors, config, options,
-                                   nullptr, &faults);
+  auto remote = RunSliceLineDistributed(input.x0, input.errors, config,
+                                        options, nullptr, &faults);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_GT(faults.transient_failures, 0);
   EXPECT_GT(faults.retries, 0);
@@ -282,9 +281,9 @@ TEST(RemoteDistTest, WorkerRestartIsReenlistedAndReshipped) {
   ASSERT_TRUE(local.ok());
 
   WorkerFleet fleet(2);
-  RemoteDistOptions options = FastOptions(fleet);
+  DistOptions options = FastOptions(fleet);
   options.request_timeout_ms = 1000;
-  auto eval = RemoteSliceEvaluator::Create(input.x0, input.errors, options);
+  auto eval = Coordinator::Create(input.x0, input.errors, options);
   ASSERT_TRUE(eval.ok()) << eval.status().ToString();
   const std::string session_before = fleet.worker(1).session();
   (*eval)->set_round_hook([&](int64_t round) {
@@ -307,17 +306,50 @@ TEST(RemoteDistTest, WorkerRestartIsReenlistedAndReshipped) {
   }
 }
 
+TEST(RemoteDistTest, SeededFaultsOnSocketFleetKeepTopK) {
+  // The fault decorator wraps socket links too: the same seeded schedule
+  // of transient failures and corrupted payloads, recovered by the same
+  // loop, leaves the result bit-identical to a clean in-process run.
+  RandomInput input = MakeRandom(61, 400, 5, 4);
+  core::SliceLineConfig config;
+  config.k = 5;
+  config.min_support = 10;
+  DistOptions in_process;
+  in_process.local_workers = 3;
+  auto clean = RunSliceLineDistributed(input.x0, input.errors, config,
+                                       in_process);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  WorkerFleet fleet(3);
+  DistOptions options = FastOptions(fleet);
+  options.fault.seed = 5;
+  options.fault.transient_rate = 0.3;
+  options.fault.corruption_rate = 0.3;
+  DistFaultStats faults;
+  auto faulty = RunSliceLineDistributed(input.x0, input.errors, config,
+                                        options, nullptr, &faults);
+  ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+  EXPECT_GT(faults.transient_failures, 0);
+  EXPECT_GT(faults.corrupted_partials, 0);
+  ASSERT_FALSE(faults.fallback_local);
+  ASSERT_EQ(faulty->top_k.size(), clean->top_k.size());
+  for (size_t i = 0; i < faulty->top_k.size(); ++i) {
+    EXPECT_EQ(faulty->top_k[i].stats.score, clean->top_k[i].stats.score);
+    EXPECT_EQ(faulty->top_k[i].predicates, clean->top_k[i].predicates);
+  }
+}
+
 TEST(RemoteDistTest, ValidatesInputs) {
   RandomInput input = MakeRandom(13, 50, 2, 3);
-  RemoteDistOptions options;  // no endpoints
+  DistOptions options;  // no endpoints
   EXPECT_FALSE(
-      RemoteSliceEvaluator::Create(input.x0, input.errors, options).ok());
+      Coordinator::Create(input.x0, input.errors, options).ok());
   options.endpoints = {WorkerEndpoint{"", 1}};
   std::vector<double> wrong(10, 0.1);
-  EXPECT_FALSE(RemoteSliceEvaluator::Create(input.x0, wrong, options).ok());
+  EXPECT_FALSE(Coordinator::Create(input.x0, wrong, options).ok());
   options.max_lost_fraction = 2.0;
   EXPECT_FALSE(
-      RemoteSliceEvaluator::Create(input.x0, input.errors, options).ok());
+      Coordinator::Create(input.x0, input.errors, options).ok());
 }
 
 }  // namespace

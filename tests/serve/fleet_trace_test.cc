@@ -109,12 +109,12 @@ TEST(FleetTraceTest, RemoteJobProducesMergedTraceAndConsistentReport) {
                   const core::SliceLineConfig& config, uint64_t trace_id,
                   obs::DistObsBundle* obs_out)
       -> StatusOr<core::SliceLineResult> {
-    dist::RemoteDistOptions remote;
+    dist::DistOptions remote;
     remote.endpoints = endpoints;
     remote.trace_id = trace_id;
-    return dist::RunSliceLineRemote(dataset.x0, dataset.errors, config,
-                                    remote, /*cost_out=*/nullptr,
-                                    /*faults_out=*/nullptr, obs_out);
+    return dist::RunSliceLineDistributed(dataset.x0, dataset.errors, config,
+                                         remote, /*cost_out=*/nullptr,
+                                         /*faults_out=*/nullptr, obs_out);
   };
   Server server(options);
   const Status started = server.Start();

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +40,6 @@
 #include "data/csv.h"
 #include "data/preprocess.h"
 #include "dist/coordinator.h"
-#include "dist/distributed_evaluator.h"
 #include "ml/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
@@ -86,12 +86,12 @@ void PrintUsage() {
       "  --bins B             equi-width bins for numeric features (10)\n"
       "  --drop a,b,c         columns to drop (e.g. ID columns)\n"
       "  --engine native|la|dist|remote  enumeration engine (default\n"
-      "                       native); 'remote' runs against real\n"
-      "                       sliceline_worker processes\n"
-      "  --workers N          simulated workers for --engine dist (4)\n"
+      "                       native); 'dist' runs in-process workers,\n"
+      "                       'remote' real sliceline_worker processes\n"
+      "  --workers N          in-process workers for --engine dist (4)\n"
       "  --worker-ports p1,p2,...  loopback TCP ports of running\n"
       "                       sliceline_worker processes (--engine remote)\n"
-      "  --fault-seed S       fault-injection seed for --engine dist\n"
+      "  --fault-seed S       fault-injection seed (--engine dist|remote)\n"
       "  --fault-transient P  per-round transient worker failure rate\n"
       "  --fault-loss P       per-round permanent worker loss rate\n"
       "  --fault-straggler P  per-round straggler rate\n"
@@ -337,8 +337,7 @@ int EmitObservabilityOutputs(
     const CliOptions& cli, const sliceline::core::SliceLineConfig& config,
     const sliceline::core::SliceLineResult& result,
     const std::vector<std::string>& feature_names,
-    std::vector<std::pair<std::string, double>> dist_cost,
-    std::vector<std::pair<std::string, double>> dist_faults) {
+    const std::map<std::string, std::map<std::string, double>>& sections) {
   namespace obs = sliceline::obs;
   if (!cli.trace_out.empty()) {
     std::ofstream os(cli.trace_out);
@@ -356,11 +355,8 @@ int EmitObservabilityOutputs(
     report.set_dataset(cli.csv_path);
     report.SetConfig(config);
     report.SetResult(result, feature_names);
-    if (!dist_cost.empty()) {
-      report.AddNumericSection("dist_cost", std::move(dist_cost));
-    }
-    if (!dist_faults.empty()) {
-      report.AddNumericSection("dist_faults", std::move(dist_faults));
+    for (const auto& [name, values] : sections) {
+      report.AddNumericSection(name, {values.begin(), values.end()});
     }
     auto status = obs::WriteRunReportJson(report, cli.metrics_json);
     if (!status.ok()) {
@@ -451,9 +447,22 @@ int main(int argc, char** argv) {
     }
     config.run_context = &run_context;
   }
-  if (cli.engine == "dist") {
+  if (cli.engine == "dist" || cli.engine == "remote") {
     dist::DistOptions dopts;
-    dopts.workers = cli.workers;
+    if (cli.engine == "dist") {
+      dopts.local_workers = cli.workers;
+    } else {
+      for (const std::string& port : cli.worker_ports) {
+        dist::WorkerEndpoint endpoint;
+        endpoint.tcp_port = std::atoi(port.c_str());
+        if (endpoint.tcp_port <= 0) {
+          std::fprintf(stderr, "bad --worker-ports entry: '%s'\n",
+                       port.c_str());
+          return 1;
+        }
+        dopts.endpoints.push_back(endpoint);
+      }
+    }
     dopts.fault.seed = cli.fault_seed;
     dopts.fault.transient_rate = cli.fault_transient;
     dopts.fault.loss_rate = cli.fault_loss;
@@ -461,94 +470,27 @@ int main(int argc, char** argv) {
     dopts.fault.corruption_rate = cli.fault_corrupt;
     dist::DistCostStats cost;
     dist::DistFaultStats faults;
+    obs::DistObsBundle bundle;
     auto result = dist::RunSliceLineDistributed(ds->x0, ds->errors, config,
-                                                dopts, &cost, &faults);
+                                                dopts, &cost, &faults, &bundle);
     if (!result.ok()) {
       std::fprintf(stderr, "slice finding failed: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
     std::fprintf(human,
-                 "distributed: %d workers, %lld rounds, simulated wall-clock "
+                 "distributed: %d %s workers, %lld rounds, wall-clock "
                  "%.3fs (compute %.3fs + comm %.3fs)\n",
-                 dopts.workers, static_cast<long long>(cost.rounds),
-                 cost.critical_path_seconds + cost.EstimatedCommSeconds(dopts),
-                 cost.critical_path_seconds, cost.EstimatedCommSeconds(dopts));
+                 static_cast<int>(bundle.sections["dist_cost"]["workers"]),
+                 cli.engine == "dist" ? "in-process" : "socket",
+                 static_cast<long long>(cost.rounds),
+                 cost.critical_path_seconds + cost.EstimatedCommSeconds(),
+                 cost.critical_path_seconds, cost.EstimatedCommSeconds());
     std::fprintf(human, "fault recovery: %s\n", faults.Summary().c_str());
     std::fprintf(human, "\n%s",
                  core::FormatResult(*result, ds->feature_names).c_str());
-    return EmitObservabilityOutputs(
-        cli, config, *result, ds->feature_names,
-        {{"workers", static_cast<double>(dopts.workers)},
-         {"rounds", static_cast<double>(cost.rounds)},
-         {"broadcast_bytes", static_cast<double>(cost.broadcast_bytes)},
-         {"gather_bytes", static_cast<double>(cost.gather_bytes)},
-         {"worker_busy_seconds", cost.worker_busy_seconds},
-         {"critical_path_seconds", cost.critical_path_seconds},
-         {"estimated_comm_seconds", cost.EstimatedCommSeconds(dopts)}},
-        {{"transient_failures",
-          static_cast<double>(faults.transient_failures)},
-         {"retries", static_cast<double>(faults.retries)},
-         {"backoff_events", static_cast<double>(faults.backoff_events)},
-         {"backoff_seconds", faults.backoff_seconds},
-         {"stragglers", static_cast<double>(faults.stragglers)},
-         {"speculative_reexecutions",
-          static_cast<double>(faults.speculative_reexecutions)},
-         {"corrupted_partials",
-          static_cast<double>(faults.corrupted_partials)},
-         {"workers_lost", static_cast<double>(faults.workers_lost)},
-         {"reshards", static_cast<double>(faults.reshards)},
-         {"fallback_local", faults.fallback_local ? 1.0 : 0.0}});
-  }
-  if (cli.engine == "remote") {
-    dist::RemoteDistOptions ropts;
-    for (const std::string& port : cli.worker_ports) {
-      dist::WorkerEndpoint endpoint;
-      endpoint.tcp_port = std::atoi(port.c_str());
-      if (endpoint.tcp_port <= 0) {
-        std::fprintf(stderr, "bad --worker-ports entry: '%s'\n", port.c_str());
-        return 1;
-      }
-      ropts.endpoints.push_back(endpoint);
-    }
-    dist::DistCostStats cost;
-    dist::DistFaultStats faults;
-    auto result = dist::RunSliceLineRemote(ds->x0, ds->errors, config, ropts,
-                                           &cost, &faults);
-    if (!result.ok()) {
-      std::fprintf(stderr, "slice finding failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(human,
-                 "remote: %zu workers, %lld rounds, coordinator wall-clock "
-                 "%.3fs (worker busy %.3fs)\n",
-                 ropts.endpoints.size(), static_cast<long long>(cost.rounds),
-                 cost.critical_path_seconds, cost.worker_busy_seconds);
-    std::fprintf(human, "fault recovery: %s\n", faults.Summary().c_str());
-    std::fprintf(human, "\n%s",
-                 core::FormatResult(*result, ds->feature_names).c_str());
-    return EmitObservabilityOutputs(
-        cli, config, *result, ds->feature_names,
-        {{"workers", static_cast<double>(ropts.endpoints.size())},
-         {"rounds", static_cast<double>(cost.rounds)},
-         {"broadcast_bytes", static_cast<double>(cost.broadcast_bytes)},
-         {"gather_bytes", static_cast<double>(cost.gather_bytes)},
-         {"worker_busy_seconds", cost.worker_busy_seconds},
-         {"critical_path_seconds", cost.critical_path_seconds}},
-        {{"transient_failures",
-          static_cast<double>(faults.transient_failures)},
-         {"retries", static_cast<double>(faults.retries)},
-         {"backoff_events", static_cast<double>(faults.backoff_events)},
-         {"backoff_seconds", faults.backoff_seconds},
-         {"stragglers", static_cast<double>(faults.stragglers)},
-         {"speculative_reexecutions",
-          static_cast<double>(faults.speculative_reexecutions)},
-         {"corrupted_partials",
-          static_cast<double>(faults.corrupted_partials)},
-         {"workers_lost", static_cast<double>(faults.workers_lost)},
-         {"reshards", static_cast<double>(faults.reshards)},
-         {"fallback_local", faults.fallback_local ? 1.0 : 0.0}});
+    return EmitObservabilityOutputs(cli, config, *result, ds->feature_names,
+                                    bundle.sections);
   }
   auto result = cli.engine == "la"
                     ? core::RunSliceLineLA(*ds, config)
@@ -561,5 +503,5 @@ int main(int argc, char** argv) {
   std::fprintf(human, "\n%s",
                core::FormatResult(*result, ds->feature_names).c_str());
   return EmitObservabilityOutputs(cli, config, *result, ds->feature_names,
-                                  {}, {});
+                                  {});
 }

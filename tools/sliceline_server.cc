@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
 
   if (!options.worker_endpoints.empty()) {
     // Wire the distributed coordinator in as the "remote" engine. The hook
-    // runs on scheduler worker threads; RunSliceLineRemote builds a fresh
+    // runs on scheduler worker threads; RunSliceLineDistributed builds a fresh
     // coordinator (connections and all) per job, so jobs do not share
     // mutable cluster state.
     const std::vector<sliceline::dist::WorkerEndpoint> endpoints =
@@ -207,10 +207,10 @@ int main(int argc, char** argv) {
                     const sliceline::core::SliceLineConfig& config,
                     uint64_t trace_id, sliceline::obs::DistObsBundle* obs_out)
         -> sliceline::StatusOr<sliceline::core::SliceLineResult> {
-      sliceline::dist::RemoteDistOptions remote;
+      sliceline::dist::DistOptions remote;
       remote.endpoints = endpoints;
       remote.trace_id = trace_id;
-      return sliceline::dist::RunSliceLineRemote(
+      return sliceline::dist::RunSliceLineDistributed(
           dataset.x0, dataset.errors, config, remote,
           /*cost_out=*/nullptr, /*faults_out=*/nullptr, obs_out);
     };
