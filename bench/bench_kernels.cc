@@ -1,10 +1,11 @@
 // Microbenchmarks of the linear-algebra kernels the SliceLine enumeration
 // is built from: one-hot encoding, colSums, the vector-matrix error
-// aggregation e^T X, the S*S^T pair join, the X*S^T evaluation product, and
-// table()-based selection-matrix construction. Each kernel is timed over
-// repeated runs on the shared harness (bench_util.h); the best wall-clock
-// per run and the derived items/s are printed, and recorded through
-// bench::Reporter when SLICELINE_BENCH_JSON is set.
+// aggregation e^T X, the S*S^T pair join, the X*S^T evaluation product,
+// table()-based selection-matrix construction, and the bit-packed
+// evaluation kernels (ascending float chain and error planes). Each kernel
+// is timed over repeated runs on the shared harness (bench_util.h); the
+// best wall-clock per run and the derived items/s are printed, and
+// recorded through bench::Reporter when SLICELINE_BENCH_JSON is set.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "data/column_store.h"
 #include "data/generators/generators.h"
 #include "data/onehot.h"
 #include "linalg/bitmap.h"
@@ -213,6 +215,11 @@ int main() {
   std::vector<double> bench_errors(static_cast<size_t>(words) * 64, 0.0);
   for (int64_t r = 0; r < ds.n(); ++r) bench_errors[r] = ds.errors[r];
 
+  // The store's error planes over the same rows (adult's errors are 0/1):
+  // the candidate_eval_planes rows run the blocked loop on them.
+  const data::ColumnStore store(ds.x0, offsets, ds.errors);
+  const linalg::ErrorPlanes* planes = store.error_planes();
+
   std::vector<std::pair<std::string, double>> speedups;
   for (const int level : {2, 4}) {
     const int64_t num_candidates = 512;
@@ -237,7 +244,8 @@ int main() {
             std::fill(maxes.begin(), maxes.end(), 0.0);
             linalg::EvaluateCandidatesBlocked(
                 kernels, candidates.data(), num_candidates, words,
-                bench_errors.data(), sizes.data(), sums.data(), maxes.data());
+                bench_errors.data(), /*planes=*/nullptr, sizes.data(),
+                sums.data(), maxes.data());
             return sizes[0] + sums[0];
           });
       if (isa == linalg::SimdIsa::kScalar) {
@@ -247,6 +255,23 @@ int main() {
                                   "_" + linalg::IsaName(isa),
                               scalar_best / best);
       }
+    }
+    if (planes == nullptr) continue;
+    for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
+      const linalg::SimdKernels& kernels = linalg::KernelsFor(isa);
+      RunCase(reporter,
+              std::string("candidate_eval_planes/L") + std::to_string(level) +
+                  "/" + linalg::IsaName(isa),
+              num_candidates * ds.n(), [&] {
+                std::fill(sizes.begin(), sizes.end(), 0.0);
+                std::fill(sums.begin(), sums.end(), 0.0);
+                std::fill(maxes.begin(), maxes.end(), 0.0);
+                linalg::EvaluateCandidatesBlocked(
+                    kernels, candidates.data(), num_candidates, words,
+                    bench_errors.data(), planes, sizes.data(), sums.data(),
+                    maxes.data());
+                return sizes[0] + sums[0];
+              });
     }
   }
   // Micro rows: the raw AND+popcount membership count and the masked error

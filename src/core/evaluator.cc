@@ -162,6 +162,7 @@ void SliceEvaluator::EvaluateBitset(const SliceSet& set, bool parallel,
 
   const int64_t words = store_.words();
   const double* errors = store_.errors().data();
+  const linalg::ErrorPlanes* planes = store_.error_planes();
   auto body = [&](size_t begin, size_t end) {
     // Gather each candidate's column bitmap pointers into one arena, then
     // hand contiguous chunks to the cache-blocked SIMD loop. Chunks double
@@ -187,7 +188,7 @@ void SliceEvaluator::EvaluateBitset(const SliceSet& set, bool parallel,
       const size_t chunk_end = std::min(end, chunk + kGovernanceStride);
       linalg::EvaluateCandidatesBlocked(
           kernels, candidates.data() + (chunk - begin),
-          static_cast<int64_t>(chunk_end - chunk), words, errors,
+          static_cast<int64_t>(chunk_end - chunk), words, errors, planes,
           out->sizes.data() + chunk, out->error_sums.data() + chunk,
           out->max_errors.data() + chunk);
     }
@@ -224,6 +225,12 @@ StatusOr<EvalResult> SliceEvaluator::Evaluate(
           ->GetCounter(std::string("evaluator/simd_isa/") +
                        linalg::SelectedIsaName())
           ->Add(set.size());
+      // Slices whose error statistics came from popcounts over the error
+      // planes rather than the ascending float chain.
+      if (store_.error_planes() != nullptr) {
+        registry->GetCounter("evaluator/error_planes/slices")
+            ->Add(set.size());
+      }
     }
   }
   switch (config.eval_strategy) {

@@ -68,10 +68,14 @@ struct SliceLineConfig {
   /// kBitset is the default hot path: the packed kernels dominate on every
   /// measured workload (BENCH_kernels.json, DESIGN.md "Vectorized
   /// kernels"). Each strategy returns bit-identical results for any thread
-  /// count. kBitset sums each slice's errors in one ascending-row chain;
-  /// kScanBlock sums fixed row tiles and adds the tile sums in tile order,
-  /// so on inputs longer than one tile its error sums may differ from
-  /// kBitset's in the last bits (sizes and maxima never do).
+  /// count. On exactly summable errors (0/1 inaccuracy, any dyadic grid:
+  /// data::ErrorGrid) every sum order gives the same doubles, kBitset counts
+  /// error sums by popcount over the store's error planes, and the two
+  /// strategies agree bit for bit. On other errors kBitset sums each
+  /// slice's errors in one ascending-row chain, while kScanBlock sums fixed
+  /// row tiles and adds the tile sums in tile order, so on inputs longer
+  /// than one tile its error sums may differ from kBitset's in the last
+  /// bits (sizes and maxima never do).
   EvalStrategy eval_strategy = EvalStrategy::kBitset;
   bool parallel = true;  ///< run generation and evaluation on the pool
 

@@ -1,12 +1,63 @@
 #include "data/column_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "linalg/bitmap.h"
 
 namespace sliceline::data {
+
+namespace {
+
+/// Exclusive bound on the sum of the k_i of an exactly summable vector.
+constexpr uint64_t kUnitsLimit = uint64_t{1} << 53;
+
+/// Codes below which the level-1 pass stays on the calling thread: small
+/// inputs finish before a pool round trip would.
+constexpr int64_t kParallelStatsCells = int64_t{1} << 18;
+
+}  // namespace
+
+double ErrorGrid::unit() const { return std::ldexp(1.0, low_); }
+
+bool ErrorGrid::Add(double e) {
+  if (!exact_ || e == 0.0) return exact_;
+  if (!(e > 0.0) || !std::isfinite(e)) return exact_ = false;
+  // e == odd * 2^shift for an odd integer `odd`.
+  const uint64_t bits = std::bit_cast<uint64_t>(e);
+  const int biased = static_cast<int>(bits >> 52);
+  uint64_t odd = bits & ((uint64_t{1} << 52) - 1);
+  int shift = -1074;
+  if (biased != 0) {
+    odd |= uint64_t{1} << 52;
+    shift = biased - 1075;
+  }
+  const int zeros = std::countr_zero(odd);
+  odd >>= zeros;
+  shift += zeros;
+  const int top = shift + std::bit_width(odd);
+  if (!any_) {
+    any_ = true;
+    low_ = shift;
+  } else if (shift < low_) {
+    // A finer unit: every earlier k doubles once per step (units_ >= 1).
+    const int finer = low_ - shift;
+    if (finer >= 53 || units_ >= (kUnitsLimit >> finer)) {
+      return exact_ = false;
+    }
+    units_ <<= finer;
+    low_ = shift;
+  }
+  top_ = std::max(top_, top);
+  if (top - low_ > 53 || low_ > 970) return exact_ = false;
+  const uint64_t k = odd << (shift - low_);
+  if (k >= kUnitsLimit - units_) return exact_ = false;
+  units_ += k;
+  return true;
+}
 
 ColumnStore::ColumnStore(const IntMatrix& x0, const FeatureOffsets& offsets,
                          const std::vector<double>& errors)
@@ -21,27 +72,114 @@ ColumnStore::ColumnStore(const IntMatrix& x0, const FeatureOffsets& offsets,
 }
 
 void ColumnStore::AccumulateStats(int64_t begin, int64_t end) {
-  const IntMatrix& x0 = *x0_;
-  const FeatureOffsets& offsets = *offsets_;
   const std::vector<double>& errors = *errors_;
-  const int64_t m = x0.cols();
-  SLICELINE_CHECK_EQ(static_cast<int64_t>(errors.size()), x0.rows());
+  const int64_t m = x0_->cols();
+  SLICELINE_CHECK_EQ(static_cast<int64_t>(errors.size()), x0_->rows());
+  // One serial pass over the errors: the total's chain and the grid test.
   for (int64_t i = begin; i < end; ++i) {
-    const int32_t* row = x0.row(i);
     const double e = errors[static_cast<size_t>(i)];
     SLICELINE_CHECK_GE(e, 0.0);
     total_error_ += e;
-    for (int64_t j = 0; j < m; ++j) {
-      SLICELINE_CHECK(row[j] >= 1 && row[j] <= offsets.fdom[j])
-          << "X0 code out of domain at (" << i << "," << j << ")";
-      const int64_t c = offsets.fb[j] + row[j] - 1;
-      ++basic_sizes_[c];
-      basic_error_sums_[c] += e;
-      if (e > basic_max_errors_[c]) basic_max_errors_[c] = e;
-    }
+    grid_.Add(e);
   }
   n_ = end;
   words_ = linalg::BitmapWords(n_);
+  // Feature groups own disjoint columns, so every column's chain runs over
+  // its rows in ascending order however the features are split.
+  const int64_t groups =
+      (end - begin) * m >= kParallelStatsCells
+          ? std::min<int64_t>(
+                m, static_cast<int64_t>(GlobalThreadPool().num_threads()))
+          : 1;
+  if (groups > 1) {
+    auto group = [&](size_t g) {
+      const int64_t first = static_cast<int64_t>(g) * m / groups;
+      const int64_t last = static_cast<int64_t>(g + 1) * m / groups;
+      AccumulateColumns(begin, end, first, last);
+    };
+    GlobalThreadPool().ParallelFor(static_cast<size_t>(groups), group);
+  } else {
+    AccumulateColumns(begin, end, 0, m);
+  }
+  has_planes_ = has_planes_ && grid_.exact() &&
+                grid_.planes() <= kMaxErrorPlanes;
+  if (has_planes_) {
+    FillPlanes(begin, end);
+  } else {
+    planes_.clear();
+    plane_words_.clear();
+  }
+}
+
+void ColumnStore::AccumulateColumns(int64_t begin, int64_t end,
+                                    int64_t feature_begin,
+                                    int64_t feature_end) {
+  if (feature_begin == feature_end) return;
+  const IntMatrix& x0 = *x0_;
+  const FeatureOffsets& offsets = *offsets_;
+  const std::vector<double>& errors = *errors_;
+  // Private copies of the group's columns: a small feature's columns share
+  // cache lines with its neighbour's, which another group would write on
+  // every row. Each chain still starts from the stored value, so Extend
+  // continues it.
+  const int64_t col_begin = offsets.fb[feature_begin];
+  const int64_t col_end = offsets.fe[feature_end - 1];
+  std::vector<int64_t> sizes(basic_sizes_.begin() + col_begin,
+                             basic_sizes_.begin() + col_end);
+  std::vector<double> sums(basic_error_sums_.begin() + col_begin,
+                           basic_error_sums_.begin() + col_end);
+  std::vector<double> maxes(basic_max_errors_.begin() + col_begin,
+                            basic_max_errors_.begin() + col_end);
+  for (int64_t i = begin; i < end; ++i) {
+    const int32_t* row = x0.row(i);
+    const double e = errors[static_cast<size_t>(i)];
+    for (int64_t j = feature_begin; j < feature_end; ++j) {
+      SLICELINE_CHECK(row[j] >= 1 && row[j] <= offsets.fdom[j])
+          << "X0 code out of domain at (" << i << "," << j << ")";
+      const int64_t c = offsets.fb[j] + row[j] - 1 - col_begin;
+      ++sizes[c];
+      sums[c] += e;
+      if (e > maxes[c]) maxes[c] = e;
+    }
+  }
+  std::copy(sizes.begin(), sizes.end(), basic_sizes_.begin() + col_begin);
+  std::copy(sums.begin(), sums.end(), basic_error_sums_.begin() + col_begin);
+  std::copy(maxes.begin(), maxes.end(),
+            basic_max_errors_.begin() + col_begin);
+}
+
+void ColumnStore::FillPlanes(int64_t begin, int64_t end) {
+  const int low = grid_.low_exponent();
+  if (!planes_.empty() && planes_low_ > low) {
+    // The new rows refined the unit: k of every earlier row doubled once per
+    // step, which moves each plane up as many places.
+    planes_.insert(planes_.begin(), static_cast<size_t>(planes_low_ - low),
+                   std::vector<uint64_t>());
+  }
+  planes_low_ = low;
+  planes_.resize(static_cast<size_t>(grid_.planes()));
+  plane_words_.clear();
+  for (std::vector<uint64_t>& plane : planes_) {
+    plane.resize(static_cast<size_t>(words_), 0);
+    plane_words_.push_back(plane.data());
+  }
+  const std::vector<double>& errors = *errors_;
+  // Exact: the grid test passed, so e / u is an integer below 2^53 (and
+  // 1 / u is a double unless u is subnormal).
+  const double inverse_unit = low >= -1022 ? std::ldexp(1.0, -low) : 0.0;
+  for (int64_t i = begin; i < end; ++i) {
+    const double e = errors[static_cast<size_t>(i)];
+    if (e == 0.0) continue;
+    uint64_t k = static_cast<uint64_t>(
+        inverse_unit != 0.0 ? e * inverse_unit : std::ldexp(e, -low));
+    const uint64_t bit = uint64_t{1} << (i & 63);
+    for (; k != 0; k &= k - 1) {
+      planes_[static_cast<size_t>(std::countr_zero(k))]
+             [static_cast<size_t>(i >> 6)] |= bit;
+    }
+  }
+  planes_view_ = {plane_words_.data(), static_cast<int32_t>(planes_.size()),
+                  grid_.unit()};
 }
 
 void ColumnStore::SetBits(int64_t begin, int64_t end,

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -501,10 +502,70 @@ const SimdKernels& KernelsFor(SimdIsa isa) {
 
 const SimdKernels& ActiveKernels() { return KernelsFor(SelectedIsa()); }
 
+void AccumulatePlaneStats(const SimdKernels& kernels, const uint64_t* mask,
+                          int64_t mask_count, int64_t words,
+                          const double* errors, const ErrorPlanes& planes,
+                          int64_t first_word, uint64_t* scratch,
+                          PlaneStats* acc) {
+  if (mask_count == 0) return;
+  SLICELINE_DCHECK(planes.count <= 62);
+  acc->count += mask_count;
+  // A plane costs a popcount per word, the float chain a branchy step per
+  // set bit; the vector popcounts are ~16x cheaper than the scalar one.
+  // Sparse masks therefore take the chain, whose sum and maximum are exact
+  // multiples of the unit, so dividing by it recovers the same integers.
+  const int64_t bit_weight = kernels.isa == SimdIsa::kScalar ? 1 : 16;
+  if (mask_count * bit_weight < planes.count * words) {
+    MaskedStats chain;
+    kernels.masked_stats(mask, words, errors, &chain);
+    acc->units += static_cast<int64_t>(chain.sum / planes.unit);
+    acc->max_units = std::max(acc->max_units,
+                              static_cast<int64_t>(chain.max / planes.unit));
+    return;
+  }
+  // hit: planes with at least one row of the mask; the largest k in the
+  // mask is at most hit's value.
+  int64_t hit = 0;
+  for (int32_t b = 0; b < planes.count; ++b) {
+    const int64_t ones =
+        kernels.and_popcount(mask, planes.planes[b] + first_word, words);
+    acc->units += ones << b;
+    if (ones != 0) hit |= int64_t{1} << b;
+  }
+  if (hit <= acc->max_units) return;
+  // Top-down walk: `rows` keeps the mask rows whose k agrees with `best` on
+  // every plane walked so far; a lower plane joins `best` iff one of them
+  // has it. The intersection with the top plane is built lazily, so a
+  // single-plane hit (0/1 errors) never touches the scratch.
+  int b = std::bit_width(static_cast<uint64_t>(hit)) - 1;
+  int64_t best = int64_t{1} << b;
+  const uint64_t* top = planes.planes[b] + first_word;
+  uint64_t* rows = nullptr;
+  uint64_t* spare = scratch;
+  for (--b; b >= 0; --b) {
+    if ((hit >> b & 1) == 0) continue;
+    const int64_t reachable = best | (hit & ((int64_t{2} << b) - 1));
+    if (reachable <= acc->max_units) return;
+    if (rows == nullptr) {
+      const uint64_t* pair[2] = {mask, top};
+      kernels.intersect_columns(pair, 2, spare, words);
+      rows = spare;
+      spare = scratch + words;
+    }
+    const uint64_t* pair[2] = {rows, planes.planes[b] + first_word};
+    if (kernels.intersect_columns(pair, 2, spare, words) != 0) {
+      best |= int64_t{1} << b;
+      std::swap(rows, spare);
+    }
+  }
+  acc->max_units = std::max(acc->max_units, best);
+}
+
 void EvaluateCandidatesBlocked(const SimdKernels& kernels,
                                const CandidateColumns* candidates,
                                int64_t count, int64_t words,
-                               const double* errors, double* sizes,
+                               const double* errors,
+                               const ErrorPlanes* planes, double* sizes,
                                double* error_sums, double* max_errors) {
   // Tile shape: 2048 words (16 KiB per bitmap slice) keeps a candidate
   // tile's distinct column slices plus the intersection scratch inside L2;
@@ -517,44 +578,67 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
   for (int64_t c = 0; c < count; ++c) {
     max_len = std::max(max_len, candidates[c].len);
   }
-  std::vector<uint64_t> scratch(
-      static_cast<size_t>(std::min(words, kWordTile)));
+  const size_t tile_words = static_cast<size_t>(std::min(words, kWordTile));
+  // The intersection, then the plane walk's two buffers.
+  std::vector<uint64_t> scratch(planes != nullptr ? 3 * tile_words
+                                                  : tile_words);
   std::vector<const uint64_t*> shifted(static_cast<size_t>(max_len));
   // One running accumulator per candidate of the current tile, carried
-  // across word tiles: each candidate sees ONE continuous ascending-row add
-  // sequence, bit-identical to an unblocked scan. (Summing per-tile partial
-  // sums instead would round differently once the row space spans tiles.)
-  std::vector<MaskedStats> acc(static_cast<size_t>(
-      std::min(count, kCandidateTile)));
+  // across word tiles. Without planes each candidate sees ONE continuous
+  // ascending-row add sequence, bit-identical to an unblocked scan
+  // (summing per-tile partial sums instead would round differently once
+  // the row space spans tiles); plane counts are integers, so their tile
+  // order does not matter.
+  const size_t tile_candidates =
+      static_cast<size_t>(std::min(count, kCandidateTile));
+  std::vector<MaskedStats> acc(planes != nullptr ? 0 : tile_candidates);
+  std::vector<PlaneStats> plane_acc(planes != nullptr ? tile_candidates : 0);
 
   for (int64_t c0 = 0; c0 < count; c0 += kCandidateTile) {
     const int64_t c1 = std::min(count, c0 + kCandidateTile);
     std::fill(acc.begin(), acc.end(), MaskedStats{});
+    std::fill(plane_acc.begin(), plane_acc.end(), PlaneStats{});
     for (int64_t w0 = 0; w0 < words; w0 += kWordTile) {
-      const int64_t tile_words = std::min(words - w0, kWordTile);
-      const double* tile_errors = errors + w0 * 64;
+      const int64_t span = std::min(words - w0, kWordTile);
       for (int64_t c = c0; c < c1; ++c) {
         const CandidateColumns& cand = candidates[c];
         SLICELINE_DCHECK(cand.len >= 1);
         const uint64_t* mask;
+        int64_t ones = -1;  // popcount(mask), when already known
         if (cand.len == 1) {
           mask = cand.cols[0] + w0;
         } else {
           for (int32_t k = 0; k < cand.len; ++k) {
             shifted[k] = cand.cols[k] + w0;
           }
-          if (kernels.intersect_columns(shifted.data(), cand.len,
-                                        scratch.data(), tile_words) == 0) {
-            continue;
-          }
+          ones = kernels.intersect_columns(shifted.data(), cand.len,
+                                           scratch.data(), span);
+          if (ones == 0) continue;
           mask = scratch.data();
         }
-        kernels.masked_stats(mask, tile_words, tile_errors,
-                             &acc[static_cast<size_t>(c - c0)]);
+        if (planes != nullptr) {
+          if (ones < 0) ones = kernels.popcount(mask, span);
+          AccumulatePlaneStats(kernels, mask, ones, span, errors + w0 * 64,
+                               *planes, w0, scratch.data() + tile_words,
+                               &plane_acc[static_cast<size_t>(c - c0)]);
+        } else {
+          kernels.masked_stats(mask, span, errors + w0 * 64,
+                               &acc[static_cast<size_t>(c - c0)]);
+        }
       }
     }
     for (int64_t c = c0; c < c1; ++c) {
-      const MaskedStats& stats = acc[static_cast<size_t>(c - c0)];
+      MaskedStats stats;
+      if (planes != nullptr) {
+        // units < 2^53, so both conversions and the power-of-two scaling
+        // are exact: the same doubles the ascending chain produces.
+        const PlaneStats& exact = plane_acc[static_cast<size_t>(c - c0)];
+        stats.count = exact.count;
+        stats.sum = static_cast<double>(exact.units) * planes->unit;
+        stats.max = static_cast<double>(exact.max_units) * planes->unit;
+      } else {
+        stats = acc[static_cast<size_t>(c - c0)];
+      }
       sizes[c] += static_cast<double>(stats.count);
       error_sums[c] += stats.sum;
       if (stats.max > max_errors[c]) max_errors[c] = stats.max;

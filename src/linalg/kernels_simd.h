@@ -46,13 +46,33 @@ void ClearForcedIsa();
 
 /// Masked reduction output: count/sum/max of the error vector over the set
 /// rows of a mask. `sum` accumulates in ascending row order (the same order
-/// as the scalar kernels and the inverted-list evaluator), which is what
-/// keeps top-K results bit-identical across ISA levels and evaluation
-/// strategies. `max` is 0 when the mask is empty (errors are >= 0).
+/// at every ISA level), which is what keeps top-K results bit-identical
+/// across ISA levels and tilings on errors that are not exactly summable.
+/// `max` is 0 when the mask is empty (errors are >= 0).
 struct MaskedStats {
   int64_t count = 0;
   double sum = 0.0;
   double max = 0.0;
+};
+
+/// Error bit-planes of an exactly summable error vector (built by
+/// data::ColumnStore): errors[r] == unit * k_r, where bit b of the
+/// non-negative integer k_r is bit r of planes[b], in the bitmap word
+/// layout. The store guarantees that the k_r of all rows sum to less than
+/// 2^53, so every partial error sum, in any order, is exact; the plane
+/// statistics below are therefore bit-identical to the ascending chain.
+struct ErrorPlanes {
+  const uint64_t* const* planes = nullptr;
+  int32_t count = 0;
+  double unit = 1.0;
+};
+
+/// Exact masked statistics in units of ErrorPlanes::unit: the row count,
+/// the sum of k over the rows, and their maximum k (0 when empty).
+struct PlaneStats {
+  int64_t count = 0;
+  int64_t units = 0;
+  int64_t max_units = 0;
 };
 
 /// One evaluation candidate: the packed column bitmaps of its predicates.
@@ -67,7 +87,9 @@ struct CandidateColumns {
 /// kScalar table on identical inputs: counts are integer popcounts, word
 /// outputs are identical bit patterns, and masked sums add in ascending row
 /// order at every level (the vector units accelerate the AND/popcount and
-/// zero-word skipping, never the float accumulation order).
+/// zero-word skipping, never the float accumulation order). The ascending
+/// order is what pins results for errors without ErrorPlanes; with planes
+/// the error sums are integer popcounts too.
 struct SimdKernels {
   SimdIsa isa;
   /// dst[w] &= src[w] for w in [0, words).
@@ -90,6 +112,9 @@ struct SimdKernels {
   /// returning a fresh one) is what lets the cache-blocked candidate loop
   /// keep ONE continuous add sequence per candidate across word tiles —
   /// sum-of-tile-sums rounds differently, an extended accumulation does not.
+  /// This ordering matters only for errors without ErrorPlanes; on exactly
+  /// summable errors every order gives the same sum, and the evaluation
+  /// loops use AccumulatePlaneStats instead.
   void (*masked_stats)(const uint64_t* mask, int64_t words,
                        const double* errors, MaskedStats* acc);
 };
@@ -100,18 +125,37 @@ const SimdKernels& KernelsFor(SimdIsa isa);
 /// Kernel table of SelectedIsa().
 const SimdKernels& ActiveKernels();
 
+/// Folds the rows of `mask` into *acc using the error planes: count +=
+/// mask_count, units += sum over planes b of 2^b * popcount(mask & P_b),
+/// max_units = max(max_units, largest k in the mask), the latter by a
+/// top-down plane walk that stops once it cannot beat acc->max_units. A
+/// mask too sparse to pay for a popcount per plane word instead runs
+/// masked_stats over `errors` (which then covers the mask's rows) and
+/// divides by the unit, exactly. `mask` covers row words
+/// [first_word, first_word + words) of the planes and `mask_count` must
+/// equal its popcount; `scratch` holds 2 * words words. Integer sums, so
+/// the result does not depend on how the row space is cut.
+void AccumulatePlaneStats(const SimdKernels& kernels, const uint64_t* mask,
+                          int64_t mask_count, int64_t words,
+                          const double* errors, const ErrorPlanes& planes,
+                          int64_t first_word, uint64_t* scratch,
+                          PlaneStats* acc);
+
 /// Evaluates `count` candidates over a `words`-word row space with the
 /// given kernel table, accumulating into sizes/error_sums/max_errors
 /// (+=/max, so outputs must be zero-initialized by the caller). The loop is
 /// cache-blocked: candidates x row-words are tiled so the bitmap slices of
 /// a candidate tile stay resident in L2 while its candidates intersect
 /// them, instead of streaming every full-length bitmap once per candidate.
-/// Accumulation order over row tiles is ascending, so results are
-/// bit-identical to an unblocked ascending scan.
+/// With `planes` (non-null) the statistics are exact integer plane counts
+/// (AccumulatePlaneStats) scaled by planes->unit once per candidate;
+/// without, every candidate's errors add in one ascending-row chain carried
+/// across row tiles. Both are bit-identical to an unblocked ascending scan.
 void EvaluateCandidatesBlocked(const SimdKernels& kernels,
                                const CandidateColumns* candidates,
                                int64_t count, int64_t words,
-                               const double* errors, double* sizes,
+                               const double* errors,
+                               const ErrorPlanes* planes, double* sizes,
                                double* error_sums, double* max_errors);
 
 }  // namespace sliceline::linalg

@@ -107,6 +107,10 @@ StatusOr<std::shared_ptr<Job>> Scheduler::Submit(JobSpec spec) {
           std::to_string(options_.max_queue) + " in flight)");
     }
     job->id = next_job_id_++;
+    if (spec.dataset != nullptr) {
+      job->dataset_name = spec.dataset->name;
+      job->feature_names = spec.dataset->dataset.feature_names;
+    }
     job->spec = std::move(spec);
     if (options_.fleet_tracing) job->trace_id = NewTraceId(job->id);
     ++queued_;
@@ -146,7 +150,8 @@ void Scheduler::Execute(const std::shared_ptr<Job>& job) {
     std::lock_guard<std::mutex> lock(job->mutex);
     if (job->state == JobState::kCancelled) {
       // Cancelled while queued; the cancel path already did the
-      // bookkeeping, this closure just retires.
+      // bookkeeping, this closure just retires and unpins the dataset.
+      job->spec.dataset.reset();
       return;
     }
     job->state = JobState::kRunning;
@@ -227,10 +232,10 @@ void Scheduler::BuildJobArtifacts(const Job& job, JobState terminal,
   obs::RunReport report;
   report.set_tool("sliceline_server");
   report.set_engine(job.spec.engine);
-  report.set_dataset(job.spec.dataset->name);
+  report.set_dataset(job.dataset_name);
   report.SetConfig(job.spec.config);
   if (terminal == JobState::kDone) {
-    report.SetResult(result, job.spec.dataset->dataset.feature_names);
+    report.SetResult(result, job.feature_names);
   }
   report.AddAnnotation("job_id", std::to_string(job.id));
   report.AddAnnotation("job_state", JobStateName(terminal));
@@ -315,6 +320,9 @@ void Scheduler::FinishJob(const std::shared_ptr<Job>& job, JobState terminal,
     job->result = std::move(result);
     job->report_json = std::move(report_json);
     job->trace_json = std::move(trace_json);
+    // The run and its artifacts are done with the snapshot; holding it
+    // would keep every appended-over version alive for the job's lifetime.
+    job->spec.dataset.reset();
     job->state = terminal;
     --running_;
     if (terminal == JobState::kDone) {
@@ -389,8 +397,7 @@ bool Scheduler::HasActiveJobsForDataset(const std::string& name) const {
     for (const auto& [id, job] : jobs_) snapshot.push_back(job);
   }
   for (const std::shared_ptr<Job>& job : snapshot) {
-    if (job->spec.dataset != nullptr && job->spec.dataset->name == name &&
-        !job->Terminal()) {
+    if (job->dataset_name == name && !job->Terminal()) {
       return true;
     }
   }

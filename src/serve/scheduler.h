@@ -31,6 +31,8 @@ using RemoteEngineFn = std::function<StatusOr<core::SliceLineResult>(
 /// What one find_slices job runs: the (immutable, shared) dataset, the
 /// engine, the fully resolved config, and the per-job resource envelope.
 struct JobSpec {
+  /// Pinned until the job finishes (the scheduler then drops it, so an
+  /// appended-over snapshot is freed once no job runs on it).
   std::shared_ptr<const RegisteredDataset> dataset;
   std::string engine = "native";  ///< "native" | "la" | "remote"
   core::SliceLineConfig config;
@@ -61,6 +63,11 @@ struct Job {
   /// worker side) carries it, and the merged timeline keys off it.
   /// Immutable after Submit.
   uint64_t trace_id = 0;
+  /// The dataset's name and feature names, copied at Submit and immutable
+  /// after it: status polls, reports and the unregister check read these,
+  /// never spec.dataset, which FinishJob releases.
+  std::string dataset_name;
+  std::vector<std::string> feature_names;
   RunContext run_context;  ///< cancellation + deadline + budget for the run
   /// Owned per-job budget when the spec overrides the shared one.
   std::unique_ptr<MemoryBudget> own_budget;

@@ -449,8 +449,7 @@ std::string Server::HandleGetStatus(const Request& request) {
   writer.Double(job->run_seconds);
   if (job->state == JobState::kDone) {
     writer.Key("result");
-    WriteResultJson(&writer, job->result,
-                    job->spec.dataset->dataset.feature_names);
+    WriteResultJson(&writer, job->result, job->feature_names);
   } else if (job->state == JobState::kFailed) {
     writer.Key("error");
     writer.BeginObject();

@@ -1,5 +1,6 @@
 #include "stream/stream_finder.h"
 
+#include <bit>
 #include <utility>
 
 #include "core/sliceline.h"
@@ -105,7 +106,10 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
   const int64_t n = store.n();
   columns.Materialize(set.Columns(0), set.total_columns(), config.parallel);
   const int64_t total_words = columns.words();
-  owner->scratch_.resize(static_cast<size_t>(total_words));
+  // The intersection, plus the plane walk's two buffers when there are
+  // planes.
+  owner->scratch_.resize(static_cast<size_t>(
+      (columns.error_planes() != nullptr ? 3 : 1) * total_words));
   StreamFindStats& stats = owner->find_stats_;
 
   for (int64_t i = 0; i < set.size(); ++i) {
@@ -142,17 +146,17 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
       if (untouched) {
         ++stats.candidates_cached;
       } else {
-        // Continue the cached float chain over rows [start, n) — or run it
-        // from row 0 on a miss. Both use the same ascending-row kernels as
-        // the plain evaluator, so the chain is bit-identical to a
-        // from-scratch evaluation over the concatenated data.
-        linalg::MaskedStats acc;
+        // Continue the cached statistics over rows [start, n) -- or start
+        // them at row 0 on a miss. Without error planes this continues the
+        // cached float chain with the plain evaluator's ascending-row
+        // kernel; with planes the delta is an exact plane count, and adding
+        // it to the (equally exact) cached sum gives the same double. Either
+        // way the result is bit-identical to a from-scratch evaluation over
+        // the concatenated data.
         if (have_entry) {
-          acc.count = cached.count;
-          acc.sum = cached.sum;
-          acc.max = cached.max;
           ++stats.candidates_delta;
         } else {
+          cached = CachedStats{};
           start = 0;
           ++stats.candidates_full;
         }
@@ -164,18 +168,34 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
               columns.Column(cols[c]) + w0;
         }
         uint64_t* dst = owner->scratch_.data();
-        kernels.intersect_columns(owner->column_arena_.data(),
-                                  static_cast<int32_t>(len), dst, span);
+        int64_t ones = kernels.intersect_columns(
+            owner->column_arena_.data(), static_cast<int32_t>(len), dst,
+            span);
         if ((start & 63) != 0) {
-          // Rows [w0*64, start) are already folded into the cached chain;
-          // mask them out of the shared boundary word.
-          dst[0] &= ~0ULL << (start & 63);
+          // Rows [w0*64, start) are already folded into the cached
+          // statistics; mask them out of the shared boundary word.
+          const uint64_t keep = ~0ULL << (start & 63);
+          ones -= std::popcount(dst[0] & ~keep);
+          dst[0] &= keep;
         }
-        kernels.masked_stats(dst, span, store.errors().data() + (w0 << 6),
-                             &acc);
-        cached.count = acc.count;
-        cached.sum = acc.sum;
-        cached.max = acc.max;
+        if (const linalg::ErrorPlanes* planes = columns.error_planes()) {
+          linalg::PlaneStats delta;
+          linalg::AccumulatePlaneStats(
+              kernels, dst, ones, span, store.errors().data() + (w0 << 6),
+              *planes, w0, dst + total_words, &delta);
+          cached.count += delta.count;
+          cached.sum += static_cast<double>(delta.units) * planes->unit;
+          const double delta_max =
+              static_cast<double>(delta.max_units) * planes->unit;
+          if (delta_max > cached.max) cached.max = delta_max;
+        } else {
+          linalg::MaskedStats acc{cached.count, cached.sum, cached.max};
+          kernels.masked_stats(dst, span,
+                               store.errors().data() + (w0 << 6), &acc);
+          cached.count = acc.count;
+          cached.sum = acc.sum;
+          cached.max = acc.max;
+        }
       }
       cached.prefix = n;
       if (have_entry) {

@@ -86,7 +86,8 @@ class StreamingSliceFinder {
   /// EvaluatorBackend that continues cached per-candidate chains over the
   /// appended suffix using the bit-packed SIMD kernels on the store's
   /// column bitmaps. Its float chains are the plain evaluator's kBitset
-  /// chains, so it is bit-compatible with kBitset.
+  /// chains, and with error planes it adds the suffix's exact plane counts
+  /// as kBitset does, so it is bit-compatible with kBitset.
   class StreamEvaluator : public core::EvaluatorBackend {
    public:
     explicit StreamEvaluator(StreamingSliceFinder* owner) : owner_(owner) {}

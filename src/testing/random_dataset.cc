@@ -196,12 +196,21 @@ void RandomDatasetGenerator::FillErrors(FuzzCase* fuzz_case, int profile) {
       break;
     }
     default: {
-      // Mixed-magnitude continuous errors with a random zero fraction.
+      // Mixed-magnitude errors with a random zero fraction, from one of
+      // three families picked by the case seed (so the draws, and the
+      // config sampled after them, stay put): 0/1 inaccuracy and a dyadic
+      // grid, which the column store sums exactly over its error planes,
+      // and arbitrary doubles, which keep the ascending chain.
+      const uint64_t family = fuzz_case->seed % 3;
+      const int grid_bits = 1 + static_cast<int>(fuzz_case->seed / 3 % 6);
+      const double grid = std::ldexp(1.0, grid_bits);
       const double zero_fraction = rng_.NextDouble(0.0, 0.8);
       for (int64_t i = 0; i < n; ++i) {
         if (rng_.NextBool(zero_fraction)) continue;
         double e = rng_.NextDouble();
         if (rng_.NextBool(0.1)) e *= 100.0;  // occasional outlier
+        if (family == 0) e = e >= 0.5 ? 1.0 : 0.0;
+        if (family == 1) e = std::round(e * grid) / grid;
         errors[i] = e;
       }
       break;

@@ -1,13 +1,18 @@
 // Tests of the column store: packed column bitmaps against their inverted
 // lists, lazy materialization of requested columns only, level-1
-// statistics against a row-scan reference, appends continuing both, and
-// concurrent fills through the evaluator.
+// statistics against a row-scan reference (at any pool size), appends
+// continuing both, concurrent fills through the evaluator, and the
+// exactly-summable error test with its error planes.
 #include "data/column_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,6 +20,7 @@
 #include "core/evaluator.h"
 #include "data/generators/generators.h"
 #include "linalg/bitmap.h"
+#include "linalg/kernels_simd.h"
 
 namespace sliceline::data {
 namespace {
@@ -54,6 +60,39 @@ linalg::Bitmap InvertedList(const IntMatrix& x0, const FeatureOffsets& offsets,
 bool SameWords(const uint64_t* a, const uint64_t* b, int64_t words) {
   return std::memcmp(a, b, static_cast<size_t>(words) * sizeof(uint64_t)) ==
          0;
+}
+
+bool SameDoubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Rebuilds every row's error from the store's planes: unit * sum of 2^b
+/// over the planes whose bit is set.
+std::vector<double> ErrorsFromPlanes(const ColumnStore& store) {
+  const linalg::ErrorPlanes* planes = store.error_planes();
+  std::vector<double> out(static_cast<size_t>(store.rows()), 0.0);
+  for (int64_t r = 0; r < store.rows(); ++r) {
+    uint64_t k = 0;
+    for (int32_t b = 0; b < planes->count; ++b) {
+      k |= ((planes->planes[b][r >> 6] >> (r & 63)) & 1) << b;
+    }
+    out[static_cast<size_t>(r)] = static_cast<double>(k) * planes->unit;
+  }
+  return out;
+}
+
+/// Every pair of columns from different features, as a slice set.
+core::SliceSet AllPairs(const FeatureOffsets& offsets) {
+  core::SliceSet set;
+  for (int64_t a = 0; a < offsets.total; ++a) {
+    for (int64_t b = a + 1; b < offsets.total; ++b) {
+      if (offsets.FeatureOfColumn(a) != offsets.FeatureOfColumn(b)) {
+        set.Add({a, b});
+      }
+    }
+  }
+  return set;
 }
 
 TEST(ColumnBitmapsTest, BuildPacksInvertedList) {
@@ -232,6 +271,295 @@ TEST(ColumnStoreTest, ExtendContinuesStatsAndBuiltColumns) {
     EXPECT_TRUE(
         SameWords(store.Column(c), one_shot.Column(c), store.words()))
         << c;
+  }
+}
+
+TEST(ColumnStoreTest, LevelOneStatsAreEqualAtAnyPoolSize) {
+  // Enough codes for the feature-parallel pass, and errors that are not
+  // exactly summable, so a reordered chain would show in the last bits.
+  const int64_t n = 40000;
+  const IntMatrix x0 = RandomCodes(15, n, {4, 9, 3, 7, 5, 2, 8, 6});
+  const FeatureOffsets offsets = ComputeOffsets(x0);
+  const std::vector<double> errors = RandomErrors(16, n);
+  ResizeGlobalThreadPoolForTesting(1);
+  const ColumnStore serial(x0, offsets, errors);
+  ResizeGlobalThreadPoolForTesting(4);
+  const ColumnStore parallel(x0, offsets, errors);
+  ResizeGlobalThreadPoolForTesting(0);
+  EXPECT_EQ(serial.error_planes(), nullptr);
+  EXPECT_EQ(parallel.basic_sizes(), serial.basic_sizes());
+  EXPECT_TRUE(SameDoubles(parallel.basic_error_sums(),
+                          serial.basic_error_sums()));
+  EXPECT_TRUE(SameDoubles(parallel.basic_max_errors(),
+                          serial.basic_max_errors()));
+  EXPECT_EQ(parallel.total_error(), serial.total_error());
+}
+
+TEST(ColumnStoreTest, ZeroOneErrorsGetOnePlane) {
+  const IntMatrix x0 = RandomCodes(17, 300, {3, 4});
+  const FeatureOffsets offsets = ComputeOffsets(x0);
+  Rng rng(18);
+  std::vector<double> errors(300);
+  for (double& e : errors) e = rng.NextBool(0.3) ? 1.0 : 0.0;
+  const ColumnStore store(x0, offsets, errors);
+  const linalg::ErrorPlanes* planes = store.error_planes();
+  ASSERT_NE(planes, nullptr);
+  EXPECT_EQ(planes->count, 1);
+  EXPECT_EQ(planes->unit, 1.0);
+  EXPECT_EQ(ErrorsFromPlanes(store), errors);
+}
+
+TEST(ColumnStoreTest, DyadicGridGetsSeveralPlanes) {
+  const IntMatrix x0 = RandomCodes(19, 130, {3, 4});
+  const FeatureOffsets offsets = ComputeOffsets(x0);
+  Rng rng(20);
+  std::vector<double> errors(130);
+  for (double& e : errors) e = 0.25 * static_cast<double>(rng.NextInt(0, 12));
+  errors[7] = 0.25;  // the finest step occurs
+  errors[9] = 3.0;   // k = 12 needs four planes
+  const ColumnStore store(x0, offsets, errors);
+  const linalg::ErrorPlanes* planes = store.error_planes();
+  ASSERT_NE(planes, nullptr);
+  EXPECT_EQ(planes->unit, 0.25);
+  EXPECT_EQ(planes->count, 4);
+  EXPECT_EQ(ErrorsFromPlanes(store), errors);
+}
+
+TEST(ColumnStoreTest, OffGridErrorsKeepTheChain) {
+  const IntMatrix x0 = RandomCodes(21, 100, {3, 4});
+  const FeatureOffsets offsets = ComputeOffsets(x0);
+  std::vector<double> errors(100, 0.0);
+  errors[3] = 1.0;
+  errors[50] = 0.1;  // no power of two divides 0.1 into few planes
+  EXPECT_EQ(ColumnStore(x0, offsets, errors).error_planes(), nullptr);
+}
+
+TEST(ColumnStoreTest, AllZeroErrorsHaveNoPlanesToCount) {
+  const IntMatrix x0 = RandomCodes(22, 100, {3, 4});
+  const FeatureOffsets offsets = ComputeOffsets(x0);
+  const std::vector<double> errors(100, 0.0);
+  const ColumnStore store(x0, offsets, errors);
+  ASSERT_NE(store.error_planes(), nullptr);
+  EXPECT_EQ(store.error_planes()->count, 0);
+}
+
+TEST(ColumnStoreTest, TooManyPlanesKeepTheChain) {
+  const IntMatrix x0 = RandomCodes(23, 100, {3, 4});
+  const FeatureOffsets offsets = ComputeOffsets(x0);
+  std::vector<double> errors(100, 1.0);
+  // k = 2^(kMaxErrorPlanes-1) still fits; one more bit does not.
+  errors[5] = std::ldexp(1.0, ColumnStore::kMaxErrorPlanes - 1);
+  const ColumnStore widest(x0, offsets, errors);
+  ASSERT_NE(widest.error_planes(), nullptr);
+  EXPECT_EQ(widest.error_planes()->count, ColumnStore::kMaxErrorPlanes);
+  errors[5] = std::ldexp(1.0, ColumnStore::kMaxErrorPlanes);
+  EXPECT_EQ(ColumnStore(x0, offsets, errors).error_planes(), nullptr);
+}
+
+TEST(ErrorGridTest, SumMustStayBelowTwoToThe53Units) {
+  // With u = 0.5: k = 2^51, 2^51, 2^51, then 2^51 - 1 sums to 2^53 - 1.
+  for (double unit : {1.0, 0.5}) {
+    ErrorGrid grid;
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(grid.Add(std::ldexp(unit, 51)));
+    EXPECT_TRUE(grid.Add((std::ldexp(1.0, 51) - 1.0) * unit));
+    EXPECT_EQ(grid.units(), (uint64_t{1} << 53) - 1);
+    EXPECT_EQ(grid.unit(), unit);
+    EXPECT_EQ(grid.planes(), 52);
+    EXPECT_TRUE(grid.Add(0.0));
+    EXPECT_FALSE(grid.Add(unit)) << "sum 2^53 units";
+    EXPECT_FALSE(grid.exact());
+    EXPECT_FALSE(grid.Add(0.0)) << "once inexact, always inexact";
+  }
+}
+
+TEST(ErrorGridTest, FinerUnitRescalesEarlierErrors) {
+  ErrorGrid grid;
+  EXPECT_TRUE(grid.Add(std::ldexp(1.0, 52)));  // u = 2^52, k = 1
+  EXPECT_EQ(grid.unit(), std::ldexp(1.0, 52));
+  EXPECT_TRUE(grid.Add(1.0));  // u = 1: k = 2^52 and 1
+  EXPECT_EQ(grid.unit(), 1.0);
+  EXPECT_EQ(grid.units(), (uint64_t{1} << 52) + 1);
+  EXPECT_EQ(grid.planes(), 53);
+  EXPECT_FALSE(grid.Add(std::ldexp(1.0, 52)));  // 2^53 + 1 units
+  // A refinement that alone pushes the sum past 2^53 units fails too.
+  ErrorGrid coarse;
+  EXPECT_TRUE(coarse.Add(2.0));
+  EXPECT_FALSE(coarse.Add(std::ldexp(1.0, -60)));
+  // 0.1 alone is one k on a fine grid; next to 1.0 it needs k >= 2^53.
+  ErrorGrid tenth;
+  EXPECT_TRUE(tenth.Add(0.1));
+  EXPECT_FALSE(tenth.Add(1.0));
+  EXPECT_FALSE(ErrorGrid().Add(std::numeric_limits<double>::infinity()));
+  EXPECT_TRUE(ErrorGrid().Add(std::numeric_limits<double>::denorm_min()));
+}
+
+TEST(ColumnStoreTest, ExtendOnGridEqualsOneShotBuild) {
+  const IntMatrix full = RandomCodes(24, 700, {3, 5});
+  Rng rng(25);
+  std::vector<double> full_errors(700, 0.0);
+  // Rows [0, 100) are all zero, [100, 400) multiples of 1, [400, 700)
+  // multiples of 0.125: the appends first create the planes, then refine
+  // the unit and move them up.
+  for (int64_t i = 100; i < 700; ++i) {
+    const double step = i < 400 ? 1.0 : 0.125;
+    full_errors[static_cast<size_t>(i)] =
+        step * static_cast<double>(rng.NextInt(0, 5));
+  }
+  const FeatureOffsets offsets = ComputeOffsets(full);
+  const ColumnStore one_shot(full, offsets, full_errors);
+  ASSERT_NE(one_shot.error_planes(), nullptr);
+
+  IntMatrix x0(0, full.cols());
+  std::vector<double> errors;
+  auto append = [&](int64_t begin, int64_t end) {
+    IntMatrix rows(end - begin, full.cols());
+    for (int64_t i = begin; i < end; ++i) {
+      for (int64_t j = 0; j < full.cols(); ++j) {
+        rows.At(i - begin, j) = full.At(i, j);
+      }
+      errors.push_back(full_errors[static_cast<size_t>(i)]);
+    }
+    x0.AppendRows(rows);
+  };
+  append(0, 100);
+  ColumnStore store(x0, offsets, errors);
+  ASSERT_NE(store.error_planes(), nullptr);
+  EXPECT_EQ(store.error_planes()->count, 0);
+  for (const auto& [begin, end] :
+       {std::pair<int64_t, int64_t>{100, 400}, {400, 650}, {650, 700}}) {
+    append(begin, end);
+    store.Extend();
+    ASSERT_NE(store.error_planes(), nullptr) << end;
+    EXPECT_EQ(ErrorsFromPlanes(store), errors) << end;
+  }
+  const linalg::ErrorPlanes& got = *store.error_planes();
+  const linalg::ErrorPlanes& want = *one_shot.error_planes();
+  EXPECT_EQ(got.unit, want.unit);
+  ASSERT_EQ(got.count, want.count);
+  for (int32_t b = 0; b < got.count; ++b) {
+    EXPECT_TRUE(SameWords(got.planes[b], want.planes[b], store.words()))
+        << "plane " << b;
+  }
+  EXPECT_TRUE(SameDoubles(store.basic_error_sums(),
+                          one_shot.basic_error_sums()));
+}
+
+TEST(ColumnStoreTest, ExtendOffGridDropsPlanesAndMatchesFreshStore) {
+  const IntMatrix full = RandomCodes(26, 900, {4, 6, 3});
+  Rng rng(27);
+  std::vector<double> full_errors(900);
+  for (double& e : full_errors) e = rng.NextBool(0.4) ? 1.0 : 0.0;
+  full_errors[850] = 0.1;
+  const FeatureOffsets offsets = ComputeOffsets(full);
+
+  IntMatrix x0(0, full.cols());
+  std::vector<double> errors;
+  auto append = [&](int64_t begin, int64_t end) {
+    IntMatrix rows(end - begin, full.cols());
+    for (int64_t i = begin; i < end; ++i) {
+      for (int64_t j = 0; j < full.cols(); ++j) {
+        rows.At(i - begin, j) = full.At(i, j);
+      }
+      errors.push_back(full_errors[static_cast<size_t>(i)]);
+    }
+    x0.AppendRows(rows);
+  };
+  append(0, 800);
+  ColumnStore store(x0, offsets, errors);
+  ASSERT_NE(store.error_planes(), nullptr);
+  const core::SliceSet pairs = AllPairs(offsets);
+  core::SliceLineConfig config;
+  config.parallel = false;
+  // Evaluate once on planes, so the columns are built before the append.
+  EXPECT_TRUE(core::SliceEvaluator(store).Evaluate(pairs, config).ok());
+  append(800, 900);
+  store.Extend();
+  EXPECT_EQ(store.error_planes(), nullptr);
+
+  const ColumnStore fresh(full, offsets, full_errors);
+  const core::EvalResult got =
+      core::SliceEvaluator(store).Evaluate(pairs, config).value();
+  const core::EvalResult want =
+      core::SliceEvaluator(fresh).Evaluate(pairs, config).value();
+  EXPECT_EQ(got.sizes, want.sizes);
+  EXPECT_TRUE(SameDoubles(got.error_sums, want.error_sums));
+  EXPECT_TRUE(SameDoubles(got.max_errors, want.max_errors));
+}
+
+TEST(ColumnStoreTest, PlaneStatisticsEqualTheChainForEveryGenerator) {
+  // Levels 1-3 of every generator's one-hot space (level 3 sampled), the
+  // plane path against the ascending chain over the same bitmaps, at every
+  // ISA: all three statistics memcmp-equal.
+  for (const DatasetInfo& info : ListDatasets()) {
+    DatasetOptions options;
+    options.rows = 5000;
+    auto ds = MakeDatasetByName(info.name, options);
+    ASSERT_TRUE(ds.ok()) << info.name;
+    // Regression generators produce off-grid squared losses; put them on a
+    // dyadic grid so every generator's shape runs the plane path.
+    std::vector<double> errors = ds->errors;
+    if (info.task == "Reg.") {
+      for (double& e : errors) e = std::round(e * 64.0) / 64.0;
+    }
+    const FeatureOffsets offsets = ComputeOffsets(ds->x0);
+    const ColumnStore store(ds->x0, offsets, errors);
+    const linalg::ErrorPlanes* planes = store.error_planes();
+    ASSERT_NE(planes, nullptr) << info.name;
+
+    Rng rng(28);
+    std::vector<std::vector<int64_t>> slices;
+    for (int64_t c = 0; c < offsets.total; ++c) slices.push_back({c});
+    for (int level = 2; level <= 3; ++level) {
+      for (int s = 0; s < 300; ++s) {
+        // Distinct features, drawn until the slice has `level` of them.
+        std::vector<int64_t> cols;
+        while (static_cast<int>(cols.size()) < level) {
+          const int feature = static_cast<int>(
+              rng.NextInt(0, offsets.num_features() - 1));
+          if (std::none_of(cols.begin(), cols.end(), [&](int64_t c) {
+                return offsets.FeatureOfColumn(c) == feature;
+              })) {
+            cols.push_back(offsets.ColumnOf(
+                feature, static_cast<int32_t>(
+                             rng.NextInt(1, offsets.fdom[feature]))));
+          }
+        }
+        std::sort(cols.begin(), cols.end());
+        slices.push_back(cols);
+      }
+    }
+    std::vector<int64_t> all;
+    for (const auto& cols : slices) {
+      all.insert(all.end(), cols.begin(), cols.end());
+    }
+    store.Materialize(all.data(), static_cast<int64_t>(all.size()),
+                      /*parallel=*/false);
+    std::vector<std::vector<const uint64_t*>> words(slices.size());
+    std::vector<linalg::CandidateColumns> candidates;
+    for (size_t i = 0; i < slices.size(); ++i) {
+      for (int64_t c : slices[i]) words[i].push_back(store.Column(c));
+      candidates.push_back(
+          {words[i].data(), static_cast<int32_t>(words[i].size())});
+    }
+    const int64_t count = static_cast<int64_t>(candidates.size());
+    for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
+      const linalg::SimdKernels& kernels = linalg::KernelsFor(isa);
+      std::vector<double> chain_sizes(count, 0.0), chain_sums(count, 0.0),
+          chain_max(count, 0.0);
+      linalg::EvaluateCandidatesBlocked(
+          kernels, candidates.data(), count, store.words(), errors.data(),
+          /*planes=*/nullptr, chain_sizes.data(), chain_sums.data(),
+          chain_max.data());
+      std::vector<double> plane_sizes(count, 0.0), plane_sums(count, 0.0),
+          plane_max(count, 0.0);
+      linalg::EvaluateCandidatesBlocked(
+          kernels, candidates.data(), count, store.words(), errors.data(),
+          planes, plane_sizes.data(), plane_sums.data(), plane_max.data());
+      const std::string what = info.name + " at " + linalg::IsaName(isa);
+      EXPECT_TRUE(SameDoubles(plane_sizes, chain_sizes)) << what;
+      EXPECT_TRUE(SameDoubles(plane_sums, chain_sums)) << what;
+      EXPECT_TRUE(SameDoubles(plane_max, chain_max)) << what;
+    }
   }
 }
 

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -277,7 +279,8 @@ TEST_P(SimdDifferentialTest, BlockedCandidateLoopMatchesUnblockedScalar) {
   std::vector<double> got_sizes(count, 0), got_sums(count, 0),
       got_max(count, 0);
   EvaluateCandidatesBlocked(simd, candidates.data(), count, words,
-                            errors.data(), got_sizes.data(), got_sums.data(),
+                            errors.data(), /*planes=*/nullptr,
+                            got_sizes.data(), got_sums.data(),
                             got_max.data());
 
   std::vector<double> want_sizes(count, 0), want_sums(count, 0),
@@ -294,6 +297,91 @@ TEST_P(SimdDifferentialTest, BlockedCandidateLoopMatchesUnblockedScalar) {
                    got_sums[static_cast<size_t>(i)], what + " error_sum");
     ExpectBitEqual(want_max[static_cast<size_t>(i)],
                    got_max[static_cast<size_t>(i)], what + " max_error");
+  }
+}
+
+TEST_P(SimdDifferentialTest, BlockedPlaneLoopMatchesAscendingChain) {
+  // Exactly summable errors (k * unit, k < 2^planes) as bit-planes: the
+  // plane path of the blocked loop must reproduce the scalar ascending
+  // chain's doubles, across word tiles (> 2048 words), candidate tiles
+  // (> 64 candidates) and a row count that ends mid-word.
+  const SimdKernels& simd = KernelsFor(GetParam());
+  Rng rng(4242);
+  const int64_t rows = 200000 - 37;
+  const int64_t words = BitmapWords(rows);
+  std::vector<Bitmap> bitmaps;
+  for (int c = 0; c < 16; ++c) {
+    Bitmap b(rows);
+    const double density = c == 0 ? 0.0 : c == 1 ? 1.1 : 0.04 * c;
+    for (int64_t r = 0; r < rows; ++r) {
+      if (rng.NextBool(density)) b.Set(r);
+    }
+    bitmaps.push_back(std::move(b));
+  }
+  const int64_t count = 150;
+  std::vector<std::vector<const uint64_t*>> column_sets;
+  column_sets.reserve(static_cast<size_t>(count));
+  std::vector<CandidateColumns> candidates;
+  for (int64_t i = 0; i < count; ++i) {
+    std::vector<const uint64_t*> cols;
+    const int len = static_cast<int>(rng.NextInt(1, 4));
+    for (int j = 0; j < len; ++j) {
+      cols.push_back(bitmaps[static_cast<size_t>(rng.NextInt(0, 15))].data());
+    }
+    column_sets.push_back(std::move(cols));
+    candidates.push_back({column_sets.back().data(),
+                          static_cast<int32_t>(column_sets.back().size())});
+  }
+
+  // (planes, unit, powers_only): with powers_only every k has one bit set,
+  // so a dense mask's largest k is far below the OR of its planes.
+  for (const auto& [plane_count, unit, powers_only] :
+       {std::tuple<int, double, bool>{1, 1.0, false},
+        {3, 0.25, false},
+        {6, 0.0625, false},
+        {4, 2.0, true},
+        {0, 1.0, false}}) {
+    const std::string grid = std::to_string(plane_count) + " planes" +
+                             (powers_only ? ", powers of two" : "");
+    std::vector<double> errors(static_cast<size_t>(words) * 64, 0.0);
+    std::vector<Bitmap> plane_bits(static_cast<size_t>(plane_count),
+                                   Bitmap(rows));
+    for (int64_t r = 0; r < rows; ++r) {
+      // Mostly small k, so the walk's early exits and full descents both
+      // run; the largest k occurs in a few rows only.
+      int64_t k = 0;
+      if (powers_only) {
+        k = int64_t{1} << rng.NextInt(0, plane_count - 1);
+      } else if (plane_count > 0) {
+        k = rng.NextBool(0.001)
+                ? (int64_t{1} << plane_count) - 1
+                : rng.NextInt(0, (int64_t{1} << plane_count) / 2);
+      }
+      errors[static_cast<size_t>(r)] = static_cast<double>(k) * unit;
+      for (int b = 0; b < plane_count; ++b) {
+        if ((k >> b) & 1) plane_bits[static_cast<size_t>(b)].Set(r);
+      }
+    }
+    std::vector<const uint64_t*> plane_words;
+    for (const Bitmap& b : plane_bits) plane_words.push_back(b.data());
+    const ErrorPlanes planes{plane_words.data(), plane_count, unit};
+
+    std::vector<double> got_sizes(count, 0), got_sums(count, 0),
+        got_max(count, 0);
+    EvaluateCandidatesBlocked(simd, candidates.data(), count, words,
+                              errors.data(), &planes, got_sizes.data(),
+                              got_sums.data(), got_max.data());
+    std::vector<double> want_sizes(count, 0), want_sums(count, 0),
+        want_max(count, 0);
+    EvaluateCandidatesReference(candidates.data(), count, words,
+                                errors.data(), want_sizes.data(),
+                                want_sums.data(), want_max.data());
+    auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+      return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    EXPECT_TRUE(same(got_sizes, want_sizes)) << grid;
+    EXPECT_TRUE(same(got_sums, want_sums)) << grid;
+    EXPECT_TRUE(same(got_max, want_max)) << grid;
   }
 }
 

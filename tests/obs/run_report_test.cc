@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "core/sliceline.h"
 #include "data/int_matrix.h"
+#include "linalg/kernels_simd.h"
 #include "obs/json_validate.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
@@ -137,6 +138,44 @@ TEST_F(RunReportTest, PerLevelMetricsMatchLevelStatsExactly) {
             static_cast<int64_t>(result->levels.size()));
   EXPECT_EQ(registry->GetHistogram("native/level_seconds")->Count(),
             static_cast<int64_t>(result->levels.size()));
+}
+
+TEST_F(RunReportTest, ErrorPlaneCounterFlowsUnderOneName) {
+  data::IntMatrix x0;
+  std::vector<double> errors;
+  MakePlanted(1000, &x0, &errors);
+  core::SliceLineConfig config;
+  config.k = 4;
+  MetricsRegistry* registry = MetricsRegistry::Default();
+  const std::string isa_counter =
+      std::string("evaluator/simd_isa/") + linalg::SelectedIsaName();
+
+  // 0/1 errors: every bitset-evaluated slice counts its errors by planes.
+  ASSERT_TRUE(core::RunSliceLine(x0, errors, config).ok());
+  const int64_t planes =
+      registry->GetCounter("evaluator/error_planes/slices")->Value();
+  EXPECT_GT(planes, 0);
+  EXPECT_EQ(planes, registry->GetCounter(isa_counter)->Value());
+  RunReport report;
+  std::ostringstream json;
+  report.WriteJson(json);
+  EXPECT_NE(json.str().find("\"name\":\"evaluator/error_planes/slices\""),
+            std::string::npos);
+  std::ostringstream prometheus;
+  RunReport::WritePrometheus(prometheus, registry);
+  EXPECT_NE(prometheus.str().find(
+                "sliceline_evaluator_error_planes_slices " +
+                std::to_string(planes)),
+            std::string::npos)
+      << prometheus.str();
+
+  // Off-grid errors keep the chain and leave the counter alone.
+  registry->ResetValues();
+  for (double& e : errors) e *= 0.1;
+  ASSERT_TRUE(core::RunSliceLine(x0, errors, config).ok());
+  EXPECT_GT(registry->GetCounter(isa_counter)->Value(), 0);
+  EXPECT_EQ(registry->GetCounter("evaluator/error_planes/slices")->Value(),
+            0);
 }
 
 TEST_F(RunReportTest, PrometheusMetricNameSanitization) {

@@ -102,6 +102,32 @@ TEST(ServeSchedulerTest, RunsJobToCompletionMatchingDirectRun) {
   EXPECT_EQ(scheduler.Find(9999), nullptr);
 }
 
+TEST(ServeSchedulerTest, FinishedJobsReleaseTheirDatasetSnapshot) {
+  auto dataset =
+      BuildRegisteredDataset("released", MakeCsvText(400, 4, 3, 12)).value();
+  const std::weak_ptr<const RegisteredDataset> weak = dataset;
+  const std::vector<std::string> feature_names =
+      dataset->dataset.feature_names;
+  Scheduler scheduler(MakeOptions(2, 8));
+  auto first = scheduler.Submit(MakeSpec(dataset));
+  auto second = scheduler.Submit(MakeSpec(dataset, "la"));
+  ASSERT_TRUE(first.ok() && second.ok());
+  dataset.reset();
+  first.value()->WaitDone();
+  second.value()->WaitDone();
+  scheduler.DrainAndStop();
+  // Only the jobs held the snapshot; finished, they no longer do.
+  EXPECT_TRUE(weak.expired());
+  for (const std::shared_ptr<Job>& job : {first.value(), second.value()}) {
+    ASSERT_EQ(job->CurrentState(), JobState::kDone);
+    EXPECT_EQ(job->spec.dataset, nullptr);
+    EXPECT_EQ(job->dataset_name, "released");
+    EXPECT_EQ(job->feature_names, feature_names);
+    EXPECT_NE(job->report_json.find("\"released\""), std::string::npos);
+  }
+  EXPECT_FALSE(scheduler.HasActiveJobsForDataset("released"));
+}
+
 TEST(ServeSchedulerTest, DispatchesLinearAlgebraEngine) {
   Scheduler scheduler(MakeOptions(2, 8));
   auto submitted = scheduler.Submit(MakeSpec(SmallDataset(), "la"));

@@ -495,6 +495,36 @@ TEST(ServeServerTest, ReportAndTraceServeFinishedJobs) {
   EXPECT_FALSE(client->GetTrace(job_id + 999).ok());
 }
 
+TEST(ServeServerTest, FinishedJobsAnswerAfterTheirSnapshotIsFreed) {
+  ServerOptions options = UnixOptions("serve_release.sock");
+  ServerGuard guard(options);
+  auto client = Client::Connect(Endpoint::Unix(options.unix_socket));
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->RegisterDataset(RegisterRequestFor(CsvB())).ok());
+  std::weak_ptr<const RegisteredDataset> weak =
+      guard.server.registry().Find(CsvB().name);
+  ASSERT_FALSE(weak.expired());
+  auto reply = client->FindSlices(FindVariant(CsvB().name, 1));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(client->UnregisterDataset(CsvB().name).ok());
+  // The registry and the finished job were the only holders.
+  EXPECT_TRUE(weak.expired());
+
+  auto status = client->GetStatus(reply->job_id);
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  EXPECT_EQ(status->GetStringOr("state", ""), "done");
+  // Slices are still rendered with the dataset's feature names.
+  const obs::JsonValue* result = status->Find("result");
+  ASSERT_NE(result, nullptr);
+  std::vector<std::string> names;
+  auto parsed = ParseResultJson(*result, &names);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ExpectSameResult(parsed.value(), DirectResult(CsvB(), 1, &names), names);
+  auto report = client->GetReport(reply->job_id);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("\"" + CsvB().name + "\""), std::string::npos);
+}
+
 TEST(ServeServerTest, MetricsTextSurvivesAdversarialMetricNames) {
   // Anything in the process-wide registry ends up on /metrics; names are
   // not restricted at registration time, so exposition validity must hold

@@ -272,48 +272,64 @@ TEST(StreamSegmentTest, RejectsMalformedAppendsLeavingStoreUnchanged) {
 }
 
 TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
-  const StreamData data = MakeData(260, 4, 3, 104);
+  const StreamData continuous = MakeData(260, 4, 3, 104);
+  // The same rows with errors on a dyadic grid, halves before the append
+  // and quarters after it: the store refines its error planes, and the
+  // finder continues cached sums with exact plane counts instead of the
+  // float chain.
+  const StreamData grid = [&] {
+    StreamData rounded = continuous;
+    for (size_t r = 0; r < rounded.errors.size(); ++r) {
+      const double steps = r < 150 ? 2.0 : 4.0;
+      rounded.errors[r] = std::round(rounded.errors[r] * steps) / steps;
+    }
+    return rounded;
+  }();
   const core::SliceLineConfig config = TestConfig();
-  StreamOptions options;
-  options.domains = data.x0.ColMaxs();
-  options.full_rerun_fraction = 0.0;  // force the incremental path
+  for (const StreamData* errors_family : {&continuous, &grid}) {
+    SCOPED_TRACE(errors_family == &grid ? "grid errors" : "float errors");
+    const StreamData& data = *errors_family;
+    StreamOptions options;
+    options.domains = data.x0.ColMaxs();
+    options.full_rerun_fraction = 0.0;  // force the incremental path
 
-  auto created = StreamingSliceFinder::Create(
-      RowSlice(data.x0, 0, 150), ErrorSlice(data.errors, 0, 150), options);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  StreamingSliceFinder& finder = *created.value();
+    auto created = StreamingSliceFinder::Create(
+        RowSlice(data.x0, 0, 150), ErrorSlice(data.errors, 0, 150), options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    StreamingSliceFinder& finder = *created.value();
 
-  // First find computes every candidate from scratch and seeds the cache.
-  auto first = finder.Find(config);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ExpectBitIdentical(ReferenceRun(data, options.domains, 150, config),
-                     first.value());
-  EXPECT_GT(finder.last_find_stats().candidates_full, 0);
-  EXPECT_FALSE(first.value().outcome.stream_full_fallback);
+    // First find computes every candidate from scratch and seeds the cache.
+    auto first = finder.Find(config);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ExpectBitIdentical(ReferenceRun(data, options.domains, 150, config),
+                       first.value());
+    EXPECT_GT(finder.last_find_stats().candidates_full, 0);
+    EXPECT_FALSE(first.value().outcome.stream_full_fallback);
 
-  // Append, then find: cached statistic chains are continued over just the
-  // delta, and the result stays bit-identical to a from-scratch run.
-  ASSERT_TRUE(finder
-                  .Append(RowSlice(data.x0, 150, 260),
-                          ErrorSlice(data.errors, 150, 260))
-                  .ok());
-  auto second = finder.Find(config);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  ExpectBitIdentical(ReferenceRun(data, options.domains, 260, config),
-                     second.value());
-  const StreamFindStats stats = finder.last_find_stats();
-  EXPECT_GT(stats.candidates_delta + stats.candidates_cached, 0);
-  EXPECT_EQ(second.value().outcome.stream_candidates_delta,
-            stats.candidates_delta);
-  EXPECT_EQ(second.value().outcome.stream_candidates_cached,
-            stats.candidates_cached);
+    // Append, then find: cached statistic chains are continued over just the
+    // delta, and the result stays bit-identical to a from-scratch run.
+    ASSERT_TRUE(finder
+                    .Append(RowSlice(data.x0, 150, 260),
+                            ErrorSlice(data.errors, 150, 260))
+                    .ok());
+    auto second = finder.Find(config);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    ExpectBitIdentical(ReferenceRun(data, options.domains, 260, config),
+                       second.value());
+    const StreamFindStats stats = finder.last_find_stats();
+    EXPECT_GT(stats.candidates_delta + stats.candidates_cached, 0);
+    EXPECT_EQ(second.value().outcome.stream_candidates_delta,
+              stats.candidates_delta);
+    EXPECT_EQ(second.value().outcome.stream_candidates_cached,
+              stats.candidates_cached);
 
-  // A repeat find with no intervening append answers from the cache alone.
-  auto repeat = finder.Find(config);
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(finder.last_find_stats().candidates_delta, 0);
-  EXPECT_EQ(finder.last_find_stats().candidates_full, 0);
-  ExpectBitIdentical(second.value(), repeat.value());
+    // A repeat find with no intervening append answers from the cache alone.
+    auto repeat = finder.Find(config);
+    ASSERT_TRUE(repeat.ok());
+    EXPECT_EQ(finder.last_find_stats().candidates_delta, 0);
+    EXPECT_EQ(finder.last_find_stats().candidates_full, 0);
+    ExpectBitIdentical(second.value(), repeat.value());
+  }
 }
 
 TEST(StreamFinderTest, FullRerunFallbackRecordsOutcomeAndMatches) {
