@@ -4,9 +4,9 @@
 //      execution -- materializes the (X S_b^T) intermediate of ~nrow(X) x b
 //      per block, so the curve is U-shaped: small b pays one X scan per
 //      block, large b pays allocation/sorting of oversized intermediates;
-//  (2) the native streaming scan-block evaluator, which shares scans
-//      without materializing intermediates, isolating the pure
-//      scan-sharing gain.
+//  (2) the native engine's kScanBlock schedule, which evaluates each block
+//      of b slices with the bitmap kernels, data-parallel over fixed row
+//      tiles, without materializing intermediates.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -48,8 +48,9 @@ struct EvalResult {
 };
 
 /// Abstract slice-evaluation backend: everything the enumeration driver
-/// needs from the data side. Implemented by the local SliceEvaluator and by
-/// the simulated distributed evaluator in dist/.
+/// needs from the data side. Implemented by the local SliceEvaluator, the
+/// streaming finder's caching evaluator (stream/stream_finder.h) and the
+/// distributed dist::Coordinator.
 class EvaluatorBackend {
  public:
   virtual ~EvaluatorBackend() = default;
@@ -71,11 +72,15 @@ class EvaluatorBackend {
 };
 
 /// Evaluates slice candidates against a dataset (Section 4.4's
-/// I = (X * S^T == L) with ss/se/sm aggregations) over one column store:
-/// the bit-packed kBitset strategy intersects the store's column bitmaps
+/// I = (X * S^T == L) with ss/se/sm aggregations) over one column store.
+/// Every strategy is a schedule of one loop, EvaluateCandidatesBlocked
+/// (linalg/kernels_simd.h), which intersects the store's column bitmaps
 /// with the runtime-dispatched SIMD kernels (AVX2/AVX-512/NEON with a
-/// portable scalar reference), and the scan-shared kScanBlock strategy,
-/// whose block size b Figure 6(b) sweeps, sweeps the store's codes.
+/// portable scalar reference): kBitset runs it task-parallel over
+/// candidates (Figure 7(b) MT-PFor); kScanBlock runs it data-parallel over
+/// fixed row tiles for each block of b candidates (MT-Ops, the b Figure
+/// 6(b) sweeps); Continue extends earlier statistics over appended rows
+/// (the streaming finder).
 class SliceEvaluator : public EvaluatorBackend {
  public:
   /// Builds a column store over (x0, offsets, errors), which must outlive
@@ -89,6 +94,15 @@ class SliceEvaluator : public EvaluatorBackend {
   /// Evaluates every slice of `set` using config's strategy/block size.
   StatusOr<EvalResult> Evaluate(const SliceSet& set,
                                 const SliceLineConfig& config) const override;
+
+  /// Folds rows [first_row, n) of every slice of `set` into `*stats`, whose
+  /// arrays (aligned with the set) hold the slices' statistics over rows
+  /// [0, first_row) as kBitset computed them, or zeros for first_row 0.
+  /// Runs the kBitset schedule whatever config.eval_strategy says, so the
+  /// result is bit-identical to a kBitset Evaluate over all n rows. On a
+  /// governance stop returns its Status and leaves *stats incomplete.
+  Status Continue(const SliceSet& set, int64_t first_row,
+                  const SliceLineConfig& config, EvalResult* stats) const;
 
   /// Level-1 statistics per one-hot column (Equation 4): sizes ss0,
   /// error sums se0, and maximum tuple errors sm0.
@@ -109,13 +123,13 @@ class SliceEvaluator : public EvaluatorBackend {
   }
 
  private:
-  // The strategies poll `ctx` (when non-null) at strided slice/row
-  // boundaries and bail out early on a governance stop; Evaluate() then
-  // reports the stop as a governance Status.
-  void EvaluateScanBlock(const SliceSet& set, int block_size, bool parallel,
-                         const RunContext* ctx, EvalResult* out) const;
-  void EvaluateBitset(const SliceSet& set, bool parallel,
-                      const RunContext* ctx, EvalResult* out) const;
+  // Runs `strategy`'s schedule over rows [first_row, n) of the set, which
+  // must not be empty, continuing the statistics in *out. Polls
+  // config.run_context at candidate-chunk, block and tile boundaries and
+  // bails out early on a governance stop; the callers then report it.
+  void Schedule(const SliceSet& set, int64_t first_row,
+                SliceLineConfig::EvalStrategy strategy,
+                const SliceLineConfig& config, EvalResult* out) const;
 
   std::unique_ptr<const data::ColumnStore> owned_store_;
   const data::ColumnStore& store_;

@@ -1,6 +1,7 @@
 #include "core/slice.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -53,6 +54,15 @@ StatusOr<SliceLineConfig::EvalStrategy> ParseEvalStrategy(
   }
   return Status::InvalidArgument("unknown eval strategy '" + name +
                                  "' (expected scan_block or bitset)");
+}
+
+Status CheckErrors(const std::vector<double>& errors) {
+  for (double e : errors) {
+    if (!std::isfinite(e) || e < 0.0) {
+      return Status::InvalidArgument("errors must be non-negative and finite");
+    }
+  }
+  return Status::OK();
 }
 
 int64_t ResolveMinSupport(const SliceLineConfig& config, int64_t n) {

@@ -1,7 +1,6 @@
 #include "core/sliceline.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <optional>
 
@@ -43,11 +42,7 @@ Status ValidateInputs(const data::IntMatrix& x0,
         "error vector size " + std::to_string(errors.size()) +
         " does not match " + std::to_string(x0.rows()) + " rows");
   }
-  for (double e : errors) {
-    if (!(e >= 0.0) || std::isnan(e)) {
-      return Status::InvalidArgument("errors must be non-negative and finite");
-    }
-  }
+  SLICELINE_RETURN_NOT_OK(CheckErrors(errors));
   if (!(config.alpha > 0.0 && config.alpha <= 1.0)) {
     return Status::InvalidArgument("alpha must be in (0, 1]");
   }

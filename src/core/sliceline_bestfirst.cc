@@ -1,7 +1,6 @@
 #include "core/sliceline_bestfirst.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <queue>
 
@@ -54,11 +53,7 @@ StatusOr<SliceLineResult> RunSliceLineBestFirst(
     return Status::InvalidArgument("alpha must be in (0, 1]");
   }
   if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
-  for (double e : errors) {
-    if (!(e >= 0.0) || std::isnan(e)) {
-      return Status::InvalidArgument("errors must be non-negative and finite");
-    }
-  }
+  SLICELINE_RETURN_NOT_OK(CheckErrors(errors));
   Stopwatch total_watch;
   TRACE_SPAN("bestfirst/run");
 

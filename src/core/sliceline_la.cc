@@ -82,13 +82,9 @@ StatusOr<SliceLineResult> RunSliceLineLA(const data::IntMatrix& x0,
   const int64_t sigma = ResolveMinSupport(config, n);
 
   // b) initialization: statistics and basic slices (lines 6-9).
+  SLICELINE_RETURN_NOT_OK(CheckErrors(errors));
   double total_error = 0.0;
-  for (double e : errors) {
-    if (!(e >= 0.0) || std::isnan(e)) {
-      return Status::InvalidArgument("errors must be non-negative and finite");
-    }
-    total_error += e;
-  }
+  for (double e : errors) total_error += e;
   SliceLineResult result;
   result.min_support = sigma;
   result.average_error = total_error / static_cast<double>(n);

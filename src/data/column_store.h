@@ -91,7 +91,6 @@ class ColumnStore {
   ColumnStore(const ColumnStore&) = delete;
   ColumnStore& operator=(const ColumnStore&) = delete;
 
-  const IntMatrix& x0() const { return *x0_; }
   const FeatureOffsets& offsets() const { return *offsets_; }
   const std::vector<double>& errors() const { return *errors_; }
   int64_t rows() const { return n_; }

@@ -148,11 +148,7 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Create(
         "error vector size " + std::to_string(errors.size()) +
         " does not match " + std::to_string(x0.rows()) + " rows");
   }
-  for (double e : errors) {
-    if (!FiniteNonNegative(e)) {
-      return Status::InvalidArgument("errors must be non-negative and finite");
-    }
-  }
+  SLICELINE_RETURN_NOT_OK(core::CheckErrors(errors));
   if (options.endpoints.empty() == (options.local_workers < 1)) {
     return Status::InvalidArgument(
         "need exactly one fleet: worker endpoints or local_workers >= 1");

@@ -566,7 +566,8 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
                                int64_t count, int64_t words,
                                const double* errors,
                                const ErrorPlanes* planes, double* sizes,
-                               double* error_sums, double* max_errors) {
+                               double* error_sums, double* max_errors,
+                               int64_t first_row) {
   // Tile shape: 2048 words (16 KiB per bitmap slice) keeps a candidate
   // tile's distinct column slices plus the intersection scratch inside L2;
   // sibling candidates share parent columns, so slices are reused across
@@ -574,21 +575,27 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
   constexpr int64_t kWordTile = 2048;
   constexpr int64_t kCandidateTile = 64;
 
+  const int64_t first_word = first_row >> 6;
+  if (count <= 0 || first_word >= words) return;
+  // Rows [first_word * 64, first_row) of the first word are not ours.
+  const uint64_t keep = ~uint64_t{0} << (first_row & 63);
   int32_t max_len = 1;
   for (int64_t c = 0; c < count; ++c) {
     max_len = std::max(max_len, candidates[c].len);
   }
-  const size_t tile_words = static_cast<size_t>(std::min(words, kWordTile));
+  const size_t tile_words =
+      static_cast<size_t>(std::min(words - first_word, kWordTile));
   // The intersection, then the plane walk's two buffers.
   std::vector<uint64_t> scratch(planes != nullptr ? 3 * tile_words
                                                   : tile_words);
   std::vector<const uint64_t*> shifted(static_cast<size_t>(max_len));
   // One running accumulator per candidate of the current tile, carried
-  // across word tiles. Without planes each candidate sees ONE continuous
-  // ascending-row add sequence, bit-identical to an unblocked scan
-  // (summing per-tile partial sums instead would round differently once
-  // the row space spans tiles); plane counts are integers, so their tile
-  // order does not matter.
+  // across word tiles and seeded from the outputs. Without planes each
+  // candidate sees ONE continuous ascending-row add sequence, continuing
+  // the one that produced the outputs' values, bit-identical to an
+  // unblocked scan (summing per-tile partial sums instead would round
+  // differently once the row space spans tiles); plane counts are
+  // integers, so their tile order does not matter.
   const size_t tile_candidates =
       static_cast<size_t>(std::min(count, kCandidateTile));
   std::vector<MaskedStats> acc(planes != nullptr ? 0 : tile_candidates);
@@ -596,16 +603,23 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
 
   for (int64_t c0 = 0; c0 < count; c0 += kCandidateTile) {
     const int64_t c1 = std::min(count, c0 + kCandidateTile);
-    std::fill(acc.begin(), acc.end(), MaskedStats{});
-    std::fill(plane_acc.begin(), plane_acc.end(), PlaneStats{});
-    for (int64_t w0 = 0; w0 < words; w0 += kWordTile) {
+    for (int64_t c = c0; c < c1; ++c) {
+      if (planes != nullptr) {
+        plane_acc[static_cast<size_t>(c - c0)] = PlaneStats{};
+      } else {
+        acc[static_cast<size_t>(c - c0)] = {static_cast<int64_t>(sizes[c]),
+                                            error_sums[c], max_errors[c]};
+      }
+    }
+    for (int64_t w0 = first_word; w0 < words; w0 += kWordTile) {
       const int64_t span = std::min(words - w0, kWordTile);
+      const bool trim = w0 == first_word && keep != ~uint64_t{0};
       for (int64_t c = c0; c < c1; ++c) {
         const CandidateColumns& cand = candidates[c];
         SLICELINE_DCHECK(cand.len >= 1);
         const uint64_t* mask;
         int64_t ones = -1;  // popcount(mask), when already known
-        if (cand.len == 1) {
+        if (cand.len == 1 && !trim) {
           mask = cand.cols[0] + w0;
         } else {
           for (int32_t k = 0; k < cand.len; ++k) {
@@ -613,6 +627,10 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
           }
           ones = kernels.intersect_columns(shifted.data(), cand.len,
                                            scratch.data(), span);
+          if (trim) {
+            ones -= std::popcount(scratch[0] & ~keep);
+            scratch[0] &= keep;
+          }
           if (ones == 0) continue;
           mask = scratch.data();
         }
@@ -628,20 +646,21 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
       }
     }
     for (int64_t c = c0; c < c1; ++c) {
-      MaskedStats stats;
       if (planes != nullptr) {
         // units < 2^53, so both conversions and the power-of-two scaling
-        // are exact: the same doubles the ascending chain produces.
+        // are exact, and so is adding them to the (equally exact) seeds:
+        // the same doubles the ascending chain produces.
         const PlaneStats& exact = plane_acc[static_cast<size_t>(c - c0)];
-        stats.count = exact.count;
-        stats.sum = static_cast<double>(exact.units) * planes->unit;
-        stats.max = static_cast<double>(exact.max_units) * planes->unit;
+        sizes[c] += static_cast<double>(exact.count);
+        error_sums[c] += static_cast<double>(exact.units) * planes->unit;
+        max_errors[c] = std::max(
+            max_errors[c], static_cast<double>(exact.max_units) * planes->unit);
       } else {
-        stats = acc[static_cast<size_t>(c - c0)];
+        const MaskedStats& chain = acc[static_cast<size_t>(c - c0)];
+        sizes[c] = static_cast<double>(chain.count);
+        error_sums[c] = chain.sum;
+        max_errors[c] = chain.max;
       }
-      sizes[c] += static_cast<double>(stats.count);
-      error_sums[c] += stats.sum;
-      if (stats.max > max_errors[c]) max_errors[c] = stats.max;
     }
   }
 }

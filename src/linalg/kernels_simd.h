@@ -110,11 +110,12 @@ struct SimdKernels {
   /// only read where set, so zero padding words never touch out-of-range
   /// errors. Accumulating into a caller-held running MaskedStats (instead of
   /// returning a fresh one) is what lets the cache-blocked candidate loop
-  /// keep ONE continuous add sequence per candidate across word tiles —
+  /// keep ONE continuous add sequence per candidate across word tiles and
+  /// across calls (EvaluateCandidatesBlocked seeds it from its outputs) —
   /// sum-of-tile-sums rounds differently, an extended accumulation does not.
   /// This ordering matters only for errors without ErrorPlanes; on exactly
   /// summable errors every order gives the same sum, and the evaluation
-  /// loops use AccumulatePlaneStats instead.
+  /// loop uses AccumulatePlaneStats instead.
   void (*masked_stats)(const uint64_t* mask, int64_t words,
                        const double* errors, MaskedStats* acc);
 };
@@ -141,22 +142,32 @@ void AccumulatePlaneStats(const SimdKernels& kernels, const uint64_t* mask,
                           int64_t first_word, uint64_t* scratch,
                           PlaneStats* acc);
 
-/// Evaluates `count` candidates over a `words`-word row space with the
-/// given kernel table, accumulating into sizes/error_sums/max_errors
-/// (+=/max, so outputs must be zero-initialized by the caller). The loop is
-/// cache-blocked: candidates x row-words are tiled so the bitmap slices of
-/// a candidate tile stay resident in L2 while its candidates intersect
-/// them, instead of streaming every full-length bitmap once per candidate.
-/// With `planes` (non-null) the statistics are exact integer plane counts
-/// (AccumulatePlaneStats) scaled by planes->unit once per candidate;
-/// without, every candidate's errors add in one ascending-row chain carried
-/// across row tiles. Both are bit-identical to an unblocked ascending scan.
+/// Evaluates `count` candidates over rows [first_row, 64 * words) with the
+/// given kernel table, continuing the statistics already in
+/// sizes/error_sums/max_errors: words below first_row's word are skipped
+/// and the rows of that word below first_row are masked out. This is the
+/// one loop every evaluation schedule runs (core::SliceEvaluator): kBitset
+/// calls it over all rows with zeroed outputs, task-parallel over
+/// candidates; kScanBlock calls it per fixed row tile with zeroed partials
+/// and merges them in tile order; the streaming finder continues cached
+/// statistics from their row prefix. The loop is cache-blocked:
+/// candidates x row-words are tiled so the bitmap slices of a candidate
+/// tile stay resident in L2 while its candidates intersect them, instead
+/// of streaming every full-length bitmap once per candidate. With `planes`
+/// (non-null) the statistics are exact integer plane counts
+/// (AccumulatePlaneStats) scaled by planes->unit once per candidate and
+/// added to the outputs, which must then be exact on the same grid (zeros
+/// are); without, every candidate's errors extend the sum in the output in
+/// one ascending-row chain carried across row tiles. Either way a call over
+/// [0, r) followed by one over [r, n) is bit-identical to one unblocked
+/// ascending scan over [0, n).
 void EvaluateCandidatesBlocked(const SimdKernels& kernels,
                                const CandidateColumns* candidates,
                                int64_t count, int64_t words,
                                const double* errors,
                                const ErrorPlanes* planes, double* sizes,
-                               double* error_sums, double* max_errors);
+                               double* error_sums, double* max_errors,
+                               int64_t first_row = 0);
 
 }  // namespace sliceline::linalg
 

@@ -1,10 +1,9 @@
 #include "stream/stream_finder.h"
 
-#include <bit>
+#include <map>
 #include <utility>
 
 #include "core/sliceline.h"
-#include "linalg/kernels_simd.h"
 #include "obs/metrics.h"
 
 namespace sliceline::stream {
@@ -87,137 +86,120 @@ StreamFindStats StreamingSliceFinder::last_find_stats() const {
   return last_find_stats_;
 }
 
+namespace {
+
+/// True when the cached prefix sits on a live segment boundary and no row
+/// appended since carries one of the slice's predicate columns: then the
+/// slice's statistics cannot have changed.
+bool Untouched(const SegmentStore& store, int64_t prefix,
+               const int64_t* cols, int64_t len) {
+  const std::vector<int64_t>* at = store.BoundaryCounts(prefix);
+  if (at == nullptr) return false;
+  for (int64_t c = 0; c < len; ++c) {
+    const size_t col = static_cast<size_t>(cols[c]);
+    if (store.basic_sizes()[col] == (*at)[col]) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
     const core::SliceSet& set, const core::SliceLineConfig& config) const {
-  // Runs inside Find(), which holds owner_->mutex_: the cache and scratch
-  // buffers are safe to mutate without further locking.
+  // Runs inside Find(), which holds owner_->mutex_: the cache is safe to
+  // mutate without further locking.
   const RunContext* ctx = config.run_context;
   StreamingSliceFinder* owner = owner_;
+  std::map<std::vector<int64_t>, CachedStats>& cache = owner->stats_cache_;
   const SegmentStore& store = *owner->store_;
-  const data::ColumnStore& columns = store.columns();
-  core::EvalResult out;
+  const int64_t n = store.n();
   const size_t count = static_cast<size_t>(set.size());
+
+  // Seed every candidate from its cache entry; those still missing rows
+  // form one group per cached row prefix (0 for new candidates).
+  core::EvalResult out;
   out.sizes.assign(count, 0.0);
   out.error_sums.assign(count, 0.0);
   out.max_errors.assign(count, 0.0);
-  if (count == 0) return out;
-
-  const linalg::SimdKernels& kernels = linalg::ActiveKernels();
-  const int64_t n = store.n();
-  columns.Materialize(set.Columns(0), set.total_columns(), config.parallel);
-  const int64_t total_words = columns.words();
-  // The intersection, plus the plane walk's two buffers when there are
-  // planes.
-  owner->scratch_.resize(static_cast<size_t>(
-      (columns.error_planes() != nullptr ? 3 : 1) * total_words));
-  StreamFindStats& stats = owner->find_stats_;
-
-  for (int64_t i = 0; i < set.size(); ++i) {
-    if ((i & 63) == 0 && ctx != nullptr && ctx->ShouldStop()) break;
-    const int64_t len = set.Length(i);
-    const int64_t* cols = set.Columns(i);
-    std::vector<int64_t> key(cols, cols + len);
-
-    auto it = owner->stats_cache_.find(key);
-    CachedStats cached;
-    bool have_entry = it != owner->stats_cache_.end();
-    if (have_entry) cached = it->second;
-
-    if (have_entry && cached.prefix == n) {
-      ++stats.candidates_cached;
-    } else {
-      int64_t start = have_entry ? cached.prefix : 0;
-      bool untouched = false;
-      if (start > 0) {
-        // Fast path: when the cached prefix sits on a live segment
-        // boundary and no appended row carries any predicate column, the
-        // statistic cannot have changed.
-        const std::vector<int64_t>* at = store.BoundaryCounts(start);
-        if (at != nullptr) {
-          for (int64_t c = 0; c < len; ++c) {
-            const size_t col = static_cast<size_t>(cols[c]);
-            if (store.basic_sizes()[col] - (*at)[col] == 0) {
-              untouched = true;
-              break;
-            }
-          }
-        }
+  std::vector<CachedStats*> entries(count, nullptr);
+  std::map<int64_t, std::vector<size_t>> groups;
+  StreamFindStats decided;
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<int64_t> columns(set.Columns(i),
+                                 set.Columns(i) + set.Length(i));
+    auto it = cache.find(columns);
+    if (it == cache.end()) {
+      // A new entry holds the (zero) statistics of rows [0, 0) until its
+      // group is evaluated.
+      if (cache.size() < owner->options_.max_cached_slices) {
+        entries[i] = &cache.emplace(std::move(columns), CachedStats{})
+                          .first->second;
       }
-      if (untouched) {
-        ++stats.candidates_cached;
-      } else {
-        // Continue the cached statistics over rows [start, n) -- or start
-        // them at row 0 on a miss. Without error planes this continues the
-        // cached float chain with the plain evaluator's ascending-row
-        // kernel; with planes the delta is an exact plane count, and adding
-        // it to the (equally exact) cached sum gives the same double. Either
-        // way the result is bit-identical to a from-scratch evaluation over
-        // the concatenated data.
-        if (have_entry) {
-          ++stats.candidates_delta;
-        } else {
-          cached = CachedStats{};
-          start = 0;
-          ++stats.candidates_full;
-        }
-        const int64_t w0 = start >> 6;
-        const int64_t span = total_words - w0;
-        owner->column_arena_.resize(static_cast<size_t>(len));
-        for (int64_t c = 0; c < len; ++c) {
-          owner->column_arena_[static_cast<size_t>(c)] =
-              columns.Column(cols[c]) + w0;
-        }
-        uint64_t* dst = owner->scratch_.data();
-        int64_t ones = kernels.intersect_columns(
-            owner->column_arena_.data(), static_cast<int32_t>(len), dst,
-            span);
-        if ((start & 63) != 0) {
-          // Rows [w0*64, start) are already folded into the cached
-          // statistics; mask them out of the shared boundary word.
-          const uint64_t keep = ~0ULL << (start & 63);
-          ones -= std::popcount(dst[0] & ~keep);
-          dst[0] &= keep;
-        }
-        if (const linalg::ErrorPlanes* planes = columns.error_planes()) {
-          linalg::PlaneStats delta;
-          linalg::AccumulatePlaneStats(
-              kernels, dst, ones, span, store.errors().data() + (w0 << 6),
-              *planes, w0, dst + total_words, &delta);
-          cached.count += delta.count;
-          cached.sum += static_cast<double>(delta.units) * planes->unit;
-          const double delta_max =
-              static_cast<double>(delta.max_units) * planes->unit;
-          if (delta_max > cached.max) cached.max = delta_max;
-        } else {
-          linalg::MaskedStats acc{cached.count, cached.sum, cached.max};
-          kernels.masked_stats(dst, span,
-                               store.errors().data() + (w0 << 6), &acc);
-          cached.count = acc.count;
-          cached.sum = acc.sum;
-          cached.max = acc.max;
-        }
-      }
-      cached.prefix = n;
-      if (have_entry) {
-        it->second = cached;
-      } else if (owner->stats_cache_.size() <
-                 owner->options_.max_cached_slices) {
-        owner->stats_cache_.emplace(std::move(key), cached);
-      }
+      ++decided.candidates_full;
+      groups[0].push_back(i);
+      continue;
     }
-    out.sizes[static_cast<size_t>(i)] = static_cast<double>(cached.count);
-    out.error_sums[static_cast<size_t>(i)] = cached.sum;
-    out.max_errors[static_cast<size_t>(i)] = cached.max;
+    CachedStats& entry = it->second;
+    out.sizes[i] = static_cast<double>(entry.count);
+    out.error_sums[i] = entry.sum;
+    out.max_errors[i] = entry.max;
+    if (entry.prefix == n ||
+        (entry.prefix > 0 && Untouched(store, entry.prefix, set.Columns(i),
+                                       set.Length(i)))) {
+      entry.prefix = n;
+      ++decided.candidates_cached;
+    } else {
+      entries[i] = &entry;
+      ++decided.candidates_delta;
+      groups[entry.prefix].push_back(i);
+    }
   }
 
+  // Continue each group over rows [prefix, n) with the plain evaluator's
+  // kBitset schedule: float chains pick up where they stopped and plane
+  // counts are exact, so every result is bit-identical to a from-scratch
+  // evaluation over the concatenated data.
+  const core::SliceEvaluator evaluator(store.columns());
+  for (const auto& [prefix, members] : groups) {
+    if (ctx != nullptr && ctx->ShouldStop()) break;
+    core::SliceSet group;
+    core::EvalResult partial;
+    group.Reserve(static_cast<int64_t>(members.size()),
+                  set.total_columns());
+    partial.sizes.reserve(members.size());
+    partial.error_sums.reserve(members.size());
+    partial.max_errors.reserve(members.size());
+    for (size_t i : members) {
+      group.Add(set.Columns(i), set.Columns(i) + set.Length(i));
+      partial.sizes.push_back(out.sizes[i]);
+      partial.error_sums.push_back(out.error_sums[i]);
+      partial.max_errors.push_back(out.max_errors[i]);
+    }
+    if (!evaluator.Continue(group, prefix, config, &partial).ok()) break;
+    for (size_t g = 0; g < members.size(); ++g) {
+      const size_t i = members[g];
+      out.sizes[i] = partial.sizes[g];
+      out.error_sums[i] = partial.error_sums[g];
+      out.max_errors[i] = partial.max_errors[g];
+      if (entries[i] != nullptr) {
+        *entries[i] = {n, static_cast<int64_t>(partial.sizes[g]),
+                       partial.error_sums[g], partial.max_errors[g]};
+      }
+    }
+  }
+
+  StreamFindStats& find_stats = owner->find_stats_;
+  find_stats.candidates_cached += decided.candidates_cached;
+  find_stats.candidates_delta += decided.candidates_delta;
+  find_stats.candidates_full += decided.candidates_full;
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry* registry = obs::MetricsRegistry::Default();
     registry->GetCounter("stream/candidates_cached")
-        ->Add(stats.candidates_cached);
+        ->Add(decided.candidates_cached);
     registry->GetCounter("stream/candidates_delta")
-        ->Add(stats.candidates_delta);
+        ->Add(decided.candidates_delta);
     registry->GetCounter("stream/candidates_full")
-        ->Add(stats.candidates_full);
+        ->Add(decided.candidates_full);
   }
   if (ctx != nullptr && ctx->ShouldStop()) {
     return StopReasonToStatus(ctx->CheckStop());

@@ -47,9 +47,11 @@ struct StreamFindStats {
 /// cover. On the next Find after an append, a candidate is re-scored by
 /// *continuing* its cached statistic over just the appended rows — or
 /// skipped entirely when no appended row touches its predicate columns —
-/// rather than recomputed from scratch. Because every statistic is a single
-/// ascending-row float chain (see SegmentStore), the incremental top-K is
-/// bit-identical to a from-scratch run on the concatenated data.
+/// rather than recomputed from scratch. The continuation is the plain
+/// evaluator's kBitset loop started at the cached prefix
+/// (core::SliceEvaluator::Continue): float statistics extend one
+/// ascending-row chain and plane counts are exact, so the incremental top-K
+/// is bit-identical to a from-scratch run on the concatenated data.
 ///
 /// Thread-safe: Append and Find serialize on an internal mutex.
 class StreamingSliceFinder {
@@ -83,11 +85,10 @@ class StreamingSliceFinder {
     double max = 0.0;
   };
 
-  /// EvaluatorBackend that continues cached per-candidate chains over the
-  /// appended suffix using the bit-packed SIMD kernels on the store's
-  /// column bitmaps. Its float chains are the plain evaluator's kBitset
-  /// chains, and with error planes it adds the suffix's exact plane counts
-  /// as kBitset does, so it is bit-compatible with kBitset.
+  /// EvaluatorBackend that answers from the statistics cache where it can
+  /// and hands the rest, grouped by cached row prefix, to
+  /// core::SliceEvaluator::Continue over the store's columns (in parallel
+  /// under config.parallel).
   class StreamEvaluator : public core::EvaluatorBackend {
    public:
     explicit StreamEvaluator(StreamingSliceFinder* owner) : owner_(owner) {}
@@ -124,9 +125,6 @@ class StreamingSliceFinder {
   StreamEvaluator evaluator_;
   std::map<std::vector<int64_t>, CachedStats> stats_cache_;
   int64_t rows_at_last_find_ = 0;
-  // Scratch for candidate intersections; reused across Evaluate calls.
-  mutable std::vector<uint64_t> scratch_;
-  mutable std::vector<const uint64_t*> column_arena_;
   mutable StreamFindStats find_stats_;
   StreamFindStats last_find_stats_;
 };

@@ -1,11 +1,14 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "linalg/kernels_simd.h"
 
 namespace sliceline::core {
 namespace {
@@ -50,6 +53,74 @@ void BruteForce(const Fixture& f, const std::vector<int64_t>& cols,
       *sm = std::max(*sm, f.errors[i]);
     }
   }
+}
+
+/// True when row `i` of the fixture satisfies every predicate column.
+bool RowMatches(const Fixture& f, const int64_t* cols, int64_t len,
+                int64_t i) {
+  for (int64_t k = 0; k < len; ++k) {
+    if (f.x0.At(i, f.offsets.FeatureOfColumn(cols[k])) !=
+        f.offsets.CodeOfColumn(cols[k])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The row scan kScanBlock is defined by: each slice's matching rows,
+/// ascending, summed from zero within fixed 4096-row tiles, and the tile
+/// sums added in tile order.
+EvalResult RowScanReference(const Fixture& f, const SliceSet& set) {
+  constexpr int64_t kTileRows = 4096;
+  const int64_t n = f.x0.rows();
+  EvalResult out;
+  out.sizes.assign(static_cast<size_t>(set.size()), 0.0);
+  out.error_sums.assign(static_cast<size_t>(set.size()), 0.0);
+  out.max_errors.assign(static_cast<size_t>(set.size()), 0.0);
+  for (int64_t s = 0; s < set.size(); ++s) {
+    for (int64_t begin = 0; begin < n; begin += kTileRows) {
+      double ss = 0.0, se = 0.0, sm = 0.0;
+      for (int64_t i = begin; i < std::min(n, begin + kTileRows); ++i) {
+        if (!RowMatches(f, set.Columns(s), set.Length(s), i)) continue;
+        const double e = f.errors[static_cast<size_t>(i)];
+        ss += 1.0;
+        se += e;
+        if (e > sm) sm = e;
+      }
+      out.sizes[s] += ss;
+      out.error_sums[s] += se;
+      out.max_errors[s] = std::max(out.max_errors[s], sm);
+    }
+  }
+  return out;
+}
+
+/// Random slices of 1-3 predicates on distinct features.
+SliceSet RandomSlices(const Fixture& f, uint64_t seed, int count) {
+  Rng rng(seed);
+  const int m = f.offsets.num_features();
+  SliceSet set;
+  for (int s = 0; s < count; ++s) {
+    std::vector<int> feats(static_cast<size_t>(m));
+    for (int j = 0; j < m; ++j) feats[static_cast<size_t>(j)] = j;
+    rng.Shuffle(feats);
+    const int len = 1 + static_cast<int>(rng.NextUint64(std::min(m, 3)));
+    std::vector<int64_t> cols;
+    for (int k = 0; k < len; ++k) {
+      const int feat = feats[static_cast<size_t>(k)];
+      cols.push_back(f.offsets.ColumnOf(
+          feat,
+          static_cast<int32_t>(rng.NextUint64(f.offsets.fdom[feat])) + 1));
+    }
+    std::sort(cols.begin(), cols.end());
+    set.Add(cols);
+  }
+  return set;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(SliceSetTest, AddAndAccess) {
@@ -181,6 +252,69 @@ TEST(EvaluatorTest, ScanBlockIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.max_errors, serial.max_errors) << threads;
   }
   ResizeGlobalThreadPoolForTesting(0);
+}
+
+TEST(EvaluatorTest, ScanBlockEqualsRowScanReference) {
+  // Three full row tiles and a ragged fourth; float errors, so the tile
+  // partial sums round differently from one ascending chain.
+  Fixture f = RandomFixture(47, 3 * 4096 + 1517, 4, 3);
+  const SliceSet set = RandomSlices(f, 53, 60);
+  const EvalResult want = RowScanReference(f, set);
+  SliceEvaluator eval(f.x0, f.offsets, f.errors);
+  SliceLineConfig cfg;
+  cfg.eval_strategy = SliceLineConfig::EvalStrategy::kScanBlock;
+  cfg.parallel = true;
+  for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
+    linalg::ForceIsa(isa);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      ResizeGlobalThreadPoolForTesting(threads);
+      for (int b : {1, 5, 1000}) {
+        cfg.eval_block_size = b;
+        const EvalResult got = eval.Evaluate(set, cfg).value();
+        const std::string what = std::string(linalg::IsaName(isa)) +
+                                 " threads=" + std::to_string(threads) +
+                                 " b=" + std::to_string(b);
+        EXPECT_TRUE(SameBits(got.sizes, want.sizes)) << what;
+        EXPECT_TRUE(SameBits(got.error_sums, want.error_sums)) << what;
+        EXPECT_TRUE(SameBits(got.max_errors, want.max_errors)) << what;
+      }
+    }
+  }
+  linalg::ClearForcedIsa();
+  ResizeGlobalThreadPoolForTesting(0);
+}
+
+TEST(EvaluatorTest, ContinueFromAnyPrefixEqualsOneBitsetEvaluate) {
+  Fixture f = RandomFixture(59, 5000, 4, 3);
+  const SliceSet set = RandomSlices(f, 61, 50);
+  SliceEvaluator eval(f.x0, f.offsets, f.errors);
+  SliceLineConfig cfg;
+  cfg.eval_strategy = SliceLineConfig::EvalStrategy::kBitset;
+  const EvalResult want = eval.Evaluate(set, cfg).value();
+  // Continue runs the kBitset schedule whatever the config asks for.
+  cfg.eval_strategy = SliceLineConfig::EvalStrategy::kScanBlock;
+  for (int64_t prefix : {int64_t{0}, int64_t{64}, int64_t{1000},
+                         int64_t{4097}, int64_t{4999}, int64_t{5000}}) {
+    // Statistics over rows [0, prefix), from an evaluator of that prefix.
+    Fixture head;
+    head.x0 = data::IntMatrix(prefix, f.x0.cols());
+    for (int64_t i = 0; i < prefix; ++i) {
+      std::copy(f.x0.row(i), f.x0.row(i) + f.x0.cols(), head.x0.row(i));
+    }
+    head.errors.assign(f.errors.begin(), f.errors.begin() + prefix);
+    EvalResult stats;
+    stats.sizes.assign(static_cast<size_t>(set.size()), 0.0);
+    stats.error_sums.assign(static_cast<size_t>(set.size()), 0.0);
+    stats.max_errors.assign(static_cast<size_t>(set.size()), 0.0);
+    if (prefix > 0) {
+      SliceEvaluator head_eval(head.x0, f.offsets, head.errors);
+      ASSERT_TRUE(head_eval.Continue(set, 0, cfg, &stats).ok());
+    }
+    ASSERT_TRUE(eval.Continue(set, prefix, cfg, &stats).ok());
+    EXPECT_TRUE(SameBits(stats.sizes, want.sizes)) << prefix;
+    EXPECT_TRUE(SameBits(stats.error_sums, want.error_sums)) << prefix;
+    EXPECT_TRUE(SameBits(stats.max_errors, want.max_errors)) << prefix;
+  }
 }
 
 TEST(EvaluatorTest, BitsetCacheReusedAcrossCalls) {

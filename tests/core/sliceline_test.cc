@@ -1,12 +1,18 @@
 #include "core/sliceline.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/exhaustive.h"
+#include "core/sliceline_bestfirst.h"
+#include "core/sliceline_la.h"
 #include "data/generators/generators.h"
+#include "dist/coordinator.h"
+#include "stream/stream_finder.h"
 
 namespace sliceline::core {
 namespace {
@@ -198,6 +204,38 @@ TEST(SliceLineTest, ValidatesInputs) {
   EXPECT_FALSE(RunSliceLine(input.x0, negative, config).ok());
   EXPECT_FALSE(
       RunSliceLine(data::IntMatrix(), std::vector<double>{}, config).ok());
+}
+
+TEST(SliceLineTest, EveryEngineRejectsNonFiniteOrNegativeErrors) {
+  const RandomInput input = MakeRandom(84, 200, 3, 3);
+  const SliceLineConfig config;
+  dist::DistOptions dist_options;
+  dist_options.local_workers = 2;
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    std::vector<double> errors = input.errors;
+    errors[17] = bad;
+    const std::string what = "error " + std::to_string(bad);
+    EXPECT_EQ(RunSliceLine(input.x0, errors, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(RunSliceLineBestFirst(input.x0, errors, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(RunSliceLineLA(input.x0, errors, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(dist::RunSliceLineDistributed(input.x0, errors, config,
+                                            dist_options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(
+        stream::StreamingSliceFinder::Create(input.x0, errors).status().code(),
+        StatusCode::kInvalidArgument)
+        << what;
+  }
 }
 
 TEST(SliceLineTest, DatasetOverloadRequiresErrors) {

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "common/run_context.h"
+#include "common/thread_pool.h"
 #include "core/evaluator.h"
 #include "core/sliceline.h"
 #include "data/int_matrix.h"
@@ -272,7 +273,7 @@ TEST(StreamSegmentTest, RejectsMalformedAppendsLeavingStoreUnchanged) {
 }
 
 TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
-  const StreamData continuous = MakeData(260, 4, 3, 104);
+  const StreamData continuous = MakeData(400, 4, 3, 104);
   // The same rows with errors on a dyadic grid, halves before the append
   // and quarters after it: the store refines its error planes, and the
   // finder continues cached sums with exact plane counts instead of the
@@ -286,50 +287,95 @@ TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
     return rounded;
   }();
   const core::SliceLineConfig config = TestConfig();
-  for (const StreamData* errors_family : {&continuous, &grid}) {
-    SCOPED_TRACE(errors_family == &grid ? "grid errors" : "float errors");
-    const StreamData& data = *errors_family;
-    StreamOptions options;
-    options.domains = data.x0.ColMaxs();
-    options.full_rerun_fraction = 0.0;  // force the incremental path
+  // Stronger score pruning evaluates a subset of level 2; a small support
+  // without score pruning evaluates every pair and reaches levels 3 and 4,
+  // and its large K compares the statistics of every level, not just the
+  // tiny slices that top the ranking at this support.
+  core::SliceLineConfig narrow_config = config;
+  narrow_config.k = 1;
+  core::SliceLineConfig deep = config;
+  deep.k = 500;
+  deep.min_support = 2;
+  deep.max_level = 0;
+  deep.prune_score = false;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ResizeGlobalThreadPoolForTesting(threads);
+    for (const StreamData* errors_family : {&continuous, &grid}) {
+      SCOPED_TRACE(std::string(errors_family == &grid ? "grid errors"
+                                                      : "float errors") +
+                   " threads=" + std::to_string(threads));
+      const StreamData& data = *errors_family;
+      StreamOptions options;
+      options.domains = data.x0.ColMaxs();
+      options.full_rerun_fraction = 0.0;  // force the incremental path
 
-    auto created = StreamingSliceFinder::Create(
-        RowSlice(data.x0, 0, 150), ErrorSlice(data.errors, 0, 150), options);
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    StreamingSliceFinder& finder = *created.value();
+      auto created = StreamingSliceFinder::Create(
+          RowSlice(data.x0, 0, 150), ErrorSlice(data.errors, 0, 150),
+          options);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      StreamingSliceFinder& finder = *created.value();
 
-    // First find computes every candidate from scratch and seeds the cache.
-    auto first = finder.Find(config);
-    ASSERT_TRUE(first.ok()) << first.status().ToString();
-    ExpectBitIdentical(ReferenceRun(data, options.domains, 150, config),
-                       first.value());
-    EXPECT_GT(finder.last_find_stats().candidates_full, 0);
-    EXPECT_FALSE(first.value().outcome.stream_full_fallback);
+      // First find computes every candidate from scratch and seeds the
+      // cache.
+      auto first = finder.Find(config);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      ExpectBitIdentical(ReferenceRun(data, options.domains, 150, config),
+                         first.value());
+      EXPECT_GT(finder.last_find_stats().candidates_full, 0);
+      EXPECT_FALSE(first.value().outcome.stream_full_fallback);
 
-    // Append, then find: cached statistic chains are continued over just the
-    // delta, and the result stays bit-identical to a from-scratch run.
-    ASSERT_TRUE(finder
-                    .Append(RowSlice(data.x0, 150, 260),
-                            ErrorSlice(data.errors, 150, 260))
-                    .ok());
-    auto second = finder.Find(config);
-    ASSERT_TRUE(second.ok()) << second.status().ToString();
-    ExpectBitIdentical(ReferenceRun(data, options.domains, 260, config),
-                       second.value());
-    const StreamFindStats stats = finder.last_find_stats();
-    EXPECT_GT(stats.candidates_delta + stats.candidates_cached, 0);
-    EXPECT_EQ(second.value().outcome.stream_candidates_delta,
-              stats.candidates_delta);
-    EXPECT_EQ(second.value().outcome.stream_candidates_cached,
-              stats.candidates_cached);
+      // Append, then find: cached statistic chains are continued over just
+      // the delta, and the result stays bit-identical to a from-scratch
+      // run.
+      ASSERT_TRUE(finder
+                      .Append(RowSlice(data.x0, 150, 260),
+                              ErrorSlice(data.errors, 150, 260))
+                      .ok());
+      auto second = finder.Find(config);
+      ASSERT_TRUE(second.ok()) << second.status().ToString();
+      ExpectBitIdentical(ReferenceRun(data, options.domains, 260, config),
+                         second.value());
+      const StreamFindStats stats = finder.last_find_stats();
+      EXPECT_GT(stats.candidates_delta + stats.candidates_cached, 0);
+      EXPECT_EQ(second.value().outcome.stream_candidates_delta,
+                stats.candidates_delta);
+      EXPECT_EQ(second.value().outcome.stream_candidates_cached,
+                stats.candidates_cached);
 
-    // A repeat find with no intervening append answers from the cache alone.
-    auto repeat = finder.Find(config);
-    ASSERT_TRUE(repeat.ok());
-    EXPECT_EQ(finder.last_find_stats().candidates_delta, 0);
-    EXPECT_EQ(finder.last_find_stats().candidates_full, 0);
-    ExpectBitIdentical(second.value(), repeat.value());
+      // A repeat find with no intervening append answers from the cache
+      // alone.
+      auto repeat = finder.Find(config);
+      ASSERT_TRUE(repeat.ok());
+      EXPECT_EQ(finder.last_find_stats().candidates_delta, 0);
+      EXPECT_EQ(finder.last_find_stats().candidates_full, 0);
+      ExpectBitIdentical(second.value(), repeat.value());
+
+      // A narrower find moves part of level 2 to row 320 (a multiple of
+      // 64) and leaves the rest at row 260 (inside a word); the last find
+      // then evaluates level 2 from both prefixes and from row 0 (slices
+      // the narrower configs pruned) in one Evaluate call.
+      ASSERT_TRUE(finder
+                      .Append(RowSlice(data.x0, 260, 320),
+                              ErrorSlice(data.errors, 260, 320))
+                      .ok());
+      auto narrow = finder.Find(narrow_config);
+      ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+      ExpectBitIdentical(
+          ReferenceRun(data, options.domains, 320, narrow_config),
+          narrow.value());
+      ASSERT_TRUE(finder
+                      .Append(RowSlice(data.x0, 320, 400),
+                              ErrorSlice(data.errors, 320, 400))
+                      .ok());
+      auto mixed = finder.Find(deep);
+      ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+      ExpectBitIdentical(ReferenceRun(data, options.domains, 400, deep),
+                         mixed.value());
+      EXPECT_GT(finder.last_find_stats().candidates_delta, 0);
+      EXPECT_GT(finder.last_find_stats().candidates_full, 0);
+    }
   }
+  ResizeGlobalThreadPoolForTesting(0);
 }
 
 TEST(StreamFinderTest, FullRerunFallbackRecordsOutcomeAndMatches) {
