@@ -2,7 +2,7 @@
 // is built from: one-hot encoding, colSums, the vector-matrix error
 // aggregation e^T X, the S*S^T pair join, the X*S^T evaluation product,
 // table()-based selection-matrix construction, and the bit-packed
-// evaluation kernels (ascending float chain and error planes). Each kernel
+// evaluation kernels (exact masked sums and error planes). Each kernel
 // is timed over repeated runs on the shared harness (bench_util.h); the
 // best wall-clock per run and the derived items/s are printed, and
 // recorded through bench::Reporter when SLICELINE_BENCH_JSON is set.
@@ -215,10 +215,14 @@ int main() {
   std::vector<double> bench_errors(static_cast<size_t>(words) * 64, 0.0);
   for (int64_t r = 0; r < ds.n(); ++r) bench_errors[r] = ds.errors[r];
 
-  // The store's error planes over the same rows (adult's errors are 0/1):
-  // the candidate_eval_planes rows run the blocked loop on them.
+  // The store's sum layout and error planes over the same rows (adult's
+  // errors are 0/1): the candidate_eval rows run the blocked loop on the
+  // exact masked kernel alone, the candidate_eval_planes rows with planes.
   const data::ColumnStore store(ds.x0, offsets, ds.errors);
   const linalg::ErrorPlanes* planes = store.error_planes();
+  const linalg::SumLayout layout = store.error_source().layout;
+  const linalg::ErrorSource masked{bench_errors.data(), layout, nullptr};
+  const linalg::ErrorSource with_planes{bench_errors.data(), layout, planes};
 
   std::vector<std::pair<std::string, double>> speedups;
   for (const int level : {2, 4}) {
@@ -229,8 +233,21 @@ int main() {
     for (const auto& cols : candidate_cols) {
       candidates.push_back({cols.data(), static_cast<int32_t>(cols.size())});
     }
-    std::vector<double> sizes(num_candidates), sums(num_candidates),
+    std::vector<int64_t> sizes(num_candidates);
+    std::vector<uint64_t> lanes(num_candidates * layout.lanes),
         maxes(num_candidates);
+    auto run = [&](const linalg::SimdKernels& kernels,
+                   const linalg::ErrorSource& errors) {
+      std::fill(sizes.begin(), sizes.end(), 0);
+      std::fill(lanes.begin(), lanes.end(), 0);
+      std::fill(maxes.begin(), maxes.end(), 0);
+      linalg::EvaluateCandidatesBlocked(kernels, candidates.data(),
+                                        num_candidates, words, errors,
+                                        sizes.data(), lanes.data(),
+                                        maxes.data());
+      return static_cast<double>(sizes[0]) +
+             linalg::RoundLanes(lanes.data(), layout);
+    };
     double scalar_best = 0.0;
     for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
       const linalg::SimdKernels& kernels = linalg::KernelsFor(isa);
@@ -238,16 +255,8 @@ int main() {
                                std::to_string(level) + "/" +
                                linalg::IsaName(isa);
       const double best =
-          RunCase(reporter, name, num_candidates * ds.n(), [&] {
-            std::fill(sizes.begin(), sizes.end(), 0.0);
-            std::fill(sums.begin(), sums.end(), 0.0);
-            std::fill(maxes.begin(), maxes.end(), 0.0);
-            linalg::EvaluateCandidatesBlocked(
-                kernels, candidates.data(), num_candidates, words,
-                bench_errors.data(), /*planes=*/nullptr, sizes.data(),
-                sums.data(), maxes.data());
-            return sizes[0] + sums[0];
-          });
+          RunCase(reporter, name, num_candidates * ds.n(),
+                  [&] { return run(kernels, masked); });
       if (isa == linalg::SimdIsa::kScalar) {
         scalar_best = best;
       } else if (scalar_best > 0.0 && best > 0.0) {
@@ -262,20 +271,12 @@ int main() {
       RunCase(reporter,
               std::string("candidate_eval_planes/L") + std::to_string(level) +
                   "/" + linalg::IsaName(isa),
-              num_candidates * ds.n(), [&] {
-                std::fill(sizes.begin(), sizes.end(), 0.0);
-                std::fill(sums.begin(), sums.end(), 0.0);
-                std::fill(maxes.begin(), maxes.end(), 0.0);
-                linalg::EvaluateCandidatesBlocked(
-                    kernels, candidates.data(), num_candidates, words,
-                    bench_errors.data(), planes, sizes.data(), sums.data(),
-                    maxes.data());
-                return sizes[0] + sums[0];
-              });
+              num_candidates * ds.n(),
+              [&] { return run(kernels, with_planes); });
     }
   }
-  // Micro rows: the raw AND+popcount membership count and the masked error
-  // reduction, isolated from the blocked loop.
+  // Micro rows: the raw AND+popcount membership count and the exact masked
+  // error sum, isolated from the blocked loop.
   {
     const uint64_t* a = packed[0].data();
     const uint64_t* b = packed[packed.size() / 2].data();
@@ -295,13 +296,15 @@ int main() {
             return static_cast<double>(total);
           });
       const double masked_best = RunCase(
-          reporter, std::string("masked_stats/") + isa_name,
+          reporter, std::string("masked_sum/") + isa_name,
           ds.n() * kInner, [&] {
-            linalg::MaskedStats acc;
+            std::vector<uint64_t> acc(static_cast<size_t>(layout.lanes), 0);
+            uint64_t max_bits = 0;
             for (int i = 0; i < kInner; ++i) {
-              kernels.masked_stats(a, words, bench_errors.data(), &acc);
+              kernels.masked_sum(a, words, bench_errors.data(), layout,
+                                 acc.data(), &max_bits);
             }
-            return acc.sum;
+            return linalg::RoundLanes(acc.data(), layout);
           });
       if (isa == linalg::SimdIsa::kScalar) {
         scalar_and = and_best;
@@ -312,7 +315,7 @@ int main() {
                                 scalar_and / and_best);
         }
         if (scalar_masked > 0.0 && masked_best > 0.0) {
-          speedups.emplace_back(std::string("masked_stats_") + isa_name,
+          speedups.emplace_back(std::string("masked_sum_") + isa_name,
                                 scalar_masked / masked_best);
         }
       }

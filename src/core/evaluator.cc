@@ -1,6 +1,8 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <bit>
+#include <mutex>
 #include <string>
 
 #include "common/logging.h"
@@ -22,6 +24,24 @@ void SliceSet::Reserve(int64_t slices, int64_t total_columns) {
   columns_.reserve(columns_.size() + total_columns);
 }
 
+void ExactEvalResult::Add(size_t to, const ExactEvalResult& other,
+                          size_t from) {
+  sizes[to] += other.sizes[from];
+  error_sums[to].Add(other.error_sums[from]);
+  max_errors[to] = std::max(max_errors[to], other.max_errors[from]);
+}
+
+EvalResult ExactEvalResult::Round() const {
+  EvalResult out;
+  out.sizes.assign(sizes.begin(), sizes.end());
+  out.error_sums.reserve(error_sums.size());
+  for (const linalg::ExactSum& sum : error_sums) {
+    out.error_sums.push_back(sum.ToDouble());
+  }
+  out.max_errors = max_errors;
+  return out;
+}
+
 SliceEvaluator::SliceEvaluator(const data::IntMatrix& x0,
                                const data::FeatureOffsets& offsets,
                                const std::vector<double>& errors)
@@ -38,16 +58,32 @@ namespace {
 /// stop within one batch, rare enough to stay off the profile.
 constexpr int64_t kGovernanceStride = 64;
 
-/// Words per kScanBlock row tile (4096 rows). Fixed, so the tile partial
-/// sums and their tile-order merge do not depend on the thread count.
-constexpr int64_t kScanTileWords = 64;
-
 }  // namespace
 
 void SliceEvaluator::Schedule(const SliceSet& set, int64_t first_row,
-                              SliceLineConfig::EvalStrategy strategy,
                               const SliceLineConfig& config,
-                              EvalResult* out) const {
+                              const Sink& sink) const {
+  if (set.size() == 0) return;
+  TRACE_SPAN("evaluator/evaluate", set.size());
+  if (obs::MetricsEnabled()) {
+    obs::MetricsRegistry* registry = obs::MetricsRegistry::Default();
+    registry->GetCounter("evaluator/slices_evaluated")->Add(set.size());
+    registry
+        ->GetCounter(std::string("evaluator/") +
+                     EvalStrategyName(config.eval_strategy) + "/slices")
+        ->Add(set.size());
+    // Which ISA level the packed kernels dispatched at, attributable in
+    // registry snapshots and RunReport JSON.
+    registry
+        ->GetCounter(std::string("evaluator/simd_isa/") +
+                     linalg::SelectedIsaName())
+        ->Add(set.size());
+    // Slices evaluated over a store with error planes, whose dense masks
+    // count error sums by popcount.
+    if (store_.error_planes() != nullptr) {
+      registry->GetCounter("evaluator/error_planes/slices")->Add(set.size());
+    }
+  }
   const RunContext* ctx = config.run_context;
   const bool parallel = config.parallel;
   // Resolve the ISA dispatch once on the coordinating thread; every worker
@@ -58,13 +94,14 @@ void SliceEvaluator::Schedule(const SliceSet& set, int64_t first_row,
   // built; built columns are immutable, so the loops read them without
   // locking.
   store_.Materialize(set.Columns(0), set.total_columns(), parallel);
-  const int64_t words = store_.words();
+  const linalg::ErrorSource errors = store_.error_source();
+  const int64_t stride = errors.layout.lanes;
 
-  // Continues the statistics in ss/se/sm of slices [begin, end) over rows
-  // [row, 64 * word_end), in chunks that double as the strided governance
-  // poll boundary.
+  // Adds the statistics of slices [begin, end) over rows [row, 64 *
+  // word_end) to `out` (indexed from begin), in chunks that double as the
+  // strided governance poll boundary.
   auto evaluate = [&](int64_t begin, int64_t end, int64_t row,
-                      int64_t word_end, double* ss, double* se, double* sm) {
+                      int64_t word_end, LaneStats* out) {
     std::vector<const uint64_t*> arena;
     arena.reserve(static_cast<size_t>(set.Columns(end) - set.Columns(begin)));
     for (int64_t s = begin; s < end; ++s) {
@@ -83,78 +120,64 @@ void SliceEvaluator::Schedule(const SliceSet& set, int64_t first_row,
       if (ctx != nullptr && ctx->ShouldStop()) return;
       linalg::EvaluateCandidatesBlocked(
           kernels, candidates.data() + chunk,
-          std::min(kGovernanceStride, end - begin - chunk), word_end,
-          store_.errors().data(), store_.error_planes(), ss + chunk,
-          se + chunk, sm + chunk, row);
+          std::min(kGovernanceStride, end - begin - chunk), word_end, errors,
+          out->sizes.data() + chunk, out->lanes.data() + chunk * stride,
+          out->max_bits.data() + chunk, row);
+    }
+  };
+  auto run = [&](size_t size, const std::function<void(size_t, size_t)>& body) {
+    if (parallel) {
+      GlobalThreadPool().ParallelForRange(size, ctx, body);
+    } else {
+      body(0, size);
     }
   };
 
-  if (strategy == SliceLineConfig::EvalStrategy::kBitset) {
-    // Task-parallel over candidates, each over all rows.
-    auto body = [&](size_t begin, size_t end) {
-      evaluate(static_cast<int64_t>(begin), static_cast<int64_t>(end),
-               first_row, words, out->sizes.data() + begin,
-               out->error_sums.data() + begin,
-               out->max_errors.data() + begin);
-    };
-    if (parallel) {
-      GlobalThreadPool().ParallelForRange(static_cast<size_t>(set.size()),
-                                          ctx, body);
-    } else {
-      body(0, static_cast<size_t>(set.size()));
-    }
+  if (config.eval_strategy == SliceLineConfig::EvalStrategy::kBitset) {
+    // Task-parallel over candidates, each over all rows, one governance
+    // chunk of statistics at a time.
+    run(static_cast<size_t>(set.size()), [&](size_t begin, size_t end) {
+      LaneStats stats;
+      for (int64_t c = static_cast<int64_t>(begin);
+           c < static_cast<int64_t>(end); c += kGovernanceStride) {
+        const int64_t c_end =
+            std::min(static_cast<int64_t>(end), c + kGovernanceStride);
+        stats.Reset(c_end - c, stride);
+        evaluate(c, c_end, first_row, store_.words(), &stats);
+        sink(c, stats);
+      }
+    });
     return;
   }
 
-  // kScanBlock: blocks of b candidates, each data-parallel over row tiles
-  // evaluated from zeroed partials (the same add sequence per slice as a
-  // row scan of the tile) and merged in tile order. Tiles run in waves of
-  // one tile per thread; the wave width only bounds partial-sum memory.
-  const int64_t count = set.size();
+  // kScanBlock: blocks of b candidates, each data-parallel over ranges of
+  // row words. Every range sums into its own statistics, which join the
+  // block's in whatever order the ranges finish: integer adds.
   const int64_t b = std::max(1, config.eval_block_size);
-  const int64_t tiles = (words + kScanTileWords - 1) / kScanTileWords;
-  const int64_t wave =
-      parallel ? static_cast<int64_t>(GlobalThreadPool().num_threads()) : 1;
-  struct Partial {
-    std::vector<double> ss, se, sm;
-  };
-  std::vector<Partial> partials(static_cast<size_t>(std::min(wave, tiles)));
-  for (int64_t block_begin = 0; block_begin < count; block_begin += b) {
+  const int64_t first_word = first_row >> 6;
+  std::mutex merge;
+  for (int64_t block = 0; block < set.size(); block += b) {
     if (ctx != nullptr && ctx->ShouldStop()) return;
-    const int64_t block_end = std::min(block_begin + b, count);
-    const size_t bs = static_cast<size_t>(block_end - block_begin);
-    for (int64_t wave_begin = 0; wave_begin < tiles; wave_begin += wave) {
-      const int64_t wave_tiles = std::min(wave, tiles - wave_begin);
-      auto run = [&](size_t begin, size_t end) {
-        for (size_t t = begin; t < end; ++t) {
-          Partial& acc = partials[t];
-          acc.ss.assign(bs, 0.0);
-          acc.se.assign(bs, 0.0);
-          acc.sm.assign(bs, 0.0);
-          const int64_t w0 = (wave_begin + static_cast<int64_t>(t)) *
-                             kScanTileWords;
-          evaluate(block_begin, block_end, w0 * 64,
-                   std::min(words, w0 + kScanTileWords), acc.ss.data(),
-                   acc.se.data(), acc.sm.data());
-        }
-      };
-      if (parallel) {
-        GlobalThreadPool().ParallelForRange(static_cast<size_t>(wave_tiles),
-                                            ctx, run);
-      } else {
-        run(0, static_cast<size_t>(wave_tiles));
-      }
-      if (ctx != nullptr && ctx->ShouldStop()) return;
-      for (int64_t t = 0; t < wave_tiles; ++t) {
-        const Partial& acc = partials[static_cast<size_t>(t)];
-        for (size_t s = 0; s < bs; ++s) {
-          const size_t slice = static_cast<size_t>(block_begin) + s;
-          out->sizes[slice] += acc.ss[s];
-          out->error_sums[slice] += acc.se[s];
-          out->max_errors[slice] = std::max(out->max_errors[slice], acc.sm[s]);
-        }
-      }
-    }
+    const int64_t block_end = std::min(block + b, set.size());
+    LaneStats total;
+    total.Reset(block_end - block, stride);
+    run(static_cast<size_t>(store_.words() - first_word),
+        [&](size_t begin, size_t end) {
+          const int64_t w0 = first_word + static_cast<int64_t>(begin);
+          LaneStats stats;
+          stats.Reset(block_end - block, stride);
+          evaluate(block, block_end, std::max(first_row, w0 * 64),
+                   first_word + static_cast<int64_t>(end), &stats);
+          std::lock_guard<std::mutex> lock(merge);
+          std::transform(stats.lanes.begin(), stats.lanes.end(),
+                         total.lanes.begin(), total.lanes.begin(),
+                         std::plus<>());
+          for (size_t s = 0; s < stats.sizes.size(); ++s) {
+            total.sizes[s] += stats.sizes[s];
+            total.max_bits[s] = std::max(total.max_bits[s], stats.max_bits[s]);
+          }
+        });
+    sink(block, total);
   }
 }
 
@@ -166,27 +189,16 @@ StatusOr<EvalResult> SliceEvaluator::Evaluate(
   out.error_sums.assign(count, 0.0);
   out.max_errors.assign(count, 0.0);
   if (count == 0) return out;
-  TRACE_SPAN("evaluator/evaluate", set.size());
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry* registry = obs::MetricsRegistry::Default();
-    registry->GetCounter("evaluator/slices_evaluated")->Add(set.size());
-    registry
-        ->GetCounter(std::string("evaluator/") +
-                     EvalStrategyName(config.eval_strategy) + "/slices")
-        ->Add(set.size());
-    // Which ISA level the packed kernels dispatched at, attributable in
-    // registry snapshots and RunReport JSON.
-    registry
-        ->GetCounter(std::string("evaluator/simd_isa/") +
-                     linalg::SelectedIsaName())
-        ->Add(set.size());
-    // Slices whose error statistics came from popcounts over the error
-    // planes rather than the ascending float chain.
-    if (store_.error_planes() != nullptr) {
-      registry->GetCounter("evaluator/error_planes/slices")->Add(set.size());
+  const linalg::SumLayout layout = store_.error_source().layout;
+  Schedule(set, 0, config, [&](int64_t begin, const LaneStats& stats) {
+    for (size_t i = 0; i < stats.sizes.size(); ++i) {
+      const size_t s = static_cast<size_t>(begin) + i;
+      out.sizes[s] = static_cast<double>(stats.sizes[i]);
+      out.error_sums[s] =
+          linalg::RoundLanes(&stats.lanes[i * layout.lanes], layout);
+      out.max_errors[s] = std::bit_cast<double>(stats.max_bits[i]);
     }
-  }
-  Schedule(set, 0, config.eval_strategy, config, &out);
+  });
   // A stop observed mid-evaluation leaves `out` incomplete; report the
   // governance status so the engine discards it and packages best-so-far
   // results from fully evaluated levels only.
@@ -199,11 +211,17 @@ StatusOr<EvalResult> SliceEvaluator::Evaluate(
 
 Status SliceEvaluator::Continue(const SliceSet& set, int64_t first_row,
                                 const SliceLineConfig& config,
-                                EvalResult* stats) const {
-  if (set.size() > 0) {
-    Schedule(set, first_row, SliceLineConfig::EvalStrategy::kBitset, config,
-             stats);
-  }
+                                ExactEvalResult* stats) const {
+  const linalg::SumLayout layout = store_.error_source().layout;
+  Schedule(set, first_row, config, [&](int64_t begin, const LaneStats& add) {
+    for (size_t i = 0; i < add.sizes.size(); ++i) {
+      const size_t s = static_cast<size_t>(begin) + i;
+      stats->sizes[s] += add.sizes[i];
+      stats->error_sums[s].AddLanes(&add.lanes[i * layout.lanes], layout);
+      stats->max_errors[s] = std::max(stats->max_errors[s],
+                                      std::bit_cast<double>(add.max_bits[i]));
+    }
+  });
   const RunContext* ctx = config.run_context;
   if (ctx != nullptr && ctx->ShouldStop()) {
     return StopReasonToStatus(ctx->CheckStop());

@@ -2,6 +2,7 @@
 #define SLICELINE_CORE_EVALUATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "data/column_store.h"
 #include "data/int_matrix.h"
 #include "data/onehot.h"
+#include "linalg/exact_sum.h"
 
 namespace sliceline::core {
 
@@ -47,6 +49,23 @@ struct EvalResult {
   std::vector<double> max_errors;
 };
 
+/// Evaluation output before its error sums round: sizes, exact error sums
+/// and maxima, aligned with a slice set. Statistics over any row ranges,
+/// shards or appends add up to the same values in any order, and Round()
+/// gives the EvalResult every backend returns.
+struct ExactEvalResult {
+  explicit ExactEvalResult(size_t count = 0)
+      : sizes(count, 0), error_sums(count), max_errors(count, 0.0) {}
+
+  std::vector<int64_t> sizes;
+  std::vector<linalg::ExactSum> error_sums;
+  std::vector<double> max_errors;
+
+  /// Adds the statistics of slice `from` of `other` to slice `to`.
+  void Add(size_t to, const ExactEvalResult& other, size_t from);
+  EvalResult Round() const;
+};
+
 /// Abstract slice-evaluation backend: everything the enumeration driver
 /// needs from the data side. Implemented by the local SliceEvaluator, the
 /// streaming finder's caching evaluator (stream/stream_finder.h) and the
@@ -79,8 +98,9 @@ class EvaluatorBackend {
 /// portable scalar reference): kBitset runs it task-parallel over
 /// candidates (Figure 7(b) MT-PFor); kScanBlock runs it data-parallel over
 /// fixed row tiles for each block of b candidates (MT-Ops, the b Figure
-/// 6(b) sweeps); Continue extends earlier statistics over appended rows
-/// (the streaming finder).
+/// 6(b) sweeps). Error sums are exact integers until they round once, so
+/// both strategies, every thread count and ISA, and Continue over any row
+/// prefix give the same doubles.
 class SliceEvaluator : public EvaluatorBackend {
  public:
   /// Builds a column store over (x0, offsets, errors), which must outlive
@@ -95,14 +115,13 @@ class SliceEvaluator : public EvaluatorBackend {
   StatusOr<EvalResult> Evaluate(const SliceSet& set,
                                 const SliceLineConfig& config) const override;
 
-  /// Folds rows [first_row, n) of every slice of `set` into `*stats`, whose
-  /// arrays (aligned with the set) hold the slices' statistics over rows
-  /// [0, first_row) as kBitset computed them, or zeros for first_row 0.
-  /// Runs the kBitset schedule whatever config.eval_strategy says, so the
-  /// result is bit-identical to a kBitset Evaluate over all n rows. On a
-  /// governance stop returns its Status and leaves *stats incomplete.
+  /// Adds the statistics of rows [first_row, n) of every slice of `set` to
+  /// `*stats` (aligned with the set), with config's strategy. Over statistics
+  /// of rows [0, first_row) from any source, the result rounds to the
+  /// doubles an Evaluate over all n rows returns. On a governance stop
+  /// returns its Status and leaves *stats incomplete.
   Status Continue(const SliceSet& set, int64_t first_row,
-                  const SliceLineConfig& config, EvalResult* stats) const;
+                  const SliceLineConfig& config, ExactEvalResult* stats) const;
 
   /// Level-1 statistics per one-hot column (Equation 4): sizes ss0,
   /// error sums se0, and maximum tuple errors sm0.
@@ -115,6 +134,7 @@ class SliceEvaluator : public EvaluatorBackend {
   const std::vector<double>& basic_max_errors() const override {
     return store_.basic_max_errors();
   }
+  const data::ColumnStore& store() const { return store_; }
 
   int64_t n() const override { return store_.rows(); }
   double total_error() const override { return store_.total_error(); }
@@ -123,13 +143,29 @@ class SliceEvaluator : public EvaluatorBackend {
   }
 
  private:
-  // Runs `strategy`'s schedule over rows [first_row, n) of the set, which
-  // must not be empty, continuing the statistics in *out. Polls
-  // config.run_context at candidate-chunk, block and tile boundaries and
-  // bails out early on a governance stop; the callers then report it.
+  // Statistics of a run of slices as the evaluation loop adds them up:
+  // sizes, accumulators of the store's sum layout, max bit patterns.
+  struct LaneStats {
+    /// Zeroes the statistics of `count` slices, keeping the buffers.
+    void Reset(int64_t count, int64_t stride) {
+      sizes.assign(static_cast<size_t>(count), 0);
+      lanes.assign(static_cast<size_t>(count * stride), 0);
+      max_bits.assign(static_cast<size_t>(count), 0);
+    }
+    std::vector<int64_t> sizes;
+    std::vector<uint64_t> lanes;
+    std::vector<uint64_t> max_bits;
+  };
+  // Receives the statistics of slices [begin, begin + size) of the set;
+  // called concurrently for disjoint runs, each slice exactly once.
+  using Sink = std::function<void(int64_t begin, const LaneStats& stats)>;
+  // Runs config's schedule over rows [first_row, n) of the set under the
+  // evaluator/evaluate span and counters, handing every slice's statistics
+  // to `sink`. Polls config.run_context at candidate-chunk and block
+  // boundaries and bails out early on a governance stop; the callers then
+  // report it.
   void Schedule(const SliceSet& set, int64_t first_row,
-                SliceLineConfig::EvalStrategy strategy,
-                const SliceLineConfig& config, EvalResult* out) const;
+                const SliceLineConfig& config, const Sink& sink) const;
 
   std::unique_ptr<const data::ColumnStore> owned_store_;
   const data::ColumnStore& store_;

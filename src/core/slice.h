@@ -56,29 +56,23 @@ struct SliceLineConfig {
   // -- execution (Section 4.4) --
   /// Block size b of the hybrid scan-shared evaluation; only used by the
   /// kScanBlock strategy, which evaluates b slices per data-parallel pass
-  /// over the row tiles. b=1 degenerates to one pass per slice, huge b to
-  /// one pass per level.
+  /// over the rows. b=1 degenerates to one pass per slice, huge b to one
+  /// pass per level.
   int eval_block_size = 16;
   /// Both strategies are schedules of one bitmap evaluation loop over one
   /// column store (data/column_store.h, linalg::EvaluateCandidatesBlocked).
   /// The values are fixed because checkpoint config hashes include them.
   enum class EvalStrategy {
     kScanBlock = 1,  ///< blocks of b slices, each evaluated data-parallel
-                     ///< over fixed 4096-row tiles (Figure 7(b) MT-Ops)
+                     ///< over row ranges (Figure 7(b) MT-Ops)
     kBitset = 2,     ///< task-parallel over slices, each over all rows
                      ///< (Figure 7(b) MT-PFor; default)
   };
   /// kBitset is the default hot path: it needs no per-block barrier and no
   /// partial sums. Both strategies run the runtime-dispatched SIMD kernels
-  /// and return bit-identical results for any thread count and ISA. On
-  /// exactly summable errors (0/1 inaccuracy, any dyadic grid:
-  /// data::ErrorGrid) every sum order gives the same doubles, both count
-  /// error sums by popcount over the store's error planes, and the two
-  /// strategies agree bit for bit. On other errors kBitset sums each
-  /// slice's errors in one ascending-row chain, while kScanBlock sums fixed
-  /// 4096-row tiles and adds the tile sums in tile order, so on inputs
-  /// longer than one tile its error sums may differ from kBitset's in the
-  /// last bits (sizes and maxima never do).
+  /// and sum errors exactly (linalg::ExactSum), rounding each slice's sum
+  /// once, so they return bit-identical results for any error vector,
+  /// thread count and ISA.
   EvalStrategy eval_strategy = EvalStrategy::kBitset;
   bool parallel = true;  ///< run generation and evaluation on the pool
 

@@ -12,20 +12,14 @@ namespace sliceline::data {
 
 namespace {
 
-/// Exclusive bound on the sum of the k_i of an exactly summable vector.
-constexpr uint64_t kUnitsLimit = uint64_t{1} << 53;
-
 /// Codes below which the level-1 pass stays on the calling thread: small
 /// inputs finish before a pool round trip would.
 constexpr int64_t kParallelStatsCells = int64_t{1} << 18;
 
 }  // namespace
 
-double ErrorGrid::unit() const { return std::ldexp(1.0, low_); }
-
-bool ErrorGrid::Add(double e) {
-  if (!exact_ || e == 0.0) return exact_;
-  if (!(e > 0.0) || !std::isfinite(e)) return exact_ = false;
+void ErrorGrid::Add(double e) {
+  if (e == 0.0) return;
   // e == odd * 2^shift for an odd integer `odd`.
   const uint64_t bits = std::bit_cast<uint64_t>(e);
   const int biased = static_cast<int>(bits >> 52);
@@ -35,28 +29,15 @@ bool ErrorGrid::Add(double e) {
     odd |= uint64_t{1} << 52;
     shift = biased - 1075;
   }
-  const int zeros = std::countr_zero(odd);
-  odd >>= zeros;
-  shift += zeros;
   const int top = shift + std::bit_width(odd);
+  shift += std::countr_zero(odd);
   if (!any_) {
     any_ = true;
     low_ = shift;
-  } else if (shift < low_) {
-    // A finer unit: every earlier k doubles once per step (units_ >= 1).
-    const int finer = low_ - shift;
-    if (finer >= 53 || units_ >= (kUnitsLimit >> finer)) {
-      return exact_ = false;
-    }
-    units_ <<= finer;
-    low_ = shift;
+    top_ = top;
   }
+  low_ = std::min(low_, shift);
   top_ = std::max(top_, top);
-  if (top - low_ > 53 || low_ > 970) return exact_ = false;
-  const uint64_t k = odd << (shift - low_);
-  if (k >= kUnitsLimit - units_) return exact_ = false;
-  units_ += k;
-  return true;
 }
 
 ColumnStore::ColumnStore(const IntMatrix& x0, const FeatureOffsets& offsets,
@@ -66,6 +47,7 @@ ColumnStore::ColumnStore(const IntMatrix& x0, const FeatureOffsets& offsets,
   basic_sizes_.assign(l, 0);
   basic_error_sums_.assign(l, 0.0);
   basic_max_errors_.assign(l, 0.0);
+  exact_basic_error_sums_.assign(l, linalg::ExactSum());
   columns_.resize(l);
   built_.assign(l, 0);
   AccumulateStats(0, x0.rows());
@@ -75,17 +57,18 @@ void ColumnStore::AccumulateStats(int64_t begin, int64_t end) {
   const std::vector<double>& errors = *errors_;
   const int64_t m = x0_->cols();
   SLICELINE_CHECK_EQ(static_cast<int64_t>(errors.size()), x0_->rows());
-  // One serial pass over the errors: the total's chain and the grid test.
+  // One serial pass over the errors: the grid fixes the sum layout the
+  // column pass accumulates in.
   for (int64_t i = begin; i < end; ++i) {
     const double e = errors[static_cast<size_t>(i)];
-    SLICELINE_CHECK_GE(e, 0.0);
-    total_error_ += e;
+    SLICELINE_CHECK(e >= 0.0 && std::isfinite(e))
+        << "error " << e << " at row " << i;
     grid_.Add(e);
   }
   n_ = end;
   words_ = linalg::BitmapWords(n_);
-  // Feature groups own disjoint columns, so every column's chain runs over
-  // its rows in ascending order however the features are split.
+  // Feature groups own disjoint columns; every sum is exact, so how the
+  // features are split does not matter.
   const int64_t groups =
       (end - begin) * m >= kParallelStatsCells
           ? std::min<int64_t>(
@@ -101,8 +84,20 @@ void ColumnStore::AccumulateStats(int64_t begin, int64_t end) {
   } else {
     AccumulateColumns(begin, end, 0, m);
   }
-  has_planes_ = has_planes_ && grid_.exact() &&
-                grid_.planes() <= kMaxErrorPlanes;
+  // Every row has one code per feature, so feature 0's columns partition the
+  // rows and their exact sums add up to the total.
+  if (m > 0) {
+    exact_total_error_ = linalg::ExactSum();
+    for (int64_t c = offsets_->fb[0]; c < offsets_->fe[0]; ++c) {
+      exact_total_error_.Add(exact_basic_error_sums_[static_cast<size_t>(c)]);
+    }
+  } else {
+    for (int64_t i = begin; i < end; ++i) {
+      exact_total_error_.Add(errors[static_cast<size_t>(i)]);
+    }
+  }
+  total_error_ = exact_total_error_.ToDouble();
+  has_planes_ = has_planes_ && grid_.planes() <= kMaxErrorPlanes;
   if (has_planes_) {
     FillPlanes(begin, end);
   } else {
@@ -118,34 +113,62 @@ void ColumnStore::AccumulateColumns(int64_t begin, int64_t end,
   const IntMatrix& x0 = *x0_;
   const FeatureOffsets& offsets = *offsets_;
   const std::vector<double>& errors = *errors_;
-  // Private copies of the group's columns: a small feature's columns share
-  // cache lines with its neighbour's, which another group would write on
-  // every row. Each chain still starts from the stored value, so Extend
-  // continues it.
+  // Private accumulators for the group's columns: a small feature's columns
+  // share cache lines with its neighbour's, which another group would
+  // write on every row.
   const int64_t col_begin = offsets.fb[feature_begin];
   const int64_t col_end = offsets.fe[feature_end - 1];
-  std::vector<int64_t> sizes(basic_sizes_.begin() + col_begin,
-                             basic_sizes_.begin() + col_end);
-  std::vector<double> sums(basic_error_sums_.begin() + col_begin,
-                           basic_error_sums_.begin() + col_end);
-  std::vector<double> maxes(basic_max_errors_.begin() + col_begin,
-                            basic_max_errors_.begin() + col_end);
-  for (int64_t i = begin; i < end; ++i) {
-    const int32_t* row = x0.row(i);
-    const double e = errors[static_cast<size_t>(i)];
-    for (int64_t j = feature_begin; j < feature_end; ++j) {
-      SLICELINE_CHECK(row[j] >= 1 && row[j] <= offsets.fdom[j])
-          << "X0 code out of domain at (" << i << "," << j << ")";
-      const int64_t c = offsets.fb[j] + row[j] - 1 - col_begin;
-      ++sizes[c];
-      sums[c] += e;
-      if (e > maxes[c]) maxes[c] = e;
+  const linalg::SumLayout layout = grid_.layout();
+  const size_t cols = static_cast<size_t>(col_end - col_begin);
+  const size_t stride = static_cast<size_t>(layout.lanes);
+  std::vector<int64_t> sizes(cols, 0);
+  std::vector<uint64_t> maxes(cols, 0);  // bit patterns
+  // Runs `add(c, split(e))` for every row's error e and each of its columns
+  // c (indexed from col_begin), counting sizes and maxima alongside.
+  auto scan = [&](auto split, auto add) {
+    for (int64_t i = begin; i < end; ++i) {
+      const int32_t* row = x0.row(i);
+      const double e = errors[static_cast<size_t>(i)];
+      const auto part = split(e);
+      for (int64_t j = feature_begin; j < feature_end; ++j) {
+        SLICELINE_CHECK(row[j] >= 1 && row[j] <= offsets.fdom[j])
+            << "X0 code out of domain at (" << i << "," << j << ")";
+        const size_t c =
+            static_cast<size_t>(offsets.fb[j] + row[j] - 1 - col_begin);
+        ++sizes[c];
+        add(c, part);
+        maxes[c] = std::max(maxes[c], std::bit_cast<uint64_t>(e));
+      }
+    }
+  };
+  // Narrow layouts sum each column's k = e / 2^low in one 128-bit integer;
+  // wide layouts sum in accumulator lanes.
+  std::vector<uint64_t> lanes(cols * stride, 0);
+  if (!layout.narrow) {
+    scan([&](double e) {
+           return linalg::SplitForLanes(std::bit_cast<uint64_t>(e),
+                                        layout.anchor);
+         },
+         [&](size_t c, const linalg::LaneIncrement& add) {
+           linalg::AddToLanes(add, lanes.data() + c * stride);
+         });
+  } else {
+    std::vector<unsigned __int128> units(cols, 0);
+    scan([&](double e) { return linalg::NarrowUnits(e, layout.scale); },
+         [&](size_t c, unsigned __int128 k) { units[c] += k; });
+    for (size_t c = 0; c < cols; ++c) {
+      linalg::AddUnitsToLanes(units[c], layout.low - layout.anchor,
+                              lanes.data() + c * stride);
     }
   }
-  std::copy(sizes.begin(), sizes.end(), basic_sizes_.begin() + col_begin);
-  std::copy(sums.begin(), sums.end(), basic_error_sums_.begin() + col_begin);
-  std::copy(maxes.begin(), maxes.end(),
-            basic_max_errors_.begin() + col_begin);
+  for (size_t c = 0; c < cols; ++c) {
+    const size_t col = static_cast<size_t>(col_begin) + c;
+    basic_sizes_[col] += sizes[c];
+    exact_basic_error_sums_[col].AddLanes(lanes.data() + c * stride, layout);
+    basic_error_sums_[col] = exact_basic_error_sums_[col].ToDouble();
+    basic_max_errors_[col] =
+        std::max(basic_max_errors_[col], std::bit_cast<double>(maxes[c]));
+  }
 }
 
 void ColumnStore::FillPlanes(int64_t begin, int64_t end) {
@@ -164,8 +187,8 @@ void ColumnStore::FillPlanes(int64_t begin, int64_t end) {
     plane_words_.push_back(plane.data());
   }
   const std::vector<double>& errors = *errors_;
-  // Exact: the grid test passed, so e / u is an integer below 2^53 (and
-  // 1 / u is a double unless u is subnormal).
+  // Exact: e / u is an integer below 2^kMaxErrorPlanes (and 1 / u is a
+  // double unless u is subnormal).
   const double inverse_unit = low >= -1022 ? std::ldexp(1.0, -low) : 0.0;
   for (int64_t i = begin; i < end; ++i) {
     const double e = errors[static_cast<size_t>(i)];
@@ -179,7 +202,7 @@ void ColumnStore::FillPlanes(int64_t begin, int64_t end) {
     }
   }
   planes_view_ = {plane_words_.data(), static_cast<int32_t>(planes_.size()),
-                  grid_.unit()};
+                  low};
 }
 
 void ColumnStore::SetBits(int64_t begin, int64_t end,

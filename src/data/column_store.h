@@ -7,51 +7,42 @@
 
 #include "data/int_matrix.h"
 #include "data/onehot.h"
+#include "linalg/exact_sum.h"
 #include "linalg/kernels_simd.h"
 
 namespace sliceline::data {
 
-/// Decides, one error at a time, whether an error vector is exactly
-/// summable: every error is k_i * u for one power of two u = 2^low and
-/// non-negative integers k_i with sum k_i < 2^53 and u <= 2^970.
+/// The bit spread of an error vector, folded in one error at a time. Every
+/// finite, non-negative double is an odd integer times a power of two, so
+/// every error is k_i * 2^low for the lowest set bit 2^low of the vector and
+/// integers 0 <= k_i < 2^(top - low). The spread fixes the layout of the
+/// vector's exact sums (linalg::SumLayout) and decides whether the store
+/// keeps error planes: the bits of each k_i as row bitmaps. 0/1 errors need
+/// one plane and quarters a few; squared losses span dozens of bits.
 ///
-/// Why that makes the sum order irrelevant: every partial sum of such
-/// errors, over any subset in any order, is u * K for an integer
-/// 0 <= K < 2^53, and every such value is a finite double (an integer below
-/// 2^53 times a power of two between 2^-1074 and 2^970). A float addition
-/// whose exact result is a double returns that result, so each add of the
-/// ascending chain is exact and the chain returns u * (sum of k) — the
-/// value u * K computed from integer counts, whatever order produced K. The
-/// maximum is order-free anyway and equals u * (max k). So on these inputs
-/// the popcount statistics over error bit-planes are bit-identical to the
-/// chain. Classification inaccuracy (0/1) and errors on a dyadic grid
-/// (multiples of 0.25, say) qualify; squared regression losses generally
-/// do not.
-///
-/// u is the finest power of two any non-zero error needs, so it only
-/// shrinks as errors arrive; when it does, the earlier k_i double per step.
-/// Once a vector fails the test, every extension of it fails too.
+/// low only falls and top only rises as errors arrive; when low falls, the
+/// earlier k_i double once per step.
 class ErrorGrid {
  public:
-  /// Folds one non-negative error in; returns exact().
-  bool Add(double e);
+  /// Folds one finite, non-negative error in.
+  void Add(double e);
 
-  bool exact() const { return exact_; }
-  /// The unit u (1.0 while every error is zero).
-  double unit() const;
-  /// Exponent of the unit: u == 2^low_exponent().
+  /// Exponent of the unit: every error is a multiple of 2^low_exponent()
+  /// (0 while every error is zero).
   int low_exponent() const { return low_; }
+  /// Every error is below 2^top_exponent().
+  int top_exponent() const { return top_; }
   /// Bits the largest k_i needs (0 while every error is zero).
   int planes() const { return any_ ? top_ - low_ : 0; }
-  /// Sum of the k_i.
-  uint64_t units() const { return units_; }
+  /// The layout of the vector's exact sums.
+  linalg::SumLayout layout() const {
+    return linalg::SumLayout::ForBits(low_, top_);
+  }
 
  private:
-  bool exact_ = true;
   bool any_ = false;  // a non-zero error has arrived
-  int low_ = 0;       // u == 2^low_
+  int low_ = 0;       // every error is a multiple of 2^low_
   int top_ = 0;       // every error < 2^top_
-  uint64_t units_ = 0;
 };
 
 /// The column view of the paper's one-hot X, computed straight from the
@@ -60,13 +51,13 @@ class ErrorGrid {
 /// error) and per-column packed row bitmaps in the linalg/bitmap.h word
 /// layout (bit r%64 of word r/64 is row r, words padded to kBitmapWordPad).
 ///
-/// Statistics are computed eagerly in one ascending-row pass per feature
-/// (features run in parallel on the global pool for large inputs; each
-/// owns its columns), so every float statistic is one ascending-row add
-/// chain. The same pass over the errors runs the ErrorGrid test; when the
-/// errors are exactly summable with at most kMaxErrorPlanes planes, the
-/// store also holds the bits of each row's k_i as row bitmaps (the error
-/// planes), from which the evaluators count error sums by popcount.
+/// Statistics are computed eagerly in one pass per feature (features run
+/// in parallel on the global pool for large inputs; each owns its columns).
+/// Every error sum is exact (linalg::ExactSum) and rounded to a double once,
+/// so neither the split nor the order of the rows changes a bit. The same
+/// pass over the errors tracks their ErrorGrid; when the largest k_i needs at
+/// most kMaxErrorPlanes bits, the store also holds the error planes, from
+/// which the evaluators count dense error sums by popcount.
 /// Bitmaps are built lazily: Materialize fills every requested column that
 /// is not built yet in one row-major pass over the codes, so ultra-wide
 /// one-hot spaces only pay for the columns candidate slices touch.
@@ -80,11 +71,11 @@ class ErrorGrid {
 class ColumnStore {
  public:
   /// Most error planes the store keeps; errors whose largest k_i needs more
-  /// bits keep the ascending chain.
+  /// bits sum through the exact masked kernel alone.
   static constexpr int kMaxErrorPlanes = 16;
 
-  /// CHECK-fails on an error vector of the wrong size, a negative error, or
-  /// a code outside its feature's domain.
+  /// CHECK-fails on an error vector of the wrong size, a negative or
+  /// non-finite error, or a code outside its feature's domain.
   ColumnStore(const IntMatrix& x0, const FeatureOffsets& offsets,
               const std::vector<double>& errors);
 
@@ -103,12 +94,20 @@ class ColumnStore {
   const std::vector<double>& basic_max_errors() const {
     return basic_max_errors_;
   }
+  /// The exact sums basic_error_sums() rounds.
+  const std::vector<linalg::ExactSum>& exact_basic_error_sums() const {
+    return exact_basic_error_sums_;
+  }
 
-  /// The error planes over all rows, or nullptr when the errors are not
-  /// exactly summable within kMaxErrorPlanes planes. Valid until the next
-  /// Extend.
+  /// The error planes over all rows, or nullptr when the errors span more
+  /// than kMaxErrorPlanes bits. Valid until the next Extend.
   const linalg::ErrorPlanes* error_planes() const {
     return has_planes_ ? &planes_view_ : nullptr;
+  }
+  /// The errors, their sum layout and planes, as the evaluation loop reads
+  /// them. Valid until the next Extend.
+  linalg::ErrorSource error_source() const {
+    return {errors_->data(), grid_.layout(), error_planes()};
   }
 
   /// Padded 64-bit words per column bitmap (linalg::BitmapWords(rows())).
@@ -133,11 +132,10 @@ class ColumnStore {
   int64_t memory_bytes() const;
 
   /// Folds the rows the owner appended to the borrowed codes and errors
-  /// (rows [rows(), x0.rows())) into the statistics, continuing every chain
-  /// in ascending row order, into the columns already built, and into the
-  /// error planes (rescaled when the new rows need a finer unit; dropped
-  /// for good when they leave the grid), so the store equals a one-shot
-  /// build over all rows.
+  /// (rows [rows(), x0.rows())) into the exact statistics, into the columns
+  /// already built, and into the error planes (rescaled when the new rows
+  /// need a finer unit; dropped for good once the spread exceeds
+  /// kMaxErrorPlanes), so the store equals a one-shot build over all rows.
   void Extend();
 
  private:
@@ -161,6 +159,7 @@ class ColumnStore {
   int64_t words_ = 0;
 
   double total_error_ = 0.0;
+  linalg::ExactSum exact_total_error_;
   ErrorGrid grid_;
   bool has_planes_ = true;
   int planes_low_ = 0;  // unit exponent the planes were built with
@@ -170,6 +169,7 @@ class ColumnStore {
   std::vector<int64_t> basic_sizes_;
   std::vector<double> basic_error_sums_;
   std::vector<double> basic_max_errors_;
+  std::vector<linalg::ExactSum> exact_basic_error_sums_;
 
   // Indexed by one-hot column; a column's words are allocated when it is
   // built and never move until Extend. built_ is written under mutex_ only.

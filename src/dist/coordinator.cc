@@ -34,48 +34,25 @@ std::string FingerprintDataset(const data::IntMatrix& x0,
   return std::to_string(hasher.hash());
 }
 
-bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
-
 /// Coordinator-side checks on a gathered partial or a shard's level-1
-/// statistics: `count` entries each, sizes integral in [0, shard_rows],
-/// error sums and maxima finite and non-negative. A corrupted payload that
-/// survives the checksum (basic_stats has none) is still rejected here.
-template <typename Size>
-bool PartialInvariantsOk(const std::vector<Size>& sizes,
-                  const std::vector<double>& error_sums,
-                  const std::vector<double>& max_errors, int64_t shard_rows,
-                  size_t count) {
-  if (sizes.size() != count || error_sums.size() != count ||
-      max_errors.size() != count) {
-    return false;
-  }
+/// statistics: `count` entries, sizes in [0, shard_rows], maxima finite and
+/// non-negative, and each error sum at most size * max (compared after
+/// rounding, which is monotone, so a true partial always passes). A
+/// corrupted payload that survives the checksum (basic_stats has none) is
+/// still rejected here.
+bool PartialInvariantsOk(const core::ExactEvalResult& partial,
+                         int64_t shard_rows, size_t count) {
+  if (partial.sizes.size() != count) return false;
   for (size_t i = 0; i < count; ++i) {
-    const double ss = static_cast<double>(sizes[i]);
-    if (!(ss >= 0.0) || ss > static_cast<double>(shard_rows) ||
-        ss != std::floor(ss) || !FiniteNonNegative(error_sums[i]) ||
-        !FiniteNonNegative(max_errors[i])) {
+    const double max = partial.max_errors[i];
+    if (partial.sizes[i] < 0 || partial.sizes[i] > shard_rows ||
+        !(std::isfinite(max) && max >= 0.0) ||
+        !(partial.error_sums[i].ToDouble() <=
+          static_cast<double>(partial.sizes[i]) * max)) {
       return false;
     }
   }
   return true;
-}
-
-/// Folds one shard's level-1 or slice statistics into the totals with
-/// (+, +, max). Every merge calls it shard by shard in shard-index order,
-/// which fixes the association of every float sum for any fleet and any
-/// fault schedule: shard boundaries never change, only their owners.
-template <typename Size>
-void MergeShard(const std::vector<Size>& sizes,
-                const std::vector<double>& error_sums,
-                const std::vector<double>& max_errors,
-                std::vector<Size>* total_sizes,
-                std::vector<double>* total_error_sums,
-                std::vector<double>* total_max_errors) {
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    (*total_sizes)[i] += sizes[i];
-    (*total_error_sums)[i] += error_sums[i];
-    (*total_max_errors)[i] = std::max((*total_max_errors)[i], max_errors[i]);
-  }
 }
 
 }  // namespace
@@ -423,7 +400,7 @@ void Coordinator::SetupCluster() {
   for (size_t s = 0; s < tasks.size(); ++s) {
     tasks[s].shard = static_cast<int64_t>(s);
   }
-  std::vector<serve::ShardBasicStats> stats(ranges_.size());
+  core::ExactEvalResult merged(static_cast<size_t>(offsets_.total));
   StatusOr<bool> completed = RunTasks(
       /*round=*/-1, std::move(tasks),
       [](const Task&, serve::WorkerRequest* request) {
@@ -432,16 +409,16 @@ void Coordinator::SetupCluster() {
       [&](const Task& task, const obs::JsonValue& reply) {
         StatusOr<serve::ShardBasicStats> shard_stats =
             serve::ParseBasicStatsPayload(reply);
-        const size_t s = static_cast<size_t>(task.shard);
-        const int64_t rows = ranges_[s].size();
+        const int64_t rows = ranges_[static_cast<size_t>(task.shard)].size();
         if (!shard_stats.ok() || shard_stats->n != rows ||
-            !FiniteNonNegative(shard_stats->total_error) ||
-            !PartialInvariantsOk(shard_stats->sizes, shard_stats->error_sums,
-                                 shard_stats->max_errors, rows,
-                                 static_cast<size_t>(offsets_.total))) {
+            !PartialInvariantsOk(shard_stats->columns, rows,
+                                 merged.sizes.size())) {
           return false;
         }
-        stats[s] = std::move(shard_stats).value();
+        // Exact sums: the shards may land in any order.
+        for (size_t c = 0; c < merged.sizes.size(); ++c) {
+          merged.Add(c, shard_stats->columns, c);
+        }
         return true;
       },
       /*ctx=*/nullptr);
@@ -453,15 +430,15 @@ void Coordinator::SetupCluster() {
     total_error_ = local.total_error();
     return;
   }
-  basic_sizes_.assign(static_cast<size_t>(offsets_.total), 0);
-  basic_error_sums_.assign(static_cast<size_t>(offsets_.total), 0.0);
-  basic_max_errors_.assign(static_cast<size_t>(offsets_.total), 0.0);
-  for (const serve::ShardBasicStats& shard_stats : stats) {
-    total_error_ += shard_stats.total_error;
-    MergeShard(shard_stats.sizes, shard_stats.error_sums,
-               shard_stats.max_errors, &basic_sizes_, &basic_error_sums_,
-               &basic_max_errors_);
+  // Feature 0's columns partition the rows: their sums add up to the total.
+  linalg::ExactSum total;
+  for (int64_t c = offsets_.fb[0]; c < offsets_.fe[0]; ++c) {
+    total.Add(merged.error_sums[static_cast<size_t>(c)]);
   }
+  total_error_ = total.ToDouble();
+  basic_sizes_ = std::move(merged.sizes);
+  basic_error_sums_ = merged.Round().error_sums;
+  basic_max_errors_ = std::move(merged.max_errors);
 
   // Baseline pass for fleet tracing: drain setup-time spans now and pin
   // counter baselines, so a worker reused across jobs does not leak earlier
@@ -472,11 +449,7 @@ void Coordinator::SetupCluster() {
 StatusOr<core::EvalResult> Coordinator::Evaluate(
     const core::SliceSet& set, const core::SliceLineConfig& config) const {
   const size_t count = static_cast<size_t>(set.size());
-  core::EvalResult out;
-  out.sizes.assign(count, 0.0);
-  out.error_sums.assign(count, 0.0);
-  out.max_errors.assign(count, 0.0);
-  if (count == 0) return out;
+  if (count == 0) return core::EvalResult();
 
   const int64_t round = next_round_++;
   TRACE_SPAN("dist/evaluate_round", round);
@@ -499,8 +472,9 @@ StatusOr<core::EvalResult> Coordinator::Evaluate(
       tasks.push_back(task);
     }
   }
-  // Per-shard full-width partials (zeros like `out`), filled block by block.
-  std::vector<core::EvalResult> partials(ranges_.size(), out);
+  // Every accepted block adds its exact partial straight into the totals;
+  // the recovery loop accepts each task once, in whatever order replies land.
+  core::ExactEvalResult total(count);
   SLICELINE_ASSIGN_OR_RETURN(
       const bool completed,
       RunTasks(
@@ -516,33 +490,25 @@ StatusOr<core::EvalResult> Coordinator::Evaluate(
           },
           [&](const Task& task, const obs::JsonValue& reply) {
             uint64_t sent_checksum = 0;
-            StatusOr<core::EvalResult> partial =
+            StatusOr<core::ExactEvalResult> partial =
                 serve::ParseEvalPayload(reply, &sent_checksum);
             const size_t block = static_cast<size_t>(task.end - task.begin);
             if (!partial.ok() ||
                 ChecksumPartial(*partial) != sent_checksum ||
                 !PartialInvariantsOk(
-                    partial->sizes, partial->error_sums, partial->max_errors,
-                    ranges_[static_cast<size_t>(task.shard)].size(), block)) {
+                    *partial, ranges_[static_cast<size_t>(task.shard)].size(),
+                    block)) {
               return false;
             }
-            core::EvalResult& shard = partials[static_cast<size_t>(task.shard)];
-            std::copy(partial->sizes.begin(), partial->sizes.end(),
-                      shard.sizes.begin() + task.begin);
-            std::copy(partial->error_sums.begin(), partial->error_sums.end(),
-                      shard.error_sums.begin() + task.begin);
-            std::copy(partial->max_errors.begin(), partial->max_errors.end(),
-                      shard.max_errors.begin() + task.begin);
+            for (size_t i = 0; i < block; ++i) {
+              total.Add(static_cast<size_t>(task.begin) + i, *partial, i);
+            }
             eval_slices_accepted_ += task.end - task.begin;
             return true;
           },
           config.run_context));
   if (!completed) return Degrade().Evaluate(set, config);
-
-  for (const core::EvalResult& partial : partials) {
-    MergeShard(partial.sizes, partial.error_sums, partial.max_errors,
-               &out.sizes, &out.error_sums, &out.max_errors);
-  }
+  core::EvalResult out = total.Round();
   Publish();
   // Round boundary: drain worker span buffers + counter deltas while the
   // connections are warm (outside the critical-path clock).

@@ -113,12 +113,14 @@ struct DistFaultStats {
 /// Distributed slice evaluation (Section 4.4's data-parallel formulation):
 /// each worker owns a row shard of the input (shipped over the worker
 /// protocol), every Evaluate() broadcasts candidate blocks to the shard
-/// owners, and the partial (ss, se, sm) vectors are merged in shard order
-/// with (+, +, max). One recovery loop (RunTasks) serves both fleet kinds:
-/// retry with per-link backoff, loss + reshard, speculation, checksum and
-/// range validation, and local fallback past max_lost_fraction. Shard
-/// boundaries never change, so results are bit-identical across fleet kinds
-/// and fault schedules short of fallback. The loop reads time from a Clock
+/// owners, and their partial (ss, se, sm) statistics are merged with (+, +,
+/// max) as they arrive. Error sums travel as exact integers
+/// (linalg::ExactSum) and round once after the merge, so any fleet, fault
+/// schedule, arrival order or fallback gives the doubles of a single-node
+/// SliceEvaluator on every error vector. One recovery loop (RunTasks) serves
+/// both fleet kinds: retry with per-link backoff, loss + reshard,
+/// speculation, checksum and range validation, and local fallback past
+/// max_lost_fraction. The loop reads time from a Clock
 /// chosen by the fleet kind: the steady clock for sockets, a simulated
 /// clock the loop advances instead of sleeping for in-process workers.
 /// See "Distributed execution and fault tolerance" in DESIGN.md.

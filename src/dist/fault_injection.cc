@@ -64,32 +64,33 @@ FaultType FaultInjector::Sample(int64_t round, int worker, int attempt) const {
 }
 
 void FaultInjector::CorruptPartial(int64_t round, int worker,
-                                   core::EvalResult* partial) const {
+                                   core::ExactEvalResult* partial) const {
   if (partial->sizes.empty()) return;
   const uint64_t h = Mix64(plan_.seed ^ Mix64(static_cast<uint64_t>(round)) ^
                            static_cast<uint64_t>(worker));
   const size_t i = static_cast<size_t>(h % partial->sizes.size());
   // Negate and offset one size entry: detectable by both the payload
   // checksum and the non-negativity invariant.
-  partial->sizes[i] = -partial->sizes[i] - 1.0;
+  partial->sizes[i] = -partial->sizes[i] - 1;
   if (!partial->error_sums.empty()) {
     const size_t j = static_cast<size_t>(h % partial->error_sums.size());
-    partial->error_sums[j] += 1e9;
+    partial->error_sums[j].Add(1e9);
   }
 }
 
-uint64_t ChecksumPartial(const core::EvalResult& partial) {
+uint64_t ChecksumPartial(const core::ExactEvalResult& partial) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix_vec = [&h](const std::vector<double>& v) {
-    for (double d : v) {
-      h = (h ^ std::bit_cast<uint64_t>(d)) * 0x100000001b3ULL;
-    }
-    h = Mix64(h);
-  };
-  mix_vec(partial.sizes);
-  mix_vec(partial.error_sums);
-  mix_vec(partial.max_errors);
-  return h;
+  auto mix = [&h](uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  for (int64_t size : partial.sizes) mix(static_cast<uint64_t>(size));
+  h = Mix64(h);
+  for (const linalg::ExactSum& sum : partial.error_sums) {
+    mix(static_cast<uint64_t>(static_cast<int64_t>(sum.anchor())));
+    mix(sum.digits().size());
+    for (uint32_t digit : sum.digits()) mix(digit);
+  }
+  h = Mix64(h);
+  for (double max : partial.max_errors) mix(std::bit_cast<uint64_t>(max));
+  return Mix64(h);
 }
 
 }  // namespace sliceline::dist

@@ -84,7 +84,7 @@ class FaultInjector {
   /// Deterministically perturbs a worker's partial result in a way that a
   /// payload checksum (and usually the size invariants too) will catch.
   void CorruptPartial(int64_t round, int worker,
-                      core::EvalResult* partial) const;
+                      core::ExactEvalResult* partial) const;
 
  private:
   FaultPlan plan_;
@@ -94,7 +94,7 @@ class FaultInjector {
 /// Order-sensitive FNV-1a style checksum over a partial's payload bytes.
 /// The coordinator validates every gathered partial against the checksum
 /// the worker took before transmission.
-uint64_t ChecksumPartial(const core::EvalResult& partial);
+uint64_t ChecksumPartial(const core::ExactEvalResult& partial);
 
 }  // namespace sliceline::dist
 

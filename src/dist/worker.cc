@@ -300,12 +300,12 @@ StatusOr<std::string> WorkerHandler::HandleBasicStats(
                             " is not loaded in this session");
   }
   const core::SliceEvaluator& evaluator = *it->second->evaluator;
+  const data::ColumnStore& store = evaluator.store();
   serve::ShardBasicStats stats;
   stats.n = evaluator.n();
-  stats.total_error = evaluator.total_error();
-  stats.sizes = evaluator.basic_sizes();
-  stats.error_sums = evaluator.basic_error_sums();
-  stats.max_errors = evaluator.basic_max_errors();
+  stats.columns.sizes = evaluator.basic_sizes();
+  stats.columns.error_sums = store.exact_basic_error_sums();
+  stats.columns.max_errors = evaluator.basic_max_errors();
 
   return OkLine(request.id, [&](obs::JsonWriter* writer) {
     serve::WriteBasicStatsPayload(writer, stats);
@@ -326,13 +326,12 @@ StatusOr<std::string> WorkerHandler::HandleEvalBlock(
     return Status::InvalidArgument("block_size must be >= 1");
   }
   config.eval_block_size = static_cast<int>(request.block_size);
-  // Worker-side evaluation is single-threaded: intra-worker determinism is
-  // part of the bit-identical aggregation contract.
+  // One thread per worker: the fleet is the parallelism.
   config.parallel = false;
   Stopwatch watch;
-  SLICELINE_ASSIGN_OR_RETURN(
-      core::EvalResult partial,
-      it->second->evaluator->Evaluate(request.slices, config));
+  core::ExactEvalResult partial(static_cast<size_t>(request.slices.size()));
+  SLICELINE_RETURN_NOT_OK(it->second->evaluator->Continue(
+      request.slices, /*first_row=*/0, config, &partial));
   last_compute_seconds_ = watch.ElapsedSeconds();
   const uint64_t checksum = ChecksumPartial(partial);
   // Per-worker work accounting, shipped back via get_spans; the coordinator

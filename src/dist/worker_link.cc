@@ -159,7 +159,7 @@ class FaultyLink : public WorkerLink {
     const std::string id = root->GetStringOr("id", "");
     if (type_ == serve::WorkerRequestType::kEvalBlock) {
       uint64_t checksum = 0;
-      StatusOr<core::EvalResult> partial =
+      StatusOr<core::ExactEvalResult> partial =
           serve::ParseEvalPayload(*root, &checksum);
       if (!partial.ok()) return line;
       injector_->CorruptPartial(round_, worker_, &partial.value());
@@ -169,8 +169,9 @@ class FaultyLink : public WorkerLink {
     } else {
       StatusOr<serve::ShardBasicStats> stats =
           serve::ParseBasicStatsPayload(*root);
-      if (!stats.ok() || stats->sizes.empty()) return line;
-      stats->sizes[0] = -stats->sizes[0] - 1;  // out of range, never valid
+      if (!stats.ok() || stats->columns.sizes.empty()) return line;
+      // Out of range, never valid.
+      stats->columns.sizes[0] = -stats->columns.sizes[0] - 1;
       corrupted = OkLine(id, [&](obs::JsonWriter* writer) {
         serve::WriteBasicStatsPayload(writer, *stats);
       });

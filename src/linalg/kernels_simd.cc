@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -50,32 +51,101 @@ int64_t IntersectColumnsScalar(const uint64_t* const* cols, int32_t len,
   return PopcountScalar(dst, words);
 }
 
-/// Walks the set bits of one word in ascending order, accumulating the
-/// masked error statistics. Shared verbatim by every ISA level: the vector
-/// units only accelerate finding the non-zero words, so the float
-/// accumulation order is identical everywhere.
-inline void AccumulateWord(uint64_t bits, int64_t base_row,
-                           const double* errors, MaskedStats* acc) {
-  while (bits != 0) {
-    const int bit = std::countr_zero(bits);
-    bits &= bits - 1;
-    const double e = errors[base_row + bit];
-    ++acc->count;
-    acc->sum += e;
-    if (e > acc->max) acc->max = e;
+/// Adds the k's of `count` errors of a narrow layout to *total, N >= 2
+/// lanes at a time (NarrowUnits' split in GCC vector extensions, so one body
+/// serves every ISA level; the scalar level's two lanes lower on any
+/// target), and raises *max; `count` is a multiple of N.
+/// Each lane adds its parts' bit patterns, kSplitMagic's included, and
+/// subtracts those at the end.
+template <int N>
+[[gnu::always_inline]] inline void SumBatch(const double* errors,
+                                            int64_t count, double scale,
+                                            unsigned __int128* total,
+                                            double* max) {
+  // typedef, not using: GCC drops a dependent vector_size on an alias.
+  typedef double Doubles __attribute__((vector_size(8 * N)));
+  typedef uint64_t Bits __attribute__((vector_size(8 * N)));
+  Doubles peak = Doubles{} + *max;
+  Bits high = Bits{};
+  Bits low = Bits{};
+  for (int64_t i = 0; i < count; i += N) {
+    Doubles e;
+    std::memcpy(&e, errors + i, sizeof(e));
+    peak = e > peak ? e : peak;
+    const Doubles k = e * scale;
+    const Doubles h = k * 0x1p-52 + kSplitMagic;
+    high += __builtin_bit_cast(Bits, h);
+    const Doubles l = k - (h - kSplitMagic) * 0x1p52 + kSplitMagic;
+    low += __builtin_bit_cast(Bits, l);
   }
+  const uint64_t bias = static_cast<uint64_t>(count / N) *
+                        std::bit_cast<uint64_t>(kSplitMagic);
+  // The lanes' h sums stay below 2^52 and their l sums below 2^61 in
+  // magnitude, so both fold across lanes in 64 bits.
+  uint64_t highs[N];
+  uint64_t lows[N];
+  double peaks[N];
+  std::memcpy(highs, &high, sizeof(high));
+  std::memcpy(lows, &low, sizeof(low));
+  std::memcpy(peaks, &peak, sizeof(peak));
+  uint64_t h = 0;
+  uint64_t l = 0;
+  for (int j = 0; j < N; ++j) {
+    h += highs[j] - bias;
+    l += lows[j] - bias;
+    *max = std::max(*max, peaks[j]);
+  }
+  *total += (static_cast<unsigned __int128>(h) << 52) +
+            static_cast<unsigned __int128>(static_cast<int64_t>(l));
 }
 
-void MaskedStatsScalar(const uint64_t* mask, int64_t words,
-                       const double* errors, MaskedStats* acc) {
+/// The masked_sum of every ISA level, with the level's kSumBatch. The set
+/// rows' errors are copied out word by word; a narrow layout sums them a
+/// batch at a time in registers, a wide one adds each to the lanes. The
+/// adds are integer, so every level gets the same lanes.
+template <void (*kSumBatch)(const double*, int64_t, double,
+                            unsigned __int128*, double*)>
+void MaskedSum(const uint64_t* mask, int64_t words, const double* errors,
+               const SumLayout& layout, uint64_t* lanes, uint64_t* max_bits) {
+  constexpr int64_t kBatch = 256;
+  double batch[kBatch + 64];
+  int64_t fill = 0;
+  unsigned __int128 sum = 0;
+  double max = std::bit_cast<double>(*max_bits);
+  // Adds batch[0, count), count a multiple of 8; zero padding adds nothing.
+  auto flush = [&](int64_t count) {
+    if (layout.narrow) {
+      kSumBatch(batch, count, layout.scale, &sum, &max);
+      return;
+    }
+    for (int64_t i = 0; i < count; ++i) {
+      AddToLanes(SplitForLanes(std::bit_cast<uint64_t>(batch[i]),
+                               layout.anchor),
+                 lanes);
+      max = std::max(max, batch[i]);
+    }
+  };
   for (int64_t w = 0; w < words; ++w) {
-    AccumulateWord(mask[w], w * 64, errors, acc);
+    const double* row = errors + w * 64;
+    for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      batch[fill++] = row[std::countr_zero(bits)];
+    }
+    if (fill >= kBatch) {
+      const int64_t whole = fill / 8 * 8;
+      flush(whole);
+      std::copy(batch + whole, batch + fill, batch);
+      fill -= whole;
+    }
   }
+  std::fill(batch + fill, batch + fill + 8, 0.0);
+  flush((fill + 7) / 8 * 8);
+  AddUnitsToLanes(sum, layout.low - layout.anchor, lanes);
+  *max_bits = std::bit_cast<uint64_t>(max);
 }
 
 constexpr SimdKernels kScalarKernels = {
     SimdIsa::kScalar,        AndInPlaceScalar,      PopcountScalar,
-    AndPopcountScalar,       IntersectColumnsScalar, MaskedStatsScalar,
+    AndPopcountScalar,       IntersectColumnsScalar, MaskedSum<SumBatch<2>>,
 };
 
 // ---------------------------------------------------------------------------
@@ -172,27 +242,16 @@ __attribute__((target("avx2"))) int64_t IntersectColumnsAvx2(
   return total;
 }
 
-__attribute__((target("avx2"))) void MaskedStatsAvx2(const uint64_t* mask,
-                                                     int64_t words,
-                                                     const double* errors,
-                                                     MaskedStats* acc) {
-  int64_t w = 0;
-  // Vector fast path: skip 4 all-zero words per vptest. Sparse masks (the
-  // common case deep in the lattice) reduce to a handful of bit walks.
-  for (; w + 4 <= words; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + w));
-    if (_mm256_testz_si256(v, v)) continue;
-    for (int64_t i = w; i < w + 4; ++i) {
-      AccumulateWord(mask[i], i * 64, errors, acc);
-    }
-  }
-  for (; w < words; ++w) AccumulateWord(mask[w], w * 64, errors, acc);
+__attribute__((target("avx2"))) void SumBatchAvx2(const double* errors,
+                                                  int64_t count, double scale,
+                                                  unsigned __int128* total,
+                                                  double* max) {
+  SumBatch<4>(errors, count, scale, total, max);
 }
 
 constexpr SimdKernels kAvx2Kernels = {
     SimdIsa::kAvx2,    AndInPlaceAvx2,       PopcountAvx2,
-    AndPopcountAvx2,   IntersectColumnsAvx2, MaskedStatsAvx2,
+    AndPopcountAvx2,   IntersectColumnsAvx2, MaskedSum<SumBatchAvx2>,
 };
 
 // ---------------------------------------------------------------------------
@@ -278,23 +337,15 @@ __attribute__((target("avx512f,avx512bw"))) int64_t IntersectColumnsAvx512(
   return total;
 }
 
-__attribute__((target("avx512f,avx512bw"))) void MaskedStatsAvx512(
-    const uint64_t* mask, int64_t words, const double* errors,
-    MaskedStats* acc) {
-  int64_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i v = _mm512_loadu_si512(mask + w);
-    if (_mm512_test_epi64_mask(v, v) == 0) continue;
-    for (int64_t i = w; i < w + 8; ++i) {
-      AccumulateWord(mask[i], i * 64, errors, acc);
-    }
-  }
-  for (; w < words; ++w) AccumulateWord(mask[w], w * 64, errors, acc);
+__attribute__((target("avx512f"))) void SumBatchAvx512(
+    const double* errors, int64_t count, double scale,
+    unsigned __int128* total, double* max) {
+  SumBatch<8>(errors, count, scale, total, max);
 }
 
 constexpr SimdKernels kAvx512Kernels = {
     SimdIsa::kAvx512,    AndInPlaceAvx512,       PopcountAvx512,
-    AndPopcountAvx512,   IntersectColumnsAvx512, MaskedStatsAvx512,
+    AndPopcountAvx512,   IntersectColumnsAvx512, MaskedSum<SumBatchAvx512>,
 };
 
 #pragma GCC diagnostic pop
@@ -359,21 +410,9 @@ int64_t IntersectColumnsNeon(const uint64_t* const* cols, int32_t len,
   return total;
 }
 
-void MaskedStatsNeon(const uint64_t* mask, int64_t words,
-                     const double* errors, MaskedStats* acc) {
-  int64_t w = 0;
-  for (; w + 2 <= words; w += 2) {
-    const uint64x2_t v = vld1q_u64(mask + w);
-    if (vmaxvq_u32(vreinterpretq_u32_u64(v)) == 0) continue;
-    AccumulateWord(mask[w], w * 64, errors, acc);
-    AccumulateWord(mask[w + 1], (w + 1) * 64, errors, acc);
-  }
-  for (; w < words; ++w) AccumulateWord(mask[w], w * 64, errors, acc);
-}
-
 constexpr SimdKernels kNeonKernels = {
     SimdIsa::kNeon,    AndInPlaceNeon,       PopcountNeon,
-    AndPopcountNeon,   IntersectColumnsNeon, MaskedStatsNeon,
+    AndPopcountNeon,   IntersectColumnsNeon, MaskedSum<SumBatch<2>>,
 };
 
 #endif  // SLICELINE_SIMD_NEON
@@ -502,37 +541,46 @@ const SimdKernels& KernelsFor(SimdIsa isa) {
 
 const SimdKernels& ActiveKernels() { return KernelsFor(SelectedIsa()); }
 
+namespace {
+
+/// Adds the rows of `mask` to one candidate's accumulator and max using the
+/// error planes, in units of `unit` = 2^ErrorPlanes::low: the sum of k is
+/// the sum over planes b of 2^b * popcount(mask & P_b), the largest k a
+/// top-down plane walk that stops once it cannot beat *max_bits. A mask too
+/// sparse to pay for a popcount per plane word runs masked_sum instead.
+/// `mask` covers row words [first_word, first_word + words) of the planes
+/// and `mask_count` is its popcount (> 0); `scratch` holds 2 * words words.
 void AccumulatePlaneStats(const SimdKernels& kernels, const uint64_t* mask,
                           int64_t mask_count, int64_t words,
-                          const double* errors, const ErrorPlanes& planes,
+                          const ErrorSource& errors, double unit,
                           int64_t first_word, uint64_t* scratch,
-                          PlaneStats* acc) {
-  if (mask_count == 0) return;
+                          uint64_t* lanes, uint64_t* max_bits) {
+  const ErrorPlanes& planes = *errors.planes;
   SLICELINE_DCHECK(planes.count <= 62);
-  acc->count += mask_count;
-  // A plane costs a popcount per word, the float chain a branchy step per
-  // set bit; the vector popcounts are ~16x cheaper than the scalar one.
-  // Sparse masks therefore take the chain, whose sum and maximum are exact
-  // multiples of the unit, so dividing by it recovers the same integers.
+  // A plane costs a popcount per word, the exact masked kernel a short
+  // integer step per set bit; the vector popcounts are ~16x cheaper than
+  // the scalar one.
   const int64_t bit_weight = kernels.isa == SimdIsa::kScalar ? 1 : 16;
   if (mask_count * bit_weight < planes.count * words) {
-    MaskedStats chain;
-    kernels.masked_stats(mask, words, errors, &chain);
-    acc->units += static_cast<int64_t>(chain.sum / planes.unit);
-    acc->max_units = std::max(acc->max_units,
-                              static_cast<int64_t>(chain.max / planes.unit));
+    kernels.masked_sum(mask, words, errors.values + first_word * 64,
+                       errors.layout, lanes, max_bits);
     return;
   }
   // hit: planes with at least one row of the mask; the largest k in the
   // mask is at most hit's value.
+  int64_t units = 0;
   int64_t hit = 0;
   for (int32_t b = 0; b < planes.count; ++b) {
     const int64_t ones =
         kernels.and_popcount(mask, planes.planes[b] + first_word, words);
-    acc->units += ones << b;
+    units += ones << b;
     if (ones != 0) hit |= int64_t{1} << b;
   }
-  if (hit <= acc->max_units) return;
+  AddUnitsToLanes(static_cast<unsigned __int128>(units),
+                  planes.low - errors.layout.anchor, lanes);
+  // Unit multiples below 2^16 units are exact doubles.
+  const double max = std::bit_cast<double>(*max_bits);
+  if (static_cast<double>(hit) * unit <= max) return;
   // Top-down walk: `rows` keeps the mask rows whose k agrees with `best` on
   // every plane walked so far; a lower plane joins `best` iff one of them
   // has it. The intersection with the top plane is built lazily, so a
@@ -545,7 +593,7 @@ void AccumulatePlaneStats(const SimdKernels& kernels, const uint64_t* mask,
   for (--b; b >= 0; --b) {
     if ((hit >> b & 1) == 0) continue;
     const int64_t reachable = best | (hit & ((int64_t{2} << b) - 1));
-    if (reachable <= acc->max_units) return;
+    if (static_cast<double>(reachable) * unit <= max) return;
     if (rows == nullptr) {
       const uint64_t* pair[2] = {mask, top};
       kernels.intersect_columns(pair, 2, spare, words);
@@ -558,15 +606,17 @@ void AccumulatePlaneStats(const SimdKernels& kernels, const uint64_t* mask,
       std::swap(rows, spare);
     }
   }
-  acc->max_units = std::max(acc->max_units, best);
+  *max_bits = std::max(*max_bits, std::bit_cast<uint64_t>(
+                                      static_cast<double>(best) * unit));
 }
+
+}  // namespace
 
 void EvaluateCandidatesBlocked(const SimdKernels& kernels,
                                const CandidateColumns* candidates,
                                int64_t count, int64_t words,
-                               const double* errors,
-                               const ErrorPlanes* planes, double* sizes,
-                               double* error_sums, double* max_errors,
+                               const ErrorSource& errors, int64_t* sizes,
+                               uint64_t* lanes, uint64_t* max_bits,
                                int64_t first_row) {
   // Tile shape: 2048 words (16 KiB per bitmap slice) keeps a candidate
   // tile's distinct column slices plus the intersection scratch inside L2;
@@ -583,34 +633,18 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
   for (int64_t c = 0; c < count; ++c) {
     max_len = std::max(max_len, candidates[c].len);
   }
+  const ErrorPlanes* planes = errors.planes;
+  const int64_t stride = errors.layout.lanes;
   const size_t tile_words =
       static_cast<size_t>(std::min(words - first_word, kWordTile));
   // The intersection, then the plane walk's two buffers.
   std::vector<uint64_t> scratch(planes != nullptr ? 3 * tile_words
                                                   : tile_words);
   std::vector<const uint64_t*> shifted(static_cast<size_t>(max_len));
-  // One running accumulator per candidate of the current tile, carried
-  // across word tiles and seeded from the outputs. Without planes each
-  // candidate sees ONE continuous ascending-row add sequence, continuing
-  // the one that produced the outputs' values, bit-identical to an
-  // unblocked scan (summing per-tile partial sums instead would round
-  // differently once the row space spans tiles); plane counts are
-  // integers, so their tile order does not matter.
-  const size_t tile_candidates =
-      static_cast<size_t>(std::min(count, kCandidateTile));
-  std::vector<MaskedStats> acc(planes != nullptr ? 0 : tile_candidates);
-  std::vector<PlaneStats> plane_acc(planes != nullptr ? tile_candidates : 0);
+  const double unit = planes != nullptr ? std::ldexp(1.0, planes->low) : 0.0;
 
   for (int64_t c0 = 0; c0 < count; c0 += kCandidateTile) {
     const int64_t c1 = std::min(count, c0 + kCandidateTile);
-    for (int64_t c = c0; c < c1; ++c) {
-      if (planes != nullptr) {
-        plane_acc[static_cast<size_t>(c - c0)] = PlaneStats{};
-      } else {
-        acc[static_cast<size_t>(c - c0)] = {static_cast<int64_t>(sizes[c]),
-                                            error_sums[c], max_errors[c]};
-      }
-    }
     for (int64_t w0 = first_word; w0 < words; w0 += kWordTile) {
       const int64_t span = std::min(words - w0, kWordTile);
       const bool trim = w0 == first_word && keep != ~uint64_t{0};
@@ -618,9 +652,10 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
         const CandidateColumns& cand = candidates[c];
         SLICELINE_DCHECK(cand.len >= 1);
         const uint64_t* mask;
-        int64_t ones = -1;  // popcount(mask), when already known
+        int64_t ones;
         if (cand.len == 1 && !trim) {
           mask = cand.cols[0] + w0;
+          ones = kernels.popcount(mask, span);
         } else {
           for (int32_t k = 0; k < cand.len; ++k) {
             shifted[k] = cand.cols[k] + w0;
@@ -631,35 +666,18 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
             ones -= std::popcount(scratch[0] & ~keep);
             scratch[0] &= keep;
           }
-          if (ones == 0) continue;
           mask = scratch.data();
         }
+        if (ones == 0) continue;
+        sizes[c] += ones;
         if (planes != nullptr) {
-          if (ones < 0) ones = kernels.popcount(mask, span);
-          AccumulatePlaneStats(kernels, mask, ones, span, errors + w0 * 64,
-                               *planes, w0, scratch.data() + tile_words,
-                               &plane_acc[static_cast<size_t>(c - c0)]);
+          AccumulatePlaneStats(kernels, mask, ones, span, errors, unit, w0,
+                               scratch.data() + tile_words,
+                               lanes + c * stride, max_bits + c);
         } else {
-          kernels.masked_stats(mask, span, errors + w0 * 64,
-                               &acc[static_cast<size_t>(c - c0)]);
+          kernels.masked_sum(mask, span, errors.values + w0 * 64,
+                             errors.layout, lanes + c * stride, max_bits + c);
         }
-      }
-    }
-    for (int64_t c = c0; c < c1; ++c) {
-      if (planes != nullptr) {
-        // units < 2^53, so both conversions and the power-of-two scaling
-        // are exact, and so is adding them to the (equally exact) seeds:
-        // the same doubles the ascending chain produces.
-        const PlaneStats& exact = plane_acc[static_cast<size_t>(c - c0)];
-        sizes[c] += static_cast<double>(exact.count);
-        error_sums[c] += static_cast<double>(exact.units) * planes->unit;
-        max_errors[c] = std::max(
-            max_errors[c], static_cast<double>(exact.max_units) * planes->unit);
-      } else {
-        const MaskedStats& chain = acc[static_cast<size_t>(c - c0)];
-        sizes[c] = static_cast<double>(chain.count);
-        error_sums[c] = chain.sum;
-        max_errors[c] = chain.max;
       }
     }
   }

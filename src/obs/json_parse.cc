@@ -1,6 +1,7 @@
 #include "obs/json_parse.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace sliceline::obs {
@@ -26,9 +27,18 @@ double JsonValue::GetNumberOr(const std::string& key, double fallback) const {
 
 int64_t JsonValue::GetIntOr(const std::string& key, int64_t fallback) const {
   const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number())
-             ? static_cast<int64_t>(v->number_value())
-             : fallback;
+  return v != nullptr ? v->int_value().value_or(fallback) : fallback;
+}
+
+std::optional<int64_t> JsonValue::int_value() const {
+  // 2^63 is exact as a double; every double below it in magnitude that is
+  // integral converts without overflow.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!is_number() || !(number_ >= -kLimit && number_ < kLimit) ||
+      number_ != std::floor(number_)) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(number_);
 }
 
 bool JsonValue::GetBoolOr(const std::string& key, bool fallback) const {
@@ -55,8 +65,13 @@ StatusOr<double> JsonValue::RequireNumber(const std::string& key) const {
 }
 
 StatusOr<int64_t> JsonValue::RequireInt(const std::string& key) const {
-  SLICELINE_ASSIGN_OR_RETURN(const double v, RequireNumber(key));
-  return static_cast<int64_t>(v);
+  SLICELINE_RETURN_NOT_OK(RequireNumber(key).status());
+  const std::optional<int64_t> value = Find(key)->int_value();
+  if (!value.has_value()) {
+    return Status::InvalidArgument("field '" + key +
+                                   "' must be an integer in the int64 range");
+  }
+  return *value;
 }
 
 JsonValue JsonValue::Null() { return JsonValue(); }

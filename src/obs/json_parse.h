@@ -2,6 +2,7 @@
 #define SLICELINE_OBS_JSON_PARSE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,7 +55,14 @@ class JsonValue {
 
   StatusOr<std::string> RequireString(const std::string& key) const;
   StatusOr<double> RequireNumber(const std::string& key) const;
+  /// Integers must be integral and inside the int64_t range: a fraction,
+  /// an overflow (1e30) or an infinity (1e400) is an InvalidArgument for
+  /// RequireInt and the fallback for GetIntOr.
   StatusOr<int64_t> RequireInt(const std::string& key) const;
+
+  /// The number as an int64_t, or nullopt when it is not a number, not
+  /// integral, or outside the int64_t range.
+  std::optional<int64_t> int_value() const;
 
   // -- construction (parser + tests) ----------------------------------------
   static JsonValue Null();

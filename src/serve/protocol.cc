@@ -39,16 +39,18 @@ StatusOr<RunOutcome::Termination> TerminationFromName(
   return Status::InvalidArgument("unknown termination '" + name + "'");
 }
 
-/// Integer-typed object member: accepts any JSON number (the parser stores
-/// numbers as doubles; protocol integers stay well under 2^53).
+/// Integer-typed object member: an integral JSON number in the int64 range
+/// (the parser stores numbers as doubles).
 StatusOr<int64_t> OptionalInt(const obs::JsonValue& object,
                               const std::string& key, int64_t fallback) {
   const obs::JsonValue* member = object.Find(key);
   if (member == nullptr) return fallback;
-  if (!member->is_number()) {
-    return Status::InvalidArgument("field '" + key + "' must be a number");
+  const std::optional<int64_t> value = member->int_value();
+  if (!value.has_value()) {
+    return Status::InvalidArgument("field '" + key +
+                                   "' must be an integer in the int64 range");
   }
-  return static_cast<int64_t>(member->number_value());
+  return *value;
 }
 
 StatusOr<double> OptionalDouble(const obs::JsonValue& object,

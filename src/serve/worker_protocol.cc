@@ -1,7 +1,8 @@
 #include "serve/worker_protocol.h"
 
-#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "obs/json_validate.h"
@@ -36,19 +37,90 @@ StatusOr<std::vector<double>> ParseDoubleArray(const obs::JsonValue& object,
   return out;
 }
 
-StatusOr<std::vector<int64_t>> ParseIntArray(const obs::JsonValue& object,
-                                             const std::string& key) {
+/// The integers of array `key`, each checked to lie in [lo, hi].
+StatusOr<std::vector<int64_t>> ParseIntArray(
+    const obs::JsonValue& object, const std::string& key,
+    int64_t lo = std::numeric_limits<int64_t>::min(),
+    int64_t hi = std::numeric_limits<int64_t>::max()) {
   SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* array,
                              RequireArray(object, key));
   std::vector<int64_t> out;
   out.reserve(array->array_items().size());
   for (const obs::JsonValue& item : array->array_items()) {
-    if (!item.is_number() ||
-        item.number_value() != std::floor(item.number_value())) {
+    const std::optional<int64_t> value = item.int_value();
+    if (!value.has_value() || *value < lo || *value > hi) {
       return Status::InvalidArgument("field '" + key +
-                                     "' must contain only integers");
+                                     "' must contain only integers in [" +
+                                     std::to_string(lo) + ", " +
+                                     std::to_string(hi) + "]");
     }
-    out.push_back(static_cast<int64_t>(item.number_value()));
+    out.push_back(*value);
+  }
+  return out;
+}
+
+StatusOr<std::vector<int32_t>> ParseInt32Array(const obs::JsonValue& object,
+                                               const std::string& key) {
+  SLICELINE_ASSIGN_OR_RETURN(
+      const std::vector<int64_t> values,
+      ParseIntArray(object, key, std::numeric_limits<int32_t>::min(),
+                    std::numeric_limits<int32_t>::max()));
+  return std::vector<int32_t>(values.begin(), values.end());
+}
+
+/// Exact sums travel as one array each: [anchor, digit count, digits...],
+/// digits in [0, 2^32) from the least significant up.
+void WriteExactSums(obs::JsonWriter* writer, const char* key,
+                    const std::vector<linalg::ExactSum>& sums) {
+  writer->Key(key);
+  writer->BeginArray();
+  for (const linalg::ExactSum& sum : sums) {
+    writer->BeginArray();
+    writer->Int(sum.anchor());
+    writer->Int(static_cast<int64_t>(sum.digits().size()));
+    for (uint32_t digit : sum.digits()) writer->Int(digit);
+    writer->EndArray();
+  }
+  writer->EndArray();
+}
+
+StatusOr<linalg::ExactSum> ParseExactSum(const obs::JsonValue& item) {
+  const std::vector<obs::JsonValue>* parts =
+      item.is_array() ? &item.array_items() : nullptr;
+  if (parts == nullptr || parts->size() < 2) {
+    return Status::InvalidArgument(
+        "an exact sum must be [anchor, digit count, digits...]");
+  }
+  const std::optional<int64_t> anchor = (*parts)[0].int_value();
+  const std::optional<int64_t> count = (*parts)[1].int_value();
+  // The declared digit count is checked before anything is allocated.
+  if (!anchor.has_value() || !count.has_value() || *count < 0 ||
+      *count > linalg::ExactSum::kMaxDigits ||
+      static_cast<size_t>(*count) != parts->size() - 2) {
+    return Status::InvalidArgument("malformed exact sum header");
+  }
+  std::vector<uint32_t> digits;
+  digits.reserve(static_cast<size_t>(*count));
+  for (size_t k = 2; k < parts->size(); ++k) {
+    const std::optional<int64_t> digit = (*parts)[k].int_value();
+    if (!digit.has_value() || *digit < 0 ||
+        *digit > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument("exact sum digit out of range");
+    }
+    digits.push_back(static_cast<uint32_t>(*digit));
+  }
+  return linalg::ExactSum::FromDigits(*anchor, std::move(digits));
+}
+
+StatusOr<std::vector<linalg::ExactSum>> ParseExactSums(
+    const obs::JsonValue& object, const std::string& key) {
+  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* array,
+                             RequireArray(object, key));
+  std::vector<linalg::ExactSum> out;
+  out.reserve(array->array_items().size());
+  for (const obs::JsonValue& item : array->array_items()) {
+    SLICELINE_ASSIGN_OR_RETURN(linalg::ExactSum sum, ParseExactSum(item));
+    out.push_back(std::move(sum));
   }
   return out;
 }
@@ -84,6 +156,30 @@ StatusOr<uint64_t> ParseChecksum(const obs::JsonValue& object) {
   SLICELINE_ASSIGN_OR_RETURN(const std::string text,
                              object.RequireString("checksum"));
   return ParseUint64Text(text, "checksum");
+}
+
+/// The "sizes", "error_sums" and "max_errors" arrays of a payload.
+void WriteStats(obs::JsonWriter* writer, const core::ExactEvalResult& stats) {
+  writer->Key("sizes");
+  writer->BeginArray();
+  for (int64_t size : stats.sizes) writer->Int(size);
+  writer->EndArray();
+  WriteExactSums(writer, "error_sums", stats.error_sums);
+  WriteDoubleArray(writer, "max_errors", stats.max_errors);
+}
+
+StatusOr<core::ExactEvalResult> ParseStats(const obs::JsonValue& response) {
+  core::ExactEvalResult stats;
+  SLICELINE_ASSIGN_OR_RETURN(stats.sizes, ParseIntArray(response, "sizes"));
+  SLICELINE_ASSIGN_OR_RETURN(stats.error_sums,
+                             ParseExactSums(response, "error_sums"));
+  SLICELINE_ASSIGN_OR_RETURN(stats.max_errors,
+                             ParseDoubleArray(response, "max_errors"));
+  if (stats.sizes.size() != stats.error_sums.size() ||
+      stats.sizes.size() != stats.max_errors.size()) {
+    return Status::InvalidArgument("statistics arrays disagree on length");
+  }
+  return stats;
 }
 
 }  // namespace
@@ -166,16 +262,10 @@ StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line) {
       SLICELINE_ASSIGN_OR_RETURN(c.chunk_row_begin,
                                  root.RequireInt("chunk_row_begin"));
       SLICELINE_ASSIGN_OR_RETURN(c.cols, root.RequireInt("cols"));
-      SLICELINE_ASSIGN_OR_RETURN(const std::vector<int64_t> codes,
-                                 ParseIntArray(root, "codes"));
-      c.codes.reserve(codes.size());
-      for (int64_t code : codes) c.codes.push_back(static_cast<int32_t>(code));
+      SLICELINE_ASSIGN_OR_RETURN(c.codes, ParseInt32Array(root, "codes"));
       SLICELINE_ASSIGN_OR_RETURN(c.errors, ParseDoubleArray(root, "errors"));
       if (root.Find("fdom") != nullptr) {
-        SLICELINE_ASSIGN_OR_RETURN(const std::vector<int64_t> fdom,
-                                   ParseIntArray(root, "fdom"));
-        c.fdom.reserve(fdom.size());
-        for (int64_t d : fdom) c.fdom.push_back(static_cast<int32_t>(d));
+        SLICELINE_ASSIGN_OR_RETURN(c.fdom, ParseInt32Array(root, "fdom"));
       }
       break;
     }
@@ -197,12 +287,12 @@ StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line) {
         std::vector<int64_t> columns;
         columns.reserve(slice.array_items().size());
         for (const obs::JsonValue& column : slice.array_items()) {
-          if (!column.is_number() ||
-              column.number_value() != std::floor(column.number_value())) {
+          const std::optional<int64_t> id = column.int_value();
+          if (!id.has_value()) {
             return Status::InvalidArgument(
                 "slice column ids must be integers");
           }
-          columns.push_back(static_cast<int64_t>(column.number_value()));
+          columns.push_back(*id);
         }
         request.slices.Add(columns);
       }
@@ -305,24 +395,18 @@ std::string SerializeWorkerRequest(const WorkerRequest& request) {
   return os.str();
 }
 
-void WriteEvalPayload(obs::JsonWriter* writer, const core::EvalResult& result,
+void WriteEvalPayload(obs::JsonWriter* writer,
+                      const core::ExactEvalResult& result,
                       uint64_t checksum) {
-  WriteDoubleArray(writer, "sizes", result.sizes);
-  WriteDoubleArray(writer, "error_sums", result.error_sums);
-  WriteDoubleArray(writer, "max_errors", result.max_errors);
+  WriteStats(writer, result);
   writer->Key("checksum");
   writer->String(std::to_string(checksum));
 }
 
-StatusOr<core::EvalResult> ParseEvalPayload(const obs::JsonValue& response,
-                                            uint64_t* checksum) {
-  core::EvalResult result;
-  SLICELINE_ASSIGN_OR_RETURN(result.sizes,
-                             ParseDoubleArray(response, "sizes"));
-  SLICELINE_ASSIGN_OR_RETURN(result.error_sums,
-                             ParseDoubleArray(response, "error_sums"));
-  SLICELINE_ASSIGN_OR_RETURN(result.max_errors,
-                             ParseDoubleArray(response, "max_errors"));
+StatusOr<core::ExactEvalResult> ParseEvalPayload(
+    const obs::JsonValue& response, uint64_t* checksum) {
+  SLICELINE_ASSIGN_OR_RETURN(core::ExactEvalResult result,
+                             ParseStats(response));
   SLICELINE_ASSIGN_OR_RETURN(*checksum, ParseChecksum(response));
   return result;
 }
@@ -331,31 +415,14 @@ void WriteBasicStatsPayload(obs::JsonWriter* writer,
                             const ShardBasicStats& stats) {
   writer->Key("n");
   writer->Int(stats.n);
-  writer->Key("total_error");
-  writer->Double(stats.total_error);
-  writer->Key("sizes");
-  writer->BeginArray();
-  for (int64_t size : stats.sizes) writer->Int(size);
-  writer->EndArray();
-  WriteDoubleArray(writer, "error_sums", stats.error_sums);
-  WriteDoubleArray(writer, "max_errors", stats.max_errors);
+  WriteStats(writer, stats.columns);
 }
 
 StatusOr<ShardBasicStats> ParseBasicStatsPayload(
     const obs::JsonValue& response) {
   ShardBasicStats stats;
   SLICELINE_ASSIGN_OR_RETURN(stats.n, response.RequireInt("n"));
-  SLICELINE_ASSIGN_OR_RETURN(stats.total_error,
-                             response.RequireNumber("total_error"));
-  SLICELINE_ASSIGN_OR_RETURN(stats.sizes, ParseIntArray(response, "sizes"));
-  SLICELINE_ASSIGN_OR_RETURN(stats.error_sums,
-                             ParseDoubleArray(response, "error_sums"));
-  SLICELINE_ASSIGN_OR_RETURN(stats.max_errors,
-                             ParseDoubleArray(response, "max_errors"));
-  if (stats.sizes.size() != stats.error_sums.size() ||
-      stats.sizes.size() != stats.max_errors.size()) {
-    return Status::InvalidArgument("basic stats arrays disagree on length");
-  }
+  SLICELINE_ASSIGN_OR_RETURN(stats.columns, ParseStats(response));
   return stats;
 }
 

@@ -25,11 +25,11 @@ namespace sliceline::serve {
 ///   {"id":..., "ok":false, "error":{"code":"...", "message":"..."}}
 /// so MakeErrorLine / ErrorCodeForStatus / StatusFromError are shared.
 
-inline constexpr int kWorkerProtocolVersion = 2;
+inline constexpr int kWorkerProtocolVersion = 3;
 
 /// Per-line guard of the worker protocol. load_shard chunks are sized by
-/// the coordinator to stay well under this; eval_block responses carry
-/// 3 doubles per slice (< 100 bytes each at %.17g).
+/// the coordinator to stay well under this; eval_block responses carry a
+/// size, an exact sum (a few 32-bit digits) and a double per slice.
 inline constexpr size_t kWorkerMaxLineBytes = 8u << 20;
 
 enum class WorkerRequestType {
@@ -49,11 +49,12 @@ enum class WorkerRequestType {
   /// evaluator is built).
   kLoadShard,
   /// Level-1 statistics of a loaded shard (Equation 4 on the shard's rows):
-  /// {"n", "total_error", "sizes", "error_sums", "max_errors"}.
+  /// {"n", "sizes", "error_sums", "max_errors"}, the error sums exact (see
+  /// WriteEvalPayload).
   kBasicStats,
   /// Evaluate a block of candidate slices on a loaded shard. Response:
   /// {"sizes", "error_sums", "max_errors", "checksum"} aligned with the
-  /// request's slice order.
+  /// request's slice order, the error sums exact.
   kEvalBlock,
   /// Liveness probe; response is a bare ok (plus the worker's steady-clock
   /// "now_us", which the coordinator uses for clock-offset estimation).
@@ -121,26 +122,29 @@ std::string SerializeWorkerRequest(const WorkerRequest& request);
 
 // -- response payload helpers ------------------------------------------------
 
-/// Writes the eval_block payload keys ("sizes"/"error_sums"/"max_errors"
-/// arrays + "checksum" decimal string) at the current writer position. The
-/// checksum is computed by the sender over the payload (ChecksumPartial);
-/// doubles go through %.17g, so the receiver recomputes it bit-exactly.
-void WriteEvalPayload(obs::JsonWriter* writer, const core::EvalResult& result,
-                      uint64_t checksum);
+/// Writes the eval_block payload keys at the current writer position:
+/// "sizes" (integers), "error_sums" (exact sums, each [anchor, digit count,
+/// 32-bit digits from the least significant up], see linalg::ExactSum),
+/// "max_errors" (doubles through %.17g) and "checksum" (a decimal string).
+/// The checksum is computed by the sender over the payload
+/// (ChecksumPartial); every value round-trips exactly, so the receiver
+/// recomputes it bit for bit.
+void WriteEvalPayload(obs::JsonWriter* writer,
+                      const core::ExactEvalResult& result, uint64_t checksum);
 
 /// Inverse of WriteEvalPayload. Returns the decoded partial and stores the
 /// sender's checksum in `checksum` (validated by the caller, which owns the
-/// checksum function).
-StatusOr<core::EvalResult> ParseEvalPayload(const obs::JsonValue& response,
-                                            uint64_t* checksum);
+/// checksum function). A malformed exact sum, including one that declares
+/// more than linalg::ExactSum::kMaxDigits digits or a count its digits do
+/// not match, is an InvalidArgument.
+StatusOr<core::ExactEvalResult> ParseEvalPayload(
+    const obs::JsonValue& response, uint64_t* checksum);
 
-/// Level-1 statistics of one shard, shipped once per (worker, shard).
+/// Level-1 statistics of one shard, shipped once per (worker, shard), in
+/// the eval_block encoding.
 struct ShardBasicStats {
   int64_t n = 0;
-  double total_error = 0.0;
-  std::vector<int64_t> sizes;
-  std::vector<double> error_sums;
-  std::vector<double> max_errors;
+  core::ExactEvalResult columns;  ///< one entry per one-hot column
 };
 
 void WriteBasicStatsPayload(obs::JsonWriter* writer,

@@ -45,16 +45,15 @@ uint64_t BaseFingerprint(const data::IntMatrix& x0,
 /// rewritten, which is what lets cached per-candidate statistics at prefix
 /// P be *continued* over rows [P, n) instead of recomputed.
 ///
-/// Determinism invariant (the PR 7 rig's): every floating-point statistic is
-/// accumulated in one continuous ascending-row scalar add chain. Appends
-/// extend those chains in order, so after any append sequence every basic
-/// statistic (and total_error) and every column bitmap is bit-identical to
-/// a from-scratch build over the concatenated data.
+/// Determinism invariant: every error sum is exact until it rounds once
+/// (linalg::ExactSum), so after any append sequence every basic statistic
+/// (and total_error) and every column bitmap is bit-identical to a
+/// from-scratch build over the concatenated data.
 ///
 /// Segments compact LSM-style: when the delta rows exceed a configured
 /// fraction of the base, MaybeCompact folds all segments into the base.
 /// Compaction is pure metadata — bitmaps and statistics are already global —
-/// so it never re-orders a float chain; it only drops the per-boundary
+/// so it never changes a statistic; it only drops the per-boundary
 /// column counts used by the untouched-column fast path.
 class SegmentStore {
  public:

@@ -140,13 +140,13 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
       continue;
     }
     CachedStats& entry = it->second;
-    out.sizes[i] = static_cast<double>(entry.count);
-    out.error_sums[i] = entry.sum;
-    out.max_errors[i] = entry.max;
     if (entry.prefix == n ||
         (entry.prefix > 0 && Untouched(store, entry.prefix, set.Columns(i),
                                        set.Length(i)))) {
       entry.prefix = n;
+      out.sizes[i] = static_cast<double>(entry.count);
+      out.error_sums[i] = entry.sum.ToDouble();
+      out.max_errors[i] = entry.max;
       ++decided.candidates_cached;
     } else {
       entries[i] = &entry;
@@ -155,35 +155,34 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
     }
   }
 
-  // Continue each group over rows [prefix, n) with the plain evaluator's
-  // kBitset schedule: float chains pick up where they stopped and plane
-  // counts are exact, so every result is bit-identical to a from-scratch
-  // evaluation over the concatenated data.
+  // Continue each group over rows [prefix, n) from its cached exact
+  // statistics: integer sums, so every result rounds to the doubles of a
+  // from-scratch evaluation over the concatenated data.
   const core::SliceEvaluator evaluator(store.columns());
   for (const auto& [prefix, members] : groups) {
     if (ctx != nullptr && ctx->ShouldStop()) break;
     core::SliceSet group;
-    core::EvalResult partial;
+    core::ExactEvalResult partial(members.size());
     group.Reserve(static_cast<int64_t>(members.size()),
                   set.total_columns());
-    partial.sizes.reserve(members.size());
-    partial.error_sums.reserve(members.size());
-    partial.max_errors.reserve(members.size());
-    for (size_t i : members) {
+    for (size_t g = 0; g < members.size(); ++g) {
+      const size_t i = members[g];
       group.Add(set.Columns(i), set.Columns(i) + set.Length(i));
-      partial.sizes.push_back(out.sizes[i]);
-      partial.error_sums.push_back(out.error_sums[i]);
-      partial.max_errors.push_back(out.max_errors[i]);
+      if (const CachedStats* entry = entries[i]; entry != nullptr) {
+        partial.sizes[g] = entry->count;
+        partial.error_sums[g] = entry->sum;
+        partial.max_errors[g] = entry->max;
+      }
     }
     if (!evaluator.Continue(group, prefix, config, &partial).ok()) break;
     for (size_t g = 0; g < members.size(); ++g) {
       const size_t i = members[g];
-      out.sizes[i] = partial.sizes[g];
-      out.error_sums[i] = partial.error_sums[g];
+      out.sizes[i] = static_cast<double>(partial.sizes[g]);
+      out.error_sums[i] = partial.error_sums[g].ToDouble();
       out.max_errors[i] = partial.max_errors[g];
       if (entries[i] != nullptr) {
-        *entries[i] = {n, static_cast<int64_t>(partial.sizes[g]),
-                       partial.error_sums[g], partial.max_errors[g]};
+        *entries[i] = {n, partial.sizes[g], std::move(partial.error_sums[g]),
+                       partial.max_errors[g]};
       }
     }
   }

@@ -47,10 +47,9 @@ struct StreamFindStats {
 /// cover. On the next Find after an append, a candidate is re-scored by
 /// *continuing* its cached statistic over just the appended rows — or
 /// skipped entirely when no appended row touches its predicate columns —
-/// rather than recomputed from scratch. The continuation is the plain
-/// evaluator's kBitset loop started at the cached prefix
-/// (core::SliceEvaluator::Continue): float statistics extend one
-/// ascending-row chain and plane counts are exact, so the incremental top-K
+/// rather than recomputed from scratch. The cache holds exact error sums
+/// (linalg::ExactSum), and the continuation adds the appended rows' exact
+/// sums to them (core::SliceEvaluator::Continue), so the incremental top-K
 /// is bit-identical to a from-scratch run on the concatenated data.
 ///
 /// Thread-safe: Append and Find serialize on an internal mutex.
@@ -79,9 +78,9 @@ class StreamingSliceFinder {
 
  private:
   struct CachedStats {
-    int64_t prefix = 0;  ///< rows [0, prefix) are folded into the chain
+    int64_t prefix = 0;  ///< rows [0, prefix) are folded in
     int64_t count = 0;
-    double sum = 0.0;
+    linalg::ExactSum sum;
     double max = 0.0;
   };
 

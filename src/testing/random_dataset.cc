@@ -199,8 +199,8 @@ void RandomDatasetGenerator::FillErrors(FuzzCase* fuzz_case, int profile) {
       // Mixed-magnitude errors with a random zero fraction, from one of
       // three families picked by the case seed (so the draws, and the
       // config sampled after them, stay put): 0/1 inaccuracy and a dyadic
-      // grid, which the column store sums exactly over its error planes,
-      // and arbitrary doubles, which keep the ascending chain.
+      // grid, which the column store counts over its error planes, and
+      // arbitrary doubles, which only the exact masked kernel sums.
       const uint64_t family = fuzz_case->seed % 3;
       const int grid_bits = 1 + static_cast<int>(fuzz_case->seed / 3 % 6);
       const double grid = std::ldexp(1.0, grid_bits);

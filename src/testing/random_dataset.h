@@ -40,7 +40,7 @@ struct RandomDatasetOptions {
 /// shapes slicing systems historically break on (constant columns, all-zero
 /// errors, uniform errors, heavy score ties, single-row slices, tiny inputs).
 /// Errors come from three families (0/1, a dyadic grid, arbitrary doubles),
-/// so both the error-plane and the float-chain evaluation paths run.
+/// so both the error-plane and the exact masked-sum evaluation paths run.
 /// The enumeration config (k, alpha, sigma, max level, pruning toggles,
 /// evaluation strategy) is fuzzed alongside the data: SliceLine's exactness
 /// claim must hold for every combination.

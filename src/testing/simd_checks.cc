@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "core/sliceline.h"
+#include "data/column_store.h"
 #include "linalg/bitmap.h"
 #include "linalg/kernels_simd.h"
 #include "testing/checks.h"
@@ -21,7 +22,6 @@ namespace sliceline::testing {
 namespace {
 
 using linalg::Bitmap;
-using linalg::MaskedStats;
 using linalg::SimdIsa;
 using linalg::SimdKernels;
 
@@ -69,7 +69,12 @@ std::string RunKernelRound(Rng& rng, SimdIsa isa) {
     bitmaps.push_back(std::move(b));
   }
   std::vector<double> errors(static_cast<size_t>(words) * 64);
-  for (double& e : errors) e = rng.NextDouble() * 2.0;
+  data::ErrorGrid grid;
+  for (double& e : errors) {
+    e = rng.NextDouble() * 2.0;
+    grid.Add(e);
+  }
+  const linalg::SumLayout layout = grid.layout();
 
   for (int c = 0; c + 1 < num_cols; ++c) {
     const Bitmap& a = bitmaps[static_cast<size_t>(c)];
@@ -91,15 +96,16 @@ std::string RunKernelRound(Rng& rng, SimdIsa isa) {
       os << "and_inplace diverges from scalar (rows=" << rows << ")";
       return os.str();
     }
-    MaskedStats simd_stats;
-    simd.masked_stats(a.data(), words, errors.data(), &simd_stats);
-    MaskedStats scalar_stats;
-    scalar.masked_stats(a.data(), words, errors.data(), &scalar_stats);
-    if (simd_stats.count != scalar_stats.count ||
-        !BitEqual(simd_stats.sum, scalar_stats.sum) ||
-        !BitEqual(simd_stats.max, scalar_stats.max)) {
-      os << "masked_stats diverges from scalar (rows=" << rows
-         << " count=" << simd_stats.count << "/" << scalar_stats.count << ")";
+    std::vector<uint64_t> simd_lanes(static_cast<size_t>(layout.lanes), 0);
+    std::vector<uint64_t> scalar_lanes = simd_lanes;
+    uint64_t simd_max = 0;
+    uint64_t scalar_max = 0;
+    simd.masked_sum(a.data(), words, errors.data(), layout, simd_lanes.data(),
+                    &simd_max);
+    scalar.masked_sum(a.data(), words, errors.data(), layout,
+                      scalar_lanes.data(), &scalar_max);
+    if (simd_lanes != scalar_lanes || simd_max != scalar_max) {
+      os << "masked_sum diverges from scalar (rows=" << rows << ")";
       return os.str();
     }
   }

@@ -91,7 +91,7 @@ TEST_F(DeterminismTest, RepeatedRunsAreBitIdentical) {
 }
 
 TEST_F(DeterminismTest, ThreadPoolSizeDoesNotChangeResult) {
-  // Long enough to span several kScanBlock row tiles (4096 rows each).
+  // Long enough for kScanBlock to split the rows across the pool.
   Dataset d = MakePlanted(13, 10000);
   SliceLineConfig config;
   config.k = 6;

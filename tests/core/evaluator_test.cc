@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "linalg/kernels_simd.h"
+#include "reference_sum.h"
 
 namespace sliceline::core {
 namespace {
@@ -67,30 +68,23 @@ bool RowMatches(const Fixture& f, const int64_t* cols, int64_t len,
   return true;
 }
 
-/// The row scan kScanBlock is defined by: each slice's matching rows,
-/// ascending, summed from zero within fixed 4096-row tiles, and the tile
-/// sums added in tile order.
+/// A row scan of each slice's matching rows into a big-integer reference
+/// sum, rounded once.
 EvalResult RowScanReference(const Fixture& f, const SliceSet& set) {
-  constexpr int64_t kTileRows = 4096;
-  const int64_t n = f.x0.rows();
   EvalResult out;
-  out.sizes.assign(static_cast<size_t>(set.size()), 0.0);
-  out.error_sums.assign(static_cast<size_t>(set.size()), 0.0);
-  out.max_errors.assign(static_cast<size_t>(set.size()), 0.0);
   for (int64_t s = 0; s < set.size(); ++s) {
-    for (int64_t begin = 0; begin < n; begin += kTileRows) {
-      double ss = 0.0, se = 0.0, sm = 0.0;
-      for (int64_t i = begin; i < std::min(n, begin + kTileRows); ++i) {
-        if (!RowMatches(f, set.Columns(s), set.Length(s), i)) continue;
-        const double e = f.errors[static_cast<size_t>(i)];
-        ss += 1.0;
-        se += e;
-        if (e > sm) sm = e;
-      }
-      out.sizes[s] += ss;
-      out.error_sums[s] += se;
-      out.max_errors[s] = std::max(out.max_errors[s], sm);
+    double ss = 0.0, sm = 0.0;
+    testing::ReferenceSum se;
+    for (int64_t i = 0; i < f.x0.rows(); ++i) {
+      if (!RowMatches(f, set.Columns(s), set.Length(s), i)) continue;
+      const double e = f.errors[static_cast<size_t>(i)];
+      ss += 1.0;
+      se.Add(e);
+      if (e > sm) sm = e;
     }
+    out.sizes.push_back(ss);
+    out.error_sums.push_back(se.Round());
+    out.max_errors.push_back(sm);
   }
   return out;
 }
@@ -223,14 +217,13 @@ TEST(EvaluatorTest, StrategiesAgreeOnLargerInput) {
   EvalResult b = eval.Evaluate(set, scan_cfg).value();
   EvalResult c = eval.Evaluate(set, bitset_cfg).value();
   EXPECT_EQ(b.sizes, c.sizes);
-  // One row tile: both strategies run the same ascending-row chains.
   EXPECT_EQ(b.error_sums, c.error_sums);
   EXPECT_EQ(b.max_errors, c.max_errors);
 }
 
 TEST(EvaluatorTest, ScanBlockIsBitIdenticalAcrossThreadCounts) {
-  // Several row tiles, so partial sums are merged; the merge is in tile
-  // order, not completion order.
+  // Several row tiles, so partial sums are merged in completion order;
+  // they are exact, so the order cannot show.
   Fixture f = RandomFixture(43, 20000, 4, 3);
   SliceEvaluator eval(f.x0, f.offsets, f.errors);
   SliceSet set;
@@ -255,21 +248,25 @@ TEST(EvaluatorTest, ScanBlockIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(EvaluatorTest, ScanBlockEqualsRowScanReference) {
-  // Three full row tiles and a ragged fourth; float errors, so the tile
-  // partial sums round differently from one ascending chain.
+  // Three full row tiles and a ragged fourth; arbitrary float errors,
+  // whose float chains round differently per tile. Both strategies must
+  // round each exact sum once, to the big-integer reference's double.
   Fixture f = RandomFixture(47, 3 * 4096 + 1517, 4, 3);
   const SliceSet set = RandomSlices(f, 53, 60);
   const EvalResult want = RowScanReference(f, set);
   SliceEvaluator eval(f.x0, f.offsets, f.errors);
   SliceLineConfig cfg;
-  cfg.eval_strategy = SliceLineConfig::EvalStrategy::kScanBlock;
   cfg.parallel = true;
   for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
     linalg::ForceIsa(isa);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       ResizeGlobalThreadPoolForTesting(threads);
-      for (int b : {1, 5, 1000}) {
-        cfg.eval_block_size = b;
+      for (int b : {0, 1, 5, 1000}) {
+        // b == 0 stands for kBitset.
+        cfg.eval_strategy = b == 0
+                                ? SliceLineConfig::EvalStrategy::kBitset
+                                : SliceLineConfig::EvalStrategy::kScanBlock;
+        cfg.eval_block_size = std::max(b, 1);
         const EvalResult got = eval.Evaluate(set, cfg).value();
         const std::string what = std::string(linalg::IsaName(isa)) +
                                  " threads=" + std::to_string(threads) +
@@ -291,7 +288,8 @@ TEST(EvaluatorTest, ContinueFromAnyPrefixEqualsOneBitsetEvaluate) {
   SliceLineConfig cfg;
   cfg.eval_strategy = SliceLineConfig::EvalStrategy::kBitset;
   const EvalResult want = eval.Evaluate(set, cfg).value();
-  // Continue runs the kBitset schedule whatever the config asks for.
+  // Continue runs the config's schedule; kScanBlock tiles start at the
+  // prefix's word.
   cfg.eval_strategy = SliceLineConfig::EvalStrategy::kScanBlock;
   for (int64_t prefix : {int64_t{0}, int64_t{64}, int64_t{1000},
                          int64_t{4097}, int64_t{4999}, int64_t{5000}}) {
@@ -302,15 +300,13 @@ TEST(EvaluatorTest, ContinueFromAnyPrefixEqualsOneBitsetEvaluate) {
       std::copy(f.x0.row(i), f.x0.row(i) + f.x0.cols(), head.x0.row(i));
     }
     head.errors.assign(f.errors.begin(), f.errors.begin() + prefix);
-    EvalResult stats;
-    stats.sizes.assign(static_cast<size_t>(set.size()), 0.0);
-    stats.error_sums.assign(static_cast<size_t>(set.size()), 0.0);
-    stats.max_errors.assign(static_cast<size_t>(set.size()), 0.0);
+    ExactEvalResult exact(static_cast<size_t>(set.size()));
     if (prefix > 0) {
       SliceEvaluator head_eval(head.x0, f.offsets, head.errors);
-      ASSERT_TRUE(head_eval.Continue(set, 0, cfg, &stats).ok());
+      ASSERT_TRUE(head_eval.Continue(set, 0, cfg, &exact).ok());
     }
-    ASSERT_TRUE(eval.Continue(set, prefix, cfg, &stats).ok());
+    ASSERT_TRUE(eval.Continue(set, prefix, cfg, &exact).ok());
+    const EvalResult stats = exact.Round();
     EXPECT_TRUE(SameBits(stats.sizes, want.sizes)) << prefix;
     EXPECT_TRUE(SameBits(stats.error_sums, want.error_sums)) << prefix;
     EXPECT_TRUE(SameBits(stats.max_errors, want.max_errors)) << prefix;

@@ -1,8 +1,8 @@
 // Tests of the column store: packed column bitmaps against their inverted
 // lists, lazy materialization of requested columns only, level-1
 // statistics against a row-scan reference (at any pool size), appends
-// continuing both, concurrent fills through the evaluator, and the
-// exactly-summable error test with its error planes.
+// continuing both, concurrent fills through the evaluator, and the error
+// grid with its error planes.
 #include "data/column_store.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <limits>
 #include <cstring>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "data/generators/generators.h"
 #include "linalg/bitmap.h"
 #include "linalg/kernels_simd.h"
+#include "reference_sum.h"
 
 namespace sliceline::data {
 namespace {
@@ -67,7 +69,7 @@ bool SameDoubles(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Rebuilds every row's error from the store's planes: unit * sum of 2^b
+/// Rebuilds every row's error from the store's planes: 2^low * sum of 2^b
 /// over the planes whose bit is set.
 std::vector<double> ErrorsFromPlanes(const ColumnStore& store) {
   const linalg::ErrorPlanes* planes = store.error_planes();
@@ -77,7 +79,7 @@ std::vector<double> ErrorsFromPlanes(const ColumnStore& store) {
     for (int32_t b = 0; b < planes->count; ++b) {
       k |= ((planes->planes[b][r >> 6] >> (r & 63)) & 1) << b;
     }
-    out[static_cast<size_t>(r)] = static_cast<double>(k) * planes->unit;
+    out[static_cast<size_t>(r)] = std::ldexp(static_cast<double>(k), planes->low);
   }
   return out;
 }
@@ -163,29 +165,33 @@ TEST(ColumnStoreTest, LevelOneStatsMatchRowScanAcrossGeneratorShapes) {
     const FeatureOffsets offsets = ComputeOffsets(ds->x0);
     const ColumnStore store(ds->x0, offsets, ds->errors);
 
-    // Reference: feature by feature, each column's rows in ascending order,
-    // which is the chain order the store promises.
+    // Reference: a row scan into big-integer sums, rounded once.
     const size_t l = static_cast<size_t>(offsets.total);
     std::vector<int64_t> sizes(l, 0);
-    std::vector<double> sums(l, 0.0);
+    std::vector<testing::ReferenceSum> reference(l);
     std::vector<double> maxes(l, 0.0);
-    double total = 0.0;
-    for (double e : ds->errors) total += e;
+    testing::ReferenceSum total;
+    for (double e : ds->errors) total.Add(e);
     for (int j = 0; j < offsets.num_features(); ++j) {
       for (int64_t i = 0; i < ds->n(); ++i) {
         const size_t c =
             static_cast<size_t>(offsets.ColumnOf(j, ds->x0.At(i, j)));
         const double e = ds->errors[static_cast<size_t>(i)];
         ++sizes[c];
-        sums[c] += e;
+        reference[c].Add(e);
         if (e > maxes[c]) maxes[c] = e;
       }
     }
+    std::vector<double> sums;
+    for (const testing::ReferenceSum& sum : reference) {
+      sums.push_back(sum.Round());
+    }
     EXPECT_EQ(store.rows(), ds->n()) << info.name;
     EXPECT_EQ(store.basic_sizes(), sizes) << info.name;
-    EXPECT_EQ(store.basic_error_sums(), sums) << info.name;
-    EXPECT_EQ(store.basic_max_errors(), maxes) << info.name;
-    EXPECT_EQ(store.total_error(), total) << info.name;
+    EXPECT_TRUE(SameDoubles(store.basic_error_sums(), sums)) << info.name;
+    EXPECT_TRUE(SameDoubles(store.basic_max_errors(), maxes)) << info.name;
+    EXPECT_TRUE(SameDoubles({store.total_error()}, {total.Round()}))
+        << info.name;
   }
 }
 
@@ -275,8 +281,8 @@ TEST(ColumnStoreTest, ExtendContinuesStatsAndBuiltColumns) {
 }
 
 TEST(ColumnStoreTest, LevelOneStatsAreEqualAtAnyPoolSize) {
-  // Enough codes for the feature-parallel pass, and errors that are not
-  // exactly summable, so a reordered chain would show in the last bits.
+  // Enough codes for the feature-parallel pass, and arbitrary doubles, so a
+  // sum that rounded before the end would show in the last bits.
   const int64_t n = 40000;
   const IntMatrix x0 = RandomCodes(15, n, {4, 9, 3, 7, 5, 2, 8, 6});
   const FeatureOffsets offsets = ComputeOffsets(x0);
@@ -305,7 +311,7 @@ TEST(ColumnStoreTest, ZeroOneErrorsGetOnePlane) {
   const linalg::ErrorPlanes* planes = store.error_planes();
   ASSERT_NE(planes, nullptr);
   EXPECT_EQ(planes->count, 1);
-  EXPECT_EQ(planes->unit, 1.0);
+  EXPECT_EQ(planes->low, 0);
   EXPECT_EQ(ErrorsFromPlanes(store), errors);
 }
 
@@ -320,18 +326,80 @@ TEST(ColumnStoreTest, DyadicGridGetsSeveralPlanes) {
   const ColumnStore store(x0, offsets, errors);
   const linalg::ErrorPlanes* planes = store.error_planes();
   ASSERT_NE(planes, nullptr);
-  EXPECT_EQ(planes->unit, 0.25);
+  EXPECT_EQ(planes->low, -2);
   EXPECT_EQ(planes->count, 4);
   EXPECT_EQ(ErrorsFromPlanes(store), errors);
 }
 
-TEST(ColumnStoreTest, OffGridErrorsKeepTheChain) {
+TEST(ColumnStoreTest, OffGridErrorsSumExactlyWithoutPlanes) {
   const IntMatrix x0 = RandomCodes(21, 100, {3, 4});
   const FeatureOffsets offsets = ComputeOffsets(x0);
   std::vector<double> errors(100, 0.0);
   errors[3] = 1.0;
-  errors[50] = 0.1;  // no power of two divides 0.1 into few planes
-  EXPECT_EQ(ColumnStore(x0, offsets, errors).error_planes(), nullptr);
+  errors[50] = 0.1;  // 0.1 next to 1.0 spans 56 bits: far too many planes
+  errors[70] = 0.2;
+  errors[71] = 0.7;
+  const ColumnStore store(x0, offsets, errors);
+  EXPECT_EQ(store.error_planes(), nullptr);
+  // The exact sum of 1 + 0.1 + 0.2 + 0.7 rounds once; the float chain
+  // rounds after every add.
+  testing::ReferenceSum total;
+  for (double e : errors) total.Add(e);
+  EXPECT_TRUE(SameDoubles({store.total_error()}, {total.Round()}));
+  const linalg::SumLayout layout = store.error_source().layout;
+  EXPECT_LE(layout.anchor, std::ilogb(0.1) - 52);
+  EXPECT_EQ(layout.anchor % 32, 0);
+}
+
+TEST(ColumnStoreTest, WideSpreadErrorsSumExactlyEverywhere) {
+  // Magnitudes from 2^-700 to 2^700 and a subnormal: far too many bits for
+  // one 128-bit register, so every sum runs through accumulator lanes.
+  const IntMatrix x0 = RandomCodes(29, 700, {3, 4, 2});
+  const FeatureOffsets offsets = ComputeOffsets(x0);
+  Rng rng(30);
+  std::vector<double> errors(700);
+  for (double& e : errors) {
+    e = rng.NextBool(0.2) ? 0.0
+                          : std::ldexp(rng.NextDouble(),
+                                       static_cast<int>(rng.NextInt(-700, 700)));
+  }
+  errors[11] = std::numeric_limits<double>::denorm_min();
+  const ColumnStore store(x0, offsets, errors);
+  EXPECT_FALSE(store.error_source().layout.narrow);
+  testing::ReferenceSum total;
+  std::vector<testing::ReferenceSum> columns(
+      static_cast<size_t>(offsets.total));
+  for (int64_t i = 0; i < x0.rows(); ++i) {
+    total.Add(errors[static_cast<size_t>(i)]);
+    for (int j = 0; j < offsets.num_features(); ++j) {
+      columns[static_cast<size_t>(offsets.ColumnOf(j, x0.At(i, j)))].Add(
+          errors[static_cast<size_t>(i)]);
+    }
+  }
+  std::vector<double> want;
+  for (const testing::ReferenceSum& sum : columns) want.push_back(sum.Round());
+  EXPECT_TRUE(SameDoubles(store.basic_error_sums(), want));
+  EXPECT_TRUE(SameDoubles({store.total_error()}, {total.Round()}));
+  // Every pair of columns through the evaluation loop.
+  const core::SliceSet pairs = AllPairs(offsets);
+  core::SliceLineConfig config;
+  const core::EvalResult got =
+      core::SliceEvaluator(store).Evaluate(pairs, config).value();
+  for (int64_t s = 0; s < pairs.size(); ++s) {
+    testing::ReferenceSum sum;
+    for (int64_t i = 0; i < x0.rows(); ++i) {
+      const int64_t* cols = pairs.Columns(s);
+      if (x0.At(i, offsets.FeatureOfColumn(cols[0])) ==
+              offsets.CodeOfColumn(cols[0]) &&
+          x0.At(i, offsets.FeatureOfColumn(cols[1])) ==
+              offsets.CodeOfColumn(cols[1])) {
+        sum.Add(errors[static_cast<size_t>(i)]);
+      }
+    }
+    EXPECT_TRUE(SameDoubles({got.error_sums[static_cast<size_t>(s)]},
+                            {sum.Round()}))
+        << "pair " << s;
+  }
 }
 
 TEST(ColumnStoreTest, AllZeroErrorsHaveNoPlanesToCount) {
@@ -343,7 +411,7 @@ TEST(ColumnStoreTest, AllZeroErrorsHaveNoPlanesToCount) {
   EXPECT_EQ(store.error_planes()->count, 0);
 }
 
-TEST(ColumnStoreTest, TooManyPlanesKeepTheChain) {
+TEST(ColumnStoreTest, TooManyPlanesSumWithoutPlanes) {
   const IntMatrix x0 = RandomCodes(23, 100, {3, 4});
   const FeatureOffsets offsets = ComputeOffsets(x0);
   std::vector<double> errors(100, 1.0);
@@ -356,41 +424,41 @@ TEST(ColumnStoreTest, TooManyPlanesKeepTheChain) {
   EXPECT_EQ(ColumnStore(x0, offsets, errors).error_planes(), nullptr);
 }
 
-TEST(ErrorGridTest, SumMustStayBelowTwoToThe53Units) {
-  // With u = 0.5: k = 2^51, 2^51, 2^51, then 2^51 - 1 sums to 2^53 - 1.
-  for (double unit : {1.0, 0.5}) {
-    ErrorGrid grid;
-    for (int i = 0; i < 3; ++i) EXPECT_TRUE(grid.Add(std::ldexp(unit, 51)));
-    EXPECT_TRUE(grid.Add((std::ldexp(1.0, 51) - 1.0) * unit));
-    EXPECT_EQ(grid.units(), (uint64_t{1} << 53) - 1);
-    EXPECT_EQ(grid.unit(), unit);
-    EXPECT_EQ(grid.planes(), 52);
-    EXPECT_TRUE(grid.Add(0.0));
-    EXPECT_FALSE(grid.Add(unit)) << "sum 2^53 units";
-    EXPECT_FALSE(grid.exact());
-    EXPECT_FALSE(grid.Add(0.0)) << "once inexact, always inexact";
-  }
+TEST(ErrorGridTest, NeverFailsAndTracksTheBitSpread) {
+  // Sums past 2^53 units, a tenth next to 1.0, the largest double and the
+  // smallest subnormal: every finite, non-negative error folds in.
+  ErrorGrid grid;
+  EXPECT_EQ(grid.planes(), 0);
+  for (int i = 0; i < 4; ++i) grid.Add(std::ldexp(1.0, 51));
+  grid.Add(1.0);
+  EXPECT_EQ(grid.low_exponent(), 0);
+  EXPECT_EQ(grid.top_exponent(), 52);
+  EXPECT_EQ(grid.planes(), 52);
+  grid.Add(0.1);  // 0x1.999999999999ap-4: lowest set bit 2^-55
+  EXPECT_EQ(grid.low_exponent(), -55);
+  EXPECT_EQ(grid.planes(), 52 + 55);
+  grid.Add(std::numeric_limits<double>::max());
+  grid.Add(std::numeric_limits<double>::denorm_min());
+  grid.Add(0.0);
+  EXPECT_EQ(grid.low_exponent(), -1074);
+  EXPECT_EQ(grid.top_exponent(), 1024);
+  // The layout reaches below every significand and above the top bit.
+  const linalg::SumLayout layout = grid.layout();
+  EXPECT_LE(layout.anchor, -1074);
+  EXPECT_GE(layout.anchor + 32 * layout.lanes, 1024 + 64);
 }
 
 TEST(ErrorGridTest, FinerUnitRescalesEarlierErrors) {
   ErrorGrid grid;
-  EXPECT_TRUE(grid.Add(std::ldexp(1.0, 52)));  // u = 2^52, k = 1
-  EXPECT_EQ(grid.unit(), std::ldexp(1.0, 52));
-  EXPECT_TRUE(grid.Add(1.0));  // u = 1: k = 2^52 and 1
-  EXPECT_EQ(grid.unit(), 1.0);
-  EXPECT_EQ(grid.units(), (uint64_t{1} << 52) + 1);
+  grid.Add(std::ldexp(1.0, 52));  // u = 2^52, k = 1
+  EXPECT_EQ(grid.low_exponent(), 52);
+  EXPECT_EQ(grid.planes(), 1);
+  grid.Add(1.0);  // u = 1: k = 2^52 and 1
+  EXPECT_EQ(grid.low_exponent(), 0);
   EXPECT_EQ(grid.planes(), 53);
-  EXPECT_FALSE(grid.Add(std::ldexp(1.0, 52)));  // 2^53 + 1 units
-  // A refinement that alone pushes the sum past 2^53 units fails too.
-  ErrorGrid coarse;
-  EXPECT_TRUE(coarse.Add(2.0));
-  EXPECT_FALSE(coarse.Add(std::ldexp(1.0, -60)));
-  // 0.1 alone is one k on a fine grid; next to 1.0 it needs k >= 2^53.
-  ErrorGrid tenth;
-  EXPECT_TRUE(tenth.Add(0.1));
-  EXPECT_FALSE(tenth.Add(1.0));
-  EXPECT_FALSE(ErrorGrid().Add(std::numeric_limits<double>::infinity()));
-  EXPECT_TRUE(ErrorGrid().Add(std::numeric_limits<double>::denorm_min()));
+  grid.Add(std::ldexp(3.0, -60));  // u = 2^-60
+  EXPECT_EQ(grid.low_exponent(), -60);
+  EXPECT_EQ(grid.planes(), 113);
 }
 
 TEST(ColumnStoreTest, ExtendOnGridEqualsOneShotBuild) {
@@ -434,7 +502,7 @@ TEST(ColumnStoreTest, ExtendOnGridEqualsOneShotBuild) {
   }
   const linalg::ErrorPlanes& got = *store.error_planes();
   const linalg::ErrorPlanes& want = *one_shot.error_planes();
-  EXPECT_EQ(got.unit, want.unit);
+  EXPECT_EQ(got.low, want.low);
   ASSERT_EQ(got.count, want.count);
   for (int32_t b = 0; b < got.count; ++b) {
     EXPECT_TRUE(SameWords(got.planes[b], want.planes[b], store.words()))
@@ -444,7 +512,7 @@ TEST(ColumnStoreTest, ExtendOnGridEqualsOneShotBuild) {
                           one_shot.basic_error_sums()));
 }
 
-TEST(ColumnStoreTest, ExtendOffGridDropsPlanesAndMatchesFreshStore) {
+TEST(ColumnStoreTest, ExtendPastThePlanesDropsThemAndMatchesFreshStore) {
   const IntMatrix full = RandomCodes(26, 900, {4, 6, 3});
   Rng rng(27);
   std::vector<double> full_errors(900);
@@ -488,8 +556,8 @@ TEST(ColumnStoreTest, ExtendOffGridDropsPlanesAndMatchesFreshStore) {
 
 TEST(ColumnStoreTest, PlaneStatisticsEqualTheChainForEveryGenerator) {
   // Levels 1-3 of every generator's one-hot space (level 3 sampled), the
-  // plane path against the ascending chain over the same bitmaps, at every
-  // ISA: all three statistics memcmp-equal.
+  // plane path against the exact masked kernel alone over the same bitmaps,
+  // at every ISA: sizes, accumulators and maxima equal.
   for (const DatasetInfo& info : ListDatasets()) {
     DatasetOptions options;
     options.rows = 5000;
@@ -544,21 +612,29 @@ TEST(ColumnStoreTest, PlaneStatisticsEqualTheChainForEveryGenerator) {
     const int64_t count = static_cast<int64_t>(candidates.size());
     for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
       const linalg::SimdKernels& kernels = linalg::KernelsFor(isa);
-      std::vector<double> chain_sizes(count, 0.0), chain_sums(count, 0.0),
-          chain_max(count, 0.0);
-      linalg::EvaluateCandidatesBlocked(
-          kernels, candidates.data(), count, store.words(), errors.data(),
-          /*planes=*/nullptr, chain_sizes.data(), chain_sums.data(),
-          chain_max.data());
-      std::vector<double> plane_sizes(count, 0.0), plane_sums(count, 0.0),
-          plane_max(count, 0.0);
-      linalg::EvaluateCandidatesBlocked(
-          kernels, candidates.data(), count, store.words(), errors.data(),
-          planes, plane_sizes.data(), plane_sums.data(), plane_max.data());
+      const linalg::ErrorSource source = store.error_source();
+      const int64_t stride = source.layout.lanes;
+      auto run = [&](const linalg::ErrorPlanes* with) {
+        std::vector<int64_t> sizes(count, 0);
+        std::vector<uint64_t> lanes(count * stride, 0);
+        std::vector<uint64_t> max_bits(count, 0);
+        linalg::EvaluateCandidatesBlocked(
+            kernels, candidates.data(), count, store.words(),
+            {source.values, source.layout, with}, sizes.data(), lanes.data(),
+            max_bits.data());
+        std::vector<double> sums;
+        for (int64_t c = 0; c < count; ++c) {
+          sums.push_back(
+              linalg::RoundLanes(lanes.data() + c * stride, source.layout));
+        }
+        return std::make_tuple(sizes, sums, max_bits);
+      };
+      const auto [masked_sizes, masked_sums, masked_max] = run(nullptr);
+      const auto [plane_sizes, plane_sums, plane_max] = run(planes);
       const std::string what = info.name + " at " + linalg::IsaName(isa);
-      EXPECT_TRUE(SameDoubles(plane_sizes, chain_sizes)) << what;
-      EXPECT_TRUE(SameDoubles(plane_sums, chain_sums)) << what;
-      EXPECT_TRUE(SameDoubles(plane_max, chain_max)) << what;
+      EXPECT_EQ(plane_sizes, masked_sizes) << what;
+      EXPECT_TRUE(SameDoubles(plane_sums, masked_sums)) << what;
+      EXPECT_EQ(plane_max, masked_max) << what;
     }
   }
 }

@@ -3,8 +3,8 @@
 // spawned on loopback ports and a seeded subset is SIGKILLed, suspended
 // (SIGSTOP), restarted, or configured to drop connections at level
 // boundaries. Every scenario must produce a top-K bit-identical to the
-// single-node engine: the error values are dyadic rationals (multiples of
-// 1/4), so floating-point summation is exact in any association order and
+// single-node engine on arbitrary float errors: workers ship exact error
+// sums, which add up the same in any shard order and round once, so
 // "equivalent" is checkable with operator== instead of tolerances.
 #include <signal.h>
 #include <sys/wait.h>
@@ -89,14 +89,13 @@ struct ChaosInput {
   std::vector<double> errors;
 };
 
-/// Random categorical matrix with dyadic-rational errors (multiples of 1/4):
-/// sums of these are exact doubles, so distributed and single-node
-/// aggregation agree bit for bit no matter how shards split the sum. The
-/// error is additive over three planted feature values, which keeps real
-/// (non-prunable) candidates alive through level 3 -- uniform random errors
-/// would let the upper bounds prune everything after one Evaluate round, and
-/// the round-1 fault hooks below would never fire.
-ChaosInput MakeDyadicInput(uint64_t seed, int64_t n, int m, int max_dom) {
+/// Random categorical matrix with float errors off any small grid (random
+/// 53-bit significands), whose float sums would depend on the shard split.
+/// The error is additive over three planted feature values, which keeps
+/// real (non-prunable) candidates alive through level 3 -- uniform random
+/// errors would let the upper bounds prune everything after one Evaluate
+/// round, and the round-1 fault hooks below would never fire.
+ChaosInput MakeFloatInput(uint64_t seed, int64_t n, int m, int max_dom) {
   Rng rng(seed);
   ChaosInput input;
   input.x0 = data::IntMatrix(n, m);
@@ -107,7 +106,7 @@ ChaosInput MakeDyadicInput(uint64_t seed, int64_t n, int m, int max_dom) {
   }
   input.errors.resize(n);
   for (int64_t i = 0; i < n; ++i) {
-    double e = static_cast<double>(rng.NextUint64(2)) / 4.0;  // 0 or .25
+    double e = 0.25 * rng.NextDouble();
     if (input.x0.At(i, 0) == 1) e += 0.5;
     if (m > 1 && input.x0.At(i, 1) == 2) e += 0.5;
     if (m > 2 && input.x0.At(i, 2) == 3 && max_dom >= 3) e += 0.5;
@@ -168,7 +167,7 @@ class ChaosTest : public ::testing::Test {
 };
 
 TEST_F(ChaosTest, FaultFreeFleetMatchesSingleNodeBitForBit) {
-  ChaosInput input = MakeDyadicInput(101, 600, 5, 4);
+  ChaosInput input = MakeFloatInput(101, 600, 5, 4);
   core::SliceLineConfig config;
   config.k = 6;
   config.min_support = 15;
@@ -186,7 +185,7 @@ TEST_F(ChaosTest, FaultFreeFleetMatchesSingleNodeBitForBit) {
 }
 
 TEST_F(ChaosTest, SigkilledWorkerAtLevelBoundaryPreservesTopK) {
-  ChaosInput input = MakeDyadicInput(211, 600, 5, 4);
+  ChaosInput input = MakeFloatInput(211, 600, 5, 4);
   core::SliceLineConfig config;
   config.k = 6;
   config.min_support = 15;
@@ -211,7 +210,7 @@ TEST_F(ChaosTest, SigkilledWorkerAtLevelBoundaryPreservesTopK) {
 }
 
 TEST_F(ChaosTest, SuspendedStragglerIsMaskedBySpeculation) {
-  ChaosInput input = MakeDyadicInput(307, 600, 5, 4);
+  ChaosInput input = MakeFloatInput(307, 600, 5, 4);
   core::SliceLineConfig config;
   config.k = 6;
   config.min_support = 15;
@@ -238,7 +237,7 @@ TEST_F(ChaosTest, SuspendedStragglerIsMaskedBySpeculation) {
 }
 
 TEST_F(ChaosTest, TransientConnectionDropsAreRetried) {
-  ChaosInput input = MakeDyadicInput(401, 600, 5, 4);
+  ChaosInput input = MakeFloatInput(401, 600, 5, 4);
   core::SliceLineConfig config;
   config.k = 6;
   config.min_support = 15;
@@ -263,7 +262,7 @@ TEST_F(ChaosTest, TransientConnectionDropsAreRetried) {
 }
 
 TEST_F(ChaosTest, KilledAndRestartedWorkerReenlists) {
-  ChaosInput input = MakeDyadicInput(503, 600, 5, 4);
+  ChaosInput input = MakeFloatInput(503, 600, 5, 4);
   core::SliceLineConfig config;
   config.k = 6;
   config.min_support = 15;
@@ -294,7 +293,7 @@ TEST_F(ChaosTest, KilledAndRestartedWorkerReenlists) {
 }
 
 TEST_F(ChaosTest, LosingMostOfTheFleetDegradesGracefully) {
-  ChaosInput input = MakeDyadicInput(601, 400, 4, 3);
+  ChaosInput input = MakeFloatInput(601, 400, 4, 3);
   core::SliceLineConfig config;
   config.k = 4;
   config.min_support = 10;

@@ -92,8 +92,9 @@ TEST_P(DistributedEquivalenceTest, MatchesLocalExecution) {
   ASSERT_TRUE(distributed.ok());
   ASSERT_EQ(local->top_k.size(), distributed->top_k.size());
   for (size_t i = 0; i < local->top_k.size(); ++i) {
-    EXPECT_NEAR(local->top_k[i].stats.score,
-                distributed->top_k[i].stats.score, 1e-9);
+    EXPECT_EQ(local->top_k[i].stats.score, distributed->top_k[i].stats.score);
+    EXPECT_EQ(local->top_k[i].stats.error_sum,
+              distributed->top_k[i].stats.error_sum);
     EXPECT_EQ(local->top_k[i].stats.size, distributed->top_k[i].stats.size);
     EXPECT_EQ(local->top_k[i].predicates, distributed->top_k[i].predicates);
   }

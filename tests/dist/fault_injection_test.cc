@@ -120,9 +120,10 @@ TEST(FaultInjectorTest, ScriptedFaultFiresOnFirstAttemptOnly) {
 }
 
 TEST(FaultInjectorTest, ChecksumDetectsCorruption) {
-  core::EvalResult partial;
-  partial.sizes = {4.0, 2.0};
-  partial.error_sums = {0.5, 0.25};
+  core::ExactEvalResult partial(2);
+  partial.sizes = {4, 2};
+  partial.error_sums[0].Add(0.5);
+  partial.error_sums[1].Add(0.25);
   partial.max_errors = {0.9, 0.4};
   const uint64_t before = ChecksumPartial(partial);
   FaultPlan plan;
@@ -225,16 +226,16 @@ TEST_F(FaultToleranceTest, TooManyLossesFallBackToLocal) {
                                {2, FaultType::kPermanentLoss}});
   EXPECT_TRUE(run.faults.fallback_local);
   EXPECT_EQ(run.faults.workers_lost, 3);
-  // The degraded run computes over the full matrix; slices and integer
-  // statistics are identical, scores agree to float-sum reassociation.
+  // The degraded run computes over the full matrix; error sums are exact
+  // either way, so every statistic is identical.
   ASSERT_EQ(fault_free_.result.top_k.size(), run.result.top_k.size());
   for (size_t i = 0; i < run.result.top_k.size(); ++i) {
     EXPECT_EQ(fault_free_.result.top_k[i].predicates,
               run.result.top_k[i].predicates);
     EXPECT_EQ(fault_free_.result.top_k[i].stats.size,
               run.result.top_k[i].stats.size);
-    EXPECT_NEAR(fault_free_.result.top_k[i].stats.score,
-                run.result.top_k[i].stats.score, 1e-9);
+    EXPECT_EQ(fault_free_.result.top_k[i].stats.score,
+              run.result.top_k[i].stats.score);
   }
 }
 
@@ -249,8 +250,8 @@ TEST_F(FaultToleranceTest, ExhaustedRetryBudgetDegradesGracefully) {
   for (size_t i = 0; i < run.result.top_k.size(); ++i) {
     EXPECT_EQ(fault_free_.result.top_k[i].predicates,
               run.result.top_k[i].predicates);
-    EXPECT_NEAR(fault_free_.result.top_k[i].stats.score,
-                run.result.top_k[i].stats.score, 1e-9);
+    EXPECT_EQ(fault_free_.result.top_k[i].stats.score,
+              run.result.top_k[i].stats.score);
   }
 }
 

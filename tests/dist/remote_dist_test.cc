@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/sliceline.h"
 #include "dist/worker.h"
+#include "linalg/kernels_simd.h"
 
 namespace sliceline::dist {
 namespace {
@@ -104,8 +108,8 @@ TEST(RemoteDistTest, BitIdenticalToInProcessFleet) {
                                            in_process);
   ASSERT_TRUE(simulated.ok());
 
-  // Same shard boundaries, same worker request handler, same shard-order
-  // merge: every floating-point value must match bit for bit.
+  // Exact partial sums, rounded once after the merge: every floating-point
+  // value must match bit for bit.
   ASSERT_EQ(remote->top_k.size(), simulated->top_k.size());
   for (size_t i = 0; i < remote->top_k.size(); ++i) {
     EXPECT_EQ(remote->top_k[i].stats.score, simulated->top_k[i].stats.score);
@@ -123,6 +127,71 @@ TEST(RemoteDistTest, BitIdenticalToInProcessFleet) {
   EXPECT_GT(cost.gather_bytes, 0);
 }
 
+/// Asserts two runs found the same slices with bit-identical statistics and
+/// enumerated the same levels.
+void ExpectSameResult(const core::SliceLineResult& got,
+                      const core::SliceLineResult& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.top_k.size(), want.top_k.size()) << what;
+  for (size_t i = 0; i < got.top_k.size(); ++i) {
+    const core::SliceStats& a = got.top_k[i].stats;
+    const core::SliceStats& b = want.top_k[i].stats;
+    EXPECT_EQ(got.top_k[i].predicates, want.top_k[i].predicates) << what;
+    EXPECT_EQ(a.size, b.size) << what;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.score), std::bit_cast<uint64_t>(b.score))
+        << what;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.error_sum),
+              std::bit_cast<uint64_t>(b.error_sum))
+        << what;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.max_error),
+              std::bit_cast<uint64_t>(b.max_error))
+        << what;
+  }
+  ASSERT_EQ(got.levels.size(), want.levels.size()) << what;
+  for (size_t i = 0; i < got.levels.size(); ++i) {
+    EXPECT_EQ(got.levels[i].candidates, want.levels[i].candidates) << what;
+    EXPECT_EQ(got.levels[i].valid, want.levels[i].valid) << what;
+    EXPECT_EQ(got.levels[i].pruned, want.levels[i].pruned) << what;
+  }
+}
+
+TEST(RemoteDistTest, FleetsMatchSingleNodeOnFloatErrorsAtEveryIsaAndPoolSize) {
+  // Arbitrary doubles: float sums would depend on how shards and tiles cut
+  // the rows. Exact sums make every run equal a single-node kBitset run.
+  RandomInput input = MakeRandom(31, 700, 5, 4);
+  core::SliceLineConfig config;
+  config.k = 6;
+  config.min_support = 10;
+  auto want = core::RunSliceLine(input.x0, input.errors, config);
+  ASSERT_TRUE(want.ok());
+  WorkerFleet fleet(3);
+  for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
+    linalg::ForceIsa(isa);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      ResizeGlobalThreadPoolForTesting(threads);
+      const std::string what = std::string(linalg::IsaName(isa)) +
+                               " threads=" + std::to_string(threads);
+      core::SliceLineConfig scan = config;
+      scan.eval_strategy = core::SliceLineConfig::EvalStrategy::kScanBlock;
+      auto single = core::RunSliceLine(input.x0, input.errors, scan);
+      ASSERT_TRUE(single.ok()) << what;
+      ExpectSameResult(*single, *want, what + " kScanBlock");
+      DistOptions in_process;
+      in_process.local_workers = 3;
+      auto simulated = RunSliceLineDistributed(input.x0, input.errors, config,
+                                               in_process);
+      ASSERT_TRUE(simulated.ok()) << what;
+      ExpectSameResult(*simulated, *want, what + " in-process fleet");
+      auto remote = RunSliceLineDistributed(input.x0, input.errors, config,
+                                            FastOptions(fleet));
+      ASSERT_TRUE(remote.ok()) << what;
+      ExpectSameResult(*remote, *want, what + " socket fleet");
+    }
+  }
+  linalg::ClearForcedIsa();
+  ResizeGlobalThreadPoolForTesting(0);
+}
+
 TEST(RemoteDistTest, MatchesLocalExecution) {
   RandomInput input = MakeRandom(29, 500, 4, 3);
   core::SliceLineConfig config;
@@ -137,8 +206,9 @@ TEST(RemoteDistTest, MatchesLocalExecution) {
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   ASSERT_EQ(remote->top_k.size(), local->top_k.size());
   for (size_t i = 0; i < remote->top_k.size(); ++i) {
-    EXPECT_NEAR(remote->top_k[i].stats.score, local->top_k[i].stats.score,
-                1e-9);
+    EXPECT_EQ(remote->top_k[i].stats.score, local->top_k[i].stats.score);
+    EXPECT_EQ(remote->top_k[i].stats.error_sum,
+              local->top_k[i].stats.error_sum);
     EXPECT_EQ(remote->top_k[i].stats.size, local->top_k[i].stats.size);
     EXPECT_EQ(remote->top_k[i].predicates, local->top_k[i].predicates);
   }
@@ -172,8 +242,9 @@ TEST(RemoteDistTest, WorkerDeathMidRunReshardsOntoSurvivors) {
   // Shard boundaries never changed, so recovery is invisible in the result.
   ASSERT_EQ(result->top_k.size(), local->top_k.size());
   for (size_t i = 0; i < result->top_k.size(); ++i) {
-    EXPECT_NEAR(result->top_k[i].stats.score, local->top_k[i].stats.score,
-                1e-9);
+    EXPECT_EQ(result->top_k[i].stats.score, local->top_k[i].stats.score);
+    EXPECT_EQ(result->top_k[i].stats.error_sum,
+              local->top_k[i].stats.error_sum);
     EXPECT_EQ(result->top_k[i].predicates, local->top_k[i].predicates);
   }
 }
@@ -206,8 +277,9 @@ TEST(RemoteDistTest, TooManyDeathsDegradeToLocalFallback) {
   // The fallback evaluates the full matrix locally: results stay exact.
   ASSERT_EQ(result->top_k.size(), local->top_k.size());
   for (size_t i = 0; i < result->top_k.size(); ++i) {
-    EXPECT_NEAR(result->top_k[i].stats.score, local->top_k[i].stats.score,
-                1e-9);
+    EXPECT_EQ(result->top_k[i].stats.score, local->top_k[i].stats.score);
+    EXPECT_EQ(result->top_k[i].stats.error_sum,
+              local->top_k[i].stats.error_sum);
     EXPECT_EQ(result->top_k[i].predicates, local->top_k[i].predicates);
   }
 }
@@ -266,8 +338,9 @@ TEST(RemoteDistTest, TransientDropsAreRetriedTransparently) {
   EXPECT_FALSE(faults.fallback_local);
   ASSERT_EQ(remote->top_k.size(), local->top_k.size());
   for (size_t i = 0; i < remote->top_k.size(); ++i) {
-    EXPECT_NEAR(remote->top_k[i].stats.score, local->top_k[i].stats.score,
-                1e-9);
+    EXPECT_EQ(remote->top_k[i].stats.score, local->top_k[i].stats.score);
+    EXPECT_EQ(remote->top_k[i].stats.error_sum,
+              local->top_k[i].stats.error_sum);
     EXPECT_EQ(remote->top_k[i].predicates, local->top_k[i].predicates);
   }
 }
@@ -300,8 +373,9 @@ TEST(RemoteDistTest, WorkerRestartIsReenlistedAndReshipped) {
   EXPECT_EQ((*eval)->alive_workers(), 2);
   ASSERT_EQ(result->top_k.size(), local->top_k.size());
   for (size_t i = 0; i < result->top_k.size(); ++i) {
-    EXPECT_NEAR(result->top_k[i].stats.score, local->top_k[i].stats.score,
-                1e-9);
+    EXPECT_EQ(result->top_k[i].stats.score, local->top_k[i].stats.score);
+    EXPECT_EQ(result->top_k[i].stats.error_sum,
+              local->top_k[i].stats.error_sum);
     EXPECT_EQ(result->top_k[i].predicates, local->top_k[i].predicates);
   }
 }

@@ -1,13 +1,16 @@
 // Differential kernel-test rig: every SIMD kernel, at every ISA level this
 // host can execute, over seeded typical and pathological bitmap shapes, must
 // be BIT-identical to the always-compiled scalar reference — integer counts
-// equal, output words memcmp-equal, and masked float reductions equal down
-// to the last ulp (the vector units only accelerate AND/popcount and
-// zero-word skipping; accumulation order is ascending rows at every level).
+// equal, output words memcmp-equal, and exact masked sums equal lane for
+// lane — and every error sum must round to the double of a test-local
+// big-integer reference sum (reference_sum.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -15,7 +18,9 @@
 
 #include "common/rng.h"
 #include "linalg/bitmap.h"
+#include "data/column_store.h"
 #include "linalg/kernels_simd.h"
+#include "reference_sum.h"
 
 namespace sliceline::linalg {
 namespace {
@@ -67,14 +72,20 @@ std::vector<Bitmap> BuildBitmaps(const Shape& shape, uint64_t seed) {
   return out;
 }
 
-// Error vector covering the padded word range (masked_stats contract: errors
-// cover [0, words*64), read only where bits are set). Values include exact
-// and non-representable-sum doubles so accumulation-order bugs surface.
+// Error vector covering the padded word range (masked_sum contract: errors
+// cover [0, words*64), read only where bits are set). Arbitrary doubles, so
+// any sum that rounds before the end surfaces.
 std::vector<double> BuildErrors(int64_t words, uint64_t seed) {
   Rng rng(seed);
   std::vector<double> errors(static_cast<size_t>(words) * 64);
   for (double& e : errors) e = rng.NextDouble() * 3.0;
   return errors;
+}
+
+SumLayout LayoutOf(const std::vector<double>& errors) {
+  data::ErrorGrid grid;
+  for (double e : errors) grid.Add(e);
+  return grid.layout();
 }
 
 class SimdDifferentialTest : public ::testing::TestWithParam<SimdIsa> {
@@ -191,16 +202,31 @@ TEST_P(SimdDifferentialTest, MaskedStatsMatchesScalarBitExact) {
     std::vector<Bitmap> bitmaps = BuildBitmaps(shape, seed++);
     const int64_t words = bitmaps.front().words();
     const std::vector<double> errors = BuildErrors(words, seed * 31);
+    const SumLayout layout = LayoutOf(errors);
     for (size_t i = 0; i < bitmaps.size(); ++i) {
-      MaskedStats got;
-      simd.masked_stats(bitmaps[i].data(), words, errors.data(), &got);
-      MaskedStats want;
-      scalar.masked_stats(bitmaps[i].data(), words, errors.data(), &want);
+      std::vector<uint64_t> got(static_cast<size_t>(layout.lanes), 0);
+      std::vector<uint64_t> want = got;
+      uint64_t got_max = 0;
+      uint64_t want_max = 0;
+      simd.masked_sum(bitmaps[i].data(), words, errors.data(), layout,
+                      got.data(), &got_max);
+      scalar.masked_sum(bitmaps[i].data(), words, errors.data(), layout,
+                        want.data(), &want_max);
       const std::string what =
           std::string(shape.name) + " column " + std::to_string(i);
-      EXPECT_EQ(got.count, want.count) << what;
-      ExpectBitEqual(want.sum, got.sum, what + " sum");
-      ExpectBitEqual(want.max, got.max, what + " max");
+      EXPECT_EQ(got, want) << what;
+      EXPECT_EQ(got_max, want_max) << what;
+      testing::ReferenceSum reference;
+      double reference_max = 0.0;
+      for (int64_t r = 0; r < shape.rows; ++r) {
+        if (!bitmaps[i].Test(r)) continue;
+        reference.Add(errors[static_cast<size_t>(r)]);
+        reference_max = std::max(reference_max, errors[static_cast<size_t>(r)]);
+      }
+      ExpectBitEqual(reference.Round(), RoundLanes(got.data(), layout),
+                     what + " sum");
+      ExpectBitEqual(reference_max, std::bit_cast<double>(got_max),
+                     what + " max");
     }
   }
 }
@@ -210,30 +236,110 @@ TEST_P(SimdDifferentialTest, MaskedStatsEmptyMaskIsZero) {
   const int64_t words = BitmapWords(256);
   const std::vector<uint64_t> mask(static_cast<size_t>(words), 0);
   const std::vector<double> errors = BuildErrors(words, 5);
-  MaskedStats stats;
-  simd.masked_stats(mask.data(), words, errors.data(), &stats);
-  EXPECT_EQ(stats.count, 0);
-  ExpectBitEqual(0.0, stats.sum, "empty sum");
-  ExpectBitEqual(0.0, stats.max, "empty max");
+  const SumLayout layout = LayoutOf(errors);
+  std::vector<uint64_t> lanes(static_cast<size_t>(layout.lanes), 0);
+  uint64_t max_bits = 0;
+  simd.masked_sum(mask.data(), words, errors.data(), layout, lanes.data(),
+                  &max_bits);
+  EXPECT_EQ(lanes, std::vector<uint64_t>(lanes.size(), 0));
+  EXPECT_EQ(max_bits, 0u);
+  ExpectBitEqual(0.0, RoundLanes(lanes.data(), layout), "empty sum");
 }
 
+// Statistics of a candidate set, each sum rounded once.
+struct CandidateStats {
+  std::vector<double> sizes;
+  std::vector<double> sums;
+  std::vector<double> maxes;
+
+  bool operator==(const CandidateStats& other) const {
+    auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    return same(sizes, other.sizes) && same(sums, other.sums) &&
+           same(maxes, other.maxes);
+  }
+};
+
 // Unblocked, unvectorized reference for the cache-blocked candidate loop:
-// intersect each candidate's columns over the full row range, then reduce.
-void EvaluateCandidatesReference(const CandidateColumns* candidates,
-                                 int64_t count, int64_t words,
-                                 const double* errors, double* sizes,
-                                 double* error_sums, double* max_errors) {
+// intersect each candidate's columns over the full row range, then add its
+// errors into a big-integer reference sum.
+CandidateStats EvaluateCandidatesReference(const CandidateColumns* candidates,
+                                           int64_t count, int64_t words,
+                                           const double* errors) {
   const SimdKernels& scalar = KernelsFor(SimdIsa::kScalar);
   std::vector<uint64_t> scratch(static_cast<size_t>(words));
+  CandidateStats out;
   for (int64_t c = 0; c < count; ++c) {
     scalar.intersect_columns(candidates[c].cols, candidates[c].len,
                              scratch.data(), words);
-    MaskedStats stats;
-    scalar.masked_stats(scratch.data(), words, errors, &stats);
-    sizes[c] += static_cast<double>(stats.count);
-    error_sums[c] += stats.sum;
-    if (stats.max > max_errors[c]) max_errors[c] = stats.max;
+    testing::ReferenceSum sum;
+    double max = 0.0;
+    int64_t size = 0;
+    for (int64_t r = 0; r < words * 64; ++r) {
+      if (((scratch[static_cast<size_t>(r >> 6)] >> (r & 63)) & 1) == 0) {
+        continue;
+      }
+      ++size;
+      sum.Add(errors[r]);
+      max = std::max(max, errors[r]);
+    }
+    out.sizes.push_back(static_cast<double>(size));
+    out.sums.push_back(sum.Round());
+    out.maxes.push_back(max);
   }
+  return out;
+}
+
+// The blocked loop over rows [0, split) and then [split, 64 * words), both
+// adding into the same accumulators, each sum rounded once at the end.
+CandidateStats EvaluateBlocked(const SimdKernels& kernels,
+                               const std::vector<CandidateColumns>& candidates,
+                               int64_t words, const ErrorSource& errors,
+                               int64_t split) {
+  const size_t count = candidates.size();
+  const int64_t stride = errors.layout.lanes;
+  std::vector<int64_t> sizes(count, 0);
+  std::vector<uint64_t> lanes(count * static_cast<size_t>(stride), 0);
+  std::vector<uint64_t> max_bits(count, 0);
+  for (const auto& [first_row, end_word] :
+       {std::pair<int64_t, int64_t>{0, (split + 63) / 64}, {split, words}}) {
+    // The first call ends at split's word; its rows past split are the
+    // second call's, so it sees a copy of the columns cut at split.
+    std::deque<std::vector<uint64_t>> cut;
+    std::vector<std::vector<const uint64_t*>> cols;
+    std::vector<CandidateColumns> view;
+    for (const CandidateColumns& candidate : candidates) {
+      std::vector<const uint64_t*> pointers;
+      for (int32_t k = 0; k < candidate.len; ++k) {
+        if (first_row > 0) {
+          pointers.push_back(candidate.cols[k]);
+          continue;
+        }
+        cut.emplace_back(candidate.cols[k], candidate.cols[k] + end_word);
+        if (split % 64 != 0) {
+          cut.back().back() &= (uint64_t{1} << (split % 64)) - 1;
+        }
+        pointers.push_back(cut.back().data());
+      }
+      cols.push_back(std::move(pointers));
+    }
+    for (const auto& pointers : cols) {
+      view.push_back({pointers.data(), static_cast<int32_t>(pointers.size())});
+    }
+    EvaluateCandidatesBlocked(kernels, view.data(),
+                              static_cast<int64_t>(count), end_word, errors,
+                              sizes.data(), lanes.data(), max_bits.data(),
+                              first_row);
+  }
+  CandidateStats out;
+  for (size_t c = 0; c < count; ++c) {
+    out.sizes.push_back(static_cast<double>(sizes[c]));
+    out.sums.push_back(RoundLanes(lanes.data() + c * stride, errors.layout));
+    out.maxes.push_back(std::bit_cast<double>(max_bits[c]));
+  }
+  return out;
 }
 
 TEST_P(SimdDifferentialTest, BlockedCandidateLoopMatchesUnblockedScalar) {
@@ -276,35 +382,25 @@ TEST_P(SimdDifferentialTest, BlockedCandidateLoopMatchesUnblockedScalar) {
          static_cast<int32_t>(column_sets.back().size())});
   }
 
-  std::vector<double> got_sizes(count, 0), got_sums(count, 0),
-      got_max(count, 0);
-  EvaluateCandidatesBlocked(simd, candidates.data(), count, words,
-                            errors.data(), /*planes=*/nullptr,
-                            got_sizes.data(), got_sums.data(),
-                            got_max.data());
-
-  std::vector<double> want_sizes(count, 0), want_sums(count, 0),
-      want_max(count, 0);
-  EvaluateCandidatesReference(candidates.data(), count, words, errors.data(),
-                              want_sizes.data(), want_sums.data(),
-                              want_max.data());
-
-  for (int64_t i = 0; i < count; ++i) {
-    const std::string what = "candidate " + std::to_string(i);
-    ExpectBitEqual(want_sizes[static_cast<size_t>(i)],
-                   got_sizes[static_cast<size_t>(i)], what + " size");
-    ExpectBitEqual(want_sums[static_cast<size_t>(i)],
-                   got_sums[static_cast<size_t>(i)], what + " error_sum");
-    ExpectBitEqual(want_max[static_cast<size_t>(i)],
-                   got_max[static_cast<size_t>(i)], what + " max_error");
+  const ErrorSource source{errors.data(), LayoutOf(errors), nullptr};
+  const CandidateStats want = EvaluateCandidatesReference(
+      candidates.data(), count, words, errors.data());
+  // One call over all rows, and cuts inside a word, at a word boundary and
+  // at a word-tile boundary.
+  for (int64_t split : {int64_t{0}, int64_t{77}, int64_t{64 * 1000},
+                        int64_t{64 * 2048 + 5}}) {
+    EXPECT_TRUE(EvaluateBlocked(simd, candidates, words, source, split) ==
+                want)
+        << "split at row " << split;
   }
 }
 
 TEST_P(SimdDifferentialTest, BlockedPlaneLoopMatchesAscendingChain) {
-  // Exactly summable errors (k * unit, k < 2^planes) as bit-planes: the
-  // plane path of the blocked loop must reproduce the scalar ascending
-  // chain's doubles, across word tiles (> 2048 words), candidate tiles
-  // (> 64 candidates) and a row count that ends mid-word.
+  // Errors on a small grid (k * unit, k < 2^planes) as bit-planes: the plane
+  // path of the blocked loop must round every sum to the double of an
+  // ascending-row scan into the big-integer reference sum, across word
+  // tiles (> 2048 words), candidate tiles (> 64 candidates), a row count
+  // that ends mid-word and a cut of the rows into two calls.
   const SimdKernels& simd = KernelsFor(GetParam());
   Rng rng(4242);
   const int64_t rows = 200000 - 37;
@@ -364,24 +460,16 @@ TEST_P(SimdDifferentialTest, BlockedPlaneLoopMatchesAscendingChain) {
     }
     std::vector<const uint64_t*> plane_words;
     for (const Bitmap& b : plane_bits) plane_words.push_back(b.data());
-    const ErrorPlanes planes{plane_words.data(), plane_count, unit};
-
-    std::vector<double> got_sizes(count, 0), got_sums(count, 0),
-        got_max(count, 0);
-    EvaluateCandidatesBlocked(simd, candidates.data(), count, words,
-                              errors.data(), &planes, got_sizes.data(),
-                              got_sums.data(), got_max.data());
-    std::vector<double> want_sizes(count, 0), want_sums(count, 0),
-        want_max(count, 0);
-    EvaluateCandidatesReference(candidates.data(), count, words,
-                                errors.data(), want_sizes.data(),
-                                want_sums.data(), want_max.data());
-    auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
-      return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-    };
-    EXPECT_TRUE(same(got_sizes, want_sizes)) << grid;
-    EXPECT_TRUE(same(got_sums, want_sums)) << grid;
-    EXPECT_TRUE(same(got_max, want_max)) << grid;
+    const ErrorPlanes planes{plane_words.data(), plane_count,
+                             std::ilogb(unit)};
+    const ErrorSource source{errors.data(), LayoutOf(errors), &planes};
+    const CandidateStats want = EvaluateCandidatesReference(
+        candidates.data(), count, words, errors.data());
+    for (int64_t split : {int64_t{0}, int64_t{64 * 2048 + 5}}) {
+      EXPECT_TRUE(EvaluateBlocked(simd, candidates, words, source, split) ==
+                  want)
+          << grid << ", split at row " << split;
+    }
   }
 }
 

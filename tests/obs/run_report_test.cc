@@ -169,7 +169,8 @@ TEST_F(RunReportTest, ErrorPlaneCounterFlowsUnderOneName) {
             std::string::npos)
       << prometheus.str();
 
-  // Off-grid errors keep the chain and leave the counter alone.
+  // Errors spread over more bits than the planes hold sum without them
+  // and leave the counter alone.
   registry->ResetValues();
   for (double& e : errors) e *= 0.1;
   ASSERT_TRUE(core::RunSliceLine(x0, errors, config).ok());

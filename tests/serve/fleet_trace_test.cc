@@ -182,6 +182,10 @@ TEST(FleetTraceTest, RemoteJobProducesMergedTraceAndConsistentReport) {
         SectionValue(*report, section, "worker/eval_slices", -1.0);
     ASSERT_GE(slices, 0.0) << "missing section " << section;
     worker_slices += slices;
+    // The shard evaluator reports its own counters too.
+    EXPECT_EQ(SectionValue(*report, section, "evaluator/slices_evaluated"),
+              slices)
+        << section;
     const double spans = SectionValue(*report, section, "spans");
     EXPECT_GT(spans, 0.0) << section;
     worker_spans += spans;
@@ -204,6 +208,7 @@ TEST(FleetTraceTest, RemoteJobProducesMergedTraceAndConsistentReport) {
 
   std::map<int64_t, std::string> lane_labels;
   std::map<int64_t, int64_t> lane_spans;
+  std::map<int64_t, int64_t> lane_evaluate_spans;
   int64_t total_spans = 0;
   for (const obs::JsonValue& event : events->array_items()) {
     const int64_t pid = event.GetIntOr("pid", -1);
@@ -219,6 +224,9 @@ TEST(FleetTraceTest, RemoteJobProducesMergedTraceAndConsistentReport) {
     EXPECT_EQ(args->GetStringOr("trace_id", ""), trace_id)
         << event.GetStringOr("name", "?");
     ++lane_spans[pid];
+    if (event.GetStringOr("name", "") == "evaluator/evaluate") {
+      ++lane_evaluate_spans[pid];
+    }
     ++total_spans;
   }
   // Three distinct processes, each with at least one span: the server lane
@@ -232,6 +240,11 @@ TEST(FleetTraceTest, RemoteJobProducesMergedTraceAndConsistentReport) {
   }
   ASSERT_EQ(labels.size(), 3u);
   EXPECT_NE(labels.count("server"), 0u);
+  // Each worker lane holds its shard evaluator's spans.
+  for (const auto& [pid, label] : lane_labels) {
+    if (label == "server") continue;
+    EXPECT_GT(lane_evaluate_spans[pid], 0) << label;
+  }
   // The timeline and the report agree on the span census.
   EXPECT_EQ(total_spans,
             static_cast<int64_t>(server_spans) +

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -188,6 +189,97 @@ TEST(ServeProtocolTest, WorkerEvalBlockRejectsUnknownStrategy) {
     auto parsed = ParseWorkerRequest(line);
     ASSERT_FALSE(parsed.ok()) << name;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
+TEST(ServeProtocolTest, IntegerFieldsOutsideTheInt64RangeAreRejected) {
+  // A double that is not an integer, or lies outside int64_t, must not be
+  // cast: 1e30 and 1e400 (parsed as +inf) used to come back as INT64_MIN.
+  for (const char* number : {"1e30", "-1e30", "1e400", "-1e400", "1.5",
+                             "9223372036854775808"}) {
+    const std::string text = std::string("{\"n\": ") + number + "}";
+    auto root = obs::ParseJson(text);
+    ASSERT_TRUE(root.ok()) << text;
+    auto value = root->RequireInt("n");
+    ASSERT_FALSE(value.ok()) << number;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << number;
+    EXPECT_EQ(root->GetIntOr("n", 7), 7) << number;
+  }
+  auto root = obs::ParseJson("{\"n\": -9223372036854775808, \"m\": 42}");
+  ASSERT_TRUE(root.ok());
+  EXPECT_EQ(root->RequireInt("n").value(), INT64_MIN);
+  EXPECT_EQ(root->GetIntOr("m", 7), 42);
+
+  // Every protocol field that carries an integer: the client protocol's
+  // job id, and the worker protocol's shard, ranges, chunk, codes and fdom.
+  for (const std::string& line : {
+           std::string("{\"type\":\"get_status\",\"job\":1e30}\n"),
+           std::string("{\"type\":\"cancel\",\"job\":1e400}\n"),
+           std::string("{\"type\":\"find_slices\",\"dataset\":\"d\",") +
+               "\"k\":1e30}\n"}) {
+    auto parsed = ParseRequest(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  const std::string load =
+      "{\"type\":\"load_shard\",\"dataset\":\"1\",\"shard\":0,"
+      "\"row_begin\":0,\"row_end\":1,\"chunk\":0,\"chunks\":1,"
+      "\"chunk_row_begin\":0,\"cols\":1,\"codes\":[1],\"errors\":[0.5],"
+      "\"fdom\":[2]}\n";
+  ASSERT_TRUE(ParseWorkerRequest(load).ok());
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"shard\":0", "\"shard\":1e30"},
+           {"\"row_end\":1", "\"row_end\":1e400"},
+           {"\"chunk\":0", "\"chunk\":-1e30"},
+           {"\"codes\":[1]", "\"codes\":[1e30]"},
+           {"\"codes\":[1]", "\"codes\":[4294967297]"},
+           {"\"fdom\":[2]", "\"fdom\":[1e400]"}}) {
+    std::string line = load;
+    line.replace(line.find(from), from.size(), to);
+    auto parsed = ParseWorkerRequest(line);
+    ASSERT_FALSE(parsed.ok()) << to;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << to;
+  }
+  auto job = ParseWorkerRequest(
+      "{\"type\":\"eval_block\",\"dataset\":\"1\",\"shard\":1e300,"
+      "\"slices\":[[0]]}\n");
+  EXPECT_FALSE(job.ok());
+}
+
+TEST(ServeProtocolTest, ExactPartialsRoundTripAndRejectBadDigitCounts) {
+  core::ExactEvalResult partial(2);
+  partial.sizes = {3, 0};
+  partial.error_sums[0].Add(0.1);
+  partial.error_sums[0].Add(1e-300);
+  partial.max_errors = {0.1, 0.0};
+  std::ostringstream os;
+  obs::JsonWriter writer(os);
+  writer.BeginObject();
+  WriteEvalPayload(&writer, partial, 99);
+  writer.EndObject();
+  const std::string text = os.str();
+  auto root = obs::ParseJson(text);
+  ASSERT_TRUE(root.ok());
+  uint64_t checksum = 0;
+  auto back = ParseEvalPayload(*root, &checksum);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(checksum, 99u);
+  EXPECT_EQ(back->sizes, partial.sizes);
+  EXPECT_EQ(back->error_sums, partial.error_sums);
+  EXPECT_EQ(back->max_errors, partial.max_errors);
+  // [anchor, count, digits...]: a count the digits do not match, one past
+  // the limit, or a digit past 32 bits is malformed.
+  for (const char* sums :
+       {"[[0,2,1]]", "[[0,1,1,2]]", "[[0,1000,1]]", "[[0,-1]]",
+        "[[0,1,4294967296]]", "[[16,1,1]]", "[[0]]", "[5]"}) {
+    const std::string bad = std::string("{\"sizes\":[1],\"error_sums\":") +
+                            sums + ",\"max_errors\":[1],\"checksum\":\"1\"}";
+    auto bad_root = obs::ParseJson(bad);
+    ASSERT_TRUE(bad_root.ok()) << bad;
+    auto parsed = ParseEvalPayload(*bad_root, &checksum);
+    ASSERT_FALSE(parsed.ok()) << sums;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << sums;
   }
 }
 

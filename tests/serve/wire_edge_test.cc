@@ -1,15 +1,22 @@
 // Wire-protocol edge cases for the newline-delimited strict-JSON protocol:
 // abrupt peer disconnects mid-request, oversized-line rejection, fragmented
 // frame reads, malformed-but-length-valid JSON, and the client's bounded
-// retry behavior against a flaky peer. These drive the server over raw
-// sockets (no Client) wherever the client would hide the framing.
+// retry behavior against a flaky peer, and exact partials whose declared
+// digit counts or values lie. These drive the server over raw sockets (no
+// Client) wherever the client would hide the framing.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/socket.h"
+#include "core/sliceline.h"
+#include "dist/coordinator.h"
+#include "dist/worker.h"
 #include "obs/json_parse.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -196,6 +203,139 @@ TEST(WireEdgeTest, ClientDoesNotRetryFindSlicesAfterWrite) {
   peer.join();
   EXPECT_FALSE(reply.ok());
   EXPECT_EQ(client->retries(), 0);
+}
+
+/// A socket worker serving a real WorkerHandler whose first two replies of
+/// one type lie about their first exact sum. kDigitCounts (eval_block): one
+/// declares a digit more than it ships (truncated), the next declares far
+/// more than any sum can have (oversized). kHugeSums (basic_stats): the sum
+/// becomes 2^1056, which decodes but rounds to +inf, above size * max.
+/// Later replies pass through unchanged.
+class LyingWorker {
+ public:
+  enum class Lie { kDigitCounts, kHugeSums };
+
+  explicit LyingWorker(Lie lie) : lie_(lie) {
+    auto listener = ListenSocket::ListenTcp(0);
+    EXPECT_TRUE(listener.ok()) << listener.status().ToString();
+    listener_ = std::move(listener).value();
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~LyingWorker() {
+    stop_ = true;
+    thread_.join();
+  }
+  int port() const { return listener_.bound_port(); }
+  int lies() const { return lies_; }
+
+ private:
+  void Serve() {
+    while (!stop_) {
+      StatusOr<SocketConnection> conn = listener_.Accept(50);
+      if (!conn.ok()) continue;
+      while (!stop_) {
+        StatusOr<bool> readable = conn->WaitReadable(50);
+        if (!readable.ok()) break;
+        if (!readable.value()) continue;
+        StatusOr<std::string> line = conn->ReadLine(kWorkerMaxLineBytes);
+        if (!line.ok()) break;
+        std::string reply = handler_.HandleLine(line.value());
+        const char* type = lie_ == Lie::kDigitCounts
+                               ? "\"type\":\"eval_block\""
+                               : "\"type\":\"basic_stats\"";
+        if (line->find(type) != std::string::npos && lies_ < 2) {
+          if (lie_ == Lie::kDigitCounts) {
+            LieAboutDigitCount(&reply);
+          } else {
+            LieAboutValue(&reply);
+          }
+        }
+        if (!conn->WriteLine(reply, kWorkerMaxLineBytes).ok()) break;
+      }
+    }
+  }
+
+  /// Rewrites the digit count of the reply's first exact sum.
+  void LieAboutDigitCount(std::string* reply) {
+    const std::string key = "\"error_sums\":[[";
+    const size_t anchor = reply->find(key);
+    if (anchor == std::string::npos) return;
+    const size_t count = reply->find(',', anchor + key.size()) + 1;
+    const size_t end = reply->find_first_of(",]", count);
+    const int64_t declared = std::stoll(reply->substr(count, end - count));
+    const int64_t lie = lies_ == 0 ? declared + 1 : int64_t{1} << 40;
+    reply->replace(count, end - count, std::to_string(lie));
+    ++lies_;
+  }
+
+  /// Replaces the first column sum with 2^1056.
+  void LieAboutValue(std::string* reply) {
+    const std::string key = "\"error_sums\":[[";
+    const size_t begin = reply->find(key);
+    if (begin == std::string::npos) return;
+    const size_t digits = begin + key.size();
+    reply->replace(digits, reply->find(']', digits) - digits, "1056,1,1");
+    ++lies_;
+  }
+
+  const Lie lie_;
+  ListenSocket listener_;
+  dist::WorkerHandler handler_;
+  std::thread thread_;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> lies_{0};
+};
+
+/// Runs SliceLine on a two-worker socket fleet, one of them `liar`, and
+/// checks that both lies were counted as corrupted partials and that the
+/// result still equals the single-node run.
+void ExpectLiesAreCorruptedPartials(LyingWorker* liar) {
+  Rng rng(3);
+  data::IntMatrix x0(300, 3);
+  std::vector<double> errors(300);
+  for (int64_t i = 0; i < x0.rows(); ++i) {
+    for (int64_t j = 0; j < x0.cols(); ++j) {
+      x0.At(i, j) = static_cast<int32_t>(rng.NextUint64(3)) + 1;
+    }
+    errors[static_cast<size_t>(i)] = rng.NextDouble();
+  }
+  core::SliceLineConfig config;
+  config.min_support = 10;
+  auto local = core::RunSliceLine(x0, errors, config);
+  ASSERT_TRUE(local.ok());
+
+  dist::Worker honest(dist::WorkerOptions{});
+  ASSERT_TRUE(honest.Start().ok());
+  dist::DistOptions options;
+  options.endpoints = {dist::WorkerEndpoint{"", liar->port()},
+                       dist::WorkerEndpoint{"", honest.tcp_port()}};
+  options.straggler_after_ms = 60000;
+  options.backoff_base_seconds = 0.001;
+  dist::DistFaultStats faults;
+  auto remote = dist::RunSliceLineDistributed(x0, errors, config, options,
+                                              nullptr, &faults);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(liar->lies(), 2);
+  EXPECT_EQ(faults.corrupted_partials, 2);
+  EXPECT_FALSE(faults.fallback_local);
+  ASSERT_EQ(remote->top_k.size(), local->top_k.size());
+  for (size_t i = 0; i < remote->top_k.size(); ++i) {
+    EXPECT_EQ(remote->top_k[i].predicates, local->top_k[i].predicates);
+    EXPECT_EQ(remote->top_k[i].stats.error_sum,
+              local->top_k[i].stats.error_sum);
+  }
+  honest.RequestShutdown();
+  honest.Wait();
+}
+
+TEST(WireEdgeTest, TruncatedOrOversizedExactPartialIsACorruptedPartial) {
+  LyingWorker liar(LyingWorker::Lie::kDigitCounts);
+  ExpectLiesAreCorruptedPartials(&liar);
+}
+
+TEST(WireEdgeTest, BasicStatsSumAboveSizeTimesMaxIsACorruptedPartial) {
+  LyingWorker liar(LyingWorker::Lie::kHugeSums);
+  ExpectLiesAreCorruptedPartials(&liar);
 }
 
 }  // namespace

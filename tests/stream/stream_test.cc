@@ -19,6 +19,7 @@
 #include "core/evaluator.h"
 #include "core/sliceline.h"
 #include "data/int_matrix.h"
+#include "linalg/kernels_simd.h"
 #include "stream/segment.h"
 #include "stream/stream_finder.h"
 #include "stream/watcher.h"
@@ -272,12 +273,23 @@ TEST(StreamSegmentTest, RejectsMalformedAppendsLeavingStoreUnchanged) {
   EXPECT_TRUE(store.segments().empty());
 }
 
+/// Every ISA this host runs, at pool sizes 1, 2 and 8.
+std::vector<std::pair<linalg::SimdIsa, size_t>> IsasTimesPools() {
+  std::vector<std::pair<linalg::SimdIsa, size_t>> out;
+  for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      out.emplace_back(isa, threads);
+    }
+  }
+  return out;
+}
+
 TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
   const StreamData continuous = MakeData(400, 4, 3, 104);
   // The same rows with errors on a dyadic grid, halves before the append
   // and quarters after it: the store refines its error planes, and the
-  // finder continues cached sums with exact plane counts instead of the
-  // float chain.
+  // finder continues cached sums with plane counts instead of the exact
+  // masked kernel alone.
   const StreamData grid = [&] {
     StreamData rounded = continuous;
     for (size_t r = 0; r < rounded.errors.size(); ++r) {
@@ -298,11 +310,13 @@ TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
   deep.min_support = 2;
   deep.max_level = 0;
   deep.prune_score = false;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
+  for (const auto& [isa, threads] : IsasTimesPools()) {
+    linalg::ForceIsa(isa);
     ResizeGlobalThreadPoolForTesting(threads);
     for (const StreamData* errors_family : {&continuous, &grid}) {
       SCOPED_TRACE(std::string(errors_family == &grid ? "grid errors"
                                                       : "float errors") +
+                   " at " + linalg::IsaName(isa) +
                    " threads=" + std::to_string(threads));
       const StreamData& data = *errors_family;
       StreamOptions options;
@@ -324,9 +338,9 @@ TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
       EXPECT_GT(finder.last_find_stats().candidates_full, 0);
       EXPECT_FALSE(first.value().outcome.stream_full_fallback);
 
-      // Append, then find: cached statistic chains are continued over just
-      // the delta, and the result stays bit-identical to a from-scratch
-      // run.
+      // Append, then find: cached exact statistics are continued over
+      // just the delta, and the result stays bit-identical to a
+      // from-scratch run.
       ASSERT_TRUE(finder
                       .Append(RowSlice(data.x0, 150, 260),
                               ErrorSlice(data.errors, 150, 260))
@@ -375,6 +389,7 @@ TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
       EXPECT_GT(finder.last_find_stats().candidates_full, 0);
     }
   }
+  linalg::ClearForcedIsa();
   ResizeGlobalThreadPoolForTesting(0);
 }
 
