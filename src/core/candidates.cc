@@ -13,11 +13,27 @@ namespace sliceline::core {
 
 namespace {
 
-/// The surviving pairs of one contiguous range of outer parents.
-struct PairChunk {
+/// What one contiguous range of outer parents produced: pair records (pair
+/// join) or finished candidates and their bounds (prefix join). The charge
+/// is made on the calling thread, so it holds that thread's memory budget;
+/// pool threads resize it as the buffers grow (MemoryBudget::Charge is
+/// atomic).
+struct Chunk {
   std::vector<int32_t> records;
-  int64_t pairs = 0;
-  int64_t pruned = 0;
+  std::vector<int64_t> columns;
+  std::vector<ParentBounds> bounds;
+  CandidateGenStats stats;
+  MemoryCharge charge{0};
+  // Pair-join scratch: overlap counts (all zero between outer parents) and
+  // the partners they touched.
+  std::vector<int32_t> overlap;
+  std::vector<int32_t> touched;
+
+  void ChargeBuffers() {
+    charge.Resize(static_cast<int64_t>(records.size() * sizeof(int32_t) +
+                                       columns.size() * sizeof(int64_t) +
+                                       bounds.size() * sizeof(ParentBounds)));
+  }
 };
 
 }  // namespace
@@ -36,6 +52,10 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
   CandidateGenStats stats;
   SliceSet out;
   bounds_out->clear();
+  auto report = [&] {
+    stats.pruned = stats.pair_rejected + stats.candidate_rejected;
+    if (gen_stats != nullptr) *gen_stats = stats;
+  };
 
   auto add_parent = [&](ParentBounds* bounds, int32_t parent) {
     bounds->AddParent(static_cast<int64_t>(prev_stats.sizes[parent]),
@@ -60,7 +80,7 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
   // ablated away; se > 0 is part of the problem and stays on in every
   // ablation). A parent whose own bound fails is dropped too: every pair with
   // it fails the pair check below, so no candidate, bound or np changes.
-  std::vector<int32_t> valid;
+  std::vector<int32_t> kept;
   for (int32_t i = 0; i < prev.size(); ++i) {
     if (prev.Length(i) != parent_len || !(prev_stats.error_sums[i] > 0.0) ||
         (config.prune_size && prev_stats.sizes[i] < sigma)) {
@@ -68,23 +88,137 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
     }
     const bool fails = fails_forever(bounds_of({i}));
     stats.parents_filtered += fails;
-    if (!fails) valid.push_back(i);
+    if (!fails) kept.push_back(i);
   }
-  const int64_t p = static_cast<int64_t>(valid.size());
+  const int64_t p = static_cast<int64_t>(kept.size());
   std::vector<int> feature_of(static_cast<size_t>(offsets.total));
   for (int64_t c = 0; c < offsets.total; ++c) {
     feature_of[c] = offsets.FeatureOfColumn(c);
   }
+  const bool prefix_join = config.prune_parents && config.deduplicate;
+  auto parent_less = [&](int32_t x, int32_t y) {
+    return std::lexicographical_compare(prev.Columns(x),
+                                        prev.Columns(x) + parent_len,
+                                        prev.Columns(y),
+                                        prev.Columns(y) + parent_len);
+  };
+  if (prefix_join && !std::is_sorted(kept.begin(), kept.end(), parent_less)) {
+    std::sort(kept.begin(), kept.end(), parent_less);
+  }
 
-  // Each surviving pair appends one fixed-width record: the merged key, the
-  // two parent rows, and the key positions the two parents lack (packed).
-  const int64_t width = level + 3;
-  auto process_pair = [&](int32_t s1, int32_t s2, PairChunk* chunk) {
-    ++chunk->pairs;
-    if (fails_forever(bounds_of({s1, s2}))) {
-      ++chunk->pruned;
-      return;
+  // Step 2: contiguous ranges of at least 64 outer parents run on the pool;
+  // concatenating them in range order gives serial order for any pool size.
+  // join(a, chunk) handles outer parent kept[a]. A range polls the run
+  // context every 64 outer parents and charges its buffers after each one.
+  ThreadPool& pool = GlobalThreadPool();
+  const int64_t threads = config.parallel ? pool.num_threads() : 1;
+  std::vector<Chunk> chunks(std::min(
+      p, std::clamp<int64_t>(p / 64, 1, threads > 1 ? 4 * threads : 1)));
+  const int64_t num_chunks = static_cast<int64_t>(chunks.size());
+  std::atomic<StopReason> stop{StopReason::kNone};
+  auto run_chunks = [&](const auto& join) {
+    pool.ParallelForRange(chunks.size(), [&](size_t first, size_t last) {
+      for (int64_t c = first; c < static_cast<int64_t>(last); ++c) {
+        const int64_t begin = c * p / num_chunks;
+        for (int64_t a = begin; a < (c + 1) * p / num_chunks; ++a) {
+          const StopReason reason = (a - begin) % 64 == 0 && ctx != nullptr
+                                        ? ctx->CheckStop()
+                                        : StopReason::kNone;
+          if (reason != StopReason::kNone) {
+            stop = reason;
+            break;
+          }
+          join(a, &chunks[c]);
+          chunks[c].ChargeBuffers();
+        }
+      }
+    });
+    stats.stop = stop;
+    for (const Chunk& chunk : chunks) {
+      stats.pairs += chunk.stats.pairs;
+      stats.pair_rejected += chunk.stats.pair_rejected;
+      stats.candidate_rejected += chunk.stats.candidate_rejected;
     }
+    report();
+  };
+
+  if (prefix_join) {
+    // Three-way lexicographic comparison of a parent with `key` minus its
+    // position `skip`; the parent lookup is a binary search over `kept`.
+    auto compare = [&](const int64_t* parent, const int64_t* key,
+                       int64_t skip) {
+      for (int64_t i = 0; i < parent_len; ++i) {
+        const int64_t k = key[i + (i >= skip)];
+        if (parent[i] != k) return parent[i] < k ? -1 : 1;
+      }
+      return 0;
+    };
+    auto find_parent = [&](const int64_t* key, int64_t skip) {
+      const auto it = std::partition_point(
+          kept.begin(), kept.end(), [&](int32_t x) {
+            return compare(prev.Columns(x), key, skip) < 0;
+          });
+      return it != kept.end() && compare(prev.Columns(*it), key, skip) == 0
+                 ? *it
+                 : -1;
+    };
+    // The siblings of kept[a] that follow it share its first L-2 columns and
+    // are contiguous. Parents hold one predicate per feature, so a key's only
+    // unchecked feature pair is last(a), last(b).
+    run_chunks([&](int64_t a, Chunk* chunk) {
+      const int64_t* ca = prev.Columns(kept[a]);
+      for (int64_t b = a + 1; b < p; ++b) {
+        const int64_t* cb = prev.Columns(kept[b]);
+        if (!std::equal(ca, ca + level - 2, cb)) break;
+        ++chunk->stats.pairs;
+        if (feature_of[ca[level - 2]] == feature_of[cb[level - 2]]) continue;
+        ParentBounds bounds = bounds_of({kept[a], kept[b]});
+        if (fails_forever(bounds)) {
+          ++chunk->stats.pair_rejected;
+          continue;
+        }
+        const size_t base = chunk->columns.size();
+        chunk->columns.insert(chunk->columns.end(), ca, ca + parent_len);
+        chunk->columns.push_back(cb[level - 2]);
+        const int64_t* key = chunk->columns.data() + base;
+        bool complete = true;
+        for (int64_t skip = 0; complete && skip < level - 2; ++skip) {
+          const int32_t parent = find_parent(key, skip);
+          complete = parent >= 0;
+          if (complete) add_parent(&bounds, parent);
+        }
+        if (!complete || fails_forever(bounds)) {
+          ++chunk->stats.candidate_rejected;
+          chunk->columns.resize(base);
+          continue;
+        }
+        chunk->bounds.push_back(bounds);
+      }
+    });
+    // A stopped run discards the level; the caller reports the stop.
+    if (stats.stop != StopReason::kNone) return out;
+    int64_t total = 0;
+    for (const Chunk& chunk : chunks) total += chunk.bounds.size();
+    out.Reserve(total, total * level);
+    bounds_out->reserve(static_cast<size_t>(total));
+    for (Chunk& chunk : chunks) {
+      for (size_t i = 0; i < chunk.bounds.size(); ++i) {
+        const int64_t* key = chunk.columns.data() + i * level;
+        out.Add(key, key + level);
+      }
+      bounds_out->insert(bounds_out->end(), chunk.bounds.begin(),
+                         chunk.bounds.end());
+      chunk = Chunk();
+    }
+    return out;
+  }
+
+  // Pair join (the ablations). Each surviving pair appends one fixed-width
+  // record: the merged key, the two parent rows, and the key positions the
+  // two parents lack (packed).
+  const int64_t width = level + 3;
+  auto process_pair = [&](int32_t s1, int32_t s2, Chunk* chunk) {
+    ++chunk->stats.pairs;
     const int64_t* c1 = prev.Columns(s1);
     const int64_t* c2 = prev.Columns(s2);
     const size_t base = chunk->records.size();
@@ -107,6 +241,10 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
     for (int64_t j = 1; ok && j < level; ++j) {  // one predicate per feature
       ok = feature_of[key[j - 1]] != feature_of[key[j]];
     }
+    if (ok && fails_forever(bounds_of({s1, s2}))) {
+      ++chunk->stats.pair_rejected;
+      ok = false;
+    }
     if (!ok) {
       chunk->records.resize(base);
       return;
@@ -116,73 +254,50 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
     key[level + 2] = lacks1 | (lacks2 << 16);
   };
 
-  // Step 2: enumerate compatible pairs (|intersection| == L-2): all pairs for
-  // L == 2; deeper, an inverted index over the surviving parents (S^T) visits
+  // Enumerate compatible pairs (|intersection| == L-2): all pairs for
+  // L == 2; deeper, an inverted index over the kept parents (S^T) visits
   // exactly the non-zero entries of the S*S^T self-join (Equation 6).
   std::vector<std::vector<int32_t>> column_index(
       level > 2 ? static_cast<size_t>(offsets.total) : 0);
   for (int32_t a = 0; level > 2 && a < p; ++a) {
     for (int64_t k = 0; k < parent_len; ++k) {
-      column_index[prev.Columns(valid[a])[k]].push_back(a);
+      column_index[prev.Columns(kept[a])[k]].push_back(a);
     }
   }
-  std::atomic<bool> stopped{false};
-  auto enumerate = [&](int64_t begin, int64_t end, PairChunk* chunk) {
-    std::vector<int32_t> overlap(level > 2 ? static_cast<size_t>(p) : 0, 0);
-    std::vector<int32_t> touched;
-    for (int64_t a = begin; a < end; ++a) {
-      // Strided poll: a long level stops within 64 outer parents.
-      if ((a - begin) % 64 == 0 && ctx != nullptr && ctx->ShouldStop()) {
-        stopped = true;
-        return;
-      }
-      const int32_t s = valid[a];
-      for (int64_t b = a + 1; level == 2 && b < p; ++b) {
-        process_pair(s, valid[b], chunk);
-      }
-      touched.clear();
-      for (int64_t k = 0; level > 2 && k < parent_len; ++k) {
-        const auto& list = column_index[prev.Columns(s)[k]];
-        // Only count positions after a (upper triangle of S S^T).
-        for (auto it = std::upper_bound(list.begin(), list.end(), a);
-             it != list.end(); ++it) {
-          if (overlap[*it]++ == 0) touched.push_back(*it);
-        }
-      }
-      for (int32_t b : touched) {
-        if (overlap[b] == level - 2) process_pair(s, valid[b], chunk);
-        overlap[b] = 0;
+  run_chunks([&](int64_t a, Chunk* chunk) {
+    const int32_t s = kept[a];
+    for (int64_t b = a + 1; level == 2 && b < p; ++b) {
+      process_pair(s, kept[b], chunk);
+    }
+    if (level == 2) return;
+    std::vector<int32_t>& overlap = chunk->overlap;
+    std::vector<int32_t>& touched = chunk->touched;
+    overlap.resize(static_cast<size_t>(p));
+    touched.clear();
+    for (int64_t k = 0; k < parent_len; ++k) {
+      const auto& list = column_index[prev.Columns(s)[k]];
+      // Only count positions after a (upper triangle of S S^T).
+      for (auto it = std::upper_bound(list.begin(), list.end(), a);
+           it != list.end(); ++it) {
+        if (overlap[*it]++ == 0) touched.push_back(*it);
       }
     }
-  };
-  // Step 3: contiguous ranges of at least 64 outer parents run on the pool;
-  // concatenating them in range order gives serial pair order for any pool.
-  ThreadPool& pool = GlobalThreadPool();
-  const int64_t threads = config.parallel ? pool.num_threads() : 1;
-  std::vector<PairChunk> chunks(std::min(
-      p, std::clamp<int64_t>(p / 64, 1, threads > 1 ? 4 * threads : 1)));
-  const int64_t num_chunks = static_cast<int64_t>(chunks.size());
-  auto run_chunks = [&](size_t first, size_t last) {
-    for (int64_t c = first; c < static_cast<int64_t>(last); ++c) {
-      enumerate(c * p / num_chunks, (c + 1) * p / num_chunks, &chunks[c]);
+    for (int32_t b : touched) {
+      if (overlap[b] == level - 2) process_pair(s, kept[b], chunk);
+      overlap[b] = 0;
     }
-  };
-  if (!pool.ParallelForRange(chunks.size(), ctx, run_chunks)) stopped = true;
+  });
+  if (stats.stop != StopReason::kNone) return out;
   size_t total = 0;
-  for (const PairChunk& chunk : chunks) total += chunk.records.size();
+  for (const Chunk& chunk : chunks) total += chunk.records.size();
+  // The merged buffer and its sort scratch.
+  const MemoryCharge charge(2 * static_cast<int64_t>(total * sizeof(int32_t)));
   std::vector<int32_t> records;
   records.reserve(total);
-  for (PairChunk& chunk : chunks) {
-    stats.pairs += chunk.pairs;
-    stats.pruned += chunk.pruned;
+  for (Chunk& chunk : chunks) {
     records.insert(records.end(), chunk.records.begin(), chunk.records.end());
-    std::vector<int32_t>().swap(chunk.records);
+    chunk = Chunk();
   }
-  if (gen_stats != nullptr) *gen_stats = stats;
-  // A stopped run discards the level; the caller reports the stop.
-  if (stopped) return out;
-  // The buffer and its sort scratch, charged on the calling thread.
-  const MemoryCharge charge(2 * static_cast<int64_t>(total * sizeof(int32_t)));
 
   // Stable LSD counting sort on the key columns, last column first: records
   // end up in lexicographic key order, each key's run in pair order.
@@ -228,11 +343,11 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
     return np;
   };
 
-  // Step 4: final Equation 9 pruning.
+  // Final Equation 9 pruning.
   std::vector<int64_t> columns(static_cast<size_t>(level));
   auto finalize = [&](const int32_t* key, const ParentBounds& bounds, int np) {
     if (fails_forever(bounds) || (config.prune_parents && np != level)) {
-      ++stats.pruned;
+      ++stats.candidate_rejected;
       return;
     }
     std::copy(key, key + level, columns.begin());
@@ -275,7 +390,7 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
       finalize(rec, bounds_of({rec[level], rec[level + 1]}), np_of[r]);
     }
   }
-  if (gen_stats != nullptr) *gen_stats = stats;
+  report();
   return out;
 }
 

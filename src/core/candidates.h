@@ -12,36 +12,69 @@
 
 namespace sliceline::core {
 
-/// Counters describing one level's candidate generation. `pairs` and
-/// `pruned` count only pairs that are actually enumerated, i.e. pairs of
-/// parents that survive the per-parent bound filter.
+/// Counters describing one level's candidate generation. A pair is two kept
+/// parents (valid, own bound passing) joined into one level-L key, counted
+/// before the one-predicate-per-feature check:
+///   * default path (parent pruning and deduplication on): two prefix
+///     siblings. Each key is formed once, so `duplicates` is 0.
+///   * ablations: every compatible pair (overlap L-2). A key formed by
+///     several pairs counts each extra pair in `duplicates` when
+///     deduplication is on.
+/// On the default path each pair on two features ends as exactly one of
+/// `pair_rejected`, `candidate_rejected` or an emitted candidate.
 struct CandidateGenStats {
   int64_t parents_filtered = 0;  ///< valid parents dropped by their own bound
-  int64_t pairs = 0;       ///< compatible pairs of the kept parents joined
-  int64_t duplicates = 0;  ///< pair-products merged by deduplication
-  int64_t pruned = 0;      ///< joined pairs plus candidates failing Eq. 9
+  int64_t pairs = 0;             ///< pairs of kept parents joined
+  int64_t duplicates = 0;        ///< pair-products merged by deduplication
+  int64_t pair_rejected = 0;     ///< keys whose two-parent bound fails
+  /// Keys dropped by the full Equation 9 test: a missing or filtered parent
+  /// (np != L) or a failing bound over all parents.
+  int64_t candidate_rejected = 0;
+  int64_t pruned = 0;  ///< pair_rejected + candidate_rejected
+  /// Why generation stopped before the level was complete (kNone when it
+  /// finished). A memory stop must be reported from here: the generator
+  /// releases its buffers, so the budget is back under its limit by the
+  /// time the caller polls the run context.
+  StopReason stop = StopReason::kNone;
 };
 
 /// Generates the level-L slice candidates from the evaluated level-(L-1)
 /// slices (Section 4.3): filters valid parents (ss >= sigma, se > 0) and
-/// drops those whose own Equation 3 bound already fails, joins compatible
-/// pairs (overlap L-2, the S*S^T == L-2 self-join), discards slices with two
+/// drops those whose own Equation 3 bound already fails, joins parents that
+/// share L-2 columns (the S*S^T == L-2 self-join), discards slices with two
 /// predicates on one feature, deduplicates via slice identity, aggregates
-/// parent bounds as minima over all enumerated parents, and applies the
-/// Equation 9 pruning filter
+/// parent bounds as minima over all parents, and applies the Equation 9
+/// pruning filter
 ///   ss_ub >= sigma  &&  sc_ub > sc_k  &&  sc_ub >= 0  &&  np == L,
 /// with each conjunct controlled by the corresponding SliceLineConfig toggle
 /// (the Figure 3 ablation). The bound only falls as parents are added, so
-/// the parent filter changes no emitted candidate, bound or np.
+/// dropping a parent or a pair whose own bound fails changes no emitted
+/// candidate, bound or np.
 ///
-/// Pairs are never held as a p x p product: each pair that passes its own
-/// bound check is appended as one fixed-width record, so memory scales with
-/// surviving pairs. The records are sorted once by key and each run of
-/// equal keys becomes one candidate. With `config.parallel` the pair loop
-/// runs on the global thread pool; the output is identical for any pool
-/// size. Generation polls `config.run_context` and returns an empty set
-/// once the run is stopped (the caller reports the stop), and it charges
-/// the record buffer to the ambient memory budget.
+/// Default path (prune_parents && deduplicate): the prefix join (Apriori
+/// candidate generation). The kept parents are ordered lexicographically
+/// (a sorted `prev` is used as is); parents sharing their first L-2 columns
+/// are contiguous, and each pair a < b of them on different features forms
+/// the key prefix + last(a) + last(b) exactly once, already in order. A key
+/// whose two-parent bound passes looks up its other L-2 parents among the
+/// kept ones by binary search; a missing one drops it (np != L), otherwise
+/// the full bound over all L minima decides. This needs `prev` to hold
+/// distinct slices with one predicate per feature, as every level the
+/// engines produce does.
+///
+/// Ablations (prune_parents=false or deduplicate=false), which need keys
+/// with missing parents or one candidate per pair: the pair join. Every
+/// compatible pair whose bound passes appends one fixed-width record; the
+/// records are sorted once by key and each run of equal keys becomes one
+/// candidate, or each record one candidate without deduplication.
+///
+/// With `config.parallel` the loop over outer parents runs in contiguous
+/// ranges on the global thread pool, concatenated in order, so the output is
+/// identical for any pool size. Each range polls `config.run_context` every
+/// 64 outer parents and charges its buffers to the calling thread's memory
+/// budget as they grow, so a hard memory limit stops a level within one
+/// poll stride. A stopped run returns an empty set and records why in
+/// `gen_stats->stop`; the caller reports the stop.
 ///
 /// `prev` / `prev_stats` hold the evaluated slices of level L-1 (for L == 2,
 /// the valid basic slices). Returns the surviving candidates in

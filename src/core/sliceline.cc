@@ -274,8 +274,10 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
           topk.Threshold(), config, offsets, &bounds, &gen_stats);
     }
     // Generation polls the run context too; a stop there discards the level
-    // and must not read as a natural end.
-    stop = gov.CheckBoundary();
+    // and must not read as a natural end. The generator reports its own stop:
+    // a memory stop ends once it releases its buffers.
+    stop = gen_stats.stop != StopReason::kNone ? gen_stats.stop
+                                               : gov.CheckBoundary();
     if (stop != StopReason::kNone) {
       stopped_level = level;
       break;

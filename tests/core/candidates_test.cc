@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <numeric>
+#include <set>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -116,10 +119,10 @@ TEST(CandidatesTest, LevelThreeDeduplicatesAndCountsParents) {
   CandidateGenStats gen;
   SliceSet cands = GeneratePairCandidates(prev, stats, 3, ctx, 10, 0.0,
                                           config, offsets, &bounds, &gen);
-  // Three generating pairs merge into the single candidate abc.
+  // The prefix siblings ab, ac form abc once; bc is looked up.
   ASSERT_EQ(cands.size(), 1);
-  EXPECT_EQ(gen.pairs, 3);
-  EXPECT_EQ(gen.duplicates, 2);
+  EXPECT_EQ(gen.pairs, 1);
+  EXPECT_EQ(gen.duplicates, 0);
   EXPECT_EQ(bounds[0].parents, 3);
   EXPECT_EQ(bounds[0].size_ub, 80);
   EXPECT_DOUBLE_EQ(bounds[0].error_ub, 20.0);
@@ -149,6 +152,46 @@ TEST(CandidatesTest, MissingParentPruning) {
                                          config, offsets, &bounds, nullptr);
   ASSERT_EQ(kept.size(), 1);
   EXPECT_EQ(bounds[0].parents, 2);
+}
+
+TEST(CandidatesTest, FilteredNonPrefixParentDropsTheKey) {
+  data::FeatureOffsets offsets = MakeOffsets();
+  ScoringContext ctx(1000, 100.0, 0.95);
+  // abc's prefix siblings ab, ac pass their pair bound; its third parent bc
+  // is present and valid but fails its own bound.
+  SliceSet prev;
+  EvalResult stats;
+  prev.Add({0, 2});
+  prev.Add({0, 4});
+  prev.Add({2, 4});
+  stats.sizes = {100, 90, 80};
+  stats.error_sums = {30, 40, 20};
+  stats.max_errors = {1.0, 2.0, 0.5};
+  ParentBounds bc;
+  bc.AddParent(80, 20, 0.5);
+  const double threshold = UpperBoundScore(ctx, 10, bc);
+  ParentBounds ab_ac;
+  ab_ac.AddParent(100, 30, 1.0);
+  ab_ac.AddParent(90, 40, 2.0);
+  ASSERT_GT(UpperBoundScore(ctx, 10, ab_ac), threshold);
+  SliceLineConfig config;
+  std::vector<ParentBounds> bounds;
+  CandidateGenStats gen;
+  SliceSet cands = GeneratePairCandidates(prev, stats, 3, ctx, 10, threshold,
+                                          config, offsets, &bounds, &gen);
+  EXPECT_EQ(cands.size(), 0);
+  EXPECT_EQ(gen.parents_filtered, 1);
+  EXPECT_EQ(gen.pairs, 1);
+  EXPECT_EQ(gen.pair_rejected, 0);
+  EXPECT_EQ(gen.candidate_rejected, 1);
+  EXPECT_EQ(gen.pruned, 1);
+
+  // Just below bc's bound, all three parents are kept and abc survives.
+  cands = GeneratePairCandidates(prev, stats, 3, ctx, 10, threshold - 1e-9,
+                                 config, offsets, &bounds, &gen);
+  ASSERT_EQ(cands.size(), 1);
+  EXPECT_EQ(bounds[0].parents, 3);
+  EXPECT_EQ(gen.candidate_rejected, 0);
 }
 
 TEST(CandidatesTest, NoDeduplicationKeepsMultiplicity) {
@@ -338,13 +381,95 @@ SliceSet ReferenceGenerate(const SliceSet& prev, const EvalResult& ps,
   return out;
 }
 
-/// A random frontier of level-(L-1) slices over `domains`. With `copies`,
-/// some slices appear twice (as a level evaluated without deduplication
-/// holds them); stats are consistent: se <= ss * sm and sm <= 1.
+/// The default path's counters (parent pruning and deduplication on) by
+/// brute force: every pair of kept parents (valid, own bound passing) that
+/// share their first L-2 columns, with a map lookup of the key's other
+/// parents. Needs distinct parents, as a deduplicated level holds.
+CandidateGenStats ReferencePrefixCounts(const SliceSet& prev,
+                                        const EvalResult& ps, int level,
+                                        const ScoringContext& context,
+                                        int64_t sigma, double threshold,
+                                        const SliceLineConfig& config,
+                                        const data::FeatureOffsets& offsets) {
+  auto fails = [&](const ParentBounds& b) {
+    if (config.prune_size && b.size_ub < sigma) return true;
+    const double ub = UpperBoundScore(context, sigma, b);
+    return config.prune_score && !(ub > threshold && ub >= 0.0);
+  };
+  auto add = [&](ParentBounds* bounds, int32_t parent) {
+    bounds->AddParent(static_cast<int64_t>(ps.sizes[parent]),
+                      ps.error_sums[parent], ps.max_errors[parent]);
+  };
+  CandidateGenStats gen;
+  std::map<std::vector<int64_t>, int32_t> kept;
+  for (int32_t i = 0; i < prev.size(); ++i) {
+    const bool size_ok = !config.prune_size || ps.sizes[i] >= sigma;
+    if (prev.Length(i) != level - 1 || !size_ok || !(ps.error_sums[i] > 0.0)) {
+      continue;
+    }
+    ParentBounds own;
+    add(&own, i);
+    if (fails(own)) {
+      ++gen.parents_filtered;
+    } else {
+      kept.emplace(std::vector<int64_t>(prev.Columns(i),
+                                        prev.Columns(i) + level - 1), i);
+    }
+  }
+  for (auto x = kept.begin(); x != kept.end(); ++x) {
+    for (auto y = std::next(x); y != kept.end(); ++y) {
+      const std::vector<int64_t>& a = x->first;
+      const std::vector<int64_t>& b = y->first;
+      if (!std::equal(a.begin(), a.end() - 1, b.begin())) continue;
+      ++gen.pairs;
+      if (offsets.FeatureOfColumn(a.back()) ==
+          offsets.FeatureOfColumn(b.back())) {
+        continue;
+      }
+      ParentBounds bounds;
+      add(&bounds, x->second);
+      add(&bounds, y->second);
+      if (fails(bounds)) {
+        ++gen.pair_rejected;
+        continue;
+      }
+      std::vector<int64_t> key = a;
+      key.push_back(b.back());
+      bool complete = true;
+      for (int skip = 0; complete && skip < level - 2; ++skip) {
+        std::vector<int64_t> parent = key;
+        parent.erase(parent.begin() + skip);
+        const auto it = kept.find(parent);
+        complete = it != kept.end();
+        if (complete) add(&bounds, it->second);
+      }
+      gen.candidate_rejected += !complete || fails(bounds);
+    }
+  }
+  gen.pruned = gen.pair_rejected + gen.candidate_rejected;
+  return gen;
+}
+
+/// Appends `columns` with random consistent stats: se <= ss * sm, sm <= 1.
+void AddRandomSlice(Rng* rng, const std::vector<int64_t>& columns,
+                    SliceSet* prev, EvalResult* stats) {
+  const double size = static_cast<double>(rng->NextUint64(400) + 1);
+  const double max_error = rng->NextBool(0.1) ? 0.0 : rng->NextDouble();
+  prev->Add(columns);
+  stats->sizes.push_back(size);
+  stats->max_errors.push_back(max_error);
+  stats->error_sums.push_back(max_error * size * rng->NextDouble());
+}
+
+/// A random frontier of level-(L-1) slices over `domains`, from `draws`
+/// random draws. With `copies`, some slices appear twice (as a level
+/// evaluated without deduplication holds them).
 void RandomFrontier(Rng* rng, const data::FeatureOffsets& offsets, int level,
-                    bool copies, SliceSet* prev, EvalResult* stats) {
+                    int draws, bool copies, SliceSet* prev,
+                    EvalResult* stats) {
   const int m = offsets.num_features();
-  for (int draw = 0; draw < 400; ++draw) {
+  std::set<std::vector<int64_t>> seen;
+  for (int draw = 0; draw < draws; ++draw) {
     std::vector<int> features(static_cast<size_t>(m));
     for (int f = 0; f < m; ++f) features[f] = f;
     for (int f = m - 1; f > 0; --f) {
@@ -357,60 +482,114 @@ void RandomFrontier(Rng* rng, const data::FeatureOffsets& offsets, int level,
           f, static_cast<int32_t>(rng->NextUint64(offsets.fdom[f])) + 1));
     }
     std::sort(columns.begin(), columns.end());
-    bool seen = false;
-    for (int64_t i = 0; i < prev->size() && !seen; ++i) {
-      seen = std::equal(columns.begin(), columns.end(), prev->Columns(i));
+    if (!seen.insert(columns).second && !(copies && rng->NextBool(0.3))) {
+      continue;
     }
-    if (seen && !(copies && rng->NextBool(0.3))) continue;
-    const double size = static_cast<double>(rng->NextUint64(400) + 1);
-    const double max_error = rng->NextBool(0.1) ? 0.0 : rng->NextDouble();
-    prev->Add(columns);
-    stats->sizes.push_back(size);
-    stats->max_errors.push_back(max_error);
-    stats->error_sums.push_back(max_error * size * rng->NextDouble());
+    AddRandomSlice(rng, columns, prev, stats);
+  }
+}
+
+/// A level-1 frontier holding every column once in random order (and, with
+/// `copies`, a tenth of them twice).
+void EveryColumnFrontier(Rng* rng, const data::FeatureOffsets& offsets,
+                         bool copies, SliceSet* prev, EvalResult* stats) {
+  std::vector<int64_t> columns(static_cast<size_t>(offsets.total));
+  std::iota(columns.begin(), columns.end(), 0);
+  for (int64_t i = offsets.total - 1; i > 0; --i) {
+    std::swap(columns[i], columns[rng->NextUint64(i + 1)]);
+  }
+  for (int64_t c : columns) {
+    AddRandomSlice(rng, {c}, prev, stats);
+    if (copies && rng->NextBool(0.1)) AddRandomSlice(rng, {c}, prev, stats);
+  }
+}
+
+/// The frontiers the generator is checked on: small domains at levels 2-5
+/// (level 5 looks up three parents per key), and wide ones of at least 512
+/// parents at levels 2 and 3, so that prefix groups straddle the boundaries
+/// of the parallel ranges. `draws` == 0 takes every column once: most of
+/// its pairs share feature 0, which keeps the reference join fast.
+struct FrontierShape {
+  std::vector<int32_t> domains;
+  int level;
+  int draws;
+  uint64_t seed;
+};
+
+std::vector<FrontierShape> FrontierShapes() {
+  const std::vector<int32_t> small = {2, 3, 2, 3, 2, 2};
+  return {{small, 2, 400, 200},   {small, 3, 400, 300},
+          {small, 4, 400, 400},   {small, 5, 400, 500},
+          {{500, 12, 12}, 2, 0, 1200}, {{8, 8, 8, 8, 8, 8}, 3, 900, 1300}};
+}
+
+void MakeFrontier(const FrontierShape& shape,
+                  const data::FeatureOffsets& offsets, Rng* rng, bool copies,
+                  SliceSet* prev, EvalResult* stats) {
+  if (shape.draws == 0) {
+    EveryColumnFrontier(rng, offsets, copies, prev, stats);
+  } else {
+    RandomFrontier(rng, offsets, shape.level, shape.draws, copies, prev,
+                   stats);
   }
 }
 
 TEST(CandidatesTest, MatchesReferenceGeneratorUnderEveryAblation) {
-  const data::FeatureOffsets offsets =
-      data::OffsetsFromDomains({2, 3, 2, 3, 2, 2});
   const ScoringContext context(1000, 100.0, 0.95);
   const int64_t sigma = 8;
-  for (size_t threads : {1, 2, 4}) {
-    ResizeGlobalThreadPoolForTesting(threads);
-    for (int level = 2; level <= 4; ++level) {
-      for (int mask = 0; mask < 16; ++mask) {
-        SliceLineConfig config;
-        config.prune_size = (mask & 1) != 0;
-        config.prune_score = (mask & 2) != 0;
-        config.prune_parents = (mask & 4) != 0;
-        config.deduplicate = (mask & 8) != 0;
-        Rng rng(static_cast<uint64_t>(100 * level + mask));
-        SliceSet prev;
-        EvalResult stats;
-        RandomFrontier(&rng, offsets, level, !config.deduplicate, &prev,
-                       &stats);
-        // A top-K-like threshold: the median single-parent bound.
-        std::vector<double> ubs;
-        for (int32_t i = 0; i < prev.size(); ++i) {
-          ParentBounds own;
-          own.AddParent(static_cast<int64_t>(stats.sizes[i]),
-                        stats.error_sums[i], stats.max_errors[i]);
-          ubs.push_back(UpperBoundScore(context, sigma, own));
+  for (const FrontierShape& shape : FrontierShapes()) {
+    const data::FeatureOffsets offsets =
+        data::OffsetsFromDomains(shape.domains);
+    const int level = shape.level;
+    for (int mask = 0; mask < 16; ++mask) {
+      SliceLineConfig config;
+      config.prune_size = (mask & 1) != 0;
+      config.prune_score = (mask & 2) != 0;
+      config.prune_parents = (mask & 4) != 0;
+      config.deduplicate = (mask & 8) != 0;
+      Rng rng(shape.seed + static_cast<uint64_t>(mask));
+      SliceSet prev;
+      EvalResult stats;
+      MakeFrontier(shape, offsets, &rng, !config.deduplicate, &prev, &stats);
+      const bool wide = shape.draws != 400;
+      if (wide) {
+        ASSERT_GE(prev.size(), 512);
+      }
+      // A top-K-like threshold: the median single-parent bound.
+      std::vector<double> ubs;
+      for (int32_t i = 0; i < prev.size(); ++i) {
+        ParentBounds own;
+        own.AddParent(static_cast<int64_t>(stats.sizes[i]),
+                      stats.error_sums[i], stats.max_errors[i]);
+        ubs.push_back(UpperBoundScore(context, sigma, own));
+      }
+      std::nth_element(ubs.begin(), ubs.begin() + ubs.size() / 2, ubs.end());
+      // Wide frontiers take only the median: their reference join costs
+      // ~10^5 pairs per call.
+      std::vector<double> thresholds = {ubs[ubs.size() / 2]};
+      if (!wide) {
+        thresholds.insert(thresholds.begin(),
+                          {-std::numeric_limits<double>::infinity(), 0.0});
+      }
+      for (double threshold : thresholds) {
+        std::vector<ParentBounds> want_bounds;
+        CandidateGenStats want_gen;
+        const SliceSet want =
+            ReferenceGenerate(prev, stats, level, context, sigma, threshold,
+                              config, offsets, &want_bounds, &want_gen);
+        if (config.prune_parents && config.deduplicate) {
+          want_gen = ReferencePrefixCounts(prev, stats, level, context, sigma,
+                                           threshold, config, offsets);
         }
-        std::nth_element(ubs.begin(), ubs.begin() + ubs.size() / 2, ubs.end());
-        for (double threshold : {-std::numeric_limits<double>::infinity(), 0.0,
-                                 ubs[ubs.size() / 2]}) {
+        for (size_t threads : {1, 2, 4}) {
+          ResizeGlobalThreadPoolForTesting(threads);
           SCOPED_TRACE(testing::Message()
-                       << "threads=" << threads << " level=" << level
-                       << " mask=" << mask << " threshold=" << threshold);
-          std::vector<ParentBounds> want_bounds;
+                       << "domains=" << shape.domains.size() << "x"
+                       << shape.domains[0] << " level=" << level
+                       << " threads=" << threads << " mask=" << mask
+                       << " threshold=" << threshold);
           std::vector<ParentBounds> got_bounds;
-          CandidateGenStats want_gen;
           CandidateGenStats got_gen;
-          const SliceSet want =
-              ReferenceGenerate(prev, stats, level, context, sigma, threshold,
-                                config, offsets, &want_bounds, &want_gen);
           const SliceSet got = GeneratePairCandidates(
               prev, stats, level, context, sigma, threshold, config, offsets,
               &got_bounds, &got_gen);
@@ -422,14 +601,73 @@ TEST(CandidatesTest, MatchesReferenceGeneratorUnderEveryAblation) {
                 << "candidate " << i;
           }
           EXPECT_TRUE(got_bounds == want_bounds);
-          EXPECT_EQ(got_gen.duplicates, want_gen.duplicates);
-          EXPECT_LE(got_gen.pairs, want_gen.pairs);
-          EXPECT_LE(got_gen.pruned, want_gen.pruned);
+          EXPECT_EQ(got_gen.pruned,
+                    got_gen.pair_rejected + got_gen.candidate_rejected);
+          if (config.prune_parents && config.deduplicate) {
+            // The prefix join: exact counters, each key formed once.
+            EXPECT_EQ(got_gen.parents_filtered, want_gen.parents_filtered);
+            EXPECT_EQ(got_gen.pairs, want_gen.pairs);
+            EXPECT_EQ(got_gen.duplicates, 0);
+            EXPECT_EQ(got_gen.pair_rejected, want_gen.pair_rejected);
+            EXPECT_EQ(got_gen.candidate_rejected, want_gen.candidate_rejected);
+          } else {
+            EXPECT_EQ(got_gen.duplicates, want_gen.duplicates);
+            EXPECT_LE(got_gen.pairs, want_gen.pairs);
+            EXPECT_LE(got_gen.pruned, want_gen.pruned);
+          }
         }
       }
     }
   }
   ResizeGlobalThreadPoolForTesting(0);
+}
+
+TEST(CandidatesTest, ShuffledFrontierMatchesSortedOne) {
+  const ScoringContext context(1000, 100.0, 0.95);
+  for (const FrontierShape& shape : FrontierShapes()) {
+    const data::FeatureOffsets offsets =
+        data::OffsetsFromDomains(shape.domains);
+    Rng rng(shape.seed);
+    SliceSet shuffled;
+    EvalResult shuffled_stats;
+    MakeFrontier(shape, offsets, &rng, false, &shuffled, &shuffled_stats);
+    std::vector<int32_t> order(static_cast<size_t>(shuffled.size()));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
+      return std::lexicographical_compare(
+          shuffled.Columns(x), shuffled.Columns(x) + shape.level - 1,
+          shuffled.Columns(y), shuffled.Columns(y) + shape.level - 1);
+    });
+    ASSERT_FALSE(std::is_sorted(order.begin(), order.end()));
+    SliceSet sorted;
+    EvalResult sorted_stats;
+    for (int32_t i : order) {
+      sorted.Add(shuffled.Columns(i), shuffled.Columns(i) + shape.level - 1);
+      sorted_stats.sizes.push_back(shuffled_stats.sizes[i]);
+      sorted_stats.error_sums.push_back(shuffled_stats.error_sums[i]);
+      sorted_stats.max_errors.push_back(shuffled_stats.max_errors[i]);
+    }
+    const SliceLineConfig config;
+    std::vector<ParentBounds> want_bounds;
+    std::vector<ParentBounds> got_bounds;
+    CandidateGenStats want_gen;
+    CandidateGenStats got_gen;
+    const SliceSet want = GeneratePairCandidates(
+        sorted, sorted_stats, shape.level, context, 8, 0.0, config, offsets,
+        &want_bounds, &want_gen);
+    const SliceSet got = GeneratePairCandidates(
+        shuffled, shuffled_stats, shape.level, context, 8, 0.0, config,
+        offsets, &got_bounds, &got_gen);
+    SCOPED_TRACE(testing::Message() << "level=" << shape.level);
+    ASSERT_EQ(got.size(), want.size());
+    for (int64_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(std::equal(got.Columns(i), got.Columns(i) + shape.level,
+                             want.Columns(i)));
+    }
+    EXPECT_TRUE(got_bounds == want_bounds);
+    EXPECT_EQ(got_gen.pairs, want_gen.pairs);
+    EXPECT_EQ(got_gen.pruned, want_gen.pruned);
+  }
 }
 
 }  // namespace

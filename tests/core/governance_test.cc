@@ -303,6 +303,76 @@ TEST(GovernanceTest, CandidateGenerationPollsAndChargesTheRunContext) {
   EXPECT_EQ(gen.pairs, 0);  // stopped before the first outer parent
 }
 
+TEST(GovernanceTest, HardMemoryLimitStopsAGenerationLevelMidway) {
+  // A level-5 frontier as constant columns leave it without deduplication:
+  // every 4-column slice over 8 one-code features, 50 copies each, all with
+  // the same stats. Its ~1.4M compatible pairs would need ~45 MB of records.
+  const int level = 5;
+  const data::FeatureOffsets offsets =
+      data::OffsetsFromDomains({1, 1, 1, 1, 1, 1, 1, 1});
+  const ScoringContext context(100, 50.0, 0.95);
+  SliceSet prev;
+  EvalResult stats;
+  for (int mask = 0; mask < 256; ++mask) {
+    if (__builtin_popcount(mask) != level - 1) continue;
+    std::vector<int64_t> columns;
+    for (int64_t c = 0; c < 8; ++c) {
+      if ((mask >> c) & 1) columns.push_back(c);
+    }
+    for (int copy = 0; copy < 50; ++copy) {
+      prev.Add(columns);
+      stats.sizes.push_back(100);
+      stats.error_sums.push_back(50);
+      stats.max_errors.push_back(1.0);
+    }
+  }
+  constexpr int64_t kLimit = 1 << 20;
+  MemoryBudget budget(kLimit);
+  RunContext ctx;
+  ctx.set_memory_budget(&budget);
+  SliceLineConfig config;
+  config.deduplicate = false;
+  config.parallel = false;  // one range, so one poll stride of overshoot
+  config.run_context = &ctx;
+  std::vector<ParentBounds> bounds;
+  CandidateGenStats gen;
+  {
+    ScopedMemoryBudget scoped(&budget);
+    const SliceSet cands = GeneratePairCandidates(
+        prev, stats, level, context, 10, 0.0, config, offsets, &bounds, &gen);
+    EXPECT_EQ(cands.size(), 0);
+  }
+  EXPECT_EQ(gen.stop, StopReason::kBudgetExhausted);
+  // One poll stride: 64 outer parents, each compatible with the 50 copies
+  // of 4 x 4 other keys, one record of level + 3 ints per pair.
+  const int64_t stride =
+      64 * (4 * 4 * 50) * (level + 3) * static_cast<int64_t>(sizeof(int32_t));
+  EXPECT_GT(budget.peak_bytes(), kLimit);
+  EXPECT_LE(budget.peak_bytes(), kLimit + stride);
+  EXPECT_EQ(budget.used_bytes(), 0);
+
+  // Through the engine: constant columns without deduplication multiply
+  // every key's copies level by level; the run stops with the budget
+  // exhausted instead of reading the discarded level as a natural end.
+  data::IntMatrix x0(5, 8);
+  for (int64_t i = 0; i < 5; ++i) {
+    for (int j = 0; j < 8; ++j) x0.At(i, j) = 1;
+  }
+  SliceLineConfig run_config;
+  run_config.min_support = 1;
+  run_config.deduplicate = false;
+  MemoryBudget run_budget(2 * kLimit);
+  RunContext run_ctx;
+  run_ctx.set_memory_budget(&run_budget);
+  run_config.run_context = &run_ctx;
+  auto result = RunSliceLine(x0, {0.0, 0.0, 0.0, 0.0, 1.0}, run_config);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->outcome.termination,
+            RunOutcome::Termination::kBudgetExhausted);
+  EXPECT_TRUE(result->outcome.WellFormed());
+  EXPECT_LT(run_budget.peak_bytes(), 8 * kLimit);
+}
+
 TEST(GovernanceTest, CancellableParallelForRangeSkipsChunksAfterStop) {
   ThreadPool pool(4);
   RunContext ctx;
