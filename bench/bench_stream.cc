@@ -120,7 +120,6 @@ IncrementalTiming TimeIncrementalLoop(const data::EncodedDataset& dataset,
   for (int rep = 0; rep < kReps; ++rep) {
     stream::StreamOptions options;
     options.domains = domains;
-    options.full_rerun_fraction = 0.0;  // measure the incremental path
     auto finder = stream::StreamingSliceFinder::Create(
         RowSlice(dataset.x0, 0, base_rows),
         ErrorSlice(dataset.errors, 0, base_rows), options);

@@ -238,13 +238,6 @@ bool RunOutcome::WellFormed() const {
       stream_candidates_delta < 0 || stream_candidates_full < 0) {
     return false;
   }
-  // A run that fell back to the plain engine never made per-candidate
-  // incremental decisions.
-  if (stream_full_fallback &&
-      (stream_candidates_cached > 0 || stream_candidates_delta > 0 ||
-       stream_candidates_full > 0)) {
-    return false;
-  }
   if (degradation_steps == 0 &&
       (sigma_raised_to > 0 || candidates_capped > 0)) {
     return false;

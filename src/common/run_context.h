@@ -213,10 +213,6 @@ struct RunOutcome {
   int64_t stream_candidates_cached = 0;
   int64_t stream_candidates_delta = 0;
   int64_t stream_candidates_full = 0;
-  /// True when the streaming finder declined incremental re-evaluation
-  /// because the delta fraction exceeded its threshold and ran the plain
-  /// engine over the concatenated data instead.
-  bool stream_full_fallback = false;
 
   static const char* TerminationName(Termination t);
 

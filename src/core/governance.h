@@ -62,7 +62,7 @@ class GovernanceController {
 
  private:
   RunContext* ctx_;
-  int k_;
+  int64_t k_;  // wide: the candidate cap multiplies it by 8
   int64_t base_sigma_;
   int64_t effective_sigma_;
   int base_max_level_;

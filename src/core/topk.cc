@@ -9,7 +9,6 @@ namespace sliceline::core {
 TopK::TopK(int k, int64_t min_support) : k_(k), min_support_(min_support) {
   SLICELINE_CHECK_GE(k, 1);
   SLICELINE_CHECK_GE(min_support, 1);
-  slices_.reserve(k + 1);
 }
 
 void TopK::Offer(Slice slice) {

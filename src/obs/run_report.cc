@@ -74,15 +74,13 @@ void WriteOutcome(JsonWriter& json, const RunOutcome& outcome) {
   // (the golden CLI baseline) keep their exact historical shape.
   if (outcome.stream_candidates_cached > 0 ||
       outcome.stream_candidates_delta > 0 ||
-      outcome.stream_candidates_full > 0 || outcome.stream_full_fallback) {
+      outcome.stream_candidates_full > 0) {
     json.Key("stream_candidates_cached");
     json.Int(outcome.stream_candidates_cached);
     json.Key("stream_candidates_delta");
     json.Int(outcome.stream_candidates_delta);
     json.Key("stream_candidates_full");
     json.Int(outcome.stream_candidates_full);
-    json.Key("stream_full_fallback");
-    json.Bool(outcome.stream_full_fallback);
   }
   json.Key("summary");
   json.String(outcome.Summary());

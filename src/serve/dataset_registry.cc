@@ -9,7 +9,6 @@
 #include "data/preprocess.h"
 #include "ml/pipeline.h"
 #include "obs/trace.h"
-#include "stream/segment.h"
 
 namespace sliceline::serve {
 
@@ -22,6 +21,20 @@ uint64_t HashEncodedDataset(const data::EncodedDataset& dataset) {
   hasher.AddBytes(codes.data(), codes.size() * sizeof(int32_t));
   for (double error : dataset.errors) hasher.AddDouble(error);
   return hasher.hash();
+}
+
+uint64_t ChainFingerprint(uint64_t parent, const data::IntMatrix& delta,
+                          const std::vector<double>& errors) {
+  Fnv1a h;
+  h.Add64(parent);
+  h.Add64(static_cast<uint64_t>(delta.rows()));
+  h.Add64(static_cast<uint64_t>(delta.cols()));
+  if (!delta.data().empty()) {
+    h.AddBytes(delta.data().data(),
+               delta.data().size() * sizeof(delta.data()[0]));
+  }
+  for (double e : errors) h.AddDouble(e);
+  return h.hash();
 }
 
 StatusOr<DatasetRegistry::RegisterOutcome> DatasetRegistry::Register(
@@ -127,7 +140,7 @@ StatusOr<DatasetRegistry::AppendOutcome> DatasetRegistry::AppendRows(
   // Labels are not carried on the append path (the caller's model already
   // scored the rows); pad y so row-aligned vectors stay row-aligned.
   next->dataset.y.resize(static_cast<size_t>(next->dataset.n()), 0.0);
-  next->data_hash = stream::ChainFingerprint(parent->data_hash, delta, errors);
+  next->data_hash = ChainFingerprint(parent->data_hash, delta, errors);
   next->version = parent->version + 1;
 
   AppendOutcome outcome;

@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "data/encoded_dataset.h"
+#include "data/int_matrix.h"
 #include "data/preprocess.h"
 #include "serve/protocol.h"
 
@@ -43,6 +44,13 @@ struct RegisteredDataset {
 /// materialized error. Two registrations with equal hashes produce
 /// identical find_slices results for any config.
 uint64_t HashEncodedDataset(const data::EncodedDataset& dataset);
+
+/// Chains a delta (codes + errors) onto a parent hash with the same FNV-1a
+/// scheme, so any append sequence yields a hash chain:
+/// h_k = Chain(h_{k-1}, delta_k). Two different append orders, or the same
+/// rows split differently, yield different chains.
+uint64_t ChainFingerprint(uint64_t parent, const data::IntMatrix& delta,
+                          const std::vector<double>& errors);
 
 /// Thread-safe name -> RegisteredDataset map. Loading happens outside the
 /// registry lock (CSV parse + model training dominate); concurrent

@@ -518,8 +518,6 @@ void WriteResultJson(obs::JsonWriter* writer,
   writer->Int(outcome.stream_candidates_delta);
   writer->Key("stream_candidates_full");
   writer->Int(outcome.stream_candidates_full);
-  writer->Key("stream_full_fallback");
-  writer->Bool(outcome.stream_full_fallback);
   writer->EndObject();
 
   writer->EndObject();
@@ -633,7 +631,6 @@ StatusOr<core::SliceLineResult> ParseResultJson(
   out.stream_candidates_delta =
       outcome->GetIntOr("stream_candidates_delta", 0);
   out.stream_candidates_full = outcome->GetIntOr("stream_candidates_full", 0);
-  out.stream_full_fallback = outcome->GetBoolOr("stream_full_fallback", false);
 
   return result;
 }

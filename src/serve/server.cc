@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -79,6 +80,23 @@ void WriteAlertJson(obs::JsonWriter* writer, const stream::StreamAlert& alert) {
 
 /// Alerts kept for server_stats / watch status; old ones fall off.
 constexpr size_t kMaxRecentAlerts = 32;
+
+/// Range checks shared by find_slices and watch: k and max_level must also
+/// fit the engine's int fields.
+Status CheckSearchParams(int64_t k, double alpha, int64_t sigma,
+                         int64_t max_level) {
+  if (k < 1 || k > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("k must be in [1, 2147483647]");
+  }
+  if (!(alpha > 0.0 && alpha <= 1.0)) {
+    return Status::InvalidArgument("alpha must be in (0, 1]");
+  }
+  if (sigma < 0) return Status::InvalidArgument("sigma must be >= 0");
+  if (max_level < 0 || max_level > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("max_level must be in [0, 2147483647]");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -334,20 +352,15 @@ std::string Server::HandleFindSlices(const Request& request) {
             "engine 'remote' requires the server to be started with worker "
             "endpoints"));
   }
-  if (find.k < 1) {
-    return MakeErrorLine(request.id,
-                         Status::InvalidArgument("k must be >= 1"));
+  if (Status checked = CheckSearchParams(find.k, find.alpha, find.sigma,
+                                         find.max_level);
+      !checked.ok()) {
+    return MakeErrorLine(request.id, checked);
   }
-  if (!(find.alpha > 0.0 && find.alpha <= 1.0)) {
-    return MakeErrorLine(
-        request.id, Status::InvalidArgument("alpha must be in (0, 1]"));
-  }
-  if (find.sigma < 0 || find.max_level < 0 || find.deadline_ms < 0 ||
-      find.memory_budget_mb < 0) {
+  if (find.deadline_ms < 0 || find.memory_budget_mb < 0) {
     return MakeErrorLine(
         request.id,
-        Status::InvalidArgument(
-            "sigma, max_level, deadline_ms, memory_budget_mb must be >= 0"));
+        Status::InvalidArgument("deadline_ms, memory_budget_mb must be >= 0"));
   }
   std::shared_ptr<const RegisteredDataset> dataset =
       registry_.Find(find.dataset);
@@ -735,6 +748,7 @@ std::string Server::HandleAppendRows(const Request& request) {
     if (!fired.ok()) return MakeErrorLine(request.id, fired.status());
     alert = std::move(fired).value();
     if (alert.has_value()) {
+      alert->fingerprint = outcome.value().dataset->data_hash;
       ++alerts_total_;
       CountRequest("stream/alerts_total");
       recent_alerts_.push_front(*alert);
@@ -775,14 +789,14 @@ std::string Server::HandleAppendRows(const Request& request) {
 
 std::string Server::HandleWatch(const Request& request) {
   const WatchRequest& watch = request.watch;
-  if (watch.k < 1) {
-    return MakeErrorLine(request.id,
-                         Status::InvalidArgument("k must be >= 1"));
+  if (Status checked = CheckSearchParams(watch.k, watch.alpha, watch.sigma,
+                                         watch.max_level);
+      !checked.ok()) {
+    return MakeErrorLine(request.id, checked);
   }
-  if (!(watch.alpha > 0.0 && watch.alpha <= 1.0)) {
-    return MakeErrorLine(
-        request.id, Status::InvalidArgument("alpha must be in (0, 1]"));
-  }
+  // The snapshot is taken under the lock every append holds, so no append
+  // can land between it and the watcher's publication and be missed.
+  std::lock_guard<std::mutex> lock(stream_mutex_);
   std::shared_ptr<const RegisteredDataset> dataset =
       registry_.Find(watch.dataset);
   if (dataset == nullptr) {
@@ -812,7 +826,6 @@ std::string Server::HandleWatch(const Request& request) {
           dataset->dataset.feature_names, std::move(options), options_.clock);
   if (!watcher.ok()) return MakeErrorLine(request.id, watcher.status());
 
-  std::lock_guard<std::mutex> lock(stream_mutex_);
   const bool replaced = watches_.count(watch.dataset) > 0;
   watches_[watch.dataset] = std::move(watcher).value();
 
@@ -904,6 +917,10 @@ std::string Server::HandleWatchStatus(const Request& request) {
                                           request.dataset + "'"));
   }
   const stream::SliceWatcher& watcher = *it->second;
+  // Appends hold stream_mutex_ through the registry publish and the watch
+  // evaluation, and unregister refuses a watched dataset under it, so the
+  // registry's current snapshot exists and is the one watched.
+  const uint64_t data_hash = registry_.Find(request.dataset)->data_hash;
   std::ostringstream os;
   obs::JsonWriter writer(os);
   BeginOkResponse(&writer, request.id);
@@ -932,7 +949,7 @@ std::string Server::HandleWatchStatus(const Request& request) {
   writer.Key("total_rows");
   writer.Int(watcher.total_rows());
   writer.Key("fingerprint");
-  writer.String(std::to_string(watcher.finder().fingerprint()));
+  writer.String(std::to_string(data_hash));
   writer.Key("recent_alerts");
   writer.BeginArray();
   for (const stream::StreamAlert& alert : recent_alerts_) {

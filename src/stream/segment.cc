@@ -3,28 +3,7 @@
 #include <cmath>
 #include <utility>
 
-#include "common/hashing.h"
-
 namespace sliceline::stream {
-
-uint64_t ChainFingerprint(uint64_t parent, const data::IntMatrix& delta,
-                          const std::vector<double>& errors) {
-  Fnv1a h;
-  h.Add64(parent);
-  h.Add64(static_cast<uint64_t>(delta.rows()));
-  h.Add64(static_cast<uint64_t>(delta.cols()));
-  if (!delta.data().empty()) {
-    h.AddBytes(delta.data().data(),
-               delta.data().size() * sizeof(delta.data()[0]));
-  }
-  for (double e : errors) h.AddDouble(e);
-  return h.hash();
-}
-
-uint64_t BaseFingerprint(const data::IntMatrix& x0,
-                         const std::vector<double>& errors) {
-  return ChainFingerprint(0, x0, errors);
-}
 
 namespace {
 
@@ -71,8 +50,8 @@ SegmentStore::SegmentStore(data::IntMatrix x0, std::vector<double> errors,
       errors_(std::move(errors)),
       offsets_(std::move(offsets)),
       columns_(x0_, offsets_, errors_),
-      base_rows_(x0_.rows()) {
-  boundary_counts_[0].assign(static_cast<size_t>(offsets_.total), 0);
+      last_row_(static_cast<size_t>(offsets_.total), -1) {
+  TrackLastRows(0);
 }
 
 StatusOr<std::unique_ptr<SegmentStore>> SegmentStore::Create(
@@ -89,62 +68,32 @@ StatusOr<std::unique_ptr<SegmentStore>> SegmentStore::Create(
   data::FeatureOffsets offsets = data::OffsetsFromDomains(domains);
   SLICELINE_RETURN_NOT_OK(
       ValidateRows(offsets, base_x0.cols(), base_x0, base_errors));
-  const uint64_t fingerprint = BaseFingerprint(base_x0, base_errors);
-  std::unique_ptr<SegmentStore> store(new SegmentStore(
+  return std::unique_ptr<SegmentStore>(new SegmentStore(
       std::move(base_x0), std::move(base_errors), std::move(offsets)));
-  store->fingerprint_ = fingerprint;
-  return store;
 }
 
 Status SegmentStore::Append(const data::IntMatrix& delta_x0,
-                            const std::vector<double>& delta_errors,
-                            double ingest_seconds) {
+                            const std::vector<double>& delta_errors) {
   SLICELINE_RETURN_NOT_OK(
       ValidateRows(offsets_, x0_.cols(), delta_x0, delta_errors));
   const int64_t row_begin = x0_.rows();
-  // Snapshot cumulative counts at the boundary *before* ingesting, so the
-  // untouched-column fast path can ask "did any rows in [P, n) hit column
-  // c" by differencing against the current counts.
-  boundary_counts_[row_begin] = columns_.basic_sizes();
   x0_.AppendRows(delta_x0);
   errors_.insert(errors_.end(), delta_errors.begin(), delta_errors.end());
   // Continues every statistic chain and built bitmap over the new rows:
   // the exact continuation a from-scratch build would run.
   columns_.Extend();
-  fingerprint_ = ChainFingerprint(fingerprint_, delta_x0, delta_errors);
-  DeltaSegment segment;
-  segment.row_begin = row_begin;
-  segment.row_end = x0_.rows();
-  segment.fingerprint = fingerprint_;
-  segment.ingest_seconds = ingest_seconds;
-  segments_.push_back(segment);
+  TrackLastRows(row_begin);
   return Status::OK();
 }
 
-void SegmentStore::Compact() {
-  if (segments_.empty()) return;
-  base_rows_ = x0_.rows();
-  segments_.clear();
-  boundary_counts_.clear();
-  boundary_counts_[0].assign(static_cast<size_t>(offsets_.total), 0);
-  ++compactions_;
-}
-
-bool SegmentStore::MaybeCompact(double ratio) {
-  if (segments_.empty() || ratio <= 0.0) return false;
-  const int64_t delta_rows = x0_.rows() - base_rows_;
-  if (static_cast<double>(delta_rows) <=
-      ratio * static_cast<double>(base_rows_)) {
-    return false;
+void SegmentStore::TrackLastRows(int64_t begin) {
+  for (int64_t r = begin; r < x0_.rows(); ++r) {
+    const int32_t* row = x0_.row(r);
+    for (int64_t j = 0; j < x0_.cols(); ++j) {
+      last_row_[static_cast<size_t>(
+          offsets_.ColumnOf(static_cast<int>(j), row[j]))] = r;
+    }
   }
-  Compact();
-  return true;
-}
-
-const std::vector<int64_t>* SegmentStore::BoundaryCounts(int64_t row) const {
-  auto it = boundary_counts_.find(row);
-  if (it == boundary_counts_.end()) return nullptr;
-  return &it->second;
 }
 
 }  // namespace sliceline::stream

@@ -21,83 +21,39 @@ StatusOr<std::unique_ptr<StreamingSliceFinder>> StreamingSliceFinder::Create(
 }
 
 Status StreamingSliceFinder::Append(const data::IntMatrix& delta_x0,
-                                    const std::vector<double>& delta_errors,
-                                    double ingest_seconds) {
+                                    const std::vector<double>& delta_errors) {
   std::lock_guard<std::mutex> lock(mutex_);
-  SLICELINE_RETURN_NOT_OK(
-      store_->Append(delta_x0, delta_errors, ingest_seconds));
-  store_->MaybeCompact(options_.compact_ratio);
-  return Status::OK();
+  return store_->Append(delta_x0, delta_errors);
 }
 
 StatusOr<core::SliceLineResult> StreamingSliceFinder::Find(
     const core::SliceLineConfig& config) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const int64_t n = store_->n();
-  const int64_t delta_rows = n - rows_at_last_find_;
-  const bool fallback =
-      options_.full_rerun_fraction > 0.0 && rows_at_last_find_ > 0 &&
-      static_cast<double>(delta_rows) >
-          options_.full_rerun_fraction * static_cast<double>(n);
-  StatusOr<core::SliceLineResult> result = Status::OK();
-  if (fallback) {
-    // Too much new data for incremental re-scoring to pay off: run the
-    // plain evaluator over the store's columns (with the frozen offsets, so
-    // results stay comparable across the fallback).
-    const core::SliceEvaluator evaluator(store_->columns());
-    result = core::RunSliceLineWithBackend(evaluator, config);
-    if (result.ok()) result.value().outcome.stream_full_fallback = true;
-    last_find_stats_ = StreamFindStats{};
-    last_find_stats_.full_fallback = true;
-  } else {
-    find_stats_ = StreamFindStats{};
-    result = core::RunSliceLineWithBackend(evaluator_, config);
-    if (result.ok()) {
-      result.value().outcome.stream_candidates_cached =
-          find_stats_.candidates_cached;
-      result.value().outcome.stream_candidates_delta =
-          find_stats_.candidates_delta;
-      result.value().outcome.stream_candidates_full =
-          find_stats_.candidates_full;
-    }
-    last_find_stats_ = find_stats_;
+  find_stats_ = StreamFindStats{};
+  StatusOr<core::SliceLineResult> result =
+      core::RunSliceLineWithBackend(evaluator_, config);
+  if (result.ok()) {
+    RunOutcome& outcome = result.value().outcome;
+    outcome.stream_candidates_cached = find_stats_.candidates_cached;
+    outcome.stream_candidates_delta = find_stats_.candidates_delta;
+    outcome.stream_candidates_full = find_stats_.candidates_full;
   }
-  if (result.ok()) rows_at_last_find_ = n;
   return result;
-}
-
-int64_t StreamingSliceFinder::n() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return store_->n();
-}
-
-uint64_t StreamingSliceFinder::fingerprint() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return store_->fingerprint();
-}
-
-int64_t StreamingSliceFinder::compactions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return store_->compactions();
 }
 
 StreamFindStats StreamingSliceFinder::last_find_stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return last_find_stats_;
+  return find_stats_;
 }
 
 namespace {
 
-/// True when the cached prefix sits on a live segment boundary and no row
-/// appended since carries one of the slice's predicate columns: then the
-/// slice's statistics cannot have changed.
+/// True when no row appended since `prefix` holds one of the slice's
+/// predicate columns: then the slice's statistics cannot have changed.
 bool Untouched(const SegmentStore& store, int64_t prefix,
                const int64_t* cols, int64_t len) {
-  const std::vector<int64_t>* at = store.BoundaryCounts(prefix);
-  if (at == nullptr) return false;
   for (int64_t c = 0; c < len; ++c) {
-    const size_t col = static_cast<size_t>(cols[c]);
-    if (store.basic_sizes()[col] == (*at)[col]) return true;
+    if (store.last_row(cols[c]) < prefix) return true;
   }
   return false;
 }
@@ -141,8 +97,7 @@ StatusOr<core::EvalResult> StreamingSliceFinder::StreamEvaluator::Evaluate(
     }
     CachedStats& entry = it->second;
     if (entry.prefix == n ||
-        (entry.prefix > 0 && Untouched(store, entry.prefix, set.Columns(i),
-                                       set.Length(i)))) {
+        Untouched(store, entry.prefix, set.Columns(i), set.Length(i))) {
       entry.prefix = n;
       out.sizes[i] = static_cast<double>(entry.count);
       out.error_sums[i] = entry.sum.ToDouble();

@@ -19,13 +19,6 @@ struct StreamOptions {
   /// Frozen per-feature domains; empty derives them from the base data, in
   /// which case appends must not exercise unseen codes.
   std::vector<int32_t> domains;
-  /// Delta segments compact into the base once delta rows exceed this
-  /// fraction of the base rows (checked after every append; <= 0 disables).
-  double compact_ratio = 0.25;
-  /// Find() falls back to a plain full run (recorded in
-  /// RunOutcome::stream_full_fallback) when the rows appended since the
-  /// last Find exceed this fraction of the dataset (<= 0 disables).
-  double full_rerun_fraction = 0.2;
   /// Per-candidate statistics cached across finds; inserts stop (updates
   /// continue) once the cache holds this many slices.
   size_t max_cached_slices = 1 << 20;
@@ -37,7 +30,6 @@ struct StreamFindStats {
   int64_t candidates_cached = 0;  ///< cached statistic already at prefix n
   int64_t candidates_delta = 0;   ///< cached statistic continued over delta
   int64_t candidates_full = 0;    ///< computed from row 0
-  bool full_fallback = false;     ///< took the plain-engine fallback
 };
 
 /// Incremental slice finder over an append-only dataset.
@@ -59,21 +51,18 @@ class StreamingSliceFinder {
       const data::IntMatrix& base_x0, const std::vector<double>& base_errors,
       StreamOptions options = {});
 
-  /// Appends encoded rows with their model errors; compacts segments when
-  /// the configured size ratio trips.
+  /// Appends encoded rows with their model errors.
   Status Append(const data::IntMatrix& delta_x0,
-                const std::vector<double>& delta_errors,
-                double ingest_seconds = 0.0);
+                const std::vector<double>& delta_errors);
 
-  /// Runs slice finding over the current dataset. Incremental whenever the
-  /// delta since the last Find is small enough; the decision and the
-  /// per-candidate re-scoring choices are recorded in the result's
-  /// RunOutcome stream fields.
+  /// Runs slice finding over the current dataset, re-scoring each candidate
+  /// from its cached statistics; the per-candidate choices are recorded in
+  /// the result's RunOutcome stream fields.
   StatusOr<core::SliceLineResult> Find(const core::SliceLineConfig& config);
 
-  int64_t n() const;
-  uint64_t fingerprint() const;
-  int64_t compactions() const;
+  /// The rows and columns found over. Unsynchronized: read it only from the
+  /// thread that appends.
+  const SegmentStore& store() const { return *store_; }
   StreamFindStats last_find_stats() const;
 
  private:
@@ -123,9 +112,7 @@ class StreamingSliceFinder {
   std::unique_ptr<SegmentStore> store_;
   StreamEvaluator evaluator_;
   std::map<std::vector<int64_t>, CachedStats> stats_cache_;
-  int64_t rows_at_last_find_ = 0;
-  mutable StreamFindStats find_stats_;
-  StreamFindStats last_find_stats_;
+  StreamFindStats find_stats_;
 };
 
 }  // namespace sliceline::stream

@@ -33,8 +33,6 @@ StatusOr<std::unique_ptr<SliceWatcher>> SliceWatcher::Create(
       watcher->finder_,
       StreamingSliceFinder::Create(base_x0, base_errors,
                                    watcher->options_.stream));
-  watcher->buffer_x0_ = base_x0;
-  watcher->buffer_errors_ = base_errors;
   watcher->buffer_times_.assign(static_cast<size_t>(base_x0.rows()),
                                 clock->NowSeconds());
   watcher->total_rows_ = base_x0.rows();
@@ -42,26 +40,25 @@ StatusOr<std::unique_ptr<SliceWatcher>> SliceWatcher::Create(
 }
 
 Status SliceWatcher::RebuildFromTail(int64_t new_start) {
-  const int64_t rows = buffer_x0_.rows();
+  const SegmentStore& window = finder_->store();
+  const int64_t rows = window.n();
   // Never evaluate an empty window: keep at least the newest row.
   new_start = std::min(new_start, rows - 1);
   if (new_start <= 0) return Status::OK();
   const int64_t kept = rows - new_start;
-  data::IntMatrix tail(kept, buffer_x0_.cols());
+  data::IntMatrix tail(kept, window.x0().cols());
   for (int64_t r = 0; r < kept; ++r) {
-    const int32_t* src = buffer_x0_.row(new_start + r);
-    std::copy(src, src + buffer_x0_.cols(), tail.row(r));
+    const int32_t* src = window.x0().row(new_start + r);
+    std::copy(src, src + window.x0().cols(), tail.row(r));
   }
-  std::vector<double> tail_errors(
-      buffer_errors_.begin() + static_cast<size_t>(new_start),
-      buffer_errors_.end());
-  buffer_times_.erase(buffer_times_.begin(),
-                      buffer_times_.begin() + static_cast<size_t>(new_start));
+  const std::vector<double> tail_errors(
+      window.errors().begin() + static_cast<size_t>(new_start),
+      window.errors().end());
   SLICELINE_ASSIGN_OR_RETURN(
       finder_, StreamingSliceFinder::Create(tail, tail_errors,
                                             options_.stream));
-  buffer_x0_ = std::move(tail);
-  buffer_errors_ = std::move(tail_errors);
+  buffer_times_.erase(buffer_times_.begin(),
+                      buffer_times_.begin() + static_cast<size_t>(new_start));
   ++window_rebuilds_;
   return Status::OK();
 }
@@ -73,17 +70,14 @@ StatusOr<std::optional<StreamAlert>> SliceWatcher::OnAppend(
 
   // Ingest into the incremental finder first: it validates the delta
   // against the frozen domains before any watcher state changes.
-  SLICELINE_RETURN_NOT_OK(finder_->Append(delta_x0, delta_errors, now));
-  buffer_x0_.AppendRows(delta_x0);
-  buffer_errors_.insert(buffer_errors_.end(), delta_errors.begin(),
-                        delta_errors.end());
+  SLICELINE_RETURN_NOT_OK(finder_->Append(delta_x0, delta_errors));
   buffer_times_.insert(buffer_times_.end(),
                        static_cast<size_t>(delta_x0.rows()), now);
   total_rows_ += delta_x0.rows();
 
   // Lazy batched eviction: trigger only when the buffer holds 2x the live
   // window, then cut back to exactly the window bound.
-  const int64_t rows = buffer_x0_.rows();
+  const int64_t rows = window_rows();
   int64_t new_start = 0;
   bool evict = false;
   if (options_.window_rows > 0 && rows > 2 * options_.window_rows) {
@@ -118,7 +112,6 @@ StatusOr<std::optional<StreamAlert>> SliceWatcher::OnAppend(
     fired.score = last_score_;
     fired.at_rows = total_rows_;
     fired.at_seconds = now;
-    fired.fingerprint = finder_->fingerprint();
     alert = std::move(fired);
     armed_ = false;
     ++alerts_fired_;

@@ -41,7 +41,9 @@ struct StreamAlert {
   double score = 0.0;
   int64_t at_rows = 0;       ///< total rows ingested when the alert fired
   double at_seconds = 0.0;   ///< clock reading when the alert fired
-  uint64_t fingerprint = 0;  ///< dataset fingerprint chain at fire time
+  /// data_hash of the dataset snapshot the firing append produced; the
+  /// daemon stamps it (0 in-process: the watcher holds rows, not datasets).
+  uint64_t fingerprint = 0;
 };
 
 /// Sliding-window slice monitor: every append re-runs (incremental) slice
@@ -75,10 +77,9 @@ class SliceWatcher {
   int64_t evaluations() const { return evaluations_; }
   int64_t window_rebuilds() const { return window_rebuilds_; }
   /// Rows currently in the evaluated window.
-  int64_t window_rows() const { return buffer_x0_.rows(); }
+  int64_t window_rows() const { return finder_->store().n(); }
   /// Total rows ever ingested (base + appends).
   int64_t total_rows() const { return total_rows_; }
-  const StreamingSliceFinder& finder() const { return *finder_; }
 
  private:
   SliceWatcher(std::string dataset, std::vector<std::string> feature_names,
@@ -95,10 +96,8 @@ class SliceWatcher {
   WatchOptions options_;
   const Clock* clock_;
 
-  // The window buffer: all rows currently eligible for evaluation, with
-  // their ingest times (ascending).
-  data::IntMatrix buffer_x0_;
-  std::vector<double> buffer_errors_;
+  // Ingest time (ascending) of each row of the window, which the finder's
+  // store holds.
   std::vector<double> buffer_times_;
 
   std::unique_ptr<StreamingSliceFinder> finder_;

@@ -70,8 +70,8 @@ std::string CheckSimdDifferential(const FuzzCase& fuzz_case);
 /// finds interleaved between appends, must be bit-identical (top-K
 /// predicates, scores, error sums, max errors, and level accounting) to a
 /// one-shot run on the concatenated data — at every prefix, for every
-/// available ISA, with compaction on and off, and through the full-rerun
-/// fallback. A repeat find without an append must answer fully from cache.
+/// available ISA, over two cut draws per ISA. A repeat find without an
+/// append must answer fully from cache.
 std::string CheckStreamEquivalence(const FuzzCase& fuzz_case);
 
 /// Governance robustness on the case's dataset: every engine is run

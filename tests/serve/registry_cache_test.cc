@@ -130,6 +130,25 @@ TEST_F(ServeRegistryTest, HashDistinguishesContentAndIsErrorSensitive) {
   EXPECT_NE(HashEncodedDataset(perturbed), a.value()->data_hash);
 }
 
+TEST_F(ServeRegistryTest, AppendHashChainRecordsHowRowsWereSplit) {
+  // h_k = Chain(h_{k-1}, delta_k): deterministic, and the same rows
+  // appended as one delta or as two give different chains.
+  data::IntMatrix both(2, 3);
+  data::IntMatrix first(1, 3);
+  data::IntMatrix second(1, 3);
+  for (int j = 0; j < 3; ++j) {
+    both.row(0)[j] = first.row(0)[j] = 1;
+    both.row(1)[j] = second.row(0)[j] = 2;
+  }
+  const uint64_t base = 12345;
+  const uint64_t whole = ChainFingerprint(base, both, {0.5, 1.5});
+  EXPECT_EQ(whole, ChainFingerprint(base, both, {0.5, 1.5}));
+  EXPECT_NE(whole, base);
+  EXPECT_NE(whole, ChainFingerprint(ChainFingerprint(base, first, {0.5}),
+                                    second, {1.5}));
+  EXPECT_NE(whole, ChainFingerprint(base, both, {0.5, 2.5}));
+}
+
 std::shared_ptr<const CachedResult> MakeEntry(int64_t marker) {
   auto entry = std::make_shared<CachedResult>();
   entry->result.total_evaluated = marker;

@@ -1,9 +1,10 @@
 // Streaming surface of the daemon: append_rows round trips (single-shot
 // and chunked, with out-of-order transfers voided), result-cache
 // invalidation keyed by the delta fingerprint chain, watch/unwatch/
-// watch-status over the wire with tau-crossing alerts, unregister_dataset
-// refusal rules, the stream metrics on /metrics, and a clean drain after
-// streaming traffic.
+// watch-status over the wire with tau-crossing alerts that echo the
+// dataset's data_hash, a watch racing an append never missing it,
+// unregister_dataset refusal rules, the stream metrics on /metrics, and a
+// clean drain after streaming traffic.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -225,6 +227,9 @@ TEST(ServeStreamTest, WatchFiresAlertOverWireAndReportsStatus) {
   EXPECT_EQ(alert->GetStringOr("dataset", ""), "watched");
   EXPECT_GE(alert->Find("score")->number_value(), watch.tau);
   EXPECT_EQ(alert->GetIntOr("at_rows", 0), 805);
+  // The alert echoes the data_hash of the snapshot its append produced.
+  EXPECT_EQ(alert->GetStringOr("fingerprint", ""),
+            fired->GetStringOr("data_hash", "?"));
 
   // Still above tau: the next append does not re-fire.
   auto quiet = client->AppendRows(append);
@@ -238,6 +243,9 @@ TEST(ServeStreamTest, WatchFiresAlertOverWireAndReportsStatus) {
   EXPECT_EQ(status->GetIntOr("alerts_fired", 0), 1);
   EXPECT_EQ(status->GetIntOr("evaluations", 0), 2);
   EXPECT_EQ(status->GetIntOr("total_rows", 0), 810);
+  // Status reports the dataset's current data_hash: the last append's.
+  EXPECT_EQ(status->GetStringOr("fingerprint", ""),
+            quiet->GetStringOr("data_hash", "?"));
   const obs::JsonValue* recent = status->Find("recent_alerts");
   ASSERT_NE(recent, nullptr);
   EXPECT_EQ(recent->array_items().size(), 1u);
@@ -255,6 +263,47 @@ TEST(ServeStreamTest, WatchFiresAlertOverWireAndReportsStatus) {
   EXPECT_TRUE(unwatch->GetBoolOr("existed", false));
   EXPECT_EQ(guard.server.watch_count(), 0);
   ASSERT_FALSE(client->WatchStatus("watched").ok());
+}
+
+TEST(ServeStreamTest, WatchRacingAnAppendNeverMissesIt) {
+  ServerOptions options = UnixOptions("serve_stream_race.sock");
+  ServerGuard guard(options);
+  const std::string path = ::testing::TempDir() + "/serve_stream_race_" +
+                           std::to_string(::getpid()) + ".csv";
+  WriteFileOrDie(path, MakeCsvText(3000, 4, 3, 33));
+  auto watcher_client = Client::Connect(Endpoint::Unix(options.unix_socket));
+  auto append_client = Client::Connect(Endpoint::Unix(options.unix_socket));
+  ASSERT_TRUE(watcher_client.ok());
+  ASSERT_TRUE(append_client.ok());
+  RegisterDatasetRequest reg;
+  reg.name = "raced";
+  reg.csv_path = path;
+  reg.label = "target";
+  ASSERT_TRUE(watcher_client->RegisterDataset(reg).ok());
+
+  WatchRequest watch;
+  watch.dataset = "raced";
+  watch.tau = 1e9;  // the subject is row accounting, not alerting
+  AppendRowsRequest append;
+  append.dataset = "raced";
+  append.rows = BenignCells(1);
+  append.errors = {1.0};
+  // Each round replaces the watch while an append lands: whichever wins,
+  // the watch that stays must have seen every row the dataset holds.
+  for (int round = 0; round < 24; ++round) {
+    std::thread watcher([&] {
+      auto watched = watcher_client->Watch(watch);
+      EXPECT_TRUE(watched.ok()) << watched.status().ToString();
+    });
+    auto appended = append_client->AppendRows(append);
+    watcher.join();
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    auto status = append_client->WatchStatus("raced");
+    ASSERT_TRUE(status.ok()) << status.status().ToString();
+    ASSERT_EQ(status->GetIntOr("total_rows", 0),
+              guard.server.registry().Find("raced")->dataset.n())
+        << "round " << round;
+  }
 }
 
 TEST(ServeStreamTest, UnregisterRefusesWatchedDatasetThenSucceeds) {

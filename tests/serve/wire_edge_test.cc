@@ -1,13 +1,16 @@
 // Wire-protocol edge cases for the newline-delimited strict-JSON protocol:
 // abrupt peer disconnects mid-request, oversized-line rejection, fragmented
 // frame reads, malformed-but-length-valid JSON, and the client's bounded
-// retry behavior against a flaky peer, and exact partials whose declared
-// digit counts or values lie. These drive the server over raw sockets (no
-// Client) wherever the client would hide the framing.
+// retry behavior against a flaky peer, exact partials whose declared
+// digit counts or values lie, and search parameters outside the engine's
+// int range. These drive the server over raw sockets (no Client) wherever
+// the client would hide the framing.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve_test_util.h"
 
 namespace sliceline::serve {
 namespace {
@@ -336,6 +340,85 @@ TEST(WireEdgeTest, TruncatedOrOversizedExactPartialIsACorruptedPartial) {
 TEST(WireEdgeTest, BasicStatsSumAboveSizeTimesMaxIsACorruptedPartial) {
   LyingWorker liar(LyingWorker::Lie::kHugeSums);
   ExpectLiesAreCorruptedPartials(&liar);
+}
+
+/// A server with a small registered dataset `name`, for the parameter
+/// range cases below.
+struct DatasetServer {
+  explicit DatasetServer(const std::string& socket_name)
+      : options(UnixOptions(socket_name)), guard(options) {
+    const std::string path = ::testing::TempDir() + "/" +
+                             std::to_string(::getpid()) + "_" +
+                             socket_name + ".csv";
+    WriteFileOrDie(path, MakeCsvText(200, 3, 3, 51));
+    auto connected = Client::Connect(Endpoint::Unix(options.unix_socket));
+    EXPECT_TRUE(connected.ok()) << connected.status().ToString();
+    client = std::make_unique<Client>(std::move(connected).value());
+    RegisterDatasetRequest reg;
+    reg.name = "ranged";
+    reg.csv_path = path;
+    reg.label = "target";
+    const auto registered = client->RegisterDataset(reg);
+    EXPECT_TRUE(registered.ok()) << registered.status().ToString();
+  }
+  ServerOptions options;
+  ServerGuard guard;
+  std::unique_ptr<Client> client;
+};
+
+constexpr int64_t kAboveInt = (int64_t{1} << 32) + 4;
+
+TEST(WireEdgeTest, HugeKRunsWithoutPreallocatingTheTopK) {
+  DatasetServer server("wire_huge_k.sock");
+  FindSlicesRequest find;
+  find.dataset = "ranged";
+  find.k = 1000000000;
+  auto reply = server.client->FindSlices(find);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply->result.top_k.empty());
+  find.k = std::numeric_limits<int>::max();
+  ASSERT_TRUE(server.client->FindSlices(find).ok());
+}
+
+TEST(WireEdgeTest, FindRejectsKAndMaxLevelAboveIntRange) {
+  DatasetServer server("wire_find_range.sock");
+  FindSlicesRequest find;
+  find.dataset = "ranged";
+  // 2^32 + 4 would otherwise narrow to k = 4 and run (and cache) as such.
+  find.k = kAboveInt;
+  auto wide_k = server.client->FindSlices(find);
+  ASSERT_FALSE(wide_k.ok());
+  EXPECT_EQ(wide_k.status().code(), StatusCode::kInvalidArgument);
+  find.k = 4;
+  find.max_level = kAboveInt;
+  auto wide_level = server.client->FindSlices(find);
+  ASSERT_FALSE(wide_level.ok());
+  EXPECT_EQ(wide_level.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WireEdgeTest, WatchRangeChecksMatchFind) {
+  DatasetServer server("wire_watch_range.sock");
+  auto expect_rejected = [&](const WatchRequest& watch, const char* what) {
+    auto reply = server.client->Watch(watch);
+    ASSERT_FALSE(reply.ok()) << what;
+    EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  WatchRequest watch;
+  watch.dataset = "ranged";
+  WatchRequest wide_k = watch;
+  wide_k.k = kAboveInt;
+  expect_rejected(wide_k, "k above int range");
+  WatchRequest wide_level = watch;
+  wide_level.max_level = kAboveInt;
+  expect_rejected(wide_level, "max_level above int range");
+  WatchRequest negative_sigma = watch;
+  negative_sigma.sigma = -1;
+  expect_rejected(negative_sigma, "negative sigma");
+  WatchRequest negative_level = watch;
+  negative_level.max_level = -1;
+  expect_rejected(negative_level, "negative max_level");
+  EXPECT_EQ(server.guard.server.watch_count(), 0);
+  ASSERT_TRUE(server.client->Watch(watch).ok());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Incremental & streaming slice finding: SegmentStore append/compaction
-// bit-determinism, StreamingSliceFinder incremental-vs-from-scratch
-// equivalence (including the full-rerun fallback and the per-candidate
-// decision counters), and SliceWatcher sliding windows with exactly-once
-// tau-crossing alerts under a simulated clock. Suites are named Stream* so
-// the TSan preset's filter picks them up.
+// Incremental & streaming slice finding: SegmentStore append
+// bit-determinism and last-row tracking, StreamingSliceFinder
+// incremental-vs-from-scratch equivalence (with the per-candidate decision
+// counters, and under a statistics-cache cap), and SliceWatcher sliding
+// windows with exactly-once tau-crossing alerts under a simulated clock.
+// Suites are named Stream* so the TSan preset's filter picks them up.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -98,6 +98,19 @@ core::SliceLineResult ReferenceRun(const StreamData& data,
   return std::move(result).value();
 }
 
+/// Checks last_row against a backwards scan of the store's rows for the
+/// last one holding each column (-1 when none does).
+void ExpectLastRowsMatchScan(const SegmentStore& store) {
+  const data::FeatureOffsets& offsets = store.offsets();
+  for (int64_t c = 0; c < offsets.total; ++c) {
+    const int feature = offsets.FeatureOfColumn(c);
+    const int32_t code = offsets.CodeOfColumn(c);
+    int64_t want = store.n() - 1;
+    while (want >= 0 && store.x0().At(want, feature) != code) --want;
+    EXPECT_EQ(store.last_row(c), want) << "column " << c;
+  }
+}
+
 void ExpectBitIdentical(const core::SliceLineResult& want,
                         const core::SliceLineResult& got) {
   ASSERT_EQ(want.top_k.size(), got.top_k.size());
@@ -121,7 +134,8 @@ void ExpectBitIdentical(const core::SliceLineResult& want,
 
 TEST(StreamSegmentTest, AppendsMatchOneShotBuildBitIdentically) {
   const StreamData data = MakeData(240, 4, 3, 101);
-  const std::vector<int32_t> domains = data.x0.ColMaxs();
+  // Code 4 of the last feature never occurs: its column has no last row.
+  const std::vector<int32_t> domains = {3, 3, 3, 4};
 
   auto one_shot = SegmentStore::Create(data.x0, data.errors, domains);
   ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
@@ -131,6 +145,7 @@ TEST(StreamSegmentTest, AppendsMatchOneShotBuildBitIdentically) {
                                       domains);
   ASSERT_TRUE(chained.ok()) << chained.status().ToString();
   SegmentStore& store = *chained.value();
+  ExpectLastRowsMatchScan(store);
   // Build half the columns before appending, so the appends extend built
   // bitmaps; the rest are built from all rows afterwards.
   std::vector<int64_t> even_columns;
@@ -144,10 +159,13 @@ TEST(StreamSegmentTest, AppendsMatchOneShotBuildBitIdentically) {
                   .Append(RowSlice(data.x0, 100, 180),
                           ErrorSlice(data.errors, 100, 180))
                   .ok());
+  ExpectLastRowsMatchScan(store);
   ASSERT_TRUE(store
                   .Append(RowSlice(data.x0, 180, 240),
                           ErrorSlice(data.errors, 180, 240))
                   .ok());
+  ExpectLastRowsMatchScan(store);
+  EXPECT_EQ(store.last_row(store.offsets().total - 1), -1);
 
   const SegmentStore& ref = *one_shot.value();
   ASSERT_EQ(store.n(), ref.n());
@@ -180,66 +198,6 @@ TEST(StreamSegmentTest, AppendsMatchOneShotBuildBitIdentically) {
               0)
         << c;
   }
-
-  // The fingerprint chains per append: fp_k = Chain(fp_{k-1}, delta_k).
-  uint64_t expected = BaseFingerprint(RowSlice(data.x0, 0, 100),
-                                      ErrorSlice(data.errors, 0, 100));
-  expected = ChainFingerprint(expected, RowSlice(data.x0, 100, 180),
-                              ErrorSlice(data.errors, 100, 180));
-  expected = ChainFingerprint(expected, RowSlice(data.x0, 180, 240),
-                              ErrorSlice(data.errors, 180, 240));
-  EXPECT_EQ(store.fingerprint(), expected);
-  // A different split of the same rows yields a different chain.
-  EXPECT_NE(store.fingerprint(), ref.fingerprint());
-
-  // Segment boundaries are live until compaction; the counts at a boundary
-  // are the cumulative per-column counts over the prefix.
-  ASSERT_EQ(store.segments().size(), 2u);
-  ASSERT_NE(store.BoundaryCounts(0), nullptr);
-  const std::vector<int64_t>* at_100 = store.BoundaryCounts(100);
-  ASSERT_NE(at_100, nullptr);
-  auto prefix_store = SegmentStore::Create(RowSlice(data.x0, 0, 100),
-                                           ErrorSlice(data.errors, 0, 100),
-                                           domains);
-  ASSERT_TRUE(prefix_store.ok());
-  EXPECT_EQ(*at_100, prefix_store.value()->basic_sizes());
-}
-
-TEST(StreamSegmentTest, CompactionIsPureMetadata) {
-  const StreamData data = MakeData(160, 4, 3, 102);
-  const std::vector<int32_t> domains = data.x0.ColMaxs();
-  auto created = SegmentStore::Create(RowSlice(data.x0, 0, 100),
-                                      ErrorSlice(data.errors, 0, 100),
-                                      domains);
-  ASSERT_TRUE(created.ok());
-  SegmentStore& store = *created.value();
-  ASSERT_TRUE(store
-                  .Append(RowSlice(data.x0, 100, 160),
-                          ErrorSlice(data.errors, 100, 160))
-                  .ok());
-
-  // Below the ratio: no compaction.
-  EXPECT_FALSE(store.MaybeCompact(10.0));
-  EXPECT_EQ(store.compactions(), 0);
-  ASSERT_EQ(store.segments().size(), 1u);
-
-  const uint64_t fingerprint = store.fingerprint();
-  const std::vector<double> sums = store.basic_error_sums();
-  const double total = store.total_error();
-
-  // 60 delta rows > 0.1 * 100 base rows: compaction folds the segment.
-  EXPECT_TRUE(store.MaybeCompact(0.1));
-  EXPECT_EQ(store.compactions(), 1);
-  EXPECT_TRUE(store.segments().empty());
-  EXPECT_EQ(store.base_rows(), 160);
-  EXPECT_EQ(store.BoundaryCounts(100), nullptr);
-
-  // Pure metadata: no float chain was reordered, no fingerprint advanced.
-  EXPECT_EQ(store.fingerprint(), fingerprint);
-  EXPECT_TRUE(BitEqual(store.total_error(), total));
-  for (size_t c = 0; c < sums.size(); ++c) {
-    EXPECT_TRUE(BitEqual(store.basic_error_sums()[c], sums[c])) << c;
-  }
 }
 
 TEST(StreamSegmentTest, RejectsMalformedAppendsLeavingStoreUnchanged) {
@@ -248,7 +206,10 @@ TEST(StreamSegmentTest, RejectsMalformedAppendsLeavingStoreUnchanged) {
       SegmentStore::Create(data.x0, data.errors, data.x0.ColMaxs());
   ASSERT_TRUE(created.ok());
   SegmentStore& store = *created.value();
-  const uint64_t fingerprint = store.fingerprint();
+  std::vector<int64_t> last_rows;
+  for (int64_t c = 0; c < store.offsets().total; ++c) {
+    last_rows.push_back(store.last_row(c));
+  }
 
   // Column-count mismatch.
   EXPECT_FALSE(store.Append(data::IntMatrix(1, 3), {1.0}).ok());
@@ -269,8 +230,10 @@ TEST(StreamSegmentTest, RejectsMalformedAppendsLeavingStoreUnchanged) {
   EXPECT_FALSE(store.Append(good, {std::nan("")}).ok());
 
   EXPECT_EQ(store.n(), 80);
-  EXPECT_EQ(store.fingerprint(), fingerprint);
-  EXPECT_TRUE(store.segments().empty());
+  EXPECT_EQ(store.errors().size(), 80u);
+  for (int64_t c = 0; c < store.offsets().total; ++c) {
+    EXPECT_EQ(store.last_row(c), last_rows[static_cast<size_t>(c)]) << c;
+  }
 }
 
 /// Every ISA this host runs, at pool sizes 1, 2 and 8.
@@ -321,7 +284,6 @@ TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
       const StreamData& data = *errors_family;
       StreamOptions options;
       options.domains = data.x0.ColMaxs();
-      options.full_rerun_fraction = 0.0;  // force the incremental path
 
       auto created = StreamingSliceFinder::Create(
           RowSlice(data.x0, 0, 150), ErrorSlice(data.errors, 0, 150),
@@ -336,7 +298,6 @@ TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
       ExpectBitIdentical(ReferenceRun(data, options.domains, 150, config),
                          first.value());
       EXPECT_GT(finder.last_find_stats().candidates_full, 0);
-      EXPECT_FALSE(first.value().outcome.stream_full_fallback);
 
       // Append, then find: cached exact statistics are continued over
       // just the delta, and the result stays bit-identical to a
@@ -393,29 +354,71 @@ TEST(StreamFinderTest, IncrementalFindBitIdenticalToFromScratch) {
   ResizeGlobalThreadPoolForTesting(0);
 }
 
-TEST(StreamFinderTest, FullRerunFallbackRecordsOutcomeAndMatches) {
-  const StreamData data = MakeData(200, 4, 3, 105);
-  const core::SliceLineConfig config = TestConfig();
-  StreamOptions options;
-  options.domains = data.x0.ColMaxs();
-  options.full_rerun_fraction = 1e-9;  // any delta trips the fallback
+TEST(StreamFinderTest, CacheCapCountsUncachedCandidatesAsFull) {
+  const StreamData data = MakeData(300, 4, 3, 105);
+  // A small support keeps dozens of candidates alive past level 1.
+  core::SliceLineConfig config = TestConfig();
+  config.min_support = 2;
+  constexpr size_t kCap = 8;
+  StreamOptions capped_options;
+  capped_options.domains = data.x0.ColMaxs();
+  capped_options.max_cached_slices = kCap;
+  StreamOptions uncapped_options = capped_options;
+  uncapped_options.max_cached_slices = size_t{1} << 20;
 
-  auto created = StreamingSliceFinder::Create(
-      RowSlice(data.x0, 0, 100), ErrorSlice(data.errors, 0, 100), options);
-  ASSERT_TRUE(created.ok());
-  StreamingSliceFinder& finder = *created.value();
-  ASSERT_TRUE(finder.Find(config).ok());
-  ASSERT_TRUE(finder
-                  .Append(RowSlice(data.x0, 100, 200),
-                          ErrorSlice(data.errors, 100, 200))
-                  .ok());
+  auto capped_or = StreamingSliceFinder::Create(
+      RowSlice(data.x0, 0, 100), ErrorSlice(data.errors, 0, 100),
+      capped_options);
+  auto uncapped_or = StreamingSliceFinder::Create(
+      RowSlice(data.x0, 0, 100), ErrorSlice(data.errors, 0, 100),
+      uncapped_options);
+  ASSERT_TRUE(capped_or.ok()) << capped_or.status().ToString();
+  ASSERT_TRUE(uncapped_or.ok()) << uncapped_or.status().ToString();
+  StreamingSliceFinder& capped = *capped_or.value();
+  StreamingSliceFinder& uncapped = *uncapped_or.value();
+  auto total = [](const StreamFindStats& stats) {
+    return stats.candidates_cached + stats.candidates_delta +
+           stats.candidates_full;
+  };
 
-  auto result = finder.Find(config);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result.value().outcome.stream_full_fallback);
-  EXPECT_TRUE(finder.last_find_stats().full_fallback);
-  ExpectBitIdentical(ReferenceRun(data, options.domains, 200, config),
-                     result.value());
+  for (const int64_t prefix : {100, 180, 240, 300}) {
+    SCOPED_TRACE("prefix=" + std::to_string(prefix));
+    if (prefix > 100) {
+      const int64_t begin = capped.store().n();
+      for (StreamingSliceFinder* finder : {&capped, &uncapped}) {
+        ASSERT_TRUE(finder
+                        ->Append(RowSlice(data.x0, begin, prefix),
+                                 ErrorSlice(data.errors, begin, prefix))
+                        .ok());
+      }
+    }
+    auto got = capped.Find(config);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectBitIdentical(
+        ReferenceRun(data, capped_options.domains, prefix, config),
+        got.value());
+    ASSERT_TRUE(uncapped.Find(config).ok());
+    const StreamFindStats stats = capped.last_find_stats();
+    // The cap holds more candidates than it caches, and at most kCap of
+    // them re-score from the cache: every other one is counted full.
+    ASSERT_GT(total(stats), static_cast<int64_t>(kCap));
+    EXPECT_EQ(total(stats), total(uncapped.last_find_stats()));
+    EXPECT_LE(stats.candidates_cached + stats.candidates_delta,
+              static_cast<int64_t>(kCap));
+    EXPECT_GE(stats.candidates_full,
+              total(stats) - static_cast<int64_t>(kCap));
+
+    // A repeat find sees the same candidates: exactly the kCap cached ones
+    // answer from the cache, the rest are full.
+    auto repeat = capped.Find(config);
+    ASSERT_TRUE(repeat.ok());
+    ExpectBitIdentical(got.value(), repeat.value());
+    const StreamFindStats again = capped.last_find_stats();
+    EXPECT_EQ(again.candidates_cached, static_cast<int64_t>(kCap));
+    EXPECT_EQ(again.candidates_delta, 0);
+    EXPECT_EQ(again.candidates_full,
+              total(stats) - static_cast<int64_t>(kCap));
+  }
 }
 
 TEST(StreamFinderTest, FrozenDomainsRejectUnseenCodes) {
@@ -431,7 +434,7 @@ TEST(StreamFinderTest, FrozenDomainsRejectUnseenCodes) {
   for (int j = 0; j < 4; ++j) unseen.row(0)[j] = 1;
   unseen.row(0)[3] = 4;
   EXPECT_FALSE(finder.Append(unseen, {1.0}).ok());
-  EXPECT_EQ(finder.n(), 60);
+  EXPECT_EQ(finder.store().n(), 60);
 }
 
 /// Benign rows: codes over the full domain, every error exactly 1.0, so no
@@ -504,7 +507,6 @@ TEST(StreamWatcherTest, FiresExactlyOncePerUpwardCrossing) {
   EXPECT_GE(alert.score, options.tau);
   EXPECT_EQ(alert.at_rows, 180);
   EXPECT_EQ(alert.at_seconds, 15.0);
-  EXPECT_EQ(alert.fingerprint, watcher.finder().fingerprint());
   EXPECT_NE(alert.slice_display.find("c0"), std::string::npos)
       << alert.slice_display;
   EXPECT_FALSE(watcher.armed());
