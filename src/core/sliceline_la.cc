@@ -76,7 +76,8 @@ StatusOr<SliceLineResult> RunSliceLineLA(const data::IntMatrix& x0,
   TRACE_SPAN("la/run");
 
   // a) data preparation: offsets and one-hot encoding (lines 1-5).
-  const data::FeatureOffsets offsets = data::ComputeOffsets(x0);
+  SLICELINE_ASSIGN_OR_RETURN(const data::FeatureOffsets offsets,
+                             data::CheckedOffsets(x0));
   CsrMatrix x = data::OneHotEncode(x0, offsets);
   const int64_t n = x.rows();
   const int64_t sigma = ResolveMinSupport(config, n);

@@ -70,9 +70,10 @@ std::string DistFaultStats::Summary() const {
 
 Coordinator::Coordinator(const data::IntMatrix& x0,
                          const std::vector<double>& errors,
+                         data::FeatureOffsets offsets,
                          const DistOptions& options, FaultInjector injector)
     : options_(options),
-      offsets_(data::ComputeOffsets(x0)),
+      offsets_(std::move(offsets)),
       dataset_hash_(FingerprintDataset(x0, errors)),
       n_(x0.rows()),
       full_x0_(x0),
@@ -126,6 +127,8 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Create(
         " does not match " + std::to_string(x0.rows()) + " rows");
   }
   SLICELINE_RETURN_NOT_OK(core::CheckErrors(errors));
+  SLICELINE_ASSIGN_OR_RETURN(data::FeatureOffsets offsets,
+                             data::CheckedOffsets(x0));
   if (options.endpoints.empty() == (options.local_workers < 1)) {
     return Status::InvalidArgument(
         "need exactly one fleet: worker endpoints or local_workers >= 1");
@@ -145,7 +148,8 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Create(
   }
   if (!injector.enabled()) injector = FaultInjector(options.fault);
   std::unique_ptr<Coordinator> eval(
-      new Coordinator(x0, errors, options, std::move(injector)));
+      new Coordinator(x0, errors, std::move(offsets), options,
+                      std::move(injector)));
   eval->SetupCluster();
   return eval;
 }

@@ -209,7 +209,8 @@ class Coordinator : public core::EvaluatorBackend {
   };
 
   Coordinator(const data::IntMatrix& x0, const std::vector<double>& errors,
-              const DistOptions& options, FaultInjector injector);
+              data::FeatureOffsets offsets, const DistOptions& options,
+              FaultInjector injector);
 
   /// Connects, enlists, ships shards, and merges basic statistics.
   void SetupCluster();

@@ -238,6 +238,35 @@ TEST(SliceLineTest, EveryEngineRejectsNonFiniteOrNegativeErrors) {
   }
 }
 
+TEST(SliceLineTest, EveryEngineRejectsCodesBelowOne) {
+  const RandomInput input = MakeRandom(85, 200, 2, 3);
+  const SliceLineConfig config;
+  dist::DistOptions dist_options;
+  dist_options.local_workers = 2;
+  for (int32_t bad : {0, -3}) {
+    data::IntMatrix x0 = input.x0;
+    x0.At(117, 1) = bad;
+    // Every engine names the same cell.
+    const Status want = data::CodeBelowOne(117, 1, bad);
+    const std::string what = "code " + std::to_string(bad);
+    EXPECT_EQ(RunSliceLine(x0, input.errors, config).status(), want) << what;
+    EXPECT_EQ(RunSliceLineBestFirst(x0, input.errors, config).status(), want)
+        << what;
+    EXPECT_EQ(RunSliceLineLA(x0, input.errors, config).status(), want)
+        << what;
+    EXPECT_EQ(
+        dist::RunSliceLineDistributed(x0, input.errors, config, dist_options)
+            .status(),
+        want)
+        << what;
+    EXPECT_EQ(stream::StreamingSliceFinder::Create(x0, input.errors)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
+}
+
 TEST(SliceLineTest, DatasetOverloadRequiresErrors) {
   data::EncodedDataset ds;
   ds.x0 = data::IntMatrix(10, 2, 1);
