@@ -3,7 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <sstream>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -24,17 +24,6 @@ namespace {
 std::atomic<int64_t> g_worker_instances{0};
 
 }  // namespace
-
-std::string OkLine(const std::string& id,
-                   const std::function<void(obs::JsonWriter*)>& payload) {
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  serve::BeginOkResponse(&writer, id);
-  payload(&writer);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
-}
 
 WorkerHandler::WorkerHandler()
     : session_("w" + std::to_string(getpid()) + "-" +
@@ -140,7 +129,7 @@ std::string WorkerHandler::Handle(const serve::WorkerRequest& request) {
       response = HandleEnlist(request);
       break;
     case serve::WorkerRequestType::kHasShard:
-      response = OkLine(request.id, [&](obs::JsonWriter* writer) {
+      response = serve::OkLine(request.id, [&](obs::JsonWriter* writer) {
         writer->Key("loaded");
         writer->Bool(shards_.count({request.dataset_hash, request.shard}) > 0);
       });
@@ -158,14 +147,14 @@ std::string WorkerHandler::Handle(const serve::WorkerRequest& request) {
       response = HandleGetSpans(request);
       break;
     case serve::WorkerRequestType::kHeartbeat:
-      response = OkLine(request.id, [](obs::JsonWriter* writer) {
+      response = serve::OkLine(request.id, [](obs::JsonWriter* writer) {
         // Steady-clock sample for the coordinator's offset estimation.
         writer->Key("now_us");
         writer->Int(obs::TraceRecorder::NowMicros());
       });
       break;
     case serve::WorkerRequestType::kShutdown:
-      response = OkLine(request.id, [](obs::JsonWriter*) {});
+      response = serve::OkLine(request.id, [](obs::JsonWriter*) {});
       break;
   }
   if (!response.ok()) return serve::MakeErrorLine(request.id, response.status());
@@ -180,7 +169,7 @@ StatusOr<std::string> WorkerHandler::HandleEnlist(
         std::to_string(request.protocol) + ", worker speaks " +
         std::to_string(serve::kWorkerProtocolVersion));
   }
-  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+  return serve::OkLine(request.id, [&](obs::JsonWriter* writer) {
     writer->Key("protocol");
     writer->Int(serve::kWorkerProtocolVersion);
     writer->Key("session");
@@ -285,7 +274,7 @@ StatusOr<std::string> WorkerHandler::HandleLoadShard(
               << " (" << rows << " rows) of dataset " << request.dataset_hash;
   }
 
-  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+  return serve::OkLine(request.id, [&](obs::JsonWriter* writer) {
     writer->Key("loaded");
     writer->Bool(loaded);
   });
@@ -307,7 +296,7 @@ StatusOr<std::string> WorkerHandler::HandleBasicStats(
   stats.columns.error_sums = store.exact_basic_error_sums();
   stats.columns.max_errors = evaluator.basic_max_errors();
 
-  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+  return serve::OkLine(request.id, [&](obs::JsonWriter* writer) {
     serve::WriteBasicStatsPayload(writer, stats);
   });
 }
@@ -320,11 +309,26 @@ StatusOr<std::string> WorkerHandler::HandleEvalBlock(
     return Status::NotFound("shard " + std::to_string(request.shard) +
                             " is not loaded in this session");
   }
+  // Column ids come off the wire (the parser has checked that each slice
+  // ascends): one outside the shard's column space would index past its
+  // bitmaps.
+  const int64_t columns = it->second->offsets.total;
+  for (int64_t i = 0; i < request.slices.size(); ++i) {
+    const int64_t* ids = request.slices.Columns(i);
+    for (int64_t j = 0; j < request.slices.Length(i); ++j) {
+      if (ids[j] < 0 || ids[j] >= columns) {
+        return Status::InvalidArgument(
+            "slice column id " + std::to_string(ids[j]) + " is outside [0, " +
+            std::to_string(columns) + ")");
+      }
+    }
+  }
+  if (request.block_size < 1 ||
+      request.block_size > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("block_size must be in [1, 2^31)");
+  }
   core::SliceLineConfig config;
   config.eval_strategy = request.strategy;
-  if (request.block_size < 1) {
-    return Status::InvalidArgument("block_size must be >= 1");
-  }
   config.eval_block_size = static_cast<int>(request.block_size);
   // One thread per worker: the fleet is the parallelism.
   config.parallel = false;
@@ -341,7 +345,7 @@ StatusOr<std::string> WorkerHandler::HandleEvalBlock(
   obs::MetricsRegistry::Default()->GetCounter("worker/eval_slices")
       ->Add(request.slices.size());
 
-  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+  return serve::OkLine(request.id, [&](obs::JsonWriter* writer) {
     serve::WriteEvalPayload(writer, partial, checksum);
   });
 }
@@ -365,7 +369,7 @@ StatusOr<std::string> WorkerHandler::HandleGetSpans(
     }
   }
 
-  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+  return serve::OkLine(request.id, [&](obs::JsonWriter* writer) {
     writer->Key("now_us");
     writer->Int(obs::TraceRecorder::NowMicros());
     writer->Key("pid");

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,7 +15,6 @@
 #include "core/evaluator.h"
 #include "data/int_matrix.h"
 #include "data/onehot.h"
-#include "obs/json_writer.h"
 #include "serve/worker_protocol.h"
 
 namespace sliceline::dist {
@@ -33,11 +31,6 @@ struct WorkerOptions {
   /// retry path with real mid-protocol disconnects.
   int64_t drop_every = 0;
 };
-
-/// One LF-terminated ok response line of the worker protocol: the
-/// `"id"`/`"ok":true` prefix, then the keys `payload` writes.
-std::string OkLine(const std::string& id,
-                   const std::function<void(obs::JsonWriter*)>& payload);
 
 /// The worker side of the protocol without its transport: the shard map
 /// (row shards of the one-hot matrix and their aligned error vectors, as

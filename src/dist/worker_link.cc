@@ -5,6 +5,7 @@
 #include "common/socket.h"
 #include "dist/worker.h"
 #include "obs/json_parse.h"
+#include "serve/protocol.h"
 #include "serve/worker_protocol.h"
 
 namespace sliceline::dist {
@@ -163,7 +164,7 @@ class FaultyLink : public WorkerLink {
           serve::ParseEvalPayload(*root, &checksum);
       if (!partial.ok()) return line;
       injector_->CorruptPartial(round_, worker_, &partial.value());
-      corrupted = OkLine(id, [&](obs::JsonWriter* writer) {
+      corrupted = serve::OkLine(id, [&](obs::JsonWriter* writer) {
         serve::WriteEvalPayload(writer, *partial, checksum);
       });
     } else {
@@ -172,7 +173,7 @@ class FaultyLink : public WorkerLink {
       if (!stats.ok() || stats->columns.sizes.empty()) return line;
       // Out of range, never valid.
       stats->columns.sizes[0] = -stats->columns.sizes[0] - 1;
-      corrupted = OkLine(id, [&](obs::JsonWriter* writer) {
+      corrupted = serve::OkLine(id, [&](obs::JsonWriter* writer) {
         serve::WriteBasicStatsPayload(writer, *stats);
       });
     }

@@ -26,10 +26,6 @@ namespace {
 // the differential rig holds every vector path to.
 // ---------------------------------------------------------------------------
 
-void AndInPlaceScalar(uint64_t* dst, const uint64_t* src, int64_t words) {
-  for (int64_t w = 0; w < words; ++w) dst[w] &= src[w];
-}
-
 int64_t PopcountScalar(const uint64_t* a, int64_t words) {
   int64_t total = 0;
   for (int64_t w = 0; w < words; ++w) total += std::popcount(a[w]);
@@ -47,7 +43,9 @@ int64_t IntersectColumnsScalar(const uint64_t* const* cols, int32_t len,
                                uint64_t* dst, int64_t words) {
   SLICELINE_DCHECK(len >= 1);
   std::memcpy(dst, cols[0], static_cast<size_t>(words) * sizeof(uint64_t));
-  for (int32_t k = 1; k < len; ++k) AndInPlaceScalar(dst, cols[k], words);
+  for (int32_t k = 1; k < len; ++k) {
+    for (int64_t w = 0; w < words; ++w) dst[w] &= cols[k][w];
+  }
   return PopcountScalar(dst, words);
 }
 
@@ -144,8 +142,8 @@ void MaskedSum(const uint64_t* mask, int64_t words, const double* errors,
 }
 
 constexpr SimdKernels kScalarKernels = {
-    SimdIsa::kScalar,        AndInPlaceScalar,      PopcountScalar,
-    AndPopcountScalar,       IntersectColumnsScalar, MaskedSum<SumBatch<2>>,
+    SimdIsa::kScalar,       PopcountScalar,         AndPopcountScalar,
+    IntersectColumnsScalar, MaskedSum<SumBatch<2>>,
 };
 
 // ---------------------------------------------------------------------------
@@ -170,21 +168,6 @@ __attribute__((target("avx2"))) inline int64_t HorizontalSum64Avx2(__m256i v) {
   alignas(32) uint64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
   return static_cast<int64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-}
-
-__attribute__((target("avx2"))) void AndInPlaceAvx2(uint64_t* dst,
-                                                    const uint64_t* src,
-                                                    int64_t words) {
-  int64_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_and_si256(a, b));
-  }
-  for (; w < words; ++w) dst[w] &= src[w];
 }
 
 __attribute__((target("avx2"))) int64_t PopcountAvx2(const uint64_t* a,
@@ -250,8 +233,8 @@ __attribute__((target("avx2"))) void SumBatchAvx2(const double* errors,
 }
 
 constexpr SimdKernels kAvx2Kernels = {
-    SimdIsa::kAvx2,    AndInPlaceAvx2,       PopcountAvx2,
-    AndPopcountAvx2,   IntersectColumnsAvx2, MaskedSum<SumBatchAvx2>,
+    SimdIsa::kAvx2,       PopcountAvx2,            AndPopcountAvx2,
+    IntersectColumnsAvx2, MaskedSum<SumBatchAvx2>,
 };
 
 // ---------------------------------------------------------------------------
@@ -275,17 +258,6 @@ __attribute__((target("avx512f,avx512bw"))) inline __m512i PopcountBytesAvx512(
   const __m512i hi = _mm512_shuffle_epi8(
       lut, _mm512_and_si512(_mm512_srli_epi16(v, 4), low_mask));
   return _mm512_sad_epu8(_mm512_add_epi8(lo, hi), _mm512_setzero_si512());
-}
-
-__attribute__((target("avx512f,avx512bw"))) void AndInPlaceAvx512(
-    uint64_t* dst, const uint64_t* src, int64_t words) {
-  int64_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i a = _mm512_loadu_si512(dst + w);
-    const __m512i b = _mm512_loadu_si512(src + w);
-    _mm512_storeu_si512(dst + w, _mm512_and_si512(a, b));
-  }
-  for (; w < words; ++w) dst[w] &= src[w];
 }
 
 __attribute__((target("avx512f,avx512bw"))) int64_t PopcountAvx512(
@@ -344,8 +316,8 @@ __attribute__((target("avx512f"))) void SumBatchAvx512(
 }
 
 constexpr SimdKernels kAvx512Kernels = {
-    SimdIsa::kAvx512,    AndInPlaceAvx512,       PopcountAvx512,
-    AndPopcountAvx512,   IntersectColumnsAvx512, MaskedSum<SumBatchAvx512>,
+    SimdIsa::kAvx512,       PopcountAvx512,            AndPopcountAvx512,
+    IntersectColumnsAvx512, MaskedSum<SumBatchAvx512>,
 };
 
 #pragma GCC diagnostic pop
@@ -358,14 +330,6 @@ constexpr SimdKernels kAvx512Kernels = {
 // ---------------------------------------------------------------------------
 
 #if defined(SLICELINE_SIMD_NEON)
-
-void AndInPlaceNeon(uint64_t* dst, const uint64_t* src, int64_t words) {
-  int64_t w = 0;
-  for (; w + 2 <= words; w += 2) {
-    vst1q_u64(dst + w, vandq_u64(vld1q_u64(dst + w), vld1q_u64(src + w)));
-  }
-  for (; w < words; ++w) dst[w] &= src[w];
-}
 
 int64_t PopcountNeon(const uint64_t* a, int64_t words) {
   int64_t total = 0;
@@ -411,8 +375,8 @@ int64_t IntersectColumnsNeon(const uint64_t* const* cols, int32_t len,
 }
 
 constexpr SimdKernels kNeonKernels = {
-    SimdIsa::kNeon,    AndInPlaceNeon,       PopcountNeon,
-    AndPopcountNeon,   IntersectColumnsNeon, MaskedSum<SumBatch<2>>,
+    SimdIsa::kNeon,       PopcountNeon,           AndPopcountNeon,
+    IntersectColumnsNeon, MaskedSum<SumBatch<2>>,
 };
 
 #endif  // SLICELINE_SIMD_NEON

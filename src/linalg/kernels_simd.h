@@ -79,8 +79,6 @@ struct CandidateColumns {
 /// (linalg/exact_sum.h), which no order of adds can change.
 struct SimdKernels {
   SimdIsa isa;
-  /// dst[w] &= src[w] for w in [0, words).
-  void (*and_inplace)(uint64_t* dst, const uint64_t* src, int64_t words);
   /// Total set bits of a[0..words).
   int64_t (*popcount)(const uint64_t* a, int64_t words);
   /// Total set bits of a & b without materializing the intersection — the

@@ -3,8 +3,86 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+
+#include "obs/json_validate.h"
 
 namespace sliceline::obs {
+
+namespace {
+
+// One Decode overload per type a member can be read as: false when `value`
+// holds another type.
+bool Decode(const JsonValue& value, std::string* out) {
+  if (!value.is_string()) return false;
+  *out = value.string_value();
+  return true;
+}
+
+bool Decode(const JsonValue& value, double* out) {
+  if (!value.is_number()) return false;
+  *out = value.number_value();
+  return true;
+}
+
+bool Decode(const JsonValue& value, bool* out) {
+  if (!value.is_bool()) return false;
+  *out = value.bool_value();
+  return true;
+}
+
+bool Decode(const JsonValue& value, int64_t* out) {
+  const std::optional<int64_t> v = value.int_value();
+  if (!v.has_value()) return false;
+  *out = *v;
+  return true;
+}
+
+bool Decode(const JsonValue& value, int32_t* out) {
+  const std::optional<int64_t> v = value.int_value();
+  if (!v.has_value() || *v < std::numeric_limits<int32_t>::min() ||
+      *v > std::numeric_limits<int32_t>::max()) {
+    return false;
+  }
+  *out = static_cast<int32_t>(*v);
+  return true;
+}
+
+template <typename T>
+bool Decode(const JsonValue& value, std::vector<T>* out) {
+  if (!value.is_array()) return false;
+  out->clear();
+  out->reserve(value.array_items().size());
+  for (const JsonValue& item : value.array_items()) {
+    T decoded{};
+    if (!Decode(item, &decoded)) return false;
+    out->push_back(std::move(decoded));
+  }
+  return true;
+}
+
+// What a member of each type must be, for the error message; Items names
+// the type in the plural, for the arrays that hold it.
+std::string Items(const std::string*) { return "strings"; }
+std::string Items(const double*) { return "numbers"; }
+std::string Items(const int64_t*) { return "integers in the int64 range"; }
+std::string Items(const int32_t*) { return "integers in the int32 range"; }
+template <typename T>
+std::string Items(const std::vector<T>*) {
+  return "arrays of " + Items(static_cast<const T*>(nullptr));
+}
+
+std::string Expected(const std::string*) { return "a string"; }
+std::string Expected(const double*) { return "a number"; }
+std::string Expected(const bool*) { return "a boolean"; }
+std::string Expected(const int64_t*) { return "an integer in the int64 range"; }
+std::string Expected(const int32_t*) { return "an integer in the int32 range"; }
+template <typename T>
+std::string Expected(const std::vector<T>*) {
+  return "an array of " + Items(static_cast<const T*>(nullptr));
+}
+
+}  // namespace
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
@@ -12,6 +90,56 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+template <typename T>
+Status JsonValue::Optional(const std::string& key, T* out) const {
+  const JsonValue* member = Find(key);
+  if (member == nullptr || Decode(*member, out)) return Status::OK();
+  return Status::InvalidArgument("field '" + key + "' must be " +
+                                 Expected(out));
+}
+
+template <typename T>
+Status JsonValue::Require(const std::string& key, T* out) const {
+  if (Find(key) == nullptr) {
+    return Status::InvalidArgument("missing field '" + key + "'");
+  }
+  return Optional(key, out);
+}
+
+#define SLICELINE_JSON_MEMBER_TYPE(T)                                    \
+  template Status JsonValue::Optional<T>(const std::string&, T*) const; \
+  template Status JsonValue::Require<T>(const std::string&, T*) const;
+SLICELINE_JSON_MEMBER_TYPE(std::string)
+SLICELINE_JSON_MEMBER_TYPE(double)
+SLICELINE_JSON_MEMBER_TYPE(bool)
+SLICELINE_JSON_MEMBER_TYPE(int64_t)
+SLICELINE_JSON_MEMBER_TYPE(int32_t)
+SLICELINE_JSON_MEMBER_TYPE(std::vector<std::string>)
+SLICELINE_JSON_MEMBER_TYPE(std::vector<double>)
+SLICELINE_JSON_MEMBER_TYPE(std::vector<int64_t>)
+SLICELINE_JSON_MEMBER_TYPE(std::vector<int32_t>)
+SLICELINE_JSON_MEMBER_TYPE(std::vector<std::vector<std::string>>)
+SLICELINE_JSON_MEMBER_TYPE(std::vector<std::vector<int64_t>>)
+#undef SLICELINE_JSON_MEMBER_TYPE
+
+StatusOr<std::string> JsonValue::RequireString(const std::string& key) const {
+  std::string value;
+  SLICELINE_RETURN_NOT_OK(Require(key, &value));
+  return value;
+}
+
+StatusOr<double> JsonValue::RequireNumber(const std::string& key) const {
+  double value = 0.0;
+  SLICELINE_RETURN_NOT_OK(Require(key, &value));
+  return value;
+}
+
+StatusOr<int64_t> JsonValue::RequireInt(const std::string& key) const {
+  int64_t value = 0;
+  SLICELINE_RETURN_NOT_OK(Require(key, &value));
+  return value;
 }
 
 std::string JsonValue::GetStringOr(const std::string& key,
@@ -30,6 +158,11 @@ int64_t JsonValue::GetIntOr(const std::string& key, int64_t fallback) const {
   return v != nullptr ? v->int_value().value_or(fallback) : fallback;
 }
 
+bool JsonValue::GetBoolOr(const std::string& key, bool fallback) const {
+  const JsonValue* v = Find(key);
+  return (v != nullptr && v->is_bool()) ? v->bool_value() : fallback;
+}
+
 std::optional<int64_t> JsonValue::int_value() const {
   // 2^63 is exact as a double; every double below it in magnitude that is
   // integral converts without overflow.
@@ -39,39 +172,6 @@ std::optional<int64_t> JsonValue::int_value() const {
     return std::nullopt;
   }
   return static_cast<int64_t>(number_);
-}
-
-bool JsonValue::GetBoolOr(const std::string& key, bool fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_bool()) ? v->bool_value() : fallback;
-}
-
-StatusOr<std::string> JsonValue::RequireString(const std::string& key) const {
-  const JsonValue* v = Find(key);
-  if (v == nullptr || !v->is_string()) {
-    return Status::InvalidArgument("missing or non-string field '" + key +
-                                   "'");
-  }
-  return v->string_value();
-}
-
-StatusOr<double> JsonValue::RequireNumber(const std::string& key) const {
-  const JsonValue* v = Find(key);
-  if (v == nullptr || !v->is_number()) {
-    return Status::InvalidArgument("missing or non-numeric field '" + key +
-                                   "'");
-  }
-  return v->number_value();
-}
-
-StatusOr<int64_t> JsonValue::RequireInt(const std::string& key) const {
-  SLICELINE_RETURN_NOT_OK(RequireNumber(key).status());
-  const std::optional<int64_t> value = Find(key)->int_value();
-  if (!value.has_value()) {
-    return Status::InvalidArgument("field '" + key +
-                                   "' must be an integer in the int64 range");
-  }
-  return *value;
 }
 
 JsonValue JsonValue::Null() { return JsonValue(); }
@@ -114,21 +214,23 @@ JsonValue JsonValue::Object(
 
 namespace {
 
-/// Recursive-descent parser over the same grammar as json_validate.cc, but
-/// building the value tree. Kept separate from the validator so the
-/// zero-allocation validation path stays cheap.
-class TreeParser {
+/// Recursive-descent reader of the grammar above. Each Read* stores what it
+/// reads in `out`, or with `out` null only checks: no tree is built and no
+/// string decoded except object keys (the duplicate test needs them), so
+/// checking a large document such as a Chrome trace allocates only for the
+/// objects open at one time.
+class Reader {
  public:
-  explicit TreeParser(const std::string& text) : text_(text) {}
+  explicit Reader(const std::string& text) : text_(text) {}
 
-  StatusOr<JsonValue> Parse() {
+  Status ReadDocument(JsonValue* out) {
     SkipWhitespace();
-    SLICELINE_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
+    SLICELINE_RETURN_NOT_OK(ReadValue(out));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing content after JSON document");
     }
-    return value;
+    return Status::OK();
   }
 
  private:
@@ -148,62 +250,64 @@ class TreeParser {
     }
   }
 
-  StatusOr<JsonValue> ParseValue() {
+  Status ReadValue(JsonValue* out) {
     if (++depth_ > kMaxDepth) return Error("nesting too deep");
-    auto out = ParseValueInner();
+    Status status = ReadValueInner(out);
     --depth_;
-    return out;
+    return status;
   }
 
-  StatusOr<JsonValue> ParseValueInner() {
+  Status ReadValueInner(JsonValue* out) {
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return ParseObject();
+        return ReadObject(out);
       case '[':
-        return ParseArray();
+        return ReadArray(out);
       case '"': {
-        SLICELINE_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return JsonValue::String(std::move(s));
+        std::string s;
+        SLICELINE_RETURN_NOT_OK(ReadString(out != nullptr ? &s : nullptr));
+        if (out != nullptr) *out = JsonValue::String(std::move(s));
+        return Status::OK();
       }
       case 't':
-        SLICELINE_RETURN_NOT_OK(ParseLiteral("true"));
-        return JsonValue::Bool(true);
+        return ReadLiteral("true", JsonValue::Bool(true), out);
       case 'f':
-        SLICELINE_RETURN_NOT_OK(ParseLiteral("false"));
-        return JsonValue::Bool(false);
+        return ReadLiteral("false", JsonValue::Bool(false), out);
       case 'n':
-        SLICELINE_RETURN_NOT_OK(ParseLiteral("null"));
-        return JsonValue::Null();
+        return ReadLiteral("null", JsonValue::Null(), out);
       default:
-        return ParseNumber();
+        return ReadNumber(out);
     }
   }
 
-  Status ParseLiteral(const char* literal) {
+  Status ReadLiteral(const char* literal, JsonValue value, JsonValue* out) {
     for (const char* p = literal; *p != '\0'; ++p) {
       if (pos_ >= text_.size() || text_[pos_] != *p) {
         return Error(std::string("invalid literal, expected ") + literal);
       }
       ++pos_;
     }
+    if (out != nullptr) *out = std::move(value);
     return Status::OK();
   }
 
-  StatusOr<JsonValue> ParseObject() {
+  Status ReadObject(JsonValue* out) {
     ++pos_;  // consume '{'
     std::vector<std::pair<std::string, JsonValue>> members;
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
-      return JsonValue::Object(std::move(members));
+      if (out != nullptr) *out = JsonValue::Object(std::move(members));
+      return Status::OK();
     }
     while (true) {
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Error("expected object key string");
       }
-      SLICELINE_ASSIGN_OR_RETURN(std::string key, ParseString());
+      std::string key;
+      SLICELINE_RETURN_NOT_OK(ReadString(&key));
       for (const auto& [k, v] : members) {
         if (k == key) return Error("duplicate object key '" + key + "'");
       }
@@ -213,8 +317,9 @@ class TreeParser {
       }
       ++pos_;
       SkipWhitespace();
-      SLICELINE_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      members.emplace_back(std::move(key), std::move(value));
+      members.emplace_back(std::move(key), JsonValue());
+      SLICELINE_RETURN_NOT_OK(
+          ReadValue(out != nullptr ? &members.back().second : nullptr));
       SkipWhitespace();
       if (pos_ >= text_.size()) return Error("unterminated object");
       if (text_[pos_] == ',') {
@@ -223,24 +328,26 @@ class TreeParser {
       }
       if (text_[pos_] == '}') {
         ++pos_;
-        return JsonValue::Object(std::move(members));
+        if (out != nullptr) *out = JsonValue::Object(std::move(members));
+        return Status::OK();
       }
       return Error("expected ',' or '}' in object");
     }
   }
 
-  StatusOr<JsonValue> ParseArray() {
+  Status ReadArray(JsonValue* out) {
     ++pos_;  // consume '['
     std::vector<JsonValue> items;
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == ']') {
       ++pos_;
-      return JsonValue::Array(std::move(items));
+      if (out != nullptr) *out = JsonValue::Array(std::move(items));
+      return Status::OK();
     }
     while (true) {
       SkipWhitespace();
-      SLICELINE_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      items.push_back(std::move(value));
+      SLICELINE_RETURN_NOT_OK(
+          ReadValue(out != nullptr ? &items.emplace_back() : nullptr));
       SkipWhitespace();
       if (pos_ >= text_.size()) return Error("unterminated array");
       if (text_[pos_] == ',') {
@@ -249,7 +356,8 @@ class TreeParser {
       }
       if (text_[pos_] == ']') {
         ++pos_;
-        return JsonValue::Array(std::move(items));
+        if (out != nullptr) *out = JsonValue::Array(std::move(items));
+        return Status::OK();
       }
       return Error("expected ',' or ']' in array");
     }
@@ -273,7 +381,7 @@ class TreeParser {
     }
   }
 
-  StatusOr<uint32_t> ParseHex4() {
+  StatusOr<uint32_t> ReadHex4() {
     uint32_t cp = 0;
     for (int i = 0; i < 4; ++i) {
       if (pos_ >= text_.size() ||
@@ -291,127 +399,101 @@ class TreeParser {
     return cp;
   }
 
-  StatusOr<std::string> ParseString() {
+  /// The code point of the \u escape at pos_ (just past the 'u'), joining
+  /// a surrogate pair into one.
+  StatusOr<uint32_t> ReadUnicodeEscape() {
+    SLICELINE_ASSIGN_OR_RETURN(uint32_t cp, ReadHex4());
+    if (cp >= 0xDC00 && cp <= 0xDFFF) {
+      return Error("unpaired surrogate in \\u escape");
+    }
+    if (cp < 0xD800 || cp > 0xDBFF) return cp;
+    // High surrogate: must be followed by \uDC00-\uDFFF.
+    if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+        text_[pos_ + 1] != 'u') {
+      return Error("unpaired surrogate in \\u escape");
+    }
+    pos_ += 2;
+    SLICELINE_ASSIGN_OR_RETURN(uint32_t low, ReadHex4());
+    if (low < 0xDC00 || low > 0xDFFF) {
+      return Error("invalid low surrogate in \\u escape");
+    }
+    return 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+  }
+
+  Status ReadString(std::string* out) {
     ++pos_;  // consume opening quote
-    std::string out;
     while (pos_ < text_.size()) {
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return out;
+      const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
+      if (c == '"') return Status::OK();
+      if (c < 0x20) {
+        --pos_;
+        return Error("raw control character in string");
       }
-      if (c < 0x20) return Error("raw control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Error("unterminated escape");
-        const char e = text_[pos_];
-        switch (e) {
-          case '"':
-            out.push_back('"');
-            ++pos_;
-            break;
-          case '\\':
-            out.push_back('\\');
-            ++pos_;
-            break;
-          case '/':
-            out.push_back('/');
-            ++pos_;
-            break;
-          case 'b':
-            out.push_back('\b');
-            ++pos_;
-            break;
-          case 'f':
-            out.push_back('\f');
-            ++pos_;
-            break;
-          case 'n':
-            out.push_back('\n');
-            ++pos_;
-            break;
-          case 'r':
-            out.push_back('\r');
-            ++pos_;
-            break;
-          case 't':
-            out.push_back('\t');
-            ++pos_;
-            break;
-          case 'u': {
-            ++pos_;
-            SLICELINE_ASSIGN_OR_RETURN(uint32_t cp, ParseHex4());
-            if (cp >= 0xD800 && cp <= 0xDBFF) {
-              // High surrogate: must be followed by \uDC00-\uDFFF.
-              if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-                  text_[pos_ + 1] != 'u') {
-                return Error("unpaired surrogate in \\u escape");
-              }
-              pos_ += 2;
-              SLICELINE_ASSIGN_OR_RETURN(uint32_t low, ParseHex4());
-              if (low < 0xDC00 || low > 0xDFFF) {
-                return Error("invalid low surrogate in \\u escape");
-              }
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-            } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-              return Error("unpaired surrogate in \\u escape");
-            }
-            AppendUtf8(cp, &out);
-            break;
-          }
-          default:
-            return Error("invalid escape character");
+      if (c != '\\') {
+        if (out != nullptr) out->push_back(static_cast<char>(c));
+        continue;
+      }
+      if (pos_ >= text_.size()) return Error("unterminated escape");
+      char decoded = 0;
+      switch (text_[pos_++]) {
+        case '"': decoded = '"'; break;
+        case '\\': decoded = '\\'; break;
+        case '/': decoded = '/'; break;
+        case 'b': decoded = '\b'; break;
+        case 'f': decoded = '\f'; break;
+        case 'n': decoded = '\n'; break;
+        case 'r': decoded = '\r'; break;
+        case 't': decoded = '\t'; break;
+        case 'u': {
+          SLICELINE_ASSIGN_OR_RETURN(const uint32_t cp, ReadUnicodeEscape());
+          if (out != nullptr) AppendUtf8(cp, out);
+          continue;
         }
-      } else {
-        out.push_back(static_cast<char>(c));
-        ++pos_;
+        default:
+          --pos_;
+          return Error("invalid escape character");
       }
+      if (out != nullptr) out->push_back(decoded);
     }
     return Error("unterminated string");
   }
 
-  StatusOr<JsonValue> ParseNumber() {
+  Status ReadNumber(JsonValue* out) {
     const size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return Error("invalid number");
-    }
+    if (!AtDigit()) return Error("invalid number");
     if (text_[pos_] == '0') {
       ++pos_;  // leading zero must not be followed by digits
     } else {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      SkipDigits();
     }
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Error("expected digits after decimal point");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      if (!AtDigit()) return Error("expected digits after decimal point");
+      SkipDigits();
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
       }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Error("expected digits in exponent");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      if (!AtDigit()) return Error("expected digits in exponent");
+      SkipDigits();
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    return JsonValue::Number(std::strtod(token.c_str(), nullptr));
+    if (out != nullptr) {
+      const std::string token = text_.substr(start, pos_ - start);
+      *out = JsonValue::Number(std::strtod(token.c_str(), nullptr));
+    }
+    return Status::OK();
+  }
+
+  bool AtDigit() const {
+    return pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]));
+  }
+
+  void SkipDigits() {
+    while (AtDigit()) ++pos_;
   }
 
   static constexpr int kMaxDepth = 512;
@@ -424,7 +506,13 @@ class TreeParser {
 }  // namespace
 
 StatusOr<JsonValue> ParseJson(const std::string& text) {
-  return TreeParser(text).Parse();
+  JsonValue root;
+  SLICELINE_RETURN_NOT_OK(Reader(text).ReadDocument(&root));
+  return root;
+}
+
+std::string ValidateStrictJson(const std::string& text) {
+  return Reader(text).ReadDocument(nullptr).message();
 }
 
 }  // namespace sliceline::obs

@@ -11,12 +11,13 @@
 
 namespace sliceline::obs {
 
-/// Parsed strict-JSON document tree. The grammar accepted is exactly the
-/// one ValidateStrictJson enforces (RFC 8259: no trailing commas, no
-/// NaN/Infinity, no comments), so a document that validates also parses and
-/// vice versa. Objects preserve insertion order; duplicate keys are a parse
-/// error (the wire protocol treats them as malformed requests, and nothing
-/// in this repo emits them).
+/// Parsed strict-JSON document tree. The grammar is RFC 8259 (no trailing
+/// commas, no NaN/Infinity, no comments) plus two rules every reader here
+/// shares: a duplicate object key is an error, and a \u escape must not be
+/// an unpaired surrogate. ParseJson and ValidateStrictJson
+/// (obs/json_validate.h) run the same reader -- the validator only skips
+/// building the tree -- so they give the same verdict and message on every
+/// input. Objects preserve insertion order.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -42,23 +43,32 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
 
-  // -- typed object-member accessors for protocol decoding ------------------
-  // Get*Or returns the default when the key is absent; Require* returns an
-  // InvalidArgument Status naming the key when it is absent or mistyped
-  // (the wire protocol's structured "invalid_argument" errors come from
-  // these messages).
+  // -- typed object-member decoding ----------------------------------------
+  // One rule for every request field of both wire protocols: Optional
+  // leaves *out (the field's default) when `key` is absent, Require makes
+  // absence an error, and a member of the wrong type is an InvalidArgument
+  // naming `key` either way. T is std::string, double, bool, int64_t or
+  // int32_t (an integral number in range), or a std::vector of the
+  // non-bool ones or of vectors of those, every item typed; json_parse.cc
+  // instantiates the combinations in use. On error *out is unspecified.
+  template <typename T>
+  Status Optional(const std::string& key, T* out) const;
+  template <typename T>
+  Status Require(const std::string& key, T* out) const;
+
+  /// Require of one scalar, the value returned (reply decoding).
+  StatusOr<std::string> RequireString(const std::string& key) const;
+  StatusOr<double> RequireNumber(const std::string& key) const;
+  StatusOr<int64_t> RequireInt(const std::string& key) const;
+
+  // Get*Or is the lenient read for replies: the fallback stands in for a
+  // member that is absent or mistyped (an integer must be integral and in
+  // the int64_t range: 1.5, 1e30 or 1e400 read as the fallback).
   std::string GetStringOr(const std::string& key,
                           const std::string& fallback) const;
   double GetNumberOr(const std::string& key, double fallback) const;
   int64_t GetIntOr(const std::string& key, int64_t fallback) const;
   bool GetBoolOr(const std::string& key, bool fallback) const;
-
-  StatusOr<std::string> RequireString(const std::string& key) const;
-  StatusOr<double> RequireNumber(const std::string& key) const;
-  /// Integers must be integral and inside the int64_t range: a fraction,
-  /// an overflow (1e30) or an infinity (1e400) is an InvalidArgument for
-  /// RequireInt and the fallback for GetIntOr.
-  StatusOr<int64_t> RequireInt(const std::string& key) const;
 
   /// The number as an int64_t, or nullopt when it is not a number, not
   /// integral, or outside the int64_t range.
@@ -82,8 +92,9 @@ class JsonValue {
 };
 
 /// Parses exactly one strict-JSON document (trailing whitespace allowed,
-/// anything else after it is an error). Errors carry "<message> at byte
-/// <offset>" like ValidateStrictJson.
+/// anything else after it is an error). Errors are InvalidArgument with
+/// the message "<what> at byte <offset>", the string ValidateStrictJson
+/// returns for the same input.
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace sliceline::obs

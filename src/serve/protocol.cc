@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "obs/json_validate.h"
-
 namespace sliceline::serve {
 
 namespace {
@@ -37,51 +35,6 @@ StatusOr<RunOutcome::Termination> TerminationFromName(
     if (name == TerminationNameOf(t)) return t;
   }
   return Status::InvalidArgument("unknown termination '" + name + "'");
-}
-
-/// Integer-typed object member: an integral JSON number in the int64 range
-/// (the parser stores numbers as doubles).
-StatusOr<int64_t> OptionalInt(const obs::JsonValue& object,
-                              const std::string& key, int64_t fallback) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr) return fallback;
-  const std::optional<int64_t> value = member->int_value();
-  if (!value.has_value()) {
-    return Status::InvalidArgument("field '" + key +
-                                   "' must be an integer in the int64 range");
-  }
-  return *value;
-}
-
-StatusOr<double> OptionalDouble(const obs::JsonValue& object,
-                                const std::string& key, double fallback) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_number()) {
-    return Status::InvalidArgument("field '" + key + "' must be a number");
-  }
-  return member->number_value();
-}
-
-StatusOr<std::string> OptionalString(const obs::JsonValue& object,
-                                     const std::string& key,
-                                     const std::string& fallback) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_string()) {
-    return Status::InvalidArgument("field '" + key + "' must be a string");
-  }
-  return member->string_value();
-}
-
-StatusOr<bool> OptionalBool(const obs::JsonValue& object,
-                            const std::string& key, bool fallback) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_bool()) {
-    return Status::InvalidArgument("field '" + key + "' must be a boolean");
-  }
-  return member->bool_value();
 }
 
 }  // namespace
@@ -131,138 +84,94 @@ StatusOr<RequestType> RequestTypeFromName(const std::string& name) {
   return Status::InvalidArgument("unknown request type '" + name + "'");
 }
 
-StatusOr<Request> ParseRequest(const std::string& line) {
-  // Validate first so malformed requests get the validator's precise
-  // message; ParseJson accepts exactly the same grammar.
-  const std::string error = obs::ValidateStrictJson(line);
-  if (!error.empty()) {
-    return Status::InvalidArgument("malformed request: " + error);
+StatusOr<obs::JsonValue> ParseRequestObject(const std::string& line) {
+  StatusOr<obs::JsonValue> root = obs::ParseJson(line);
+  if (!root.ok()) {
+    return Status::InvalidArgument("malformed request: " +
+                                   root.status().message());
   }
-  SLICELINE_ASSIGN_OR_RETURN(obs::JsonValue root, obs::ParseJson(line));
-  if (!root.is_object()) {
+  if (!root->is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
+  return root;
+}
+
+StatusOr<Request> ParseRequest(const std::string& line) {
+  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue root,
+                             ParseRequestObject(line));
 
   Request request;
-  SLICELINE_ASSIGN_OR_RETURN(const std::string type_name,
-                             root.RequireString("type"));
+  std::string type_name;
+  SLICELINE_RETURN_NOT_OK(root.Require("type", &type_name));
   SLICELINE_ASSIGN_OR_RETURN(request.type, RequestTypeFromName(type_name));
-  SLICELINE_ASSIGN_OR_RETURN(request.id, OptionalString(root, "id", ""));
+  SLICELINE_RETURN_NOT_OK(root.Optional("id", &request.id));
 
   switch (request.type) {
     case RequestType::kRegisterDataset: {
       RegisterDatasetRequest& r = request.register_dataset;
-      SLICELINE_ASSIGN_OR_RETURN(r.name, root.RequireString("name"));
-      SLICELINE_ASSIGN_OR_RETURN(r.csv_path, root.RequireString("csv"));
-      SLICELINE_ASSIGN_OR_RETURN(r.label, root.RequireString("label"));
-      SLICELINE_ASSIGN_OR_RETURN(r.task, OptionalString(root, "task", "reg"));
-      SLICELINE_ASSIGN_OR_RETURN(r.bins, OptionalInt(root, "bins", 10));
-      if (const obs::JsonValue* drop = root.Find("drop")) {
-        if (!drop->is_array()) {
-          return Status::InvalidArgument("field 'drop' must be an array");
-        }
-        for (const obs::JsonValue& item : drop->array_items()) {
-          if (!item.is_string()) {
-            return Status::InvalidArgument(
-                "field 'drop' must contain only strings");
-          }
-          r.drop.push_back(item.string_value());
-        }
-      }
+      SLICELINE_RETURN_NOT_OK(root.Require("name", &r.name));
+      SLICELINE_RETURN_NOT_OK(root.Require("csv", &r.csv_path));
+      SLICELINE_RETURN_NOT_OK(root.Require("label", &r.label));
+      SLICELINE_RETURN_NOT_OK(root.Optional("task", &r.task));
+      SLICELINE_RETURN_NOT_OK(root.Optional("bins", &r.bins));
+      SLICELINE_RETURN_NOT_OK(root.Optional("drop", &r.drop));
       break;
     }
     case RequestType::kFindSlices: {
       FindSlicesRequest& f = request.find_slices;
-      SLICELINE_ASSIGN_OR_RETURN(f.dataset, root.RequireString("dataset"));
-      SLICELINE_ASSIGN_OR_RETURN(f.engine,
-                                 OptionalString(root, "engine", "native"));
-      SLICELINE_ASSIGN_OR_RETURN(f.k, OptionalInt(root, "k", 4));
-      SLICELINE_ASSIGN_OR_RETURN(f.alpha, OptionalDouble(root, "alpha", 0.95));
-      SLICELINE_ASSIGN_OR_RETURN(f.sigma, OptionalInt(root, "sigma", 0));
-      SLICELINE_ASSIGN_OR_RETURN(f.max_level,
-                                 OptionalInt(root, "max_level", 0));
-      SLICELINE_ASSIGN_OR_RETURN(f.deadline_ms,
-                                 OptionalInt(root, "deadline_ms", 0));
-      SLICELINE_ASSIGN_OR_RETURN(f.memory_budget_mb,
-                                 OptionalInt(root, "memory_budget_mb", 0));
-      SLICELINE_ASSIGN_OR_RETURN(f.wait, OptionalBool(root, "wait", true));
+      SLICELINE_RETURN_NOT_OK(root.Require("dataset", &f.dataset));
+      SLICELINE_RETURN_NOT_OK(root.Optional("engine", &f.engine));
+      SLICELINE_RETURN_NOT_OK(root.Optional("k", &f.k));
+      SLICELINE_RETURN_NOT_OK(root.Optional("alpha", &f.alpha));
+      SLICELINE_RETURN_NOT_OK(root.Optional("sigma", &f.sigma));
+      SLICELINE_RETURN_NOT_OK(root.Optional("max_level", &f.max_level));
+      SLICELINE_RETURN_NOT_OK(root.Optional("deadline_ms", &f.deadline_ms));
+      SLICELINE_RETURN_NOT_OK(
+          root.Optional("memory_budget_mb", &f.memory_budget_mb));
+      SLICELINE_RETURN_NOT_OK(root.Optional("wait", &f.wait));
       break;
     }
     case RequestType::kAppendRows: {
       AppendRowsRequest& a = request.append_rows;
-      SLICELINE_ASSIGN_OR_RETURN(a.dataset, root.RequireString("dataset"));
-      SLICELINE_ASSIGN_OR_RETURN(a.xfer, OptionalString(root, "xfer", ""));
-      SLICELINE_ASSIGN_OR_RETURN(a.chunk, OptionalInt(root, "chunk", 0));
-      SLICELINE_ASSIGN_OR_RETURN(a.chunks, OptionalInt(root, "chunks", 1));
-      const obs::JsonValue* rows = root.Find("rows");
-      if (rows == nullptr || !rows->is_array()) {
-        return Status::InvalidArgument("append_rows needs a 'rows' array");
-      }
-      for (const obs::JsonValue& row : rows->array_items()) {
-        if (!row.is_array()) {
-          return Status::InvalidArgument("'rows' entries must be arrays");
-        }
-        std::vector<std::string> cells;
-        cells.reserve(row.array_items().size());
-        for (const obs::JsonValue& cell : row.array_items()) {
-          if (!cell.is_string()) {
-            return Status::InvalidArgument("row cells must be strings");
-          }
-          cells.push_back(cell.string_value());
-        }
-        a.rows.push_back(std::move(cells));
-      }
-      const obs::JsonValue* errors = root.Find("errors");
-      if (errors == nullptr || !errors->is_array()) {
-        return Status::InvalidArgument("append_rows needs an 'errors' array");
-      }
-      for (const obs::JsonValue& error : errors->array_items()) {
-        if (!error.is_number()) {
-          return Status::InvalidArgument("'errors' entries must be numbers");
-        }
-        a.errors.push_back(error.number_value());
-      }
+      SLICELINE_RETURN_NOT_OK(root.Require("dataset", &a.dataset));
+      SLICELINE_RETURN_NOT_OK(root.Optional("xfer", &a.xfer));
+      SLICELINE_RETURN_NOT_OK(root.Optional("chunk", &a.chunk));
+      SLICELINE_RETURN_NOT_OK(root.Optional("chunks", &a.chunks));
+      SLICELINE_RETURN_NOT_OK(root.Require("rows", &a.rows));
+      SLICELINE_RETURN_NOT_OK(root.Require("errors", &a.errors));
       break;
     }
     case RequestType::kWatchDataset: {
       WatchRequest& w = request.watch;
-      SLICELINE_ASSIGN_OR_RETURN(w.dataset, root.RequireString("dataset"));
-      SLICELINE_ASSIGN_OR_RETURN(w.tau, OptionalDouble(root, "tau", 1.0));
-      SLICELINE_ASSIGN_OR_RETURN(w.hysteresis,
-                                 OptionalDouble(root, "hysteresis", 0.0));
-      SLICELINE_ASSIGN_OR_RETURN(w.window_rows,
-                                 OptionalInt(root, "window_rows", 0));
-      SLICELINE_ASSIGN_OR_RETURN(w.window_seconds,
-                                 OptionalDouble(root, "window_seconds", 0.0));
-      SLICELINE_ASSIGN_OR_RETURN(w.k, OptionalInt(root, "k", 4));
-      SLICELINE_ASSIGN_OR_RETURN(w.alpha, OptionalDouble(root, "alpha", 0.95));
-      SLICELINE_ASSIGN_OR_RETURN(w.sigma, OptionalInt(root, "sigma", 0));
-      SLICELINE_ASSIGN_OR_RETURN(w.max_level,
-                                 OptionalInt(root, "max_level", 0));
+      SLICELINE_RETURN_NOT_OK(root.Require("dataset", &w.dataset));
+      SLICELINE_RETURN_NOT_OK(root.Optional("tau", &w.tau));
+      SLICELINE_RETURN_NOT_OK(root.Optional("hysteresis", &w.hysteresis));
+      SLICELINE_RETURN_NOT_OK(root.Optional("window_rows", &w.window_rows));
+      SLICELINE_RETURN_NOT_OK(
+          root.Optional("window_seconds", &w.window_seconds));
+      SLICELINE_RETURN_NOT_OK(root.Optional("k", &w.k));
+      SLICELINE_RETURN_NOT_OK(root.Optional("alpha", &w.alpha));
+      SLICELINE_RETURN_NOT_OK(root.Optional("sigma", &w.sigma));
+      SLICELINE_RETURN_NOT_OK(root.Optional("max_level", &w.max_level));
       break;
     }
     case RequestType::kUnwatchDataset:
-    case RequestType::kUnregisterDataset: {
-      SLICELINE_ASSIGN_OR_RETURN(request.dataset,
-                                 root.RequireString("dataset"));
+    case RequestType::kUnregisterDataset:
+      SLICELINE_RETURN_NOT_OK(root.Require("dataset", &request.dataset));
       break;
-    }
-    case RequestType::kGetStatus: {
+    case RequestType::kGetStatus:
       // Two forms: job status ("job") and watch status ("dataset").
       if (root.Find("dataset") != nullptr) {
-        SLICELINE_ASSIGN_OR_RETURN(request.dataset,
-                                   root.RequireString("dataset"));
+        SLICELINE_RETURN_NOT_OK(root.Require("dataset", &request.dataset));
       } else {
-        SLICELINE_ASSIGN_OR_RETURN(request.job_id, root.RequireInt("job"));
+        SLICELINE_RETURN_NOT_OK(root.Require("job", &request.job_id));
       }
       break;
-    }
     case RequestType::kCancel:
     case RequestType::kGetReport:
-    case RequestType::kGetTrace: {
-      SLICELINE_ASSIGN_OR_RETURN(request.job_id, root.RequireInt("job"));
+    case RequestType::kGetTrace:
+      SLICELINE_RETURN_NOT_OK(root.Require("job", &request.job_id));
       break;
-    }
     case RequestType::kListDatasets:
     case RequestType::kServerStats:
       break;
@@ -420,12 +329,19 @@ std::string MakeErrorLine(const std::string& id, const Status& status) {
   return os.str();
 }
 
-void BeginOkResponse(obs::JsonWriter* writer, const std::string& id) {
-  writer->BeginObject();
-  writer->Key("id");
-  writer->String(id);
-  writer->Key("ok");
-  writer->Bool(true);
+std::string OkLine(const std::string& id,
+                   const std::function<void(obs::JsonWriter*)>& payload) {
+  std::ostringstream os;
+  obs::JsonWriter writer(os);
+  writer.BeginObject();
+  writer.Key("id");
+  writer.String(id);
+  writer.Key("ok");
+  writer.Bool(true);
+  payload(&writer);
+  writer.EndObject();
+  os << '\n';
+  return os.str();
 }
 
 void WriteResultJson(obs::JsonWriter* writer,
@@ -540,17 +456,7 @@ StatusOr<core::SliceLineResult> ParseResultJson(
 
   if (feature_names != nullptr) {
     feature_names->clear();
-    if (const obs::JsonValue* names = value.Find("feature_names")) {
-      if (!names->is_array()) {
-        return Status::InvalidArgument("'feature_names' must be an array");
-      }
-      for (const obs::JsonValue& name : names->array_items()) {
-        if (!name.is_string()) {
-          return Status::InvalidArgument("feature names must be strings");
-        }
-        feature_names->push_back(name.string_value());
-      }
-    }
+    SLICELINE_RETURN_NOT_OK(value.Optional("feature_names", feature_names));
   }
 
   const obs::JsonValue* top_k = value.Find("top_k");

@@ -2,6 +2,7 @@
 #define SLICELINE_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -146,7 +147,11 @@ struct Request {
   std::string dataset;
 };
 
-/// Validates (strict JSON) and decodes one request line.
+/// One request line of either protocol, parsed once (strict JSON); a line
+/// that does not parse or is not an object is an InvalidArgument.
+StatusOr<obs::JsonValue> ParseRequestObject(const std::string& line);
+
+/// Parses and decodes one request line.
 StatusOr<Request> ParseRequest(const std::string& line);
 
 /// Encodes `request` as one LF-terminated line (client side).
@@ -157,9 +162,10 @@ std::string SerializeRequest(const Request& request);
 /// `{"id":..., "ok":false, "error":{"code":..., "message":...}}\n`.
 std::string MakeErrorLine(const std::string& id, const Status& status);
 
-/// Writes the shared `"id":..., "ok":true` prefix of a success response;
-/// the caller adds payload keys and closes the object.
-void BeginOkResponse(obs::JsonWriter* writer, const std::string& id);
+/// `{"id":..., "ok":true, ...}\n`: a success response whose payload keys
+/// `payload` writes. Every success reply of both protocols is built here.
+std::string OkLine(const std::string& id,
+                   const std::function<void(obs::JsonWriter*)>& payload);
 
 /// Serializes a full SliceLineResult (top-K with predicates rendered
 /// against `feature_names`, per-level table, totals, outcome) under the

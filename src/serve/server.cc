@@ -309,30 +309,26 @@ std::string Server::HandleRegisterDataset(const Request& request) {
       registry_.Register(request.register_dataset);
   if (!outcome.ok()) return MakeErrorLine(request.id, outcome.status());
   const RegisteredDataset& dataset = *outcome.value().dataset;
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("register_dataset");
-  writer.Key("name");
-  writer.String(dataset.name);
-  writer.Key("n");
-  writer.Int(dataset.dataset.n());
-  writer.Key("m");
-  writer.Int(dataset.dataset.m());
-  writer.Key("one_hot_width");
-  writer.Int(dataset.dataset.OneHotWidth());
-  writer.Key("mean_error");
-  writer.Double(dataset.mean_error);
-  // As a string: JSON numbers are doubles on the wire and 64-bit hashes do
-  // not survive the round-trip.
-  writer.Key("data_hash");
-  writer.String(std::to_string(dataset.data_hash));
-  writer.Key("already_registered");
-  writer.Bool(outcome.value().already_registered);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("register_dataset");
+    writer->Key("name");
+    writer->String(dataset.name);
+    writer->Key("n");
+    writer->Int(dataset.dataset.n());
+    writer->Key("m");
+    writer->Int(dataset.dataset.m());
+    writer->Key("one_hot_width");
+    writer->Int(dataset.dataset.OneHotWidth());
+    writer->Key("mean_error");
+    writer->Double(dataset.mean_error);
+    // As a string: JSON numbers are doubles on the wire and 64-bit hashes do
+    // not survive the round-trip.
+    writer->Key("data_hash");
+    writer->String(std::to_string(dataset.data_hash));
+    writer->Key("already_registered");
+    writer->Bool(outcome.value().already_registered);
+  });
 }
 
 std::string Server::HandleFindSlices(const Request& request) {
@@ -405,18 +401,14 @@ std::string Server::HandleFindSlices(const Request& request) {
   const std::shared_ptr<Job>& job = submitted.value();
 
   if (!find.wait) {
-    std::ostringstream os;
-    obs::JsonWriter writer(os);
-    BeginOkResponse(&writer, request.id);
-    writer.Key("type");
-    writer.String("find_slices");
-    writer.Key("job");
-    writer.Int(job->id);
-    writer.Key("state");
-    writer.String(JobStateName(job->CurrentState()));
-    writer.EndObject();
-    os << '\n';
-    return os.str();
+    return OkLine(request.id, [&](obs::JsonWriter* writer) {
+      writer->Key("type");
+      writer->String("find_slices");
+      writer->Key("job");
+      writer->Int(job->id);
+      writer->Key("state");
+      writer->String(JobStateName(job->CurrentState()));
+    });
   }
 
   job->WaitDone();
@@ -447,82 +439,70 @@ std::string Server::HandleGetStatus(const Request& request) {
                                          std::to_string(request.job_id)));
   }
   std::lock_guard<std::mutex> lock(job->mutex);
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("get_status");
-  writer.Key("job");
-  writer.Int(job->id);
-  writer.Key("state");
-  writer.String(JobStateName(job->state));
-  writer.Key("queued_seconds");
-  writer.Double(job->queued_seconds);
-  writer.Key("run_seconds");
-  writer.Double(job->run_seconds);
-  if (job->state == JobState::kDone) {
-    writer.Key("result");
-    WriteResultJson(&writer, job->result, job->feature_names);
-  } else if (job->state == JobState::kFailed) {
-    writer.Key("error");
-    writer.BeginObject();
-    writer.Key("code");
-    writer.String(ErrorCodeForStatus(job->error));
-    writer.Key("message");
-    writer.String(job->error.message());
-    writer.EndObject();
-  }
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("get_status");
+    writer->Key("job");
+    writer->Int(job->id);
+    writer->Key("state");
+    writer->String(JobStateName(job->state));
+    writer->Key("queued_seconds");
+    writer->Double(job->queued_seconds);
+    writer->Key("run_seconds");
+    writer->Double(job->run_seconds);
+    if (job->state == JobState::kDone) {
+      writer->Key("result");
+      WriteResultJson(writer, job->result, job->feature_names);
+    } else if (job->state == JobState::kFailed) {
+      writer->Key("error");
+      writer->BeginObject();
+      writer->Key("code");
+      writer->String(ErrorCodeForStatus(job->error));
+      writer->Key("message");
+      writer->String(job->error.message());
+      writer->EndObject();
+    }
+  });
 }
 
 std::string Server::HandleCancel(const Request& request) {
   StatusOr<JobState> state = scheduler_->Cancel(request.job_id);
   if (!state.ok()) return MakeErrorLine(request.id, state.status());
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("cancel");
-  writer.Key("job");
-  writer.Int(request.job_id);
-  writer.Key("state");
-  writer.String(JobStateName(state.value()));
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("cancel");
+    writer->Key("job");
+    writer->Int(request.job_id);
+    writer->Key("state");
+    writer->String(JobStateName(state.value()));
+  });
 }
 
 std::string Server::HandleListDatasets(const Request& request) {
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("list_datasets");
-  writer.Key("datasets");
-  writer.BeginArray();
-  for (const std::shared_ptr<const RegisteredDataset>& dataset :
-       registry_.List()) {
-    writer.BeginObject();
-    writer.Key("name");
-    writer.String(dataset->name);
-    writer.Key("n");
-    writer.Int(dataset->dataset.n());
-    writer.Key("m");
-    writer.Int(dataset->dataset.m());
-    writer.Key("one_hot_width");
-    writer.Int(dataset->dataset.OneHotWidth());
-    writer.Key("mean_error");
-    writer.Double(dataset->mean_error);
-    writer.Key("data_hash");
-    writer.String(std::to_string(dataset->data_hash));
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("list_datasets");
+    writer->Key("datasets");
+    writer->BeginArray();
+    for (const std::shared_ptr<const RegisteredDataset>& dataset :
+         registry_.List()) {
+      writer->BeginObject();
+      writer->Key("name");
+      writer->String(dataset->name);
+      writer->Key("n");
+      writer->Int(dataset->dataset.n());
+      writer->Key("m");
+      writer->Int(dataset->dataset.m());
+      writer->Key("one_hot_width");
+      writer->Int(dataset->dataset.OneHotWidth());
+      writer->Key("mean_error");
+      writer->Double(dataset->mean_error);
+      writer->Key("data_hash");
+      writer->String(std::to_string(dataset->data_hash));
+      writer->EndObject();
+    }
+    writer->EndArray();
+  });
 }
 
 std::string Server::HandleServerStats(const Request& request) {
@@ -537,84 +517,80 @@ std::string Server::HandleServerStats(const Request& request) {
       LOG_WARNING << "serve: cannot write trace to " << options_.trace_out;
     }
   }
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("server_stats");
-  writer.Key("protocol_version");
-  writer.Int(kProtocolVersion);
-  writer.Key("uptime_seconds");
-  writer.Double(NowSeconds() - start_seconds_);
-  writer.Key("workers");
-  writer.Int(options_.workers);
-  writer.Key("max_queue");
-  writer.Int(options_.max_queue);
-  writer.Key("queue_depth");
-  writer.Int(scheduler_->queue_depth());
-  writer.Key("running");
-  writer.Int(scheduler_->running());
-  writer.Key("draining");
-  writer.Bool(ShutdownRequested());
-  writer.Key("jobs");
-  writer.BeginObject();
-  writer.Key("admitted");
-  writer.Int(scheduler_->jobs_admitted());
-  writer.Key("rejected");
-  writer.Int(scheduler_->jobs_rejected());
-  writer.Key("completed");
-  writer.Int(scheduler_->jobs_completed());
-  writer.Key("failed");
-  writer.Int(scheduler_->jobs_failed());
-  writer.Key("cancelled");
-  writer.Int(scheduler_->jobs_cancelled());
-  writer.EndObject();
-  writer.Key("cache");
-  writer.BeginObject();
-  writer.Key("size");
-  writer.Int(static_cast<int64_t>(cache_.size()));
-  writer.Key("hits");
-  writer.Int(cache_.hits());
-  writer.Key("misses");
-  writer.Int(cache_.misses());
-  writer.Key("evictions");
-  writer.Int(cache_.evictions());
-  writer.Key("invalidations");
-  writer.Int(cache_.invalidations());
-  writer.EndObject();
-  writer.Key("datasets");
-  writer.Int(registry_.size());
-  {
-    std::lock_guard<std::mutex> lock(stream_mutex_);
-    writer.Key("stream");
-    writer.BeginObject();
-    writer.Key("watches");
-    writer.Int(static_cast<int64_t>(watches_.size()));
-    writer.Key("appends_total");
-    writer.Int(appends_total_);
-    writer.Key("alerts_total");
-    writer.Int(alerts_total_);
-    writer.Key("recent_alerts");
-    writer.BeginArray();
-    for (const stream::StreamAlert& alert : recent_alerts_) {
-      WriteAlertJson(&writer, alert);
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("server_stats");
+    writer->Key("protocol_version");
+    writer->Int(kProtocolVersion);
+    writer->Key("uptime_seconds");
+    writer->Double(NowSeconds() - start_seconds_);
+    writer->Key("workers");
+    writer->Int(options_.workers);
+    writer->Key("max_queue");
+    writer->Int(options_.max_queue);
+    writer->Key("queue_depth");
+    writer->Int(scheduler_->queue_depth());
+    writer->Key("running");
+    writer->Int(scheduler_->running());
+    writer->Key("draining");
+    writer->Bool(ShutdownRequested());
+    writer->Key("jobs");
+    writer->BeginObject();
+    writer->Key("admitted");
+    writer->Int(scheduler_->jobs_admitted());
+    writer->Key("rejected");
+    writer->Int(scheduler_->jobs_rejected());
+    writer->Key("completed");
+    writer->Int(scheduler_->jobs_completed());
+    writer->Key("failed");
+    writer->Int(scheduler_->jobs_failed());
+    writer->Key("cancelled");
+    writer->Int(scheduler_->jobs_cancelled());
+    writer->EndObject();
+    writer->Key("cache");
+    writer->BeginObject();
+    writer->Key("size");
+    writer->Int(static_cast<int64_t>(cache_.size()));
+    writer->Key("hits");
+    writer->Int(cache_.hits());
+    writer->Key("misses");
+    writer->Int(cache_.misses());
+    writer->Key("evictions");
+    writer->Int(cache_.evictions());
+    writer->Key("invalidations");
+    writer->Int(cache_.invalidations());
+    writer->EndObject();
+    writer->Key("datasets");
+    writer->Int(registry_.size());
+    {
+      std::lock_guard<std::mutex> lock(stream_mutex_);
+      writer->Key("stream");
+      writer->BeginObject();
+      writer->Key("watches");
+      writer->Int(static_cast<int64_t>(watches_.size()));
+      writer->Key("appends_total");
+      writer->Int(appends_total_);
+      writer->Key("alerts_total");
+      writer->Int(alerts_total_);
+      writer->Key("recent_alerts");
+      writer->BeginArray();
+      for (const stream::StreamAlert& alert : recent_alerts_) {
+        WriteAlertJson(writer, alert);
+      }
+      writer->EndArray();
+      writer->EndObject();
     }
-    writer.EndArray();
-    writer.EndObject();
-  }
-  const MemoryBudget* budget = scheduler_->shared_budget();
-  writer.Key("memory");
-  writer.BeginObject();
-  writer.Key("used_bytes");
-  writer.Int(budget->used_bytes());
-  writer.Key("peak_bytes");
-  writer.Int(budget->peak_bytes());
-  writer.Key("limit_bytes");
-  writer.Int(budget->limit_bytes());
-  writer.EndObject();
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+    const MemoryBudget* budget = scheduler_->shared_budget();
+    writer->Key("memory");
+    writer->BeginObject();
+    writer->Key("used_bytes");
+    writer->Int(budget->used_bytes());
+    writer->Key("peak_bytes");
+    writer->Int(budget->peak_bytes());
+    writer->Key("limit_bytes");
+    writer->Int(budget->limit_bytes());
+    writer->EndObject();
+  });
 }
 
 std::string Server::HandleJobDocument(const Request& request,
@@ -636,23 +612,19 @@ std::string Server::HandleJobDocument(const Request& request,
                                 std::string(field) + " (state=" +
                                 JobStateName(job->state) + ")"));
   }
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String(type_name);
-  writer.Key("job");
-  writer.Int(job->id);
-  writer.Key("trace_id");
-  writer.String(std::to_string(job->trace_id));
-  // Carried as a string holding the document's exact bytes: re-encoding
-  // the parsed tree would push 64-bit ids through doubles, and clients
-  // want to dump the document verbatim anyway.
-  writer.Key(field);
-  writer.String(payload);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String(type_name);
+    writer->Key("job");
+    writer->Int(job->id);
+    writer->Key("trace_id");
+    writer->String(std::to_string(job->trace_id));
+    // Carried as a string holding the document's exact bytes: re-encoding
+    // the parsed tree would push 64-bit ids through doubles, and clients
+    // want to dump the document verbatim anyway.
+    writer->Key(field);
+    writer->String(payload);
+  });
 }
 
 std::string Server::HandleGetReport(const Request& request) {
@@ -711,20 +683,16 @@ std::string Server::HandleAppendRows(const Request& request) {
                           append.errors.end());
     ++pending.received;
     if (pending.received < pending.chunks) {
-      std::ostringstream os;
-      obs::JsonWriter writer(os);
-      BeginOkResponse(&writer, request.id);
-      writer.Key("type");
-      writer.String("append_rows");
-      writer.Key("dataset");
-      writer.String(append.dataset);
-      writer.Key("chunk");
-      writer.Int(append.chunk);
-      writer.Key("buffered_rows");
-      writer.Int(static_cast<int64_t>(pending.rows.size()));
-      writer.EndObject();
-      os << '\n';
-      return os.str();
+      return OkLine(request.id, [&](obs::JsonWriter* writer) {
+        writer->Key("type");
+        writer->String("append_rows");
+        writer->Key("dataset");
+        writer->String(append.dataset);
+        writer->Key("chunk");
+        writer->Int(append.chunk);
+        writer->Key("buffered_rows");
+        writer->Int(static_cast<int64_t>(pending.rows.size()));
+      });
     }
     rows = std::move(pending.rows);
     errors = std::move(pending.errors);
@@ -761,30 +729,26 @@ std::string Server::HandleAppendRows(const Request& request) {
   }
 
   const RegisteredDataset& dataset = *outcome.value().dataset;
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("append_rows");
-  writer.Key("dataset");
-  writer.String(dataset.name);
-  writer.Key("rows_appended");
-  writer.Int(static_cast<int64_t>(rows.size()));
-  writer.Key("n");
-  writer.Int(dataset.dataset.n());
-  writer.Key("version");
-  writer.Int(dataset.version);
-  writer.Key("data_hash");
-  writer.String(std::to_string(dataset.data_hash));
-  writer.Key("cache_invalidated");
-  writer.Int(invalidated);
-  if (alert.has_value()) {
-    writer.Key("alert");
-    WriteAlertJson(&writer, *alert);
-  }
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("append_rows");
+    writer->Key("dataset");
+    writer->String(dataset.name);
+    writer->Key("rows_appended");
+    writer->Int(static_cast<int64_t>(rows.size()));
+    writer->Key("n");
+    writer->Int(dataset.dataset.n());
+    writer->Key("version");
+    writer->Int(dataset.version);
+    writer->Key("data_hash");
+    writer->String(std::to_string(dataset.data_hash));
+    writer->Key("cache_invalidated");
+    writer->Int(invalidated);
+    if (alert.has_value()) {
+      writer->Key("alert");
+      WriteAlertJson(writer, *alert);
+    }
+  });
 }
 
 std::string Server::HandleWatch(const Request& request) {
@@ -829,37 +793,29 @@ std::string Server::HandleWatch(const Request& request) {
   const bool replaced = watches_.count(watch.dataset) > 0;
   watches_[watch.dataset] = std::move(watcher).value();
 
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("watch");
-  writer.Key("dataset");
-  writer.String(watch.dataset);
-  writer.Key("replaced");
-  writer.Bool(replaced);
-  writer.Key("window_rows");
-  writer.Int(watches_[watch.dataset]->window_rows());
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("watch");
+    writer->Key("dataset");
+    writer->String(watch.dataset);
+    writer->Key("replaced");
+    writer->Bool(replaced);
+    writer->Key("window_rows");
+    writer->Int(watches_[watch.dataset]->window_rows());
+  });
 }
 
 std::string Server::HandleUnwatch(const Request& request) {
   std::lock_guard<std::mutex> lock(stream_mutex_);
   const bool existed = watches_.erase(request.dataset) > 0;
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("unwatch");
-  writer.Key("dataset");
-  writer.String(request.dataset);
-  writer.Key("existed");
-  writer.Bool(existed);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("unwatch");
+    writer->Key("dataset");
+    writer->String(request.dataset);
+    writer->Key("existed");
+    writer->Bool(existed);
+  });
 }
 
 std::string Server::HandleUnregisterDataset(const Request& request) {
@@ -894,18 +850,14 @@ std::string Server::HandleUnregisterDataset(const Request& request) {
     if (!dropped.ok()) return MakeErrorLine(request.id, dropped);
     invalidated = cache_.InvalidateDataset(dataset->data_hash);
   }
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("unregister_dataset");
-  writer.Key("dataset");
-  writer.String(request.dataset);
-  writer.Key("cache_invalidated");
-  writer.Int(invalidated);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("unregister_dataset");
+    writer->Key("dataset");
+    writer->String(request.dataset);
+    writer->Key("cache_invalidated");
+    writer->Int(invalidated);
+  });
 }
 
 std::string Server::HandleWatchStatus(const Request& request) {
@@ -921,44 +873,40 @@ std::string Server::HandleWatchStatus(const Request& request) {
   // evaluation, and unregister refuses a watched dataset under it, so the
   // registry's current snapshot exists and is the one watched.
   const uint64_t data_hash = registry_.Find(request.dataset)->data_hash;
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, request.id);
-  writer.Key("type");
-  writer.String("get_status");
-  writer.Key("dataset");
-  writer.String(request.dataset);
-  writer.Key("watching");
-  writer.Bool(true);
-  writer.Key("tau");
-  writer.Double(watcher.options().tau);
-  writer.Key("hysteresis");
-  writer.Double(watcher.options().hysteresis);
-  writer.Key("armed");
-  writer.Bool(watcher.armed());
-  writer.Key("last_score");
-  writer.Double(watcher.last_score());
-  writer.Key("alerts_fired");
-  writer.Int(watcher.alerts_fired());
-  writer.Key("evaluations");
-  writer.Int(watcher.evaluations());
-  writer.Key("window_rows");
-  writer.Int(watcher.window_rows());
-  writer.Key("window_rebuilds");
-  writer.Int(watcher.window_rebuilds());
-  writer.Key("total_rows");
-  writer.Int(watcher.total_rows());
-  writer.Key("fingerprint");
-  writer.String(std::to_string(data_hash));
-  writer.Key("recent_alerts");
-  writer.BeginArray();
-  for (const stream::StreamAlert& alert : recent_alerts_) {
-    if (alert.dataset == request.dataset) WriteAlertJson(&writer, alert);
-  }
-  writer.EndArray();
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(request.id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("get_status");
+    writer->Key("dataset");
+    writer->String(request.dataset);
+    writer->Key("watching");
+    writer->Bool(true);
+    writer->Key("tau");
+    writer->Double(watcher.options().tau);
+    writer->Key("hysteresis");
+    writer->Double(watcher.options().hysteresis);
+    writer->Key("armed");
+    writer->Bool(watcher.armed());
+    writer->Key("last_score");
+    writer->Double(watcher.last_score());
+    writer->Key("alerts_fired");
+    writer->Int(watcher.alerts_fired());
+    writer->Key("evaluations");
+    writer->Int(watcher.evaluations());
+    writer->Key("window_rows");
+    writer->Int(watcher.window_rows());
+    writer->Key("window_rebuilds");
+    writer->Int(watcher.window_rebuilds());
+    writer->Key("total_rows");
+    writer->Int(watcher.total_rows());
+    writer->Key("fingerprint");
+    writer->String(std::to_string(data_hash));
+    writer->Key("recent_alerts");
+    writer->BeginArray();
+    for (const stream::StreamAlert& alert : recent_alerts_) {
+      if (alert.dataset == request.dataset) WriteAlertJson(writer, alert);
+    }
+    writer->EndArray();
+  });
 }
 
 int64_t Server::watch_count() const {
@@ -975,22 +923,18 @@ std::string Server::MakeResultResponse(
     const std::string& id, int64_t job_id, bool cache_hit,
     const core::SliceLineResult& result,
     const std::vector<std::string>& feature_names) {
-  std::ostringstream os;
-  obs::JsonWriter writer(os);
-  BeginOkResponse(&writer, id);
-  writer.Key("type");
-  writer.String("find_slices");
-  if (job_id >= 0) {
-    writer.Key("job");
-    writer.Int(job_id);
-  }
-  writer.Key("cache_hit");
-  writer.Bool(cache_hit);
-  writer.Key("result");
-  WriteResultJson(&writer, result, feature_names);
-  writer.EndObject();
-  os << '\n';
-  return os.str();
+  return OkLine(id, [&](obs::JsonWriter* writer) {
+    writer->Key("type");
+    writer->String("find_slices");
+    if (job_id >= 0) {
+      writer->Key("job");
+      writer->Int(job_id);
+    }
+    writer->Key("cache_hit");
+    writer->Bool(cache_hit);
+    writer->Key("result");
+    WriteResultJson(writer, result, feature_names);
+  });
 }
 
 std::string Server::MetricsText() {

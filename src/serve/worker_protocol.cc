@@ -1,72 +1,17 @@
 #include "serve/worker_protocol.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <functional>
 #include <limits>
-#include <optional>
 #include <sstream>
 
-#include "obs/json_validate.h"
 #include "serve/protocol.h"
 
 namespace sliceline::serve {
 
 namespace {
-
-StatusOr<const obs::JsonValue*> RequireArray(const obs::JsonValue& object,
-                                             const std::string& key) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr || !member->is_array()) {
-    return Status::InvalidArgument("missing array field '" + key + "'");
-  }
-  return member;
-}
-
-StatusOr<std::vector<double>> ParseDoubleArray(const obs::JsonValue& object,
-                                               const std::string& key) {
-  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* array,
-                             RequireArray(object, key));
-  std::vector<double> out;
-  out.reserve(array->array_items().size());
-  for (const obs::JsonValue& item : array->array_items()) {
-    if (!item.is_number()) {
-      return Status::InvalidArgument("field '" + key +
-                                     "' must contain only numbers");
-    }
-    out.push_back(item.number_value());
-  }
-  return out;
-}
-
-/// The integers of array `key`, each checked to lie in [lo, hi].
-StatusOr<std::vector<int64_t>> ParseIntArray(
-    const obs::JsonValue& object, const std::string& key,
-    int64_t lo = std::numeric_limits<int64_t>::min(),
-    int64_t hi = std::numeric_limits<int64_t>::max()) {
-  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* array,
-                             RequireArray(object, key));
-  std::vector<int64_t> out;
-  out.reserve(array->array_items().size());
-  for (const obs::JsonValue& item : array->array_items()) {
-    const std::optional<int64_t> value = item.int_value();
-    if (!value.has_value() || *value < lo || *value > hi) {
-      return Status::InvalidArgument("field '" + key +
-                                     "' must contain only integers in [" +
-                                     std::to_string(lo) + ", " +
-                                     std::to_string(hi) + "]");
-    }
-    out.push_back(*value);
-  }
-  return out;
-}
-
-StatusOr<std::vector<int32_t>> ParseInt32Array(const obs::JsonValue& object,
-                                               const std::string& key) {
-  SLICELINE_ASSIGN_OR_RETURN(
-      const std::vector<int64_t> values,
-      ParseIntArray(object, key, std::numeric_limits<int32_t>::min(),
-                    std::numeric_limits<int32_t>::max()));
-  return std::vector<int32_t>(values.begin(), values.end());
-}
 
 /// Exact sums travel as one array each: [anchor, digit count, digits...],
 /// digits in [0, 2^32) from the least significant up.
@@ -84,42 +29,33 @@ void WriteExactSums(obs::JsonWriter* writer, const char* key,
   writer->EndArray();
 }
 
-StatusOr<linalg::ExactSum> ParseExactSum(const obs::JsonValue& item) {
-  const std::vector<obs::JsonValue>* parts =
-      item.is_array() ? &item.array_items() : nullptr;
-  if (parts == nullptr || parts->size() < 2) {
-    return Status::InvalidArgument(
-        "an exact sum must be [anchor, digit count, digits...]");
-  }
-  const std::optional<int64_t> anchor = (*parts)[0].int_value();
-  const std::optional<int64_t> count = (*parts)[1].int_value();
-  // The declared digit count is checked before anything is allocated.
-  if (!anchor.has_value() || !count.has_value() || *count < 0 ||
-      *count > linalg::ExactSum::kMaxDigits ||
-      static_cast<size_t>(*count) != parts->size() - 2) {
-    return Status::InvalidArgument("malformed exact sum header");
-  }
-  std::vector<uint32_t> digits;
-  digits.reserve(static_cast<size_t>(*count));
-  for (size_t k = 2; k < parts->size(); ++k) {
-    const std::optional<int64_t> digit = (*parts)[k].int_value();
-    if (!digit.has_value() || *digit < 0 ||
-        *digit > std::numeric_limits<uint32_t>::max()) {
-      return Status::InvalidArgument("exact sum digit out of range");
-    }
-    digits.push_back(static_cast<uint32_t>(*digit));
-  }
-  return linalg::ExactSum::FromDigits(*anchor, std::move(digits));
-}
-
 StatusOr<std::vector<linalg::ExactSum>> ParseExactSums(
     const obs::JsonValue& object, const std::string& key) {
-  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* array,
-                             RequireArray(object, key));
+  std::vector<std::vector<int64_t>> items;
+  SLICELINE_RETURN_NOT_OK(object.Require(key, &items));
   std::vector<linalg::ExactSum> out;
-  out.reserve(array->array_items().size());
-  for (const obs::JsonValue& item : array->array_items()) {
-    SLICELINE_ASSIGN_OR_RETURN(linalg::ExactSum sum, ParseExactSum(item));
+  out.reserve(items.size());
+  for (const std::vector<int64_t>& parts : items) {
+    if (parts.size() < 2) {
+      return Status::InvalidArgument(
+          "an exact sum must be [anchor, digit count, digits...]");
+    }
+    const int64_t count = parts[1];
+    if (count < 0 || count > linalg::ExactSum::kMaxDigits ||
+        static_cast<size_t>(count) != parts.size() - 2) {
+      return Status::InvalidArgument("malformed exact sum header");
+    }
+    std::vector<uint32_t> digits;
+    digits.reserve(static_cast<size_t>(count));
+    for (size_t k = 2; k < parts.size(); ++k) {
+      if (parts[k] < 0 || parts[k] > std::numeric_limits<uint32_t>::max()) {
+        return Status::InvalidArgument("exact sum digit out of range");
+      }
+      digits.push_back(static_cast<uint32_t>(parts[k]));
+    }
+    SLICELINE_ASSIGN_OR_RETURN(
+        linalg::ExactSum sum,
+        linalg::ExactSum::FromDigits(parts[0], std::move(digits)));
     out.push_back(std::move(sum));
   }
   return out;
@@ -133,29 +69,41 @@ void WriteDoubleArray(obs::JsonWriter* writer, const char* key,
   writer->EndArray();
 }
 
-/// 64-bit values travel as decimal strings: JSON numbers are doubles on
-/// the wire and cannot represent every uint64_t.
-StatusOr<uint64_t> ParseUint64Text(const std::string& text,
-                                   const char* what) {
-  if (text.empty() || text.size() > 20 ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument(std::string("malformed ") + what + " '" +
-                                   text + "'");
-  }
+/// A 64-bit member, carried as a decimal string: JSON numbers are doubles
+/// on the wire and cannot represent every uint64_t. Absent leaves *out
+/// unless `required`.
+Status Uint64Member(const obs::JsonValue& object, const std::string& key,
+                    bool required, uint64_t* out) {
+  if (!required && object.Find(key) == nullptr) return Status::OK();
+  std::string text;
+  SLICELINE_RETURN_NOT_OK(object.Require(key, &text));
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument(std::string("malformed ") + what + " '" +
+  if (text.empty() || text.size() > 20 ||
+      text.find_first_not_of("0123456789") != std::string::npos ||
+      errno != 0 || *end != '\0') {
+    return Status::InvalidArgument("field '" + key +
+                                   "' must be a decimal uint64, got '" +
                                    text + "'");
   }
-  return static_cast<uint64_t>(value);
+  *out = static_cast<uint64_t>(value);
+  return Status::OK();
 }
 
-StatusOr<uint64_t> ParseChecksum(const obs::JsonValue& object) {
-  SLICELINE_ASSIGN_OR_RETURN(const std::string text,
-                             object.RequireString("checksum"));
-  return ParseUint64Text(text, "checksum");
+/// The items of array member `key`, each an object (reply decoding).
+StatusOr<const std::vector<obs::JsonValue>*> RequireObjects(
+    const obs::JsonValue& object, const std::string& key) {
+  const obs::JsonValue* member = object.Find(key);
+  bool ok = member != nullptr && member->is_array();
+  for (size_t i = 0; ok && i < member->array_items().size(); ++i) {
+    ok = member->array_items()[i].is_object();
+  }
+  if (!ok) {
+    return Status::InvalidArgument("field '" + key +
+                                   "' must be an array of objects");
+  }
+  return &member->array_items();
 }
 
 /// The "sizes", "error_sums" and "max_errors" arrays of a payload.
@@ -170,11 +118,10 @@ void WriteStats(obs::JsonWriter* writer, const core::ExactEvalResult& stats) {
 
 StatusOr<core::ExactEvalResult> ParseStats(const obs::JsonValue& response) {
   core::ExactEvalResult stats;
-  SLICELINE_ASSIGN_OR_RETURN(stats.sizes, ParseIntArray(response, "sizes"));
+  SLICELINE_RETURN_NOT_OK(response.Require("sizes", &stats.sizes));
   SLICELINE_ASSIGN_OR_RETURN(stats.error_sums,
                              ParseExactSums(response, "error_sums"));
-  SLICELINE_ASSIGN_OR_RETURN(stats.max_errors,
-                             ParseDoubleArray(response, "max_errors"));
+  SLICELINE_RETURN_NOT_OK(response.Require("max_errors", &stats.max_errors));
   if (stats.sizes.size() != stats.error_sums.size() ||
       stats.sizes.size() != stats.max_errors.size()) {
     return Status::InvalidArgument("statistics arrays disagree on length");
@@ -212,87 +159,66 @@ StatusOr<WorkerRequestType> WorkerRequestTypeFromName(
 }
 
 StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line) {
-  const std::string error = obs::ValidateStrictJson(line);
-  if (!error.empty()) {
-    return Status::InvalidArgument("malformed request: " + error);
-  }
-  SLICELINE_ASSIGN_OR_RETURN(obs::JsonValue root, obs::ParseJson(line));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("request must be a JSON object");
-  }
+  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue root,
+                             ParseRequestObject(line));
 
   WorkerRequest request;
-  SLICELINE_ASSIGN_OR_RETURN(const std::string type_name,
-                             root.RequireString("type"));
+  std::string type_name;
+  SLICELINE_RETURN_NOT_OK(root.Require("type", &type_name));
   SLICELINE_ASSIGN_OR_RETURN(request.type,
                              WorkerRequestTypeFromName(type_name));
-  request.id = root.GetStringOr("id", "");
-  if (root.Find("trace") != nullptr) {
-    SLICELINE_ASSIGN_OR_RETURN(const std::string trace_text,
-                               root.RequireString("trace"));
-    SLICELINE_ASSIGN_OR_RETURN(request.trace_id,
-                               ParseUint64Text(trace_text, "trace id"));
-  }
-  request.parent_span_id = root.GetIntOr("pspan", 0);
+  SLICELINE_RETURN_NOT_OK(root.Optional("id", &request.id));
+  SLICELINE_RETURN_NOT_OK(
+      Uint64Member(root, "trace", /*required=*/false, &request.trace_id));
+  SLICELINE_RETURN_NOT_OK(root.Optional("pspan", &request.parent_span_id));
 
   switch (request.type) {
     case WorkerRequestType::kEnlist:
-      request.protocol = root.GetIntOr("protocol", 0);
+      SLICELINE_RETURN_NOT_OK(root.Require("protocol", &request.protocol));
       break;
     case WorkerRequestType::kHeartbeat:
     case WorkerRequestType::kGetSpans:
     case WorkerRequestType::kShutdown:
       break;
     case WorkerRequestType::kHasShard:
-    case WorkerRequestType::kBasicStats: {
-      SLICELINE_ASSIGN_OR_RETURN(request.dataset_hash,
-                                 root.RequireString("dataset"));
-      SLICELINE_ASSIGN_OR_RETURN(request.shard, root.RequireInt("shard"));
+    case WorkerRequestType::kBasicStats:
+      SLICELINE_RETURN_NOT_OK(root.Require("dataset", &request.dataset_hash));
+      SLICELINE_RETURN_NOT_OK(root.Require("shard", &request.shard));
       break;
-    }
     case WorkerRequestType::kLoadShard: {
-      SLICELINE_ASSIGN_OR_RETURN(request.dataset_hash,
-                                 root.RequireString("dataset"));
-      SLICELINE_ASSIGN_OR_RETURN(request.shard, root.RequireInt("shard"));
+      SLICELINE_RETURN_NOT_OK(root.Require("dataset", &request.dataset_hash));
+      SLICELINE_RETURN_NOT_OK(root.Require("shard", &request.shard));
       LoadShardChunk& c = request.chunk;
-      SLICELINE_ASSIGN_OR_RETURN(c.row_begin, root.RequireInt("row_begin"));
-      SLICELINE_ASSIGN_OR_RETURN(c.row_end, root.RequireInt("row_end"));
-      SLICELINE_ASSIGN_OR_RETURN(c.chunk, root.RequireInt("chunk"));
-      SLICELINE_ASSIGN_OR_RETURN(c.chunks, root.RequireInt("chunks"));
-      SLICELINE_ASSIGN_OR_RETURN(c.chunk_row_begin,
-                                 root.RequireInt("chunk_row_begin"));
-      SLICELINE_ASSIGN_OR_RETURN(c.cols, root.RequireInt("cols"));
-      SLICELINE_ASSIGN_OR_RETURN(c.codes, ParseInt32Array(root, "codes"));
-      SLICELINE_ASSIGN_OR_RETURN(c.errors, ParseDoubleArray(root, "errors"));
-      if (root.Find("fdom") != nullptr) {
-        SLICELINE_ASSIGN_OR_RETURN(c.fdom, ParseInt32Array(root, "fdom"));
-      }
+      SLICELINE_RETURN_NOT_OK(root.Require("row_begin", &c.row_begin));
+      SLICELINE_RETURN_NOT_OK(root.Require("row_end", &c.row_end));
+      SLICELINE_RETURN_NOT_OK(root.Require("chunk", &c.chunk));
+      SLICELINE_RETURN_NOT_OK(root.Require("chunks", &c.chunks));
+      SLICELINE_RETURN_NOT_OK(
+          root.Require("chunk_row_begin", &c.chunk_row_begin));
+      SLICELINE_RETURN_NOT_OK(root.Require("cols", &c.cols));
+      SLICELINE_RETURN_NOT_OK(root.Require("codes", &c.codes));
+      SLICELINE_RETURN_NOT_OK(root.Require("errors", &c.errors));
+      SLICELINE_RETURN_NOT_OK(root.Optional("fdom", &c.fdom));
       break;
     }
     case WorkerRequestType::kEvalBlock: {
-      SLICELINE_ASSIGN_OR_RETURN(request.dataset_hash,
-                                 root.RequireString("dataset"));
-      SLICELINE_ASSIGN_OR_RETURN(request.shard, root.RequireInt("shard"));
-      SLICELINE_ASSIGN_OR_RETURN(
-          request.strategy,
-          core::ParseEvalStrategy(root.GetStringOr("strategy", "bitset")));
-      request.block_size = root.GetIntOr("block_size", 16);
-      SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* slices,
-                                 RequireArray(root, "slices"));
-      for (const obs::JsonValue& slice : slices->array_items()) {
-        if (!slice.is_array()) {
+      SLICELINE_RETURN_NOT_OK(root.Require("dataset", &request.dataset_hash));
+      SLICELINE_RETURN_NOT_OK(root.Require("shard", &request.shard));
+      std::string strategy = core::EvalStrategyName(request.strategy);
+      SLICELINE_RETURN_NOT_OK(root.Optional("strategy", &strategy));
+      SLICELINE_ASSIGN_OR_RETURN(request.strategy,
+                                 core::ParseEvalStrategy(strategy));
+      SLICELINE_RETURN_NOT_OK(root.Optional("block_size", &request.block_size));
+      std::vector<std::vector<int64_t>> slices;
+      SLICELINE_RETURN_NOT_OK(root.Require("slices", &slices));
+      for (const std::vector<int64_t>& columns : slices) {
+        // The evaluator's contract; the column range is the shard's to check.
+        if (columns.empty() ||
+            std::adjacent_find(columns.begin(), columns.end(),
+                               std::greater_equal<>()) != columns.end()) {
           return Status::InvalidArgument(
-              "field 'slices' must contain arrays of column ids");
-        }
-        std::vector<int64_t> columns;
-        columns.reserve(slice.array_items().size());
-        for (const obs::JsonValue& column : slice.array_items()) {
-          const std::optional<int64_t> id = column.int_value();
-          if (!id.has_value()) {
-            return Status::InvalidArgument(
-                "slice column ids must be integers");
-          }
-          columns.push_back(*id);
+              "field 'slices' must hold non-empty arrays of strictly "
+              "ascending column ids");
         }
         request.slices.Add(columns);
       }
@@ -407,7 +333,8 @@ StatusOr<core::ExactEvalResult> ParseEvalPayload(
     const obs::JsonValue& response, uint64_t* checksum) {
   SLICELINE_ASSIGN_OR_RETURN(core::ExactEvalResult result,
                              ParseStats(response));
-  SLICELINE_ASSIGN_OR_RETURN(*checksum, ParseChecksum(response));
+  SLICELINE_RETURN_NOT_OK(
+      Uint64Member(response, "checksum", /*required=*/true, checksum));
   return result;
 }
 
@@ -480,14 +407,11 @@ void WriteSpansPayload(
 Status ParseSpansPayload(
     const obs::JsonValue& response, std::vector<obs::RemoteSpan>* spans,
     std::vector<std::pair<std::string, double>>* counters) {
-  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* span_array,
-                             RequireArray(response, "spans"));
+  SLICELINE_ASSIGN_OR_RETURN(const std::vector<obs::JsonValue>* span_items,
+                             RequireObjects(response, "spans"));
   spans->clear();
-  spans->reserve(span_array->array_items().size());
-  for (const obs::JsonValue& item : span_array->array_items()) {
-    if (!item.is_object()) {
-      return Status::InvalidArgument("field 'spans' must contain objects");
-    }
+  spans->reserve(span_items->size());
+  for (const obs::JsonValue& item : *span_items) {
     obs::RemoteSpan span;
     SLICELINE_ASSIGN_OR_RETURN(span.name, item.RequireString("name"));
     span.category = item.GetStringOr("cat", "sliceline");
@@ -500,28 +424,19 @@ Status ParseSpansPayload(
     SLICELINE_ASSIGN_OR_RETURN(span.ts_us, item.RequireInt("ts"));
     span.dur_us = item.GetIntOr("dur", 0);
     span.tid = item.GetIntOr("tid", 0);
-    if (item.Find("v") != nullptr) {
-      span.has_arg = true;
-      SLICELINE_ASSIGN_OR_RETURN(span.arg, item.RequireInt("v"));
-    }
+    span.has_arg = item.Find("v") != nullptr;
+    SLICELINE_RETURN_NOT_OK(item.Optional("v", &span.arg));
     span.detail = item.GetStringOr("detail", "");
-    if (item.Find("trace") != nullptr) {
-      SLICELINE_ASSIGN_OR_RETURN(const std::string trace_text,
-                                 item.RequireString("trace"));
-      SLICELINE_ASSIGN_OR_RETURN(span.trace_id,
-                                 ParseUint64Text(trace_text, "trace id"));
-    }
+    SLICELINE_RETURN_NOT_OK(
+        Uint64Member(item, "trace", /*required=*/false, &span.trace_id));
     span.parent_span_id = item.GetIntOr("pspan", 0);
     spans->push_back(std::move(span));
   }
-  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* counter_array,
-                             RequireArray(response, "counters"));
+  SLICELINE_ASSIGN_OR_RETURN(const std::vector<obs::JsonValue>* counter_items,
+                             RequireObjects(response, "counters"));
   counters->clear();
-  counters->reserve(counter_array->array_items().size());
-  for (const obs::JsonValue& item : counter_array->array_items()) {
-    if (!item.is_object()) {
-      return Status::InvalidArgument("field 'counters' must contain objects");
-    }
+  counters->reserve(counter_items->size());
+  for (const obs::JsonValue& item : *counter_items) {
     SLICELINE_ASSIGN_OR_RETURN(std::string name, item.RequireString("name"));
     SLICELINE_ASSIGN_OR_RETURN(const double value,
                                item.RequireNumber("value"));

@@ -23,7 +23,8 @@ namespace sliceline::serve {
 /// Responses reuse the client protocol's shapes exactly:
 ///   {"id":..., "ok":true, ...payload...}
 ///   {"id":..., "ok":false, "error":{"code":"...", "message":"..."}}
-/// so MakeErrorLine / ErrorCodeForStatus / StatusFromError are shared.
+/// so OkLine / MakeErrorLine / ErrorCodeForStatus / StatusFromError are
+/// shared.
 
 inline constexpr int kWorkerProtocolVersion = 3;
 
@@ -114,7 +115,7 @@ struct WorkerRequest {
   int64_t block_size = 16;  ///< scan-shared block size b
 };
 
-/// Validates (strict JSON) and decodes one worker request line.
+/// Parses (strict JSON) and decodes one worker request line.
 StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line);
 
 /// Encodes `request` as one LF-terminated line (coordinator side).

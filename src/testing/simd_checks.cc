@@ -88,14 +88,6 @@ std::string RunKernelRound(Rng& rng, SimdIsa isa) {
       os << "and_popcount diverges from scalar (rows=" << rows << ")";
       return os.str();
     }
-    std::vector<uint64_t> got(a.data(), a.data() + words);
-    std::vector<uint64_t> want = got;
-    simd.and_inplace(got.data(), b.data(), words);
-    scalar.and_inplace(want.data(), b.data(), words);
-    if (got != want) {
-      os << "and_inplace diverges from scalar (rows=" << rows << ")";
-      return os.str();
-    }
     std::vector<uint64_t> simd_lanes(static_cast<size_t>(layout.lanes), 0);
     std::vector<uint64_t> scalar_lanes = simd_lanes;
     uint64_t simd_max = 0;

@@ -130,27 +130,6 @@ TEST_P(SimdDifferentialTest, PopcountMatchesScalar) {
   }
 }
 
-TEST_P(SimdDifferentialTest, AndInplaceMatchesScalar) {
-  const SimdKernels& simd = KernelsFor(GetParam());
-  const SimdKernels& scalar = KernelsFor(SimdIsa::kScalar);
-  uint64_t seed = 23;
-  for (const Shape& shape : TestShapes()) {
-    std::vector<Bitmap> bitmaps = BuildBitmaps(shape, seed++);
-    for (size_t i = 0; i + 1 < bitmaps.size(); ++i) {
-      const Bitmap& a = bitmaps[i];
-      const Bitmap& b = bitmaps[i + 1];
-      std::vector<uint64_t> got(a.data(), a.data() + a.words());
-      std::vector<uint64_t> want = got;
-      simd.and_inplace(got.data(), b.data(), a.words());
-      scalar.and_inplace(want.data(), b.data(), a.words());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            got.size() * sizeof(uint64_t)),
-                0)
-          << shape.name << " pair " << i;
-    }
-  }
-}
-
 TEST_P(SimdDifferentialTest, AndPopcountMatchesScalar) {
   const SimdKernels& simd = KernelsFor(GetParam());
   const SimdKernels& scalar = KernelsFor(SimdIsa::kScalar);

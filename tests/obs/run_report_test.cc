@@ -15,6 +15,7 @@
 #include "core/sliceline.h"
 #include "data/int_matrix.h"
 #include "linalg/kernels_simd.h"
+#include "obs/json_parse.h"
 #include "obs/json_validate.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
@@ -267,13 +268,19 @@ TEST_F(RunReportTest, WriteRunReportJsonToFile) {
 }
 
 TEST_F(RunReportTest, ValidatorRejectsMalformedDocuments) {
-  // The validator the schema checks rely on actually rejects breakage.
-  EXPECT_NE(ValidateStrictJson(""), "");
-  EXPECT_NE(ValidateStrictJson("{\"a\":1,}"), "");
-  EXPECT_NE(ValidateStrictJson("{\"a\":01}"), "");
-  EXPECT_NE(ValidateStrictJson("{\"a\":1} trailing"), "");
-  EXPECT_NE(ValidateStrictJson("{\"a\":NaN}"), "");
-  EXPECT_EQ(ValidateStrictJson(" {\"a\":[1,2.5,-3e2,null,true]} \n"), "");
+  // The validator the schema checks rely on actually rejects breakage, and
+  // it is ParseJson's reader: same verdict, same message.
+  for (const char* doc :
+       {"", "{\"a\":1,}", "{\"a\":01}", "{\"a\":1} trailing", "{\"a\":NaN}",
+        "{\"a\":1,\"a\":2}", "[\"\\uD800\"]", "[\"\\uDC00x\"]"}) {
+    const std::string error = ValidateStrictJson(doc);
+    EXPECT_NE(error, "") << doc;
+    EXPECT_EQ(error, ParseJson(doc).status().message()) << doc;
+  }
+  const std::string valid =
+      " {\"a\":[1,2.5,-3e2,null,true,\"\\uD83D\\uDE00\"]} \n";
+  EXPECT_EQ(ValidateStrictJson(valid), "");
+  EXPECT_TRUE(ParseJson(valid).ok());
 }
 
 }  // namespace

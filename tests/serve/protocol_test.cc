@@ -192,6 +192,30 @@ TEST(ServeProtocolTest, WorkerEvalBlockRejectsUnknownStrategy) {
   }
 }
 
+TEST(ServeProtocolTest, WorkerRequestsRejectMistypedFields) {
+  // A present field of the wrong type is an error naming it, never its
+  // default: "id":7 is not id "", "pspan":"x" is not 0.
+  const std::pair<const char*, const char*> cases[] = {
+      {"id", "{\"type\":\"heartbeat\",\"id\":7}"},
+      {"pspan", "{\"type\":\"heartbeat\",\"pspan\":\"x\"}"},
+      {"protocol", "{\"type\":\"enlist\",\"protocol\":\"3\"}"},
+      {"block_size",
+       "{\"type\":\"eval_block\",\"dataset\":\"1\",\"shard\":0,"
+       "\"block_size\":\"8\",\"slices\":[[0]]}"},
+      {"strategy",
+       "{\"type\":\"eval_block\",\"dataset\":\"1\",\"shard\":0,"
+       "\"strategy\":5,\"slices\":[[0]]}"},
+  };
+  for (const auto& [field, line] : cases) {
+    auto parsed = ParseWorkerRequest(std::string(line) + "\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(parsed.status().message().find(std::string("'") + field + "'"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+}
+
 TEST(ServeProtocolTest, IntegerFieldsOutsideTheInt64RangeAreRejected) {
   // A double that is not an integer, or lies outside int64_t, must not be
   // cast: 1e30 and 1e400 (parsed as +inf) used to come back as INT64_MIN.
