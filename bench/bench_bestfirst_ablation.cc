@@ -35,8 +35,8 @@ int main() {
       const bool agree =
           level_wise->top_k.size() == best_first->top_k.size() &&
           (level_wise->top_k.empty() ||
-           std::abs(level_wise->top_k[0].stats.score -
-                    best_first->top_k[0].stats.score) < 1e-9);
+           level_wise->top_k[0].stats.score ==
+               best_first->top_k[0].stats.score);
       std::printf("%-12s %6d | %14s %10s | %14s %10s | %s\n", name, k,
                   FormatWithCommas(level_wise->total_evaluated).c_str(),
                   FormatDouble(level_wise->total_seconds, 3).c_str(),

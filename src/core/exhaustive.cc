@@ -6,6 +6,8 @@
 #include "common/stopwatch.h"
 #include "core/scoring.h"
 #include "core/topk.h"
+#include "data/onehot.h"
+#include "linalg/exact_sum.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -46,13 +48,14 @@ void Dfs(DfsState& state, int feature, const std::vector<int32_t>& rows) {
     for (int32_t code = 1; code <= dom; ++code) {
       const std::vector<int32_t>& subset = buckets[code - 1];
       if (static_cast<int64_t>(subset.size()) < state.sigma) continue;
-      double se = 0.0;
+      linalg::ExactSum exact_se;
       double sm = 0.0;
       for (int32_t r : subset) {
         const double e = (*state.errors)[r];
-        se += e;
+        exact_se.Add(e);
         if (e > sm) sm = e;
       }
+      const double se = exact_se.ToDouble();
       ++state.enumerated;
       if (state.ctx != nullptr && state.enumerated % kGovernanceStride == 0) {
         state.stop = state.ctx->CheckStop();
@@ -83,17 +86,15 @@ void Dfs(DfsState& state, int feature, const std::vector<int32_t>& rows) {
 StatusOr<SliceLineResult> RunExhaustive(const data::IntMatrix& x0,
                                         const std::vector<double>& errors,
                                         const SliceLineConfig& config) {
-  if (x0.rows() == 0 || x0.cols() == 0) {
-    return Status::InvalidArgument("empty feature matrix");
-  }
-  if (static_cast<int64_t>(errors.size()) != x0.rows()) {
-    return Status::InvalidArgument("error vector size mismatch");
-  }
+  SLICELINE_RETURN_NOT_OK(CheckInputs(x0, errors, config));
+  SLICELINE_RETURN_NOT_OK(CheckErrors(errors));
+  SLICELINE_RETURN_NOT_OK(data::CheckedOffsets(x0).status());
   Stopwatch watch;
   TRACE_SPAN("exhaustive/run");
   const int64_t n = x0.rows();
-  double total_error = 0.0;
-  for (double e : errors) total_error += e;
+  linalg::ExactSum exact_total;
+  for (double e : errors) exact_total.Add(e);
+  const double total_error = exact_total.ToDouble();
 
   SliceLineResult result;
   result.min_support = ResolveMinSupport(config, n);

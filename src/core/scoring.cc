@@ -25,15 +25,4 @@ double ScoringContext::Score(int64_t size, double error_sum) const {
          (1.0 - alpha_) * (nd / sd - 1.0);
 }
 
-std::vector<double> ScoringContext::ScoreAll(
-    const std::vector<double>& sizes,
-    const std::vector<double>& error_sums) const {
-  SLICELINE_CHECK_EQ(sizes.size(), error_sums.size());
-  std::vector<double> out(sizes.size());
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    out[i] = Score(static_cast<int64_t>(sizes[i]), error_sums[i]);
-  }
-  return out;
-}
-
 }  // namespace sliceline::core

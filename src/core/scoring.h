@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace sliceline::core {
 
@@ -24,10 +23,6 @@ class ScoringContext {
   /// Score of a slice with `size` rows and total error `error_sum`. Empty
   /// slices score -infinity (the paper treats them as "assumed negative").
   double Score(int64_t size, double error_sum) const;
-
-  /// Vectorized scoring (Equation 5).
-  std::vector<double> ScoreAll(const std::vector<double>& sizes,
-                               const std::vector<double>& error_sums) const;
 
   static constexpr double kMinusInfinity =
       -std::numeric_limits<double>::infinity();

@@ -123,9 +123,30 @@ const char* EvalStrategyName(SliceLineConfig::EvalStrategy strategy);
 StatusOr<SliceLineConfig::EvalStrategy> ParseEvalStrategy(
     const std::string& name);
 
-/// InvalidArgument unless every error is finite and >= 0: the one check of
-/// the error vector every engine runs.
+/// InvalidArgument unless alpha is in (0, 1], k >= 1 and min_support >= 0:
+/// the config part of CheckInputs, which RunSliceLineWithBackend runs for
+/// backends that bring their own data.
+Status CheckConfig(const SliceLineConfig& config);
+
+/// The one input check every engine runs before it reads anything:
+/// InvalidArgument for an empty x0, an error vector whose size is not
+/// x0.rows(), or a config CheckConfig rejects. The errors and codes are
+/// checked where they are read: by the column store, or by CheckErrors and
+/// data::CheckedOffsets in the engines without one; both name the same row.
+Status CheckInputs(const data::IntMatrix& x0, const std::vector<double>& errors,
+                   const SliceLineConfig& config);
+
+/// InvalidArgument naming the first row whose error is negative or not
+/// finite, in the column store's words.
 Status CheckErrors(const std::vector<double>& errors);
+
+/// InvalidArgument unless the dataset carries its error vector: the check of
+/// every engine's EncodedDataset overload.
+Status CheckHasErrors(const data::EncodedDataset& dataset);
+
+/// Decodes one-hot columns into (feature, 1-based code) predicates.
+std::vector<std::pair<int, int32_t>> DecodeColumns(
+    const data::FeatureOffsets& offsets, const int64_t* cols, int64_t len);
 
 /// Resolves the effective minimum support: config value, or the paper's
 /// default max(32, ceil(n/100)) when unset.

@@ -20,39 +20,6 @@ namespace sliceline::core {
 
 namespace {
 
-/// Decodes a slice's one-hot columns into (feature, code) predicates.
-std::vector<std::pair<int, int32_t>> DecodeColumns(
-    const data::FeatureOffsets& offsets, const int64_t* cols, int64_t len) {
-  std::vector<std::pair<int, int32_t>> preds;
-  preds.reserve(static_cast<size_t>(len));
-  for (int64_t k = 0; k < len; ++k) {
-    preds.emplace_back(offsets.FeatureOfColumn(cols[k]),
-                       offsets.CodeOfColumn(cols[k]));
-  }
-  return preds;
-}
-
-Status ValidateInputs(const data::IntMatrix& x0,
-                      const std::vector<double>& errors,
-                      const SliceLineConfig& config) {
-  if (x0.rows() == 0 || x0.cols() == 0) {
-    return Status::InvalidArgument("empty feature matrix");
-  }
-  if (static_cast<int64_t>(errors.size()) != x0.rows()) {
-    return Status::InvalidArgument(
-        "error vector size " + std::to_string(errors.size()) +
-        " does not match " + std::to_string(x0.rows()) + " rows");
-  }
-  if (!(config.alpha > 0.0 && config.alpha <= 1.0)) {
-    return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (config.min_support < 0) {
-    return Status::InvalidArgument("min_support must be >= 0");
-  }
-  return Status::OK();
-}
-
 /// Fingerprint of what the backend sees of the dataset (the level-1 view is
 /// the full derivation input for every later level), so a checkpoint binds
 /// to the data without the engine needing the raw matrix.
@@ -105,7 +72,7 @@ int64_t CapCandidatesByUpperBound(const ScoringContext& context, int64_t sigma,
 StatusOr<SliceLineResult> RunSliceLine(const data::IntMatrix& x0,
                                        const std::vector<double>& errors,
                                        const SliceLineConfig& config) {
-  SLICELINE_RETURN_NOT_OK(ValidateInputs(x0, errors, config));
+  SLICELINE_RETURN_NOT_OK(CheckInputs(x0, errors, config));
   // The store checks the errors and codes and derives the offsets.
   SLICELINE_ASSIGN_OR_RETURN(const std::unique_ptr<data::ColumnStore> store,
                              data::ColumnStore::Build(x0, errors));
@@ -115,10 +82,7 @@ StatusOr<SliceLineResult> RunSliceLine(const data::IntMatrix& x0,
 
 StatusOr<SliceLineResult> RunSliceLineWithBackend(
     const EvaluatorBackend& evaluator, const SliceLineConfig& config) {
-  if (!(config.alpha > 0.0 && config.alpha <= 1.0)) {
-    return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
+  SLICELINE_RETURN_NOT_OK(CheckConfig(config));
   Stopwatch total_watch;
   TRACE_SPAN("native/run");
 
@@ -352,11 +316,7 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
 
 StatusOr<SliceLineResult> RunSliceLine(const data::EncodedDataset& dataset,
                                        const SliceLineConfig& config) {
-  if (dataset.errors.empty()) {
-    return Status::InvalidArgument(
-        "dataset has no materialized error vector; train a model via "
-        "ml::TrainAndMaterializeErrors or use a generator");
-  }
+  SLICELINE_RETURN_NOT_OK(CheckHasErrors(dataset));
   return RunSliceLine(dataset.x0, dataset.errors, config);
 }
 

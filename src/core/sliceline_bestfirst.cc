@@ -29,31 +29,12 @@ struct QueueEntry {
   }
 };
 
-std::vector<std::pair<int, int32_t>> DecodeColumns(
-    const data::FeatureOffsets& offsets, const std::vector<int64_t>& cols) {
-  std::vector<std::pair<int, int32_t>> preds;
-  preds.reserve(cols.size());
-  for (int64_t c : cols) {
-    preds.emplace_back(offsets.FeatureOfColumn(c), offsets.CodeOfColumn(c));
-  }
-  return preds;
-}
-
 }  // namespace
 
 StatusOr<SliceLineResult> RunSliceLineBestFirst(
     const data::IntMatrix& x0, const std::vector<double>& errors,
     const SliceLineConfig& config) {
-  if (x0.rows() == 0 || x0.cols() == 0) {
-    return Status::InvalidArgument("empty feature matrix");
-  }
-  if (static_cast<int64_t>(errors.size()) != x0.rows()) {
-    return Status::InvalidArgument("error vector size mismatch");
-  }
-  if (!(config.alpha > 0.0 && config.alpha <= 1.0)) {
-    return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
+  SLICELINE_RETURN_NOT_OK(CheckInputs(x0, errors, config));
   Stopwatch total_watch;
   TRACE_SPAN("bestfirst/run");
 
@@ -144,7 +125,9 @@ StatusOr<SliceLineResult> RunSliceLineBestFirst(
       // Offer's own rejection rule, checked before decoding the predicates.
       if (score > topk.Threshold()) {
         Slice slice;
-        slice.predicates = DecodeColumns(offsets, child_columns[i]);
+        slice.predicates =
+            DecodeColumns(offsets, child_columns[i].data(),
+                          static_cast<int64_t>(child_columns[i].size()));
         slice.stats = {score, se, stats.max_errors[i], size};
         topk.Offer(std::move(slice));
       }
@@ -184,11 +167,7 @@ StatusOr<SliceLineResult> RunSliceLineBestFirst(
 
 StatusOr<SliceLineResult> RunSliceLineBestFirst(
     const data::EncodedDataset& dataset, const SliceLineConfig& config) {
-  if (dataset.errors.empty()) {
-    return Status::InvalidArgument(
-        "dataset has no materialized error vector; train a model via "
-        "ml::TrainAndMaterializeErrors or use a generator");
-  }
+  SLICELINE_RETURN_NOT_OK(CheckHasErrors(dataset));
   return RunSliceLineBestFirst(dataset.x0, dataset.errors, config);
 }
 

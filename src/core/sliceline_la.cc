@@ -12,6 +12,7 @@
 #include "core/governance.h"
 #include "core/scoring.h"
 #include "core/topk.h"
+#include "data/column_store.h"
 #include "data/onehot.h"
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
@@ -62,16 +63,8 @@ std::vector<std::pair<int, int32_t>> DecodeRow(
 StatusOr<SliceLineResult> RunSliceLineLA(const data::IntMatrix& x0,
                                          const std::vector<double>& errors,
                                          const SliceLineConfig& config) {
-  if (x0.rows() == 0 || x0.cols() == 0) {
-    return Status::InvalidArgument("empty feature matrix");
-  }
-  if (static_cast<int64_t>(errors.size()) != x0.rows()) {
-    return Status::InvalidArgument("error vector size mismatch");
-  }
-  if (!(config.alpha > 0.0 && config.alpha <= 1.0)) {
-    return Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  if (config.k < 1) return Status::InvalidArgument("k must be >= 1");
+  SLICELINE_RETURN_NOT_OK(CheckInputs(x0, errors, config));
+  SLICELINE_RETURN_NOT_OK(CheckErrors(errors));
   Stopwatch total_watch;
   TRACE_SPAN("la/run");
 
@@ -82,10 +75,15 @@ StatusOr<SliceLineResult> RunSliceLineLA(const data::IntMatrix& x0,
   const int64_t n = x.rows();
   const int64_t sigma = ResolveMinSupport(config, n);
 
-  // b) initialization: statistics and basic slices (lines 6-9).
-  SLICELINE_RETURN_NOT_OK(CheckErrors(errors));
-  double total_error = 0.0;
-  for (double e : errors) total_error += e;
+  // b) initialization: statistics and basic slices (lines 6-9). Every
+  // error sum is exact and rounded once, like the native engine's.
+  data::ErrorGrid grid;
+  linalg::ExactSum exact_total;
+  for (double e : errors) {
+    grid.Add(e);
+    exact_total.Add(e);
+  }
+  const double total_error = exact_total.ToDouble();
   SliceLineResult result;
   result.min_support = sigma;
   result.average_error = total_error / static_cast<double>(n);
@@ -96,11 +94,16 @@ StatusOr<SliceLineResult> RunSliceLineLA(const data::IntMatrix& x0,
   const ScoringContext context(n, total_error, config.alpha);
   TopK topk(config.k, sigma);
 
+  const linalg::SumLayout layout = grid.layout();
   Stopwatch level_watch;
   const std::vector<double> ss0 = linalg::ColSums(x);
-  const std::vector<double> se0 = linalg::TransposeMatVec(x, errors);
-  const std::vector<double> sm0 =
-      linalg::ColMaxs(linalg::ScaleRows(x, errors));
+  std::vector<double> se0;
+  std::vector<double> sm0;
+  {
+    const CsrMatrix xe = linalg::ScaleRows(x, errors);
+    se0 = linalg::ExactColSums(xe, layout);
+    sm0 = linalg::ColMaxs(xe);
+  }
 
   // cI: basic slices to keep (line 12's X <- X[, cI] column compaction).
   std::vector<int64_t> kept_cols;
@@ -520,10 +523,11 @@ StatusOr<SliceLineResult> RunSliceLineLA(const data::IntMatrix& x0,
         const CsrMatrix sb = linalg::SliceRowRange(s_new, b0, b1);
         const CsrMatrix inter = linalg::FilterEquals(
             linalg::MultiplyABt(x, sb), static_cast<double>(L));
+        const CsrMatrix inter_e = linalg::ScaleRows(inter, errors);
         const std::vector<double> bss = linalg::ColSums(inter);
-        const std::vector<double> bse = linalg::TransposeMatVec(inter, errors);
-        const std::vector<double> bsm =
-            linalg::ColMaxs(linalg::ScaleRows(inter, errors));
+        const std::vector<double> bse =
+            linalg::ExactColSums(inter_e, layout);
+        const std::vector<double> bsm = linalg::ColMaxs(inter_e);
         for (int64_t j = 0; j < b1 - b0; ++j) {
           next.ss[b0 + j] = bss[j];
           next.se[b0 + j] = bse[j];
@@ -565,11 +569,7 @@ StatusOr<SliceLineResult> RunSliceLineLA(const data::IntMatrix& x0,
 
 StatusOr<SliceLineResult> RunSliceLineLA(const data::EncodedDataset& dataset,
                                          const SliceLineConfig& config) {
-  if (dataset.errors.empty()) {
-    return Status::InvalidArgument(
-        "dataset has no materialized error vector; train a model via "
-        "ml::TrainAndMaterializeErrors or use a generator");
-  }
+  SLICELINE_RETURN_NOT_OK(CheckHasErrors(dataset));
   return RunSliceLineLA(dataset.x0, dataset.errors, config);
 }
 

@@ -118,14 +118,9 @@ Coordinator::~Coordinator() = default;
 StatusOr<std::unique_ptr<Coordinator>> Coordinator::Create(
     const data::IntMatrix& x0, const std::vector<double>& errors,
     const DistOptions& options, FaultInjector injector) {
-  if (x0.rows() == 0 || x0.cols() == 0) {
-    return Status::InvalidArgument("empty feature matrix");
-  }
-  if (static_cast<int64_t>(errors.size()) != x0.rows()) {
-    return Status::InvalidArgument(
-        "error vector size " + std::to_string(errors.size()) +
-        " does not match " + std::to_string(x0.rows()) + " rows");
-  }
+  // The data part of the engines' input check; a run checks its own config.
+  SLICELINE_RETURN_NOT_OK(
+      core::CheckInputs(x0, errors, core::SliceLineConfig()));
   SLICELINE_RETURN_NOT_OK(core::CheckErrors(errors));
   SLICELINE_ASSIGN_OR_RETURN(data::FeatureOffsets offsets,
                              data::CheckedOffsets(x0));
@@ -838,6 +833,7 @@ StatusOr<core::SliceLineResult> RunSliceLineDistributed(
     const core::SliceLineConfig& config, const DistOptions& options,
     DistCostStats* cost_out, DistFaultStats* faults_out,
     obs::DistObsBundle* obs_out) {
+  SLICELINE_RETURN_NOT_OK(core::CheckInputs(x0, errors, config));
   SLICELINE_ASSIGN_OR_RETURN(std::unique_ptr<Coordinator> eval,
                              Coordinator::Create(x0, errors, options));
   SLICELINE_ASSIGN_OR_RETURN(core::SliceLineResult result,

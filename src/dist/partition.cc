@@ -24,21 +24,4 @@ std::vector<RowRange> PartitionRows(int64_t n, int workers) {
   return out;
 }
 
-Shard MakeShard(const data::IntMatrix& x0, const std::vector<double>& errors,
-                RowRange range) {
-  SLICELINE_CHECK(range.begin >= 0 && range.end <= x0.rows() &&
-                  range.begin <= range.end);
-  Shard shard;
-  shard.range = range;
-  shard.x0 = data::IntMatrix(range.size(), x0.cols());
-  for (int64_t i = range.begin; i < range.end; ++i) {
-    for (int64_t j = 0; j < x0.cols(); ++j) {
-      shard.x0.At(i - range.begin, j) = x0.At(i, j);
-    }
-  }
-  shard.errors.assign(errors.begin() + range.begin,
-                      errors.begin() + range.end);
-  return shard;
-}
-
 }  // namespace sliceline::dist

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "data/int_matrix.h"
-
 namespace sliceline::dist {
 
 /// A contiguous row shard [begin, end) of the input.
@@ -19,16 +17,6 @@ struct RowRange {
 /// partitioning of the paper's data-parallel execution, where X is scanned
 /// data-locally on every node).
 std::vector<RowRange> PartitionRows(int64_t n, int workers);
-
-/// Materializes a shard of x0 and its aligned error sub-vector.
-struct Shard {
-  data::IntMatrix x0;
-  std::vector<double> errors;
-  RowRange range;
-};
-
-Shard MakeShard(const data::IntMatrix& x0, const std::vector<double>& errors,
-                RowRange range);
 
 }  // namespace sliceline::dist
 

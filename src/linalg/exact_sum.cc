@@ -113,6 +113,7 @@ StatusOr<ExactSum> ExactSum::FromDigits(int64_t anchor,
 }
 
 void ExactSum::Add(double e) {
+  if (e == 0.0) return;  // either zero adds nothing; -0.0 has no odd part
   const uint64_t bits = std::bit_cast<uint64_t>(e);
   int32_t exponent;
   OddPart(bits, &exponent);

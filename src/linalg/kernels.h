@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "linalg/csr_matrix.h"
+#include "linalg/exact_sum.h"
 
 namespace sliceline::linalg {
 
@@ -15,6 +16,14 @@ namespace sliceline::linalg {
 
 /// Per-column sum of stored entries.
 std::vector<double> ColSums(const CsrMatrix& m);
+
+/// Per-column exact sum of stored entries, each rounded to the nearest
+/// double once (ties to even), so the result does not depend on the order
+/// of the rows. Every entry must be a finite, non-negative double inside
+/// `layout`'s bits (e.g. the layout of a data::ErrorGrid over the entries).
+/// With m = ScaleRows(I, e) this is the slice error sum se = colSums(I ⊙ e)
+/// of Section 4.4, bit-identical to the column store's exact sums.
+std::vector<double> ExactColSums(const CsrMatrix& m, const SumLayout& layout);
 
 /// Per-column maximum. Implicit zeros participate: a column whose nnz is
 /// smaller than rows() has maximum >= 0 (matches SystemDS colMaxs on sparse).

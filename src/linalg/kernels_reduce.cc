@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/logging.h"
@@ -13,6 +14,25 @@ std::vector<double> ColSums(const CsrMatrix& m) {
   const auto& cols = m.col_idx();
   const auto& vals = m.values();
   for (size_t k = 0; k < cols.size(); ++k) out[cols[k]] += vals[k];
+  return out;
+}
+
+std::vector<double> ExactColSums(const CsrMatrix& m, const SumLayout& layout) {
+  SLICELINE_KERNEL_SCOPE("ExactColSums");
+  // A CSR row adds at most once to a column, and a lane holds 2^32 adds.
+  SLICELINE_CHECK_LE(m.rows(), int64_t{1} << 32);
+  const size_t stride = static_cast<size_t>(layout.lanes);
+  std::vector<uint64_t> lanes(static_cast<size_t>(m.cols()) * stride, 0);
+  const auto& cols = m.col_idx();
+  const auto& vals = m.values();
+  for (size_t k = 0; k < cols.size(); ++k) {
+    AddToLanes(SplitForLanes(std::bit_cast<uint64_t>(vals[k]), layout.anchor),
+               lanes.data() + cols[k] * stride);
+  }
+  std::vector<double> out(static_cast<size_t>(m.cols()));
+  for (size_t j = 0; j < out.size(); ++j) {
+    out[j] = RoundLanes(lanes.data() + j * stride, layout);
+  }
   return out;
 }
 

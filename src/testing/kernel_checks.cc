@@ -1,6 +1,7 @@
 // Differential fuzzing of every sparse CSR kernel in linalg/kernels.h
 // against the slow dense references in testing/reference_kernels.h.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "data/column_store.h"
 #include "linalg/kernels.h"
 #include "testing/checks.h"
 #include "testing/reference_kernels.h"
@@ -57,6 +59,22 @@ std::string RunRound(Rng& rng, InjectedBug inject) {
                                         : linalg::ColSums(a);
     std::string diff =
         CompareVectors(got, ref::ColSums(a), kKernelTolerance, "ColSums");
+    if (!diff.empty()) return diff;
+  }
+  {
+    // Magnitudes 2^-60..2^60 apart, so a float sum would depend on the
+    // order of its adds; the exact sums must match bit for bit.
+    std::vector<double> values(a.values());
+    data::ErrorGrid grid;
+    for (double& v : values) {
+      v = std::ldexp(std::abs(v), static_cast<int>(rng.NextInt(-60, 60)));
+      grid.Add(v);
+    }
+    const CsrMatrix e(a.rows(), a.cols(), a.row_ptr(), a.col_idx(),
+                      std::move(values));
+    std::string diff = CompareVectors(linalg::ExactColSums(e, grid.layout()),
+                                      ref::ExactColSums(e), 0.0,
+                                      "ExactColSums");
     if (!diff.empty()) return diff;
   }
   if (std::string diff = CompareVectors(linalg::ColMaxs(a), ref::ColMaxs(a),

@@ -3,7 +3,9 @@
 // description of the first divergence (consumed by the shrinker and the
 // replay writer).
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "core/sliceline_bestfirst.h"
 #include "core/sliceline_la.h"
 #include "dist/coordinator.h"
+#include "linalg/exact_sum.h"
 #include "testing/checks.h"
 
 namespace sliceline::testing {
@@ -28,49 +31,33 @@ std::string PredicateKey(const core::Slice& slice) {
   return os.str();
 }
 
-std::string DescribeCase(const FuzzCase& fuzz_case) {
-  std::ostringstream os;
-  os << "[profile=" << fuzz_case.profile << " seed=" << fuzz_case.seed
-     << " n=" << fuzz_case.x0.rows() << " m=" << fuzz_case.x0.cols()
-     << " k=" << fuzz_case.config.k << " alpha=" << fuzz_case.config.alpha
-     << " sigma=" << fuzz_case.config.min_support << "]";
-  return os.str();
-}
-
-/// Rank-wise score comparison plus tie-aware slice-set equivalence: every
-/// slice of `a` scoring strictly above a's K-th score (no boundary tie) must
-/// appear in `b` with identical predicates. `exact` upgrades the score
-/// comparison to bit-identity.
+/// Rank-wise bit-identical score comparison plus tie-aware slice-set
+/// equivalence over the slices scoring above kScoreFloor: every such slice of
+/// `a` scoring strictly above a's K-th score (no boundary tie) must appear in
+/// `b` with identical predicates.
 std::string CompareTopK(const SliceLineResult& a, const SliceLineResult& b,
-                        const std::string& label, double tolerance,
-                        bool exact = false) {
+                        const std::string& label) {
   std::ostringstream os;
-  // Top-K admission is `score > 0`, so a slice whose exact score is 0 (e.g.
-  // uniform errors) is admitted or rejected on the sign of a ~1e-16
-  // round-off — a boundary the metamorphic transforms legitimately perturb.
-  // Comparison therefore only covers slices scoring clearly above zero.
-  auto filtered = [&](const SliceLineResult& r) {
+  os.precision(17);
+  auto cleared = [](const SliceLineResult& r) {
     std::vector<const core::Slice*> out;
     for (const core::Slice& slice : r.top_k) {
-      if (slice.stats.score > tolerance) out.push_back(&slice);
+      if (slice.stats.score > kScoreFloor) out.push_back(&slice);
     }
     return out;
   };
-  const std::vector<const core::Slice*> fa = filtered(a);
-  const std::vector<const core::Slice*> fb = filtered(b);
+  const std::vector<const core::Slice*> fa = cleared(a);
+  const std::vector<const core::Slice*> fb = cleared(b);
   if (fa.size() != fb.size()) {
     os << label << ": top-K size mismatch " << fa.size() << " vs " << fb.size()
-       << " (scores > tolerance; raw sizes " << a.top_k.size() << " vs "
+       << " (scores > floor; raw sizes " << a.top_k.size() << " vs "
        << b.top_k.size() << ")";
     return os.str();
   }
   for (size_t i = 0; i < fa.size(); ++i) {
-    const double sa = fa[i]->stats.score;
-    const double sb = fb[i]->stats.score;
-    const bool equal = exact ? sa == sb : std::abs(sa - sb) <= tolerance;
-    if (!equal) {
-      os << label << ": score mismatch at rank " << i << ": " << sa << " vs "
-         << sb;
+    if (fa[i]->stats.score != fb[i]->stats.score) {
+      os << label << ": score mismatch at rank " << i << ": "
+         << fa[i]->stats.score << " vs " << fb[i]->stats.score;
       return os.str();
     }
   }
@@ -81,7 +68,7 @@ std::string CompareTopK(const SliceLineResult& a, const SliceLineResult& b,
   std::set<std::string> b_keys;
   for (const core::Slice* slice : fb) b_keys.insert(PredicateKey(*slice));
   for (const core::Slice* slice : fa) {
-    if (slice->stats.score <= kth + tolerance) continue;
+    if (!(slice->stats.score > kth)) continue;
     if (b_keys.count(PredicateKey(*slice)) == 0) {
       os << label << ": slice " << slice->ToString()
          << " (above the tie boundary) missing from the other engine";
@@ -91,20 +78,78 @@ std::string CompareTopK(const SliceLineResult& a, const SliceLineResult& b,
   return "";
 }
 
-/// Recomputes the native engine's scores with an off-by-one average error
-/// (the injected scoring defect the harness must catch).
-void CorruptScores(const FuzzCase& fuzz_case, SliceLineResult* result) {
-  double total = 0.0;
-  for (double e : fuzz_case.errors) total += e;
-  const int64_t n = fuzz_case.x0.rows();
-  if (n <= 1) return;
-  const core::ScoringContext bad(n - 1, total, fuzz_case.config.alpha);
+double ExactTotal(const std::vector<double>& errors) {
+  linalg::ExactSum total;
+  for (double e : errors) total.Add(e);
+  return total.ToDouble();
+}
+
+/// Plants a scoring defect in the native engine's top-K: kScoring rescores
+/// with an off-by-one average error (e-bar over n-1 rows), kErrorSumUlp
+/// moves every error sum up one ulp and rescores.
+void InjectIntoNative(InjectedBug inject, const FuzzCase& fuzz_case,
+                      SliceLineResult* result) {
+  const bool off_by_one = inject == InjectedBug::kScoring;
+  const int64_t n = fuzz_case.x0.rows() - (off_by_one ? 1 : 0);
+  if ((!off_by_one && inject != InjectedBug::kErrorSumUlp) || n < 1) return;
+  const core::ScoringContext context(n, ExactTotal(fuzz_case.errors),
+                                     fuzz_case.config.alpha);
   for (core::Slice& slice : result->top_k) {
-    slice.stats.score = bad.Score(slice.stats.size, slice.stats.error_sum);
+    if (!off_by_one) {
+      slice.stats.error_sum = std::nextafter(
+          slice.stats.error_sum, std::numeric_limits<double>::infinity());
+    }
+    slice.stats.score = context.Score(slice.stats.size, slice.stats.error_sum);
   }
 }
 
 }  // namespace
+
+std::string DescribeCase(const FuzzCase& fuzz_case) {
+  std::ostringstream os;
+  os << "[profile=" << fuzz_case.profile << " seed=" << fuzz_case.seed
+     << " n=" << fuzz_case.x0.rows() << " m=" << fuzz_case.x0.cols()
+     << " k=" << fuzz_case.config.k << " alpha=" << fuzz_case.config.alpha
+     << " sigma=" << fuzz_case.config.min_support << "]";
+  return os.str();
+}
+
+std::string CompareIdentical(const SliceLineResult& want,
+                             const SliceLineResult& got,
+                             const std::string& label) {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  };
+  std::ostringstream os;
+  os.precision(17);
+  if (want.top_k.size() != got.top_k.size()) {
+    os << label << ": top-K size " << got.top_k.size() << " vs "
+       << want.top_k.size();
+    return os.str();
+  }
+  for (size_t i = 0; i < want.top_k.size(); ++i) {
+    const core::SliceStats& a = want.top_k[i].stats;
+    const core::SliceStats& b = got.top_k[i].stats;
+    if (want.top_k[i].predicates != got.top_k[i].predicates) {
+      os << label << ": rank " << i << " predicates differ";
+      return os.str();
+    }
+    if (a.size != b.size || !same(a.score, b.score) ||
+        !same(a.error_sum, b.error_sum) || !same(a.max_error, b.max_error)) {
+      os << label << ": rank " << i << " stats not bit-identical (score "
+         << a.score << " vs " << b.score << ", error_sum " << a.error_sum
+         << " vs " << b.error_sum << ")";
+      return os.str();
+    }
+  }
+  if (want.total_evaluated != got.total_evaluated ||
+      want.levels.size() != got.levels.size()) {
+    os << label << ": level accounting differs (evaluated "
+       << got.total_evaluated << " vs " << want.total_evaluated << ")";
+    return os.str();
+  }
+  return "";
+}
 
 std::string CheckOracleDifferential(const FuzzCase& fuzz_case,
                                     InjectedBug inject) {
@@ -128,15 +173,14 @@ std::string CheckOracleDifferential(const FuzzCase& fuzz_case,
   }
   if (!oracle.ok()) return "";  // consistently rejected input
 
-  if (inject == InjectedBug::kScoring) CorruptScores(fuzz_case, &*native);
+  InjectIntoNative(inject, fuzz_case, &*native);
 
   for (const auto& [result, label] :
        {std::pair<const SliceLineResult*, const char*>{&*native, "native"},
         {&*la, "la"},
         {&*best_first, "best-first"}}) {
-    std::string diff = CompareTopK(*oracle, *result,
-                                   std::string("oracle vs ") + label,
-                                   kScoreTolerance);
+    std::string diff =
+        CompareTopK(*oracle, *result, std::string("oracle vs ") + label);
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
   }
   return "";
@@ -144,6 +188,7 @@ std::string CheckOracleDifferential(const FuzzCase& fuzz_case,
 
 std::string CheckMetamorphic(const FuzzCase& fuzz_case) {
   std::ostringstream os;
+  os.precision(17);
   const data::IntMatrix& x0 = fuzz_case.x0;
   const std::vector<double>& errors = fuzz_case.errors;
   const core::SliceLineConfig& config = fuzz_case.config;
@@ -154,21 +199,19 @@ std::string CheckMetamorphic(const FuzzCase& fuzz_case) {
 
   // (1) Reported stats must match a brute-force row scan, and the score must
   // match Equation 1 recomputed from those stats.
-  double total_error = 0.0;
-  for (double e : errors) total_error += e;
-  const core::ScoringContext scoring(n, total_error, config.alpha);
+  const core::ScoringContext scoring(n, ExactTotal(errors), config.alpha);
   for (const core::Slice& slice : base->top_k) {
     int64_t size = 0;
-    double error_sum = 0.0;
+    linalg::ExactSum exact_sum;
     double max_error = 0.0;
     for (int64_t i = 0; i < n; ++i) {
       if (!slice.Matches(x0, i)) continue;
       ++size;
-      error_sum += errors[i];
+      exact_sum.Add(errors[i]);
       max_error = std::max(max_error, errors[i]);
     }
-    if (size != slice.stats.size ||
-        std::abs(error_sum - slice.stats.error_sum) > kScoreTolerance ||
+    const double error_sum = exact_sum.ToDouble();
+    if (size != slice.stats.size || error_sum != slice.stats.error_sum ||
         max_error != slice.stats.max_error) {
       os << DescribeCase(fuzz_case) << " stats of " << slice.ToString()
          << " disagree with a row scan (size " << size << " se " << error_sum
@@ -176,7 +219,7 @@ std::string CheckMetamorphic(const FuzzCase& fuzz_case) {
       return os.str();
     }
     const double rescored = scoring.Score(size, error_sum);
-    if (std::abs(rescored - slice.stats.score) > kScoreTolerance) {
+    if (rescored != slice.stats.score) {
       os << DescribeCase(fuzz_case) << " score of " << slice.ToString()
          << " != Equation 1 rescoring " << rescored;
       return os.str();
@@ -202,8 +245,7 @@ std::string CheckMetamorphic(const FuzzCase& fuzz_case) {
       return DescribeCase(fuzz_case) +
              " permuted run failed: " + shuffled.status().ToString();
     }
-    std::string diff =
-        CompareTopK(*base, *shuffled, "row permutation", kScoreTolerance);
+    std::string diff = CompareTopK(*base, *shuffled, "row permutation");
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
   }
 
@@ -222,8 +264,7 @@ std::string CheckMetamorphic(const FuzzCase& fuzz_case) {
       return DescribeCase(fuzz_case) +
              " duplicated run failed: " + doubled.status().ToString();
     }
-    std::string diff =
-        CompareTopK(*base, *doubled, "2x duplication", kScoreTolerance);
+    std::string diff = CompareTopK(*base, *doubled, "2x duplication");
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
   }
 
@@ -244,7 +285,7 @@ std::string CheckMetamorphic(const FuzzCase& fuzz_case) {
           base->top_k.empty() ? 0.0 : base->top_k[0].stats.score;
       const double best_hi =
           hi_result->top_k.empty() ? 0.0 : hi_result->top_k[0].stats.score;
-      if (best_hi + kScoreTolerance < best_lo) {
+      if (best_lo > kScoreFloor && best_hi < best_lo) {
         os << DescribeCase(fuzz_case) << " best score decreased when alpha "
            << config.alpha << " -> " << hi << ": " << best_lo << " -> "
            << best_hi;
@@ -269,8 +310,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
       return DescribeCase(fuzz_case) +
              " re-run failed: " + again.status().ToString();
     }
-    std::string diff =
-        CompareTopK(*base, *again, "re-run", kScoreTolerance, /*exact=*/true);
+    std::string diff = CompareTopK(*base, *again, "re-run");
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
   }
 
@@ -285,8 +325,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
       return os.str();
     }
     std::string diff =
-        CompareTopK(*base, *run, "threads=" + std::to_string(threads),
-                    kScoreTolerance, /*exact=*/true);
+        CompareTopK(*base, *run, "threads=" + std::to_string(threads));
     if (!diff.empty()) {
       ResizeGlobalThreadPoolForTesting(0);
       return DescribeCase(fuzz_case) + " " + diff;
@@ -305,14 +344,13 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
          << " workers) failed: " << distributed.status().ToString();
       return os.str();
     }
-    std::string diff = CompareTopK(
-        *base, *distributed, "workers=" + std::to_string(workers),
-        kScoreTolerance);
+    std::string diff = CompareTopK(*base, *distributed,
+                                   "workers=" + std::to_string(workers));
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
   }
 
-  // (4) Fault-injected distributed runs: identical top-K to the fault-free
-  // run (bit-identical short of local fallback) and a reproducible fault
+  // (4) Fault-injected distributed runs: a top-K bit-identical to the
+  // fault-free run (local fallback included) and a reproducible fault
   // schedule across repeats.
   {
     dist::DistOptions clean;
@@ -336,9 +374,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
       return DescribeCase(fuzz_case) +
              " faulty run failed: " + first.status().ToString();
     }
-    std::string diff =
-        CompareTopK(*clean_run, *first, "faults vs clean", kScoreTolerance,
-                    /*exact=*/!first_stats.fallback_local);
+    std::string diff = CompareTopK(*clean_run, *first, "faults vs clean");
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
 
     dist::DistFaultStats second_stats;
@@ -355,8 +391,7 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case) {
          << " vs " << second_stats.Summary();
       return os.str();
     }
-    diff = CompareTopK(*first, *second, "faulty repeat", kScoreTolerance,
-                       /*exact=*/true);
+    diff = CompareTopK(*first, *second, "faulty repeat");
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
   }
   return "";

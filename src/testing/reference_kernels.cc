@@ -6,6 +6,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "linalg/exact_sum.h"
+
 namespace sliceline::testing {
 namespace ref {
 
@@ -17,6 +19,17 @@ std::vector<double> ColSums(const CsrMatrix& m) {
   std::vector<double> out(static_cast<size_t>(d.cols()), 0.0);
   for (int64_t c = 0; c < d.cols(); ++c) {
     for (int64_t r = 0; r < d.rows(); ++r) out[c] += d.At(r, c);
+  }
+  return out;
+}
+
+std::vector<double> ExactColSums(const CsrMatrix& m) {
+  const DenseMatrix d = m.ToDense();
+  std::vector<double> out(static_cast<size_t>(d.cols()), 0.0);
+  for (int64_t c = 0; c < d.cols(); ++c) {
+    linalg::ExactSum sum;
+    for (int64_t r = 0; r < d.rows(); ++r) sum.Add(d.At(r, c));
+    out[c] = sum.ToDouble();
   }
   return out;
 }

@@ -20,6 +20,8 @@ namespace sliceline::testing {
 namespace ref {
 
 std::vector<double> ColSums(const linalg::CsrMatrix& m);
+/// Adds each column's entries one by one into a linalg::ExactSum.
+std::vector<double> ExactColSums(const linalg::CsrMatrix& m);
 std::vector<double> ColMaxs(const linalg::CsrMatrix& m);
 std::vector<double> RowSums(const linalg::CsrMatrix& m);
 std::vector<double> RowMaxs(const linalg::CsrMatrix& m);

@@ -5,7 +5,6 @@
 // end on the case's dataset: the full RunSliceLine top-K under each forced
 // ISA must be BIT-identical to the scalar-forced run.
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -24,21 +23,6 @@ namespace {
 using linalg::Bitmap;
 using linalg::SimdIsa;
 using linalg::SimdKernels;
-
-std::string DescribeCase(const FuzzCase& fuzz_case) {
-  std::ostringstream os;
-  os << "[profile=" << fuzz_case.profile << " seed=" << fuzz_case.seed
-     << " n=" << fuzz_case.x0.rows() << " m=" << fuzz_case.x0.cols() << "]";
-  return os.str();
-}
-
-bool BitEqual(double a, double b) {
-  uint64_t ab = 0;
-  uint64_t bb = 0;
-  std::memcpy(&ab, &a, sizeof(ab));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ab == bb;
-}
 
 /// One seeded kernel round: random bitmaps over a random row count (biased
 /// toward word-boundary tails) run through every kernel of `isa` and of the
@@ -125,34 +109,6 @@ struct ScopedIsaReset {
   ~ScopedIsaReset() { linalg::ClearForcedIsa(); }
 };
 
-std::string CompareTopKBitIdentical(const core::SliceLineResult& base,
-                                    const core::SliceLineResult& run,
-                                    const std::string& label) {
-  std::ostringstream os;
-  if (base.top_k.size() != run.top_k.size()) {
-    os << label << ": top-K size " << run.top_k.size() << " vs scalar "
-       << base.top_k.size();
-    return os.str();
-  }
-  for (size_t i = 0; i < base.top_k.size(); ++i) {
-    const core::Slice& a = base.top_k[i];
-    const core::Slice& b = run.top_k[i];
-    if (a.predicates != b.predicates) {
-      os << label << ": rank " << i << " predicates differ";
-      return os.str();
-    }
-    if (a.stats.size != b.stats.size ||
-        !BitEqual(a.stats.score, b.stats.score) ||
-        !BitEqual(a.stats.error_sum, b.stats.error_sum) ||
-        !BitEqual(a.stats.max_error, b.stats.max_error)) {
-      os << label << ": rank " << i << " stats not bit-identical"
-         << " (score " << a.stats.score << " vs " << b.stats.score << ")";
-      return os.str();
-    }
-  }
-  return "";
-}
-
 }  // namespace
 
 std::string CheckSimdDifferential(const FuzzCase& fuzz_case) {
@@ -195,7 +151,7 @@ std::string CheckSimdDifferential(const FuzzCase& fuzz_case) {
       return DescribeCase(fuzz_case) + " isa=" + linalg::IsaName(isa) +
              " run failed: " + run.status().ToString();
     }
-    std::string diff = CompareTopKBitIdentical(
+    std::string diff = CompareIdentical(
         *base, *run, std::string("isa=") + linalg::IsaName(isa));
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;
   }

@@ -5,7 +5,6 @@
 // on the concatenated data — at every prefix and at every available ISA,
 // over two independent cut draws per ISA.
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,56 +20,6 @@ namespace sliceline::testing {
 namespace {
 
 using linalg::SimdIsa;
-
-std::string DescribeCase(const FuzzCase& fuzz_case) {
-  std::ostringstream os;
-  os << "[profile=" << fuzz_case.profile << " seed=" << fuzz_case.seed
-     << " n=" << fuzz_case.x0.rows() << " m=" << fuzz_case.x0.cols() << "]";
-  return os.str();
-}
-
-bool BitEqual(double a, double b) {
-  uint64_t ab = 0;
-  uint64_t bb = 0;
-  std::memcpy(&ab, &a, sizeof(ab));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ab == bb;
-}
-
-std::string CompareBitIdentical(const core::SliceLineResult& want,
-                                const core::SliceLineResult& got,
-                                const std::string& label) {
-  std::ostringstream os;
-  if (want.top_k.size() != got.top_k.size()) {
-    os << label << ": top-K size " << got.top_k.size() << " vs "
-       << want.top_k.size();
-    return os.str();
-  }
-  for (size_t i = 0; i < want.top_k.size(); ++i) {
-    const core::Slice& a = want.top_k[i];
-    const core::Slice& b = got.top_k[i];
-    if (a.predicates != b.predicates) {
-      os << label << ": rank " << i << " predicates differ";
-      return os.str();
-    }
-    if (a.stats.size != b.stats.size ||
-        !BitEqual(a.stats.score, b.stats.score) ||
-        !BitEqual(a.stats.error_sum, b.stats.error_sum) ||
-        !BitEqual(a.stats.max_error, b.stats.max_error)) {
-      os << label << ": rank " << i << " stats not bit-identical (score "
-         << a.stats.score << " vs " << b.stats.score << ", error_sum "
-         << a.stats.error_sum << " vs " << b.stats.error_sum << ")";
-      return os.str();
-    }
-  }
-  if (want.total_evaluated != got.total_evaluated ||
-      want.levels.size() != got.levels.size()) {
-    os << label << ": level accounting differs (evaluated "
-       << got.total_evaluated << " vs " << want.total_evaluated << ")";
-    return os.str();
-  }
-  return "";
-}
 
 data::IntMatrix RowSlice(const data::IntMatrix& x0, int64_t begin,
                          int64_t end) {
@@ -143,7 +92,7 @@ std::string RunEquivalenceRound(const FuzzCase& fuzz_case,
     if (!want.ok()) return "reference run failed: " + want.status().ToString();
     std::ostringstream label;
     label << "prefix=" << prefix;
-    std::string diff = CompareBitIdentical(*want, *got, label.str());
+    std::string diff = CompareIdentical(*want, *got, label.str());
     if (!diff.empty()) return diff;
 
     const int64_t next = cuts[c + 1];
@@ -165,7 +114,7 @@ std::string RunEquivalenceRound(const FuzzCase& fuzz_case,
   if (!got.ok()) return "streaming find failed: " + got.status().ToString();
   auto want = ReferenceRun(fuzz_case, offsets, n, config);
   if (!want.ok()) return "reference run failed: " + want.status().ToString();
-  std::string diff = CompareBitIdentical(*want, *got, "final");
+  std::string diff = CompareIdentical(*want, *got, "final");
   if (!diff.empty()) return diff;
 
   // A repeat find with no intervening append must answer entirely from the
@@ -182,7 +131,7 @@ std::string RunEquivalenceRound(const FuzzCase& fuzz_case,
        << " full=" << again.value().outcome.stream_candidates_full << ")";
     return os.str();
   }
-  diff = CompareBitIdentical(*want, *again, "repeat");
+  diff = CompareIdentical(*want, *again, "repeat");
   if (!diff.empty()) return diff;
   return "";
 }

@@ -47,8 +47,7 @@ TEST(AblationTest, AllConfigurationsFindTheSameTopK) {
     ASSERT_TRUE(result.ok()) << "config " << c;
     ASSERT_EQ(result->top_k.size(), reference->top_k.size()) << "config " << c;
     for (size_t i = 0; i < reference->top_k.size(); ++i) {
-      EXPECT_NEAR(result->top_k[i].stats.score,
-                  reference->top_k[i].stats.score, 1e-9)
+      EXPECT_EQ(result->top_k[i].stats.score, reference->top_k[i].stats.score)
           << "config " << c << " rank " << i;
     }
   }
@@ -107,7 +106,7 @@ TEST(AblationTest, ScorePruningReducesWorkOnPlantedData) {
   // Same answers either way.
   ASSERT_EQ(a->top_k.size(), b->top_k.size());
   for (size_t i = 0; i < a->top_k.size(); ++i) {
-    EXPECT_NEAR(a->top_k[i].stats.score, b->top_k[i].stats.score, 1e-9);
+    EXPECT_EQ(a->top_k[i].stats.score, b->top_k[i].stats.score);
   }
 }
 

@@ -50,11 +50,10 @@ TEST_P(BestFirstExactnessTest, MatchesOracleAndLevelWise) {
   ASSERT_TRUE(oracle.ok());
   ASSERT_EQ(best_first->top_k.size(), oracle->top_k.size());
   for (size_t i = 0; i < oracle->top_k.size(); ++i) {
-    EXPECT_NEAR(best_first->top_k[i].stats.score,
-                oracle->top_k[i].stats.score, 1e-9)
+    EXPECT_EQ(best_first->top_k[i].stats.score, oracle->top_k[i].stats.score)
         << "rank " << i;
-    EXPECT_NEAR(best_first->top_k[i].stats.score,
-                level_wise->top_k[i].stats.score, 1e-9)
+    EXPECT_EQ(best_first->top_k[i].stats.score,
+              level_wise->top_k[i].stats.score)
         << "rank " << i;
   }
 }
@@ -87,8 +86,8 @@ TEST(BestFirstTest, EarlyExitEvaluatesNoMoreOnConcentratedErrors) {
   ASSERT_TRUE(best_first.ok() && level_wise.ok());
   ASSERT_EQ(best_first->top_k.size(), level_wise->top_k.size());
   for (size_t i = 0; i < best_first->top_k.size(); ++i) {
-    EXPECT_NEAR(best_first->top_k[i].stats.score,
-                level_wise->top_k[i].stats.score, 1e-9);
+    EXPECT_EQ(best_first->top_k[i].stats.score,
+              level_wise->top_k[i].stats.score);
   }
   EXPECT_GT(best_first->total_evaluated, 0);
 }

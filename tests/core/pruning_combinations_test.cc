@@ -51,10 +51,9 @@ TEST_P(PruningComboTest, EveryComboMatchesOracle) {
                                                         << param.mask;
   ASSERT_EQ(la->top_k.size(), oracle->top_k.size()) << "mask " << param.mask;
   for (size_t i = 0; i < oracle->top_k.size(); ++i) {
-    EXPECT_NEAR(native->top_k[i].stats.score, oracle->top_k[i].stats.score,
-                1e-9)
+    EXPECT_EQ(native->top_k[i].stats.score, oracle->top_k[i].stats.score)
         << "mask " << param.mask << " rank " << i;
-    EXPECT_NEAR(la->top_k[i].stats.score, oracle->top_k[i].stats.score, 1e-9)
+    EXPECT_EQ(la->top_k[i].stats.score, oracle->top_k[i].stats.score)
         << "mask " << param.mask << " rank " << i;
   }
 }

@@ -86,17 +86,6 @@ TEST(ScoringTest, AlphaOneIgnoresSize) {
   EXPECT_NEAR(ctx.Score(10, 10 * 0.3), ctx.Score(500, 500 * 0.3), 1e-9);
 }
 
-TEST(ScoringTest, VectorizedMatchesScalar) {
-  ScoringContext ctx(500, 77.0, 0.9);
-  std::vector<double> sizes = {10, 100, 250};
-  std::vector<double> errs = {5.0, 10.0, 60.0};
-  std::vector<double> scores = ctx.ScoreAll(sizes, errs);
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_DOUBLE_EQ(scores[i],
-                     ctx.Score(static_cast<int64_t>(sizes[i]), errs[i]));
-  }
-}
-
 TEST(ScoringTest, AccessorsExposeContext) {
   ScoringContext ctx(200, 50.0, 0.7);
   EXPECT_EQ(ctx.n(), 200);

@@ -48,7 +48,7 @@ TEST_P(EngineEquivalenceTest, LaMatchesNative) {
   ASSERT_TRUE(la.ok());
   ASSERT_EQ(native->top_k.size(), la->top_k.size());
   for (size_t i = 0; i < native->top_k.size(); ++i) {
-    EXPECT_NEAR(native->top_k[i].stats.score, la->top_k[i].stats.score, 1e-9);
+    EXPECT_EQ(native->top_k[i].stats.score, la->top_k[i].stats.score);
     EXPECT_EQ(native->top_k[i].stats.size, la->top_k[i].stats.size);
   }
   ASSERT_EQ(native->levels.size(), la->levels.size());
@@ -71,7 +71,7 @@ TEST_P(EngineEquivalenceTest, LaMatchesOracle) {
   ASSERT_TRUE(la.ok() && oracle.ok());
   ASSERT_EQ(la->top_k.size(), oracle->top_k.size());
   for (size_t i = 0; i < la->top_k.size(); ++i) {
-    EXPECT_NEAR(la->top_k[i].stats.score, oracle->top_k[i].stats.score, 1e-9);
+    EXPECT_EQ(la->top_k[i].stats.score, oracle->top_k[i].stats.score);
   }
 }
 
@@ -96,8 +96,7 @@ TEST(SliceLineLaTest, BlockSizeDoesNotChangeResults) {
     }
     ASSERT_EQ(result->top_k.size(), reference.top_k.size());
     for (size_t i = 0; i < reference.top_k.size(); ++i) {
-      EXPECT_NEAR(result->top_k[i].stats.score,
-                  reference.top_k[i].stats.score, 1e-12);
+      EXPECT_EQ(result->top_k[i].stats.score, reference.top_k[i].stats.score);
     }
   }
 }

@@ -12,10 +12,13 @@
 #include "core/sliceline_la.h"
 #include "data/generators/generators.h"
 #include "dist/coordinator.h"
+#include "reference_sum.h"
 #include "stream/stream_finder.h"
 
 namespace sliceline::core {
 namespace {
+
+using testing::ReferenceSum;
 
 struct RandomInput {
   data::IntMatrix x0;
@@ -44,7 +47,7 @@ void ExpectSameTopK(const SliceLineResult& a, const SliceLineResult& b,
                     const char* label) {
   ASSERT_EQ(a.top_k.size(), b.top_k.size()) << label;
   for (size_t i = 0; i < a.top_k.size(); ++i) {
-    EXPECT_NEAR(a.top_k[i].stats.score, b.top_k[i].stats.score, 1e-9)
+    EXPECT_EQ(a.top_k[i].stats.score, b.top_k[i].stats.score)
         << label << " rank " << i;
     EXPECT_EQ(a.top_k[i].stats.size, b.top_k[i].stats.size)
         << label << " rank " << i;
@@ -152,17 +155,17 @@ TEST(SliceLineTest, ReportedStatsAreAccurate) {
   ASSERT_TRUE(result.ok());
   for (const Slice& slice : result->top_k) {
     int64_t size = 0;
-    double err = 0.0;
+    ReferenceSum err;
     double mx = 0.0;
     for (int64_t i = 0; i < input.x0.rows(); ++i) {
       if (slice.Matches(input.x0, i)) {
         ++size;
-        err += input.errors[i];
+        err.Add(input.errors[i]);
         mx = std::max(mx, input.errors[i]);
       }
     }
     EXPECT_EQ(slice.stats.size, size);
-    EXPECT_NEAR(slice.stats.error_sum, err, 1e-9);
+    EXPECT_EQ(slice.stats.error_sum, err.Round());
     EXPECT_DOUBLE_EQ(slice.stats.max_error, mx);
   }
 }
@@ -254,6 +257,7 @@ TEST(SliceLineTest, EveryEngineRejectsCodesBelowOne) {
         << what;
     EXPECT_EQ(RunSliceLineLA(x0, input.errors, config).status(), want)
         << what;
+    EXPECT_EQ(RunExhaustive(x0, input.errors, config).status(), want) << what;
     EXPECT_EQ(
         dist::RunSliceLineDistributed(x0, input.errors, config, dist_options)
             .status(),
@@ -264,6 +268,53 @@ TEST(SliceLineTest, EveryEngineRejectsCodesBelowOne) {
                   .code(),
               StatusCode::kInvalidArgument)
         << what;
+  }
+}
+
+TEST(SliceLineTest, EveryEngineRunsTheSameInputCheck) {
+  // One table of bad inputs through all five engines: each must return the
+  // same InvalidArgument, naming the bad row where there is one.
+  const RandomInput input = MakeRandom(86, 8, 2, 2);
+  dist::DistOptions dist_options;
+  dist_options.local_workers = 2;
+  SliceLineConfig alpha_zero;
+  alpha_zero.alpha = 0.0;
+  SliceLineConfig k_zero;
+  k_zero.k = 0;
+  SliceLineConfig negative_sigma;
+  negative_sigma.min_support = -1;
+  std::vector<double> negative_error = input.errors;
+  negative_error[5] = -0.25;
+  struct BadInput {
+    const char* what;
+    SliceLineConfig config;
+    std::vector<double> errors;
+    const char* message;
+  };
+  const std::vector<BadInput> table = {
+      {"alpha = 0", alpha_zero, input.errors, "alpha must be in (0, 1]"},
+      {"k = 0", k_zero, input.errors, "k must be >= 1"},
+      {"min_support = -1", negative_sigma, input.errors,
+       "min_support must be >= 0"},
+      {"negative error", SliceLineConfig(), negative_error,
+       "errors must be non-negative and finite (row 5)"},
+  };
+  for (const BadInput& bad : table) {
+    const Status want = Status::InvalidArgument(bad.message);
+    EXPECT_EQ(RunSliceLine(input.x0, bad.errors, bad.config).status(), want)
+        << bad.what;
+    EXPECT_EQ(RunSliceLineLA(input.x0, bad.errors, bad.config).status(), want)
+        << bad.what;
+    EXPECT_EQ(
+        RunSliceLineBestFirst(input.x0, bad.errors, bad.config).status(), want)
+        << bad.what;
+    EXPECT_EQ(RunExhaustive(input.x0, bad.errors, bad.config).status(), want)
+        << bad.what;
+    EXPECT_EQ(dist::RunSliceLineDistributed(input.x0, bad.errors, bad.config,
+                                            dist_options)
+                  .status(),
+              want)
+        << bad.what;
   }
 }
 
@@ -308,7 +359,7 @@ TEST(SliceLineTest, KOneReturnsSingleBest) {
   ASSERT_TRUE(one.ok() && many.ok());
   if (!many->top_k.empty()) {
     ASSERT_EQ(one->top_k.size(), 1u);
-    EXPECT_NEAR(one->top_k[0].stats.score, many->top_k[0].stats.score, 1e-12);
+    EXPECT_EQ(one->top_k[0].stats.score, many->top_k[0].stats.score);
   }
 }
 

@@ -41,20 +41,6 @@ TEST(PartitionTest, BalancedSizes) {
   EXPECT_EQ(parts[2].size(), 3);
 }
 
-TEST(PartitionTest, MakeShardCopiesRows) {
-  data::IntMatrix x0(4, 2);
-  for (int64_t i = 0; i < 4; ++i) {
-    x0.At(i, 0) = static_cast<int32_t>(i + 1);
-    x0.At(i, 1) = 1;
-  }
-  std::vector<double> errors = {0.0, 0.1, 0.2, 0.3};
-  Shard shard = MakeShard(x0, errors, {1, 3});
-  EXPECT_EQ(shard.x0.rows(), 2);
-  EXPECT_EQ(shard.x0.At(0, 0), 2);
-  EXPECT_EQ(shard.x0.At(1, 0), 3);
-  EXPECT_EQ(shard.errors, (std::vector<double>{0.1, 0.2}));
-}
-
 struct RandomInput {
   data::IntMatrix x0;
   std::vector<double> errors;
@@ -181,7 +167,7 @@ TEST(DistributedTest, NonFiniteOrNegativeErrorsAreInvalidOnEitherFleet) {
       ASSERT_FALSE(eval.ok()) << "error " << bad;
       EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
       EXPECT_EQ(eval.status().message(),
-                "errors must be non-negative and finite");
+                "errors must be non-negative and finite (row 7)");
     }
   }
 }

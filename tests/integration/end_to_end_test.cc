@@ -136,8 +136,7 @@ TEST(EndToEndTest, EnginesAgreeOnEveryGenerator) {
     ASSERT_TRUE(la.ok()) << info.name;
     ASSERT_EQ(native->top_k.size(), la->top_k.size()) << info.name;
     for (size_t i = 0; i < native->top_k.size(); ++i) {
-      EXPECT_NEAR(native->top_k[i].stats.score, la->top_k[i].stats.score,
-                  1e-9)
+      EXPECT_EQ(native->top_k[i].stats.score, la->top_k[i].stats.score)
           << info.name << " rank " << i;
     }
   }

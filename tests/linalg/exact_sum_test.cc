@@ -190,6 +190,18 @@ TEST(ExactSumTest, MaskedKernelRoundsLikeTheReferenceAtEveryIsa) {
   }
 }
 
+TEST(ExactSumTest, EitherZeroAddsNothing) {
+  // -0.0 passes every error check (it is not below 0) but has the sign bit
+  // set, so it must not be split like a positive double.
+  ExactSum sum;
+  sum.Add(-0.0);
+  sum.Add(0.0);
+  EXPECT_EQ(sum, ExactSum());
+  sum.Add(1.5);
+  sum.Add(-0.0);
+  EXPECT_EQ(sum.ToDouble(), 1.5);
+}
+
 TEST(ExactSumTest, FromDigitsRejectsMalformedSums) {
   EXPECT_FALSE(ExactSum::FromDigits(16, {1}).ok());  // off the 32-bit grid
   EXPECT_FALSE(ExactSum::FromDigits(ExactSum::kMinAnchor - 32, {1}).ok());

@@ -208,6 +208,29 @@ TEST(FuzzHarnessTest, InjectedScoringBugIsCaughtAndShrunk) {
   EXPECT_EQ(RunReplay(*record, InjectedBug::kNone), "");
 }
 
+TEST(FuzzHarnessTest, InjectedOneUlpErrorSumIsCaughtAndShrunk) {
+  // A one-ulp slip in one engine's error sums moves its scores by ~1e-16:
+  // only a bit-identical comparison sees it.
+  FuzzOptions options;
+  options.seed = 7;
+  options.cases = 200;
+  options.checks = {"oracle"};
+  options.inject = InjectedBug::kErrorSumUlp;
+  options.replay_dir = ::testing::TempDir();
+  FuzzReport report = RunFuzz(options);
+  ASSERT_FALSE(report.ok()) << "injected one-ulp bug escaped 200 cases";
+  const FuzzFailure& failure = report.failures[0];
+  EXPECT_LT(failure.case_index, 200u);
+  EXPECT_NE(failure.failure.find("score mismatch"), std::string::npos)
+      << failure.failure;
+  EXPECT_GT(failure.shrink_steps, 0);
+  ASSERT_FALSE(failure.replay_path.empty());
+  auto record = ReadReplayFile(failure.replay_path);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_NE(RunReplay(*record, InjectedBug::kErrorSumUlp), "");
+  EXPECT_EQ(RunReplay(*record, InjectedBug::kNone), "");
+}
+
 TEST(FuzzHarnessTest, InjectedKernelBugIsCaught) {
   FuzzOptions options;
   options.seed = 7;
