@@ -1,6 +1,7 @@
 #include "core/checkpoint.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -11,7 +12,7 @@ namespace sliceline::core {
 
 namespace {
 
-constexpr char kHeader[] = "sliceline-checkpoint v1";
+constexpr char kHeader[] = "sliceline-checkpoint v2";
 constexpr char kFileName[] = "sliceline.ckpt";
 
 /// %.17g: shortest text that round-trips an IEEE double exactly, which is
@@ -47,6 +48,25 @@ Status ReadScalar(std::istringstream& in, const char* key, T* out) {
   if (!(fields >> *out)) {
     return Status::InvalidArgument(std::string("checkpoint bad value for '") +
                                    key + "'");
+  }
+  return Status::OK();
+}
+
+/// Reads the entry count under `key`. Every entry takes at least one line of
+/// two bytes, so a count the rest of the payload cannot hold is rejected
+/// before anything is sized by it.
+Status ReadCount(std::istringstream& in, const char* key, size_t payload_size,
+                 int64_t* count) {
+  SLICELINE_RETURN_NOT_OK(ReadScalar(in, key, count));
+  const std::streampos at = in.tellg();
+  const int64_t left =
+      at == std::streampos(-1)
+          ? 0
+          : static_cast<int64_t>(payload_size) - static_cast<int64_t>(at);
+  if (*count < 0 || *count > left / 2) {
+    return Status::OutOfRange(std::string("checkpoint '") + key +
+                              "' count " + std::to_string(*count) +
+                              " exceeds what the file holds");
   }
   return Status::OK();
 }
@@ -90,14 +110,11 @@ Status SaveCheckpoint(const std::string& dir, const CheckpointState& state) {
   os << "engine " << state.engine << "\n";
   os << "config_hash " << state.config_hash << "\n";
   os << "data_hash " << state.data_hash << "\n";
-  os << "aux_hash " << state.aux_hash << "\n";
   os << "level " << state.level << "\n";
   os << "effective_sigma " << state.effective_sigma << "\n";
   os << "degradation_steps " << state.degradation_steps << "\n";
   os << "candidates_capped " << state.candidates_capped << "\n";
   os << "total_evaluated " << state.total_evaluated << "\n";
-  os << "rng_state " << state.rng_state[0] << " " << state.rng_state[1] << " "
-     << state.rng_state[2] << " " << state.rng_state[3] << "\n";
   os << "levels " << state.levels.size() << "\n";
   for (const LevelStats& s : state.levels) {
     os << s.level << " " << s.candidates << " " << s.valid << " " << s.pruned
@@ -185,7 +202,6 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
   fields >> state.engine;
   SLICELINE_RETURN_NOT_OK(ReadScalar(in, "config_hash", &state.config_hash));
   SLICELINE_RETURN_NOT_OK(ReadScalar(in, "data_hash", &state.data_hash));
-  SLICELINE_RETURN_NOT_OK(ReadScalar(in, "aux_hash", &state.aux_hash));
   SLICELINE_RETURN_NOT_OK(ReadScalar(in, "level", &state.level));
   SLICELINE_RETURN_NOT_OK(
       ReadScalar(in, "effective_sigma", &state.effective_sigma));
@@ -195,18 +211,10 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
       ReadScalar(in, "candidates_capped", &state.candidates_capped));
   SLICELINE_RETURN_NOT_OK(
       ReadScalar(in, "total_evaluated", &state.total_evaluated));
-  SLICELINE_RETURN_NOT_OK(ReadKeyLine(in, "rng_state", &fields));
-  for (uint64_t& w : state.rng_state) {
-    if (!(fields >> w)) {
-      return Status::InvalidArgument("checkpoint bad rng_state");
-    }
-  }
 
   int64_t num_levels = 0;
-  SLICELINE_RETURN_NOT_OK(ReadScalar(in, "levels", &num_levels));
-  if (num_levels < 0 || num_levels > 1000000) {
-    return Status::OutOfRange("checkpoint level count out of range");
-  }
+  SLICELINE_RETURN_NOT_OK(
+      ReadCount(in, "levels", payload.size(), &num_levels));
   state.levels.reserve(static_cast<size_t>(num_levels));
   for (int64_t i = 0; i < num_levels; ++i) {
     LevelStats s;
@@ -223,10 +231,7 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
   }
 
   int64_t num_topk = 0;
-  SLICELINE_RETURN_NOT_OK(ReadScalar(in, "topk", &num_topk));
-  if (num_topk < 0 || num_topk > 1000000) {
-    return Status::OutOfRange("checkpoint top-K count out of range");
-  }
+  SLICELINE_RETURN_NOT_OK(ReadCount(in, "topk", payload.size(), &num_topk));
   state.topk.reserve(static_cast<size_t>(num_topk));
   for (int64_t i = 0; i < num_topk; ++i) {
     if (!std::getline(in, line)) {
@@ -237,7 +242,7 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
     Slice slice;
     if (!(head >> num_preds >> slice.stats.score >> slice.stats.error_sum >>
           slice.stats.max_error >> slice.stats.size) ||
-        num_preds < 0 || num_preds > 1000000) {
+        num_preds < 0) {
       return Status::InvalidArgument("checkpoint bad top-K line: '" + line +
                                      "'");
     }
@@ -245,7 +250,6 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
       return Status::IoError("checkpoint truncated in top-K predicates");
     }
     std::istringstream preds(line);
-    slice.predicates.reserve(static_cast<size_t>(num_preds));
     for (int64_t p = 0; p < num_preds; ++p) {
       int feature = 0;
       int32_t code = 0;
@@ -259,10 +263,8 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
   }
 
   int64_t num_stats = 0;
-  SLICELINE_RETURN_NOT_OK(ReadScalar(in, "frontier_stats", &num_stats));
-  if (num_stats < 0 || num_stats > (int64_t{1} << 40)) {
-    return Status::OutOfRange("checkpoint frontier size out of range");
-  }
+  SLICELINE_RETURN_NOT_OK(
+      ReadCount(in, "frontier_stats", payload.size(), &num_stats));
   state.frontier_ss.reserve(static_cast<size_t>(num_stats));
   state.frontier_se.reserve(static_cast<size_t>(num_stats));
   state.frontier_sm.reserve(static_cast<size_t>(num_stats));
@@ -301,6 +303,63 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
         "checkpoint frontier matrix row count does not match its stats");
   }
   return state;
+}
+
+Status CheckResumable(const CheckpointState& state,
+                      const data::FeatureOffsets& offsets, int64_t rows,
+                      int k) {
+  const linalg::CsrMatrix& frontier = state.frontier;
+  if (state.level < 1 || state.level > offsets.num_features()) {
+    return Status::InvalidArgument(
+        "checkpoint level " + std::to_string(state.level) + " outside [1, " +
+        std::to_string(offsets.num_features()) + "]");
+  }
+  if (frontier.cols() != offsets.total) {
+    return Status::InvalidArgument(
+        "checkpoint frontier has " + std::to_string(frontier.cols()) +
+        " columns, the run " + std::to_string(offsets.total));
+  }
+  const size_t count = static_cast<size_t>(frontier.rows());
+  if (state.frontier_ss.size() != count || state.frontier_se.size() != count ||
+      state.frontier_sm.size() != count) {
+    return Status::InvalidArgument(
+        "checkpoint frontier stats not aligned with the frontier matrix");
+  }
+  for (int64_t r = 0; r < frontier.rows(); ++r) {
+    const std::string where = "checkpoint frontier row " + std::to_string(r);
+    if (frontier.RowNnz(r) != state.level) {
+      return Status::InvalidArgument(where + " does not hold " +
+                                     std::to_string(state.level) +
+                                     " columns");
+    }
+    const int64_t* cols = frontier.RowCols(r);
+    for (int64_t i = 0; i < state.level; ++i) {
+      if (cols[i] < 0 || cols[i] >= offsets.total ||
+          (i > 0 && offsets.FeatureOfColumn(cols[i - 1]) >=
+                        offsets.FeatureOfColumn(cols[i]))) {
+        return Status::InvalidArgument(
+            where + " is not ascending columns on distinct features");
+      }
+    }
+    const double ss = state.frontier_ss[r];
+    const double se = state.frontier_se[r];
+    const double sm = state.frontier_sm[r];
+    if (!(ss >= 0.0 && ss <= static_cast<double>(rows) &&
+          ss == std::floor(ss)) ||
+        !(se >= 0.0 && std::isfinite(se)) ||
+        !(sm >= 0.0 && std::isfinite(sm))) {
+      return Status::InvalidArgument(where + " has bad statistics");
+    }
+  }
+  if (static_cast<int64_t>(state.topk.size()) > k) {
+    return Status::InvalidArgument("checkpoint top-K holds more than k");
+  }
+  for (size_t i = 1; i < state.topk.size(); ++i) {
+    if (!(state.topk[i - 1].stats.score >= state.topk[i].stats.score)) {
+      return Status::InvalidArgument("checkpoint top-K is not sorted");
+    }
+  }
+  return Status::OK();
 }
 
 linalg::CsrMatrix SliceSetToCsr(const SliceSet& set, int64_t cols) {

@@ -18,34 +18,31 @@ namespace sliceline::core {
 /// registry and result-cache key hash, so fingerprints agree everywhere).
 using ::sliceline::Fnv1a;
 
-/// Everything a level-wise engine needs to continue a run from the end of a
-/// completed level: the surviving frontier (slice matrix + aligned ss/se/sm
-/// statistics), the top-K so far, per-level stats, and the governance
-/// counters. The three hashes bind a checkpoint to one (engine, config,
-/// dataset) triple -- resume silently falls back to a fresh run on any
-/// mismatch, so a stale file can slow a run down but never corrupt it.
+/// Everything the level-wise driver needs to continue a run from the end of
+/// a completed level: the surviving frontier (slice matrix + aligned
+/// ss/se/sm statistics), the top-K so far, per-level stats, and the
+/// governance counters. The engine name and the two hashes bind a
+/// checkpoint to one (engine, config, dataset) triple -- resume silently
+/// falls back to a fresh run on any mismatch, so a stale file can slow a
+/// run down but never corrupt it.
 struct CheckpointState {
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
 
   std::string engine;        ///< "native" or "la"
   uint64_t config_hash = 0;  ///< HashConfigForCheckpoint of the run's config
-  uint64_t data_hash = 0;    ///< engine-computed dataset fingerprint
-  uint64_t aux_hash = 0;     ///< engine-specific (LA: kept_cols); 0 otherwise
+  uint64_t data_hash = 0;    ///< fingerprint of the backend's level-1 view
   int level = 0;             ///< last fully completed level
   int64_t effective_sigma = 0;
   int degradation_steps = 0;
   int64_t candidates_capped = 0;
   int64_t total_evaluated = 0;
-  /// Reserved for engines that consume randomness mid-run (none do today);
-  /// serialized so the format does not need a version bump to add it.
-  uint64_t rng_state[4] = {0, 0, 0, 0};
   std::vector<LevelStats> levels;
   std::vector<Slice> topk;  ///< descending score order
   std::vector<double> frontier_ss;
   std::vector<double> frontier_se;
   std::vector<double> frontier_sm;
-  /// Surviving slice matrix: one row per frontier slice over the engine's
-  /// column space (native: one-hot columns; LA: compacted kept columns).
+  /// Surviving slice matrix: one row per frontier slice over the one-hot
+  /// columns.
   linalg::CsrMatrix frontier;
 };
 
@@ -67,12 +64,25 @@ bool CheckpointFileExists(const std::string& dir);
 Status SaveCheckpoint(const std::string& dir, const CheckpointState& state);
 
 /// Loads and validates (version, checksum, structural bounds) the
-/// checkpoint in `dir`. Hash matching against the current run is the
-/// caller's job.
+/// checkpoint in `dir`. No declared count is trusted further than the file
+/// holds entries. Hash matching against the current run is the caller's
+/// job, and so is CheckResumable.
 StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir);
 
-/// Conversions between the native engine's SliceSet frontier and the CSR
-/// form the checkpoint stores (each slice row holds 1.0 at its one-hot
+/// OK when a loaded checkpoint fits a run over `offsets` with `rows` rows
+/// and top-K size `k`: the level is in [1, features]; the frontier has
+/// offsets.total columns, and each of its rows holds `level` strictly
+/// ascending columns on distinct features; the statistics align with its
+/// rows, and every size is an integer in [0, rows] and every error sum and
+/// maximum finite and non-negative; the top-K holds at most `k` slices in
+/// descending score order. InvalidArgument naming the first violation
+/// otherwise: the file is unusable and the run starts fresh.
+Status CheckResumable(const CheckpointState& state,
+                      const data::FeatureOffsets& offsets, int64_t rows,
+                      int k);
+
+/// Conversions between the driver's SliceSet frontier and the CSR form the
+/// checkpoint stores and the LA engine computes with (each slice row holds 1.0 at its one-hot
 /// columns; CSR keeps row order and sorted columns, so the round-trip is
 /// exact).
 linalg::CsrMatrix SliceSetToCsr(const SliceSet& set, int64_t cols);

@@ -4,6 +4,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <string>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -82,9 +83,16 @@ StatusOr<SliceLineResult> RunSliceLine(const data::IntMatrix& x0,
 
 StatusOr<SliceLineResult> RunSliceLineWithBackend(
     const EvaluatorBackend& evaluator, const SliceLineConfig& config) {
+  return RunLevelWise(evaluator, config, "native", GeneratePairCandidates);
+}
+
+StatusOr<SliceLineResult> RunLevelWise(const EvaluatorBackend& evaluator,
+                                       const SliceLineConfig& config,
+                                       const char* engine,
+                                       CandidateGenerator generate) {
   SLICELINE_RETURN_NOT_OK(CheckConfig(config));
   Stopwatch total_watch;
-  TRACE_SPAN("native/run");
+  TRACE_SPAN("sliceline/run", std::string(engine));
 
   const data::FeatureOffsets& offsets = evaluator.offsets();
   const int64_t n = evaluator.n();
@@ -92,7 +100,7 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
   const ScoringContext context(n, evaluator.total_error(), config.alpha);
 
   // Install the run's memory budget as the thread-local ambient budget so
-  // matrix allocations inside this engine (and the evaluator it drives)
+  // matrix allocations inside the driver, the generator and the evaluator
   // charge it.
   std::optional<ScopedMemoryBudget> scoped_budget;
   if (config.run_context != nullptr &&
@@ -120,13 +128,13 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
   uint64_t config_hash = 0;
   uint64_t data_hash = 0;
   if (checkpointing) {
-    config_hash = HashConfigForCheckpoint(config, sigma, "native");
+    config_hash = HashConfigForCheckpoint(config, sigma, engine);
     data_hash = HashBackendData(evaluator);
   }
   const auto save_checkpoint = [&](int completed_level, const SliceSet& prev,
                                    const EvalResult& prev_stats) {
     CheckpointState state;
-    state.engine = "native";
+    state.engine = engine;
     state.config_hash = config_hash;
     state.data_hash = data_hash;
     state.level = completed_level;
@@ -155,9 +163,17 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
   if (checkpointing && config.resume &&
       CheckpointFileExists(config.checkpoint_dir)) {
     StatusOr<CheckpointState> loaded = LoadCheckpoint(config.checkpoint_dir);
-    if (loaded.ok() && loaded->engine == "native" &&
-        loaded->config_hash == config_hash &&
-        loaded->data_hash == data_hash) {
+    if (loaded.ok() && (loaded->engine != engine ||
+                        loaded->config_hash != config_hash ||
+                        loaded->data_hash != data_hash)) {
+      LOG_WARNING << "ignoring checkpoint for a different run "
+                     "(engine/config/data hash mismatch)";
+    } else if (const Status usable =
+                   loaded.ok() ? CheckResumable(*loaded, offsets, n, config.k)
+                               : loaded.status();
+               !usable.ok()) {
+      LOG_WARNING << "ignoring unusable checkpoint: " << usable.ToString();
+    } else {
       prev = CsrToSliceSet(loaded->frontier);
       prev_stats.sizes = std::move(loaded->frontier_ss);
       prev_stats.error_sums = std::move(loaded->frontier_se);
@@ -170,12 +186,6 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
                              loaded->candidates_capped);
       start_level = loaded->level + 1;
       resumed = true;
-    } else if (!loaded.ok()) {
-      LOG_WARNING << "ignoring unusable checkpoint: "
-                  << loaded.status().ToString();
-    } else {
-      LOG_WARNING << "ignoring checkpoint for a different run "
-                     "(engine/config/data hash mismatch)";
     }
   }
 
@@ -209,7 +219,7 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
       }
     }
     level1.seconds = level_watch.ElapsedSeconds();
-    obs::RecordLevelMetrics("native", 1, level1.candidates, level1.valid,
+    obs::RecordLevelMetrics(engine, 1, level1.candidates, level1.valid,
                             level1.pruned, level1.seconds);
     result.levels.push_back(level1);
     result.total_evaluated += level1.candidates;
@@ -229,16 +239,16 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
     gov.MaybeDegrade(level);
     if (level > gov.effective_max_level()) break;
 
-    TRACE_SPAN("native/level", level);
+    TRACE_SPAN("sliceline/level", level);
     level_watch.Reset();
     std::vector<ParentBounds> bounds;
     CandidateGenStats gen_stats;
     SliceSet cands;
     {
-      TRACE_SPAN("native/candidate_gen", level);
-      cands = GeneratePairCandidates(
-          prev, prev_stats, level, context, gov.effective_sigma(),
-          topk.Threshold(), config, offsets, &bounds, &gen_stats);
+      TRACE_SPAN("sliceline/candidate_gen", level);
+      cands = generate(prev, prev_stats, level, context, gov.effective_sigma(),
+                       topk.Threshold(), config, offsets, &bounds,
+                       &gen_stats);
     }
     // Generation polls the run context too; a stop there discards the level
     // and must not read as a natural end. The generator reports its own stop:
@@ -254,7 +264,7 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
       stats.level = level;
       stats.pruned = gen_stats.pruned;
       stats.seconds = level_watch.ElapsedSeconds();
-      obs::RecordLevelMetrics("native", stats.level, stats.candidates,
+      obs::RecordLevelMetrics(engine, stats.level, stats.candidates,
                               stats.valid, stats.pruned, stats.seconds);
       result.levels.push_back(stats);
       break;
@@ -262,8 +272,8 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
     gov.RecordCapped(CapCandidatesByUpperBound(
         context, gov.effective_sigma(), gov.candidate_cap(), &cands, &bounds));
 
-    // Explicit budget charge for the frontier the native engine holds (it
-    // allocates flat arrays, not governed matrices).
+    // Explicit budget charge for the frontier the driver holds (flat
+    // arrays, not governed matrices).
     const MemoryCharge level_charge(
         cands.total_columns() * static_cast<int64_t>(sizeof(int64_t)) +
         (cands.size() + 1) * static_cast<int64_t>(sizeof(int64_t)) +
@@ -298,7 +308,7 @@ StatusOr<SliceLineResult> RunSliceLineWithBackend(
       }
     }
     stats.seconds = level_watch.ElapsedSeconds();
-    obs::RecordLevelMetrics("native", stats.level, stats.candidates,
+    obs::RecordLevelMetrics(engine, stats.level, stats.candidates,
                             stats.valid, stats.pruned, stats.seconds);
     result.levels.push_back(stats);
     result.total_evaluated += stats.candidates;

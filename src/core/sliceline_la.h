@@ -10,13 +10,17 @@
 
 namespace sliceline::core {
 
-/// Linear-algebra transliteration of Algorithm 1: every enumeration step is
-/// expressed with the CsrMatrix kernels of linalg/ exactly as the paper's
-/// DML script expresses them with SystemDS operations -- one-hot encoding via
-/// table(), basic slices via colSums / e^T X, the pair self-join via
-/// upper.tri((S S^T) == L-2), pair merging via selection-matrix products
-/// P = ((P1 S) + (P2 S)) != 0, and blocked slice evaluation via
-/// I = ((X S^T) == L) with colSums / e^T I / colMaxs(I * e) aggregations.
+/// Linear-algebra engine of Algorithm 1: the level loop is the shared
+/// driver (RunLevelWise in sliceline.h), and the engine supplies the two
+/// steps the paper writes as linear algebra, with the CsrMatrix kernels of
+/// linalg/ as the paper's DML script uses SystemDS operations:
+///  * data preparation and evaluation: one-hot encoding via table(), basic
+///    slices via colSums / colSums(X * e) / colMaxs, and blocked slice
+///    evaluation via I = ((X S^T) == L) with colSums / colSums(I * e) /
+///    colMaxs(I * e) aggregations, error sums exact;
+///  * candidate generation: the pair self-join via upper.tri((S S^T) == L-2)
+///    and pair merging via selection-matrix products
+///    P = ((P1 S) + (P2 S)) != 0.
 ///
 /// Two documented deviations from the literal script:
 ///  * at level 2 the overlap target is 0, which in a sparse self-join output
@@ -27,9 +31,12 @@ namespace sliceline::core {
 ///    ND-array index plus frame recoding, which is the same mapping without
 ///    the overflow workaround.
 ///
-/// Results are identical to RunSliceLine (tests assert this); the engines
-/// differ only in execution strategy, which is what the paper's
-/// "ML systems comparison" (R vs SystemDS) measures.
+/// The engine prunes each level against the top-K threshold the level
+/// starts with, as the paper's script does, so its level counts are the
+/// paper's. Results are identical to RunSliceLine (tests assert this); the
+/// engines differ only in execution strategy, which is what the paper's
+/// "ML systems comparison" (R vs SystemDS) measures. Checkpoints carry the
+/// engine name "la". total_seconds includes the one-hot preparation.
 StatusOr<SliceLineResult> RunSliceLineLA(const data::IntMatrix& x0,
                                          const std::vector<double>& errors,
                                          const SliceLineConfig& config);

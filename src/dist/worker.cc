@@ -245,6 +245,12 @@ StatusOr<std::string> WorkerHandler::HandleLoadShard(
           "load_shard transfer ended with " + std::to_string(rows) +
           " rows, expected " + std::to_string(shard_rows));
     }
+    // The evaluator's column store treats a bad error as a broken
+    // invariant; outside input gets a Status naming the row instead.
+    if (Status errors = core::CheckErrors(staging.errors); !errors.ok()) {
+      staging_.erase(it);
+      return errors;
+    }
     auto state = std::make_unique<ShardState>();
     state->x0 = data::IntMatrix(rows, staging.cols);
     for (int64_t r = 0; r < rows; ++r) {

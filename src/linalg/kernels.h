@@ -11,7 +11,7 @@
 namespace sliceline::linalg {
 
 // ---------------------------------------------------------------------------
-// Reductions (SystemDS colSums / colMaxs / rowSums / rowMaxs / rowIndexMax).
+// Reductions (SystemDS colSums / colMaxs).
 // ---------------------------------------------------------------------------
 
 /// Per-column sum of stored entries.
@@ -28,20 +28,6 @@ std::vector<double> ExactColSums(const CsrMatrix& m, const SumLayout& layout);
 /// Per-column maximum. Implicit zeros participate: a column whose nnz is
 /// smaller than rows() has maximum >= 0 (matches SystemDS colMaxs on sparse).
 std::vector<double> ColMaxs(const CsrMatrix& m);
-
-/// Per-row sum of stored entries.
-std::vector<double> RowSums(const CsrMatrix& m);
-
-/// Per-row maximum, with implicit zeros participating as above.
-std::vector<double> RowMaxs(const CsrMatrix& m);
-
-/// Per-row count of stored (non-zero) entries.
-std::vector<int64_t> RowNnzCounts(const CsrMatrix& m);
-
-/// 0-based column index of the per-row maximum among stored entries; -1 for
-/// an empty row. (SystemDS rowIndexMax is 1-based; callers adjust if they
-/// need paper-faithful indices.)
-std::vector<int64_t> RowIndexMax(const CsrMatrix& m);
 
 /// Sum of all entries of a vector.
 double Sum(const std::vector<double>& v);
@@ -101,12 +87,8 @@ std::vector<std::pair<int64_t, int64_t>> UpperTriEquals(const CsrMatrix& m,
                                                         double target);
 
 // ---------------------------------------------------------------------------
-// Selection / reshaping (removeEmpty, indexing, rbind).
+// Selection / reshaping (indexing).
 // ---------------------------------------------------------------------------
-
-/// Drops all-zero rows; returns the compacted matrix plus the original row
-/// indices of the kept rows (SystemDS removeEmpty(margin="rows")).
-std::pair<CsrMatrix, std::vector<int64_t>> RemoveEmptyRows(const CsrMatrix& m);
 
 /// Keeps only rows with keep[r] != 0, preserving order.
 CsrMatrix SelectRows(const CsrMatrix& m, const std::vector<uint8_t>& keep);
@@ -118,14 +100,11 @@ CsrMatrix GatherRows(const CsrMatrix& m, const std::vector<int64_t>& rows);
 /// 0..k-1 (X <- X[, cI] in Algorithm 1 line 12).
 CsrMatrix SelectColumns(const CsrMatrix& m, const std::vector<int64_t>& cols);
 
-/// Vertical concatenation; column counts must match.
-CsrMatrix Rbind(const CsrMatrix& top, const CsrMatrix& bottom);
-
 /// Contiguous row range [begin, end).
 CsrMatrix SliceRowRange(const CsrMatrix& m, int64_t begin, int64_t end);
 
 // ---------------------------------------------------------------------------
-// Construction (table, seq, cumsum, cumprod) and ordering.
+// Construction (table).
 // ---------------------------------------------------------------------------
 
 /// Contingency table: adds weight[k] (default 1) at (rix[k], cix[k]).
@@ -136,15 +115,6 @@ CsrMatrix Table(const std::vector<int64_t>& rix,
                 const std::vector<int64_t>& cix,
                 const std::vector<double>& weights, int64_t rows,
                 int64_t cols);
-
-/// Inclusive prefix sums / products.
-std::vector<double> CumSum(const std::vector<double>& v);
-std::vector<double> CumProd(const std::vector<double>& v);
-
-/// Indices that sort v descending (stable, so ties keep input order); the
-/// order(..., decreasing=TRUE, index.return=TRUE) primitive used by top-K
-/// maintenance.
-std::vector<int64_t> OrderDesc(const std::vector<double>& v);
 
 }  // namespace sliceline::linalg
 

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <numeric>
 
 #include "common/checked_math.h"
 #include "common/logging.h"
@@ -33,34 +32,6 @@ CsrMatrix Table(const std::vector<int64_t>& rix,
     builder.Add(rix[k], cix[k], weights[k]);
   }
   return builder.Build();
-}
-
-std::vector<double> CumSum(const std::vector<double>& v) {
-  std::vector<double> out(v.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    acc += v[i];
-    out[i] = acc;
-  }
-  return out;
-}
-
-std::vector<double> CumProd(const std::vector<double>& v) {
-  std::vector<double> out(v.size());
-  double acc = 1.0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    acc *= v[i];
-    out[i] = acc;
-  }
-  return out;
-}
-
-std::vector<int64_t> OrderDesc(const std::vector<double>& v) {
-  std::vector<int64_t> idx(v.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&v](int64_t a, int64_t b) { return v[a] > v[b]; });
-  return idx;
 }
 
 }  // namespace sliceline::linalg

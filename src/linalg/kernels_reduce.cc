@@ -53,55 +53,6 @@ std::vector<double> ColMaxs(const CsrMatrix& m) {
   return out;
 }
 
-std::vector<double> RowSums(const CsrMatrix& m) {
-  SLICELINE_KERNEL_SCOPE("RowSums");
-  std::vector<double> out(static_cast<size_t>(m.rows()), 0.0);
-  for (int64_t r = 0; r < m.rows(); ++r) {
-    const double* vals = m.RowVals(r);
-    const int64_t nnz = m.RowNnz(r);
-    double acc = 0.0;
-    for (int64_t k = 0; k < nnz; ++k) acc += vals[k];
-    out[r] = acc;
-  }
-  return out;
-}
-
-std::vector<double> RowMaxs(const CsrMatrix& m) {
-  SLICELINE_KERNEL_SCOPE("RowMaxs");
-  std::vector<double> out(static_cast<size_t>(m.rows()), 0.0);
-  for (int64_t r = 0; r < m.rows(); ++r) {
-    const double* vals = m.RowVals(r);
-    const int64_t nnz = m.RowNnz(r);
-    double mx = nnz < m.cols() ? 0.0
-                               : -std::numeric_limits<double>::infinity();
-    for (int64_t k = 0; k < nnz; ++k) mx = std::max(mx, vals[k]);
-    out[r] = nnz == 0 ? 0.0 : mx;
-  }
-  return out;
-}
-
-std::vector<int64_t> RowNnzCounts(const CsrMatrix& m) {
-  std::vector<int64_t> out(static_cast<size_t>(m.rows()));
-  for (int64_t r = 0; r < m.rows(); ++r) out[r] = m.RowNnz(r);
-  return out;
-}
-
-std::vector<int64_t> RowIndexMax(const CsrMatrix& m) {
-  std::vector<int64_t> out(static_cast<size_t>(m.rows()), -1);
-  for (int64_t r = 0; r < m.rows(); ++r) {
-    const double* vals = m.RowVals(r);
-    const int64_t* cols = m.RowCols(r);
-    const int64_t nnz = m.RowNnz(r);
-    if (nnz == 0) continue;
-    int64_t best = 0;
-    for (int64_t k = 1; k < nnz; ++k) {
-      if (vals[k] > vals[best]) best = k;
-    }
-    out[r] = cols[best];
-  }
-  return out;
-}
-
 double Sum(const std::vector<double>& v) {
   double acc = 0.0;
   for (double x : v) acc += x;

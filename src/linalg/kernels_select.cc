@@ -6,15 +6,6 @@
 
 namespace sliceline::linalg {
 
-std::pair<CsrMatrix, std::vector<int64_t>> RemoveEmptyRows(
-    const CsrMatrix& m) {
-  std::vector<int64_t> kept;
-  for (int64_t r = 0; r < m.rows(); ++r) {
-    if (m.RowNnz(r) > 0) kept.push_back(r);
-  }
-  return {GatherRows(m, kept), kept};
-}
-
 CsrMatrix SelectRows(const CsrMatrix& m, const std::vector<uint8_t>& keep) {
   SLICELINE_CHECK_EQ(m.rows(), static_cast<int64_t>(keep.size()));
   std::vector<int64_t> rows;
@@ -75,29 +66,6 @@ CsrMatrix SelectColumns(const CsrMatrix& m, const std::vector<int64_t>& cols) {
   return CsrMatrix(m.rows(), static_cast<int64_t>(cols.size()),
                    std::move(row_ptr), std::move(out_cols),
                    std::move(out_vals));
-}
-
-CsrMatrix Rbind(const CsrMatrix& top, const CsrMatrix& bottom) {
-  SLICELINE_CHECK_EQ(top.cols(), bottom.cols());
-  std::vector<int64_t> row_ptr;
-  row_ptr.reserve(top.rows() + bottom.rows() + 1);
-  row_ptr.insert(row_ptr.end(), top.row_ptr().begin(), top.row_ptr().end());
-  const int64_t offset = top.nnz();
-  for (int64_t r = 1; r <= bottom.rows(); ++r) {
-    row_ptr.push_back(bottom.row_ptr()[r] + offset);
-  }
-  std::vector<int64_t> out_cols;
-  out_cols.reserve(top.nnz() + bottom.nnz());
-  out_cols.insert(out_cols.end(), top.col_idx().begin(), top.col_idx().end());
-  out_cols.insert(out_cols.end(), bottom.col_idx().begin(),
-                  bottom.col_idx().end());
-  std::vector<double> out_vals;
-  out_vals.reserve(top.nnz() + bottom.nnz());
-  out_vals.insert(out_vals.end(), top.values().begin(), top.values().end());
-  out_vals.insert(out_vals.end(), bottom.values().begin(),
-                  bottom.values().end());
-  return CsrMatrix(top.rows() + bottom.rows(), top.cols(), std::move(row_ptr),
-                   std::move(out_cols), std::move(out_vals));
 }
 
 CsrMatrix SliceRowRange(const CsrMatrix& m, int64_t begin, int64_t end) {

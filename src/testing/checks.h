@@ -93,6 +93,13 @@ std::string CheckStreamEquivalence(const FuzzCase& fuzz_case);
 /// ungoverned top-K exactly.
 std::string CheckGovernance(const FuzzCase& fuzz_case);
 
+/// Checkpoint resume on the case's dataset, for the native and LA engines:
+/// a run interrupted by a simulated-time deadline drawn from the case seed,
+/// checkpointing under $TMPDIR, then resumed from its checkpoint, must be
+/// bit-identical (CompareIdentical) to an uninterrupted run, and must
+/// resume whenever the interrupted run left a checkpoint.
+std::string CheckResume(const FuzzCase& fuzz_case);
+
 /// "[profile=... seed=... n=... m=... k=... alpha=... sigma=...]": the
 /// prefix of every check's diagnostic.
 std::string DescribeCase(const FuzzCase& fuzz_case);

@@ -26,6 +26,7 @@ std::string RunDatasetCheck(const std::string& check, const FuzzCase& fuzz_case,
   if (check == "governance") return CheckGovernance(fuzz_case);
   if (check == "kernels-simd") return CheckSimdDifferential(fuzz_case);
   if (check == "stream-equivalence") return CheckStreamEquivalence(fuzz_case);
+  if (check == "resume") return CheckResume(fuzz_case);
   return "unknown check: " + check;
 }
 
@@ -102,7 +103,8 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
     }
 
     for (const char* check : {"oracle", "metamorphic", "governance",
-                              "kernels-simd", "stream-equivalence"}) {
+                              "kernels-simd", "stream-equivalence",
+                              "resume"}) {
       if (!CheckSelected(options, check)) continue;
       ++report.checks_run;
       std::string failure = RunDatasetCheck(check, fuzz_case, options.inject);

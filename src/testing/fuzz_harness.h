@@ -13,13 +13,13 @@ namespace sliceline::testing {
 
 /// Names of the seven checks, in execution order.
 inline constexpr const char* kCheckNames[] = {
-    "oracle",     "kernel",       "metamorphic",       "determinism",
-    "governance", "kernels-simd", "stream-equivalence"};
+    "oracle",     "kernel",       "metamorphic",        "determinism",
+    "governance", "kernels-simd", "stream-equivalence", "resume"};
 
 struct FuzzOptions {
   uint64_t seed = 1;
   int cases = 100;
-  /// Subset of kCheckNames to run; empty = all six.
+  /// Subset of kCheckNames to run; empty = all of them.
   std::vector<std::string> checks;
   InjectedBug inject = InjectedBug::kNone;
   /// Directory replay files are written to; empty disables replay output.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <sstream>
 
 #include "linalg/exact_sum.h"
@@ -43,56 +42,6 @@ std::vector<double> ColMaxs(const CsrMatrix& m) {
     double mx = -std::numeric_limits<double>::infinity();
     for (int64_t r = 0; r < d.rows(); ++r) mx = std::max(mx, d.At(r, c));
     out[c] = d.rows() == 0 ? 0.0 : mx;
-  }
-  return out;
-}
-
-std::vector<double> RowSums(const CsrMatrix& m) {
-  const DenseMatrix d = m.ToDense();
-  std::vector<double> out(static_cast<size_t>(d.rows()), 0.0);
-  for (int64_t r = 0; r < d.rows(); ++r) {
-    for (int64_t c = 0; c < d.cols(); ++c) out[r] += d.At(r, c);
-  }
-  return out;
-}
-
-std::vector<double> RowMaxs(const CsrMatrix& m) {
-  const DenseMatrix d = m.ToDense();
-  std::vector<double> out(static_cast<size_t>(d.rows()), 0.0);
-  for (int64_t r = 0; r < d.rows(); ++r) {
-    double mx = -std::numeric_limits<double>::infinity();
-    for (int64_t c = 0; c < d.cols(); ++c) mx = std::max(mx, d.At(r, c));
-    out[r] = d.cols() == 0 ? 0.0 : mx;
-  }
-  return out;
-}
-
-std::vector<int64_t> RowNnzCounts(const CsrMatrix& m) {
-  const DenseMatrix d = m.ToDense();
-  std::vector<int64_t> out(static_cast<size_t>(d.rows()), 0);
-  for (int64_t r = 0; r < d.rows(); ++r) {
-    for (int64_t c = 0; c < d.cols(); ++c) {
-      if (d.At(r, c) != 0.0) ++out[r];
-    }
-  }
-  return out;
-}
-
-std::vector<int64_t> RowIndexMax(const CsrMatrix& m) {
-  const DenseMatrix d = m.ToDense();
-  std::vector<int64_t> out(static_cast<size_t>(d.rows()), -1);
-  for (int64_t r = 0; r < d.rows(); ++r) {
-    int64_t best = -1;
-    double best_val = 0.0;
-    for (int64_t c = 0; c < d.cols(); ++c) {
-      const double v = d.At(r, c);
-      if (v == 0.0) continue;  // only stored entries participate
-      if (best == -1 || v > best_val) {
-        best = c;
-        best_val = v;
-      }
-    }
-    out[r] = best;
   }
   return out;
 }
@@ -171,24 +120,6 @@ std::vector<std::pair<int64_t, int64_t>> UpperTriEquals(const CsrMatrix& m,
   return out;
 }
 
-std::pair<DenseMatrix, std::vector<int64_t>> RemoveEmptyRows(
-    const CsrMatrix& m) {
-  const DenseMatrix d = m.ToDense();
-  std::vector<int64_t> kept;
-  for (int64_t r = 0; r < d.rows(); ++r) {
-    bool empty = true;
-    for (int64_t c = 0; c < d.cols(); ++c) empty &= d.At(r, c) == 0.0;
-    if (!empty) kept.push_back(r);
-  }
-  DenseMatrix out(static_cast<int64_t>(kept.size()), d.cols(), 0.0);
-  for (size_t i = 0; i < kept.size(); ++i) {
-    for (int64_t c = 0; c < d.cols(); ++c) {
-      out.At(static_cast<int64_t>(i), c) = d.At(kept[i], c);
-    }
-  }
-  return {std::move(out), std::move(kept)};
-}
-
 DenseMatrix SelectRows(const CsrMatrix& m, const std::vector<uint8_t>& keep) {
   const DenseMatrix d = m.ToDense();
   std::vector<int64_t> rows;
@@ -221,21 +152,6 @@ DenseMatrix SelectColumns(const CsrMatrix& m,
   return out;
 }
 
-DenseMatrix Rbind(const CsrMatrix& top, const CsrMatrix& bottom) {
-  const DenseMatrix dt = top.ToDense();
-  const DenseMatrix db = bottom.ToDense();
-  DenseMatrix out(dt.rows() + db.rows(), dt.cols(), 0.0);
-  for (int64_t r = 0; r < dt.rows(); ++r) {
-    for (int64_t c = 0; c < dt.cols(); ++c) out.At(r, c) = dt.At(r, c);
-  }
-  for (int64_t r = 0; r < db.rows(); ++r) {
-    for (int64_t c = 0; c < db.cols(); ++c) {
-      out.At(dt.rows() + r, c) = db.At(r, c);
-    }
-  }
-  return out;
-}
-
 DenseMatrix SliceRowRange(const CsrMatrix& m, int64_t begin, int64_t end) {
   const DenseMatrix d = m.ToDense();
   DenseMatrix out(end - begin, d.cols(), 0.0);
@@ -250,40 +166,6 @@ DenseMatrix Table(const std::vector<int64_t>& rix,
   DenseMatrix out(rows, cols, 0.0);
   for (size_t k = 0; k < rix.size(); ++k) out.At(rix[k], cix[k]) += 1.0;
   return out;
-}
-
-std::vector<double> CumSum(const std::vector<double>& v) {
-  std::vector<double> out(v.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < v.size(); ++i) out[i] = acc += v[i];
-  return out;
-}
-
-std::vector<double> CumProd(const std::vector<double>& v) {
-  std::vector<double> out(v.size());
-  double acc = 1.0;
-  for (size_t i = 0; i < v.size(); ++i) out[i] = acc *= v[i];
-  return out;
-}
-
-std::vector<int64_t> OrderDesc(const std::vector<double>& v) {
-  // Selection sort with strict > and first-wins ties: the stable descending
-  // order contract, written without delegating to std::stable_sort.
-  std::vector<int64_t> idx(v.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  for (size_t i = 0; i + 1 < idx.size(); ++i) {
-    size_t best = i;
-    for (size_t j = i + 1; j < idx.size(); ++j) {
-      // Pick j over best only if strictly larger, or equal with a smaller
-      // original index (stability).
-      if (v[idx[j]] > v[idx[best]] ||
-          (v[idx[j]] == v[idx[best]] && idx[j] < idx[best])) {
-        best = j;
-      }
-    }
-    std::swap(idx[i], idx[best]);
-  }
-  return idx;
 }
 
 }  // namespace ref
@@ -366,25 +248,6 @@ std::string CompareVectors(const std::vector<double>& actual,
     const bool both_inf = std::isinf(actual[i]) && std::isinf(expected[i]) &&
                           (actual[i] > 0) == (expected[i] > 0);
     if (!both_inf && std::abs(actual[i] - expected[i]) > tolerance) {
-      os << label << ": mismatch at [" << i << "]: got " << actual[i]
-         << " want " << expected[i];
-      return os.str();
-    }
-  }
-  return "";
-}
-
-std::string CompareIntVectors(const std::vector<int64_t>& actual,
-                              const std::vector<int64_t>& expected,
-                              const std::string& label) {
-  std::ostringstream os;
-  if (actual.size() != expected.size()) {
-    os << label << ": length mismatch " << actual.size() << " vs "
-       << expected.size();
-    return os.str();
-  }
-  for (size_t i = 0; i < actual.size(); ++i) {
-    if (actual[i] != expected[i]) {
       os << label << ": mismatch at [" << i << "]: got " << actual[i]
          << " want " << expected[i];
       return os.str();

@@ -23,10 +23,6 @@ std::vector<double> ColSums(const linalg::CsrMatrix& m);
 /// Adds each column's entries one by one into a linalg::ExactSum.
 std::vector<double> ExactColSums(const linalg::CsrMatrix& m);
 std::vector<double> ColMaxs(const linalg::CsrMatrix& m);
-std::vector<double> RowSums(const linalg::CsrMatrix& m);
-std::vector<double> RowMaxs(const linalg::CsrMatrix& m);
-std::vector<int64_t> RowNnzCounts(const linalg::CsrMatrix& m);
-std::vector<int64_t> RowIndexMax(const linalg::CsrMatrix& m);
 std::vector<double> MatVec(const linalg::CsrMatrix& m,
                            const std::vector<double>& x);
 std::vector<double> TransposeMatVec(const linalg::CsrMatrix& m,
@@ -43,24 +39,17 @@ linalg::DenseMatrix Add(const linalg::CsrMatrix& a, const linalg::CsrMatrix& b);
 linalg::DenseMatrix Binarize(const linalg::CsrMatrix& m);
 std::vector<std::pair<int64_t, int64_t>> UpperTriEquals(
     const linalg::CsrMatrix& m, double target);
-std::pair<linalg::DenseMatrix, std::vector<int64_t>> RemoveEmptyRows(
-    const linalg::CsrMatrix& m);
 linalg::DenseMatrix SelectRows(const linalg::CsrMatrix& m,
                                const std::vector<uint8_t>& keep);
 linalg::DenseMatrix GatherRows(const linalg::CsrMatrix& m,
                                const std::vector<int64_t>& rows);
 linalg::DenseMatrix SelectColumns(const linalg::CsrMatrix& m,
                                   const std::vector<int64_t>& cols);
-linalg::DenseMatrix Rbind(const linalg::CsrMatrix& top,
-                          const linalg::CsrMatrix& bottom);
 linalg::DenseMatrix SliceRowRange(const linalg::CsrMatrix& m, int64_t begin,
                                   int64_t end);
 linalg::DenseMatrix Table(const std::vector<int64_t>& rix,
                           const std::vector<int64_t>& cix, int64_t rows,
                           int64_t cols);
-std::vector<double> CumSum(const std::vector<double>& v);
-std::vector<double> CumProd(const std::vector<double>& v);
-std::vector<int64_t> OrderDesc(const std::vector<double>& v);
 
 }  // namespace ref
 
@@ -82,9 +71,6 @@ std::string CompareToDense(const linalg::CsrMatrix& actual,
 std::string CompareVectors(const std::vector<double>& actual,
                            const std::vector<double>& expected,
                            double tolerance, const std::string& label);
-std::string CompareIntVectors(const std::vector<int64_t>& actual,
-                              const std::vector<int64_t>& expected,
-                              const std::string& label);
 
 /// Draws a random CSR matrix: random shape within [1, max_rows] x
 /// [1, max_cols], random density, and values biased toward small integers

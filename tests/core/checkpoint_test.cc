@@ -1,6 +1,8 @@
-// Checkpoint format round-trips, corruption rejection, and the end-to-end
-// guarantee: a run interrupted mid-enumeration and resumed from its
-// checkpoint produces the bit-identical final top-K of an uninterrupted run.
+// Checkpoint format round-trips, corruption rejection, the resume check
+// that turns files which do not fit the run into fresh runs, and the
+// end-to-end guarantee: a run interrupted mid-enumeration and resumed from
+// its checkpoint produces the bit-identical final top-K of an uninterrupted
+// run.
 #include "core/checkpoint.h"
 
 #include <sys/stat.h>
@@ -10,6 +12,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,9 +21,12 @@
 #include "common/run_context.h"
 #include "core/sliceline.h"
 #include "core/sliceline_la.h"
+#include "testing/checks.h"
 
 namespace sliceline::core {
 namespace {
+
+using ::sliceline::testing::CompareIdentical;
 
 std::string MakeTempDir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "ckpt_" + tag + "_" +
@@ -54,7 +61,6 @@ CheckpointState MakeState() {
   state.engine = "native";
   state.config_hash = 0x1234abcdULL;
   state.data_hash = 0xdeadbeef12345678ULL;
-  state.aux_hash = 7;
   state.level = 3;
   state.effective_sigma = 64;
   state.degradation_steps = 2;
@@ -90,7 +96,6 @@ TEST(CheckpointTest, SaveLoadRoundTripIsBitIdentical) {
   EXPECT_EQ(loaded->engine, state.engine);
   EXPECT_EQ(loaded->config_hash, state.config_hash);
   EXPECT_EQ(loaded->data_hash, state.data_hash);
-  EXPECT_EQ(loaded->aux_hash, state.aux_hash);
   EXPECT_EQ(loaded->level, state.level);
   EXPECT_EQ(loaded->effective_sigma, state.effective_sigma);
   EXPECT_EQ(loaded->degradation_steps, state.degradation_steps);
@@ -212,6 +217,188 @@ TEST(CheckpointTest, NativeResumeAfterInterruptIsBitIdentical) {
 
 TEST(CheckpointTest, LaResumeAfterInterruptIsBitIdentical) {
   RunInterruptAndResume("la", RunSliceLineLA);
+}
+
+using Engine = StatusOr<SliceLineResult> (*)(const data::IntMatrix&,
+                                             const std::vector<double>&,
+                                             const SliceLineConfig&);
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Applies `edit` to the payload of the checkpoint in `dir` and writes it
+/// back with a recomputed checksum, so only the edit can make it unusable.
+void RewriteCheckpoint(const std::string& dir,
+                       const std::function<void(std::string*)>& edit) {
+  const std::string path = CheckpointFilePath(dir);
+  std::string payload = ReadFile(path);
+  const size_t tail = payload.rfind("\nchecksum ");
+  ASSERT_NE(tail, std::string::npos);
+  payload.resize(tail + 1);
+  edit(&payload);
+  Fnv1a checksum;
+  checksum.AddString(payload);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << payload << "checksum " << checksum.hash() << "\n";
+}
+
+/// Replaces the value on the line starting with `key ` in `payload`.
+void ReplaceKeyLine(std::string* payload, const std::string& key,
+                    const std::string& value) {
+  const size_t at = payload->find("\n" + key + " ");
+  ASSERT_NE(at, std::string::npos) << key;
+  const size_t begin = at + key.size() + 2;
+  payload->replace(begin, payload->find('\n', begin) - begin, value);
+}
+
+/// Leaves a mid-run checkpoint of `engine` in `dir` (a simulated deadline
+/// interrupts the run), lets `edit` tamper with it, and resumes. The file
+/// must be ignored: the resumed run starts fresh and is bit-identical to an
+/// uninterrupted one.
+void ExpectTamperedCheckpointStartsFresh(
+    const char* tag, Engine engine,
+    const std::function<void(std::string*)>& edit) {
+  const Input input = MakeInput(24);
+  SliceLineConfig config;
+  config.k = 4;
+  config.min_support = 2;
+  auto baseline = engine(input.x0, input.errors, config);
+  ASSERT_TRUE(baseline.ok()) << tag;
+
+  config.checkpoint_dir = MakeTempDir(tag);
+  SimulatedClock clock(0.0, 1.0);
+  RunContext ctx;
+  ctx.set_clock(&clock);
+  ctx.set_deadline_seconds(6.0);
+  config.run_context = &ctx;
+  auto interrupted = engine(input.x0, input.errors, config);
+  ASSERT_TRUE(interrupted.ok() && interrupted->outcome.partial) << tag;
+  RewriteCheckpoint(config.checkpoint_dir, edit);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  config.run_context = nullptr;
+  config.resume = true;
+  auto resumed = engine(input.x0, input.errors, config);
+  ASSERT_TRUE(resumed.ok()) << tag;
+  EXPECT_FALSE(resumed->outcome.resumed_from_checkpoint) << tag;
+  EXPECT_EQ(CompareIdentical(*baseline, *resumed, tag), "");
+}
+
+/// The frontier_stats count of a checkpoint that declares 2^39 entries: a
+/// reader that sized its vectors by it would ask for terabytes.
+void OversizeFrontierCount(std::string* payload) {
+  ReplaceKeyLine(payload, "frontier_stats", "549755813888");
+}
+
+/// The embedded MatrixMarket frontier widened to 100000 columns, its last
+/// entry moved to column 99999 (1-based 100000).
+void WidenFrontier(std::string* payload) {
+  const size_t key = payload->find("\nfrontier ");
+  ASSERT_NE(key, std::string::npos);
+  const size_t mm = payload->find('\n', key + 1) + 1;
+  std::istringstream in(payload->substr(mm));
+  std::string header;  // banner and comments
+  std::string line;
+  while (std::getline(in, line) && line.rfind('%', 0) == 0) {
+    header += line + "\n";
+  }
+  int64_t rows = 0;
+  int64_t cols = 0;
+  int64_t nnz = 0;
+  std::istringstream(line) >> rows >> cols >> nnz;
+  ASSERT_GT(nnz, 0);
+  std::vector<std::string> entries;
+  while (std::getline(in, line)) entries.push_back(line);
+  int64_t r = 0;
+  std::istringstream(entries.back()) >> r;
+  entries.back() = std::to_string(r) + " 100000 1";
+  std::string body = header + std::to_string(rows) + " 100000 " +
+                     std::to_string(nnz) + "\n";
+  for (const std::string& entry : entries) body += entry + "\n";
+  payload->replace(mm, std::string::npos, body);
+  ReplaceKeyLine(payload, "frontier", std::to_string(body.size()));
+}
+
+TEST(CheckpointTest, OversizedCountIsAnError) {
+  const std::string dir = MakeTempDir("oversized");
+  ASSERT_TRUE(SaveCheckpoint(dir, MakeState()).ok());
+  RewriteCheckpoint(dir, OversizeFrontierCount);
+  const StatusOr<CheckpointState> loaded = LoadCheckpoint(dir);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(CheckpointTest, NativeOversizedCountStartsFresh) {
+  ExpectTamperedCheckpointStartsFresh("oversized_native", RunSliceLine,
+                                      OversizeFrontierCount);
+}
+
+TEST(CheckpointTest, LaOversizedCountStartsFresh) {
+  ExpectTamperedCheckpointStartsFresh("oversized_la", RunSliceLineLA,
+                                      OversizeFrontierCount);
+}
+
+TEST(CheckpointTest, NativeFrontierColumnOutOfRangeStartsFresh) {
+  ExpectTamperedCheckpointStartsFresh("wide_native", RunSliceLine,
+                                      WidenFrontier);
+}
+
+TEST(CheckpointTest, LaFrontierColumnOutOfRangeStartsFresh) {
+  ExpectTamperedCheckpointStartsFresh("wide_la", RunSliceLineLA,
+                                      WidenFrontier);
+}
+
+TEST(CheckpointTest, VersionOneFileStartsFresh) {
+  ExpectTamperedCheckpointStartsFresh("v1", RunSliceLine, [](std::string* p) {
+    ASSERT_EQ(p->rfind("sliceline-checkpoint v2\n", 0), 0u);
+    p->replace(0, 23, "sliceline-checkpoint v1");
+  });
+}
+
+TEST(CheckpointTest, CheckResumableRejectsFrontiersThatDoNotFitTheRun) {
+  const data::FeatureOffsets offsets = data::OffsetsFromDomains({2, 3});
+  CheckpointState state;
+  state.level = 2;
+  state.frontier_ss = {40.0};
+  state.frontier_se = {12.5};
+  state.frontier_sm = {0.9};
+  state.frontier = linalg::CsrMatrix(1, 5, {0, 2}, {1, 4}, {1.0, 1.0});
+  EXPECT_TRUE(CheckResumable(state, offsets, 100, 4).ok());
+
+  auto rejects = [&](const CheckpointState& bad, const char* what) {
+    EXPECT_EQ(CheckResumable(bad, offsets, 100, 4).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  };
+  CheckpointState bad = state;
+  bad.frontier = linalg::CsrMatrix(1, 6, {0, 2}, {1, 5}, {1.0, 1.0});
+  rejects(bad, "width");
+  bad = state;
+  bad.frontier = linalg::CsrMatrix(1, 5, {0, 2}, {2, 4}, {1.0, 1.0});
+  rejects(bad, "two predicates on feature 1");
+  bad = state;
+  bad.level = 3;
+  rejects(bad, "row length");
+  bad = state;
+  bad.level = 0;
+  rejects(bad, "level");
+  bad.level = 3;
+  bad.frontier = linalg::CsrMatrix(0, 5, {0}, {}, {});
+  bad.frontier_ss.clear();
+  bad.frontier_se.clear();
+  bad.frontier_sm.clear();
+  rejects(bad, "level above the feature count");
+  bad = state;
+  bad.frontier_sm.clear();
+  rejects(bad, "stats alignment");
+  bad = state;
+  bad.frontier_ss = {1e300};
+  rejects(bad, "size above n");
+  bad = state;
+  bad.topk.resize(5);
+  rejects(bad, "top-K above k");
 }
 
 TEST(CheckpointTest, MismatchedCheckpointFallsBackToFreshRun) {

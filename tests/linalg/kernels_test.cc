@@ -53,36 +53,6 @@ TEST(ReduceKernelsTest, ColMaxsFullNegativeColumn) {
   EXPECT_DOUBLE_EQ(ColMaxs(m)[0], -2.0);  // no implicit zeros
 }
 
-TEST(ReduceKernelsTest, RowSumsAndRowMaxs) {
-  Rng rng(2);
-  CsrMatrix m = RandomSparse(rng, 15, 8, 0.4);
-  std::vector<double> sums = RowSums(m);
-  std::vector<double> maxs = RowMaxs(m);
-  DenseMatrix d = m.ToDense();
-  for (int64_t i = 0; i < m.rows(); ++i) {
-    double s = 0;
-    double mx = -1e300;
-    for (int64_t j = 0; j < m.cols(); ++j) {
-      s += d.At(i, j);
-      mx = std::max(mx, d.At(i, j));
-    }
-    EXPECT_DOUBLE_EQ(sums[i], s);
-    EXPECT_DOUBLE_EQ(maxs[i], mx);
-  }
-}
-
-TEST(ReduceKernelsTest, RowIndexMax) {
-  CooBuilder builder(3, 4);
-  builder.Add(0, 1, 2.0);
-  builder.Add(0, 3, 5.0);
-  builder.Add(2, 0, -1.0);
-  CsrMatrix m = builder.Build();
-  std::vector<int64_t> idx = RowIndexMax(m);
-  EXPECT_EQ(idx[0], 3);
-  EXPECT_EQ(idx[1], -1);  // empty row
-  EXPECT_EQ(idx[2], 0);
-}
-
 TEST(MatVecTest, MatchesDense) {
   Rng rng(3);
   CsrMatrix m = RandomSparse(rng, 12, 7, 0.35);
@@ -170,17 +140,6 @@ TEST(ElementwiseTest, UpperTriEquals) {
   EXPECT_EQ(entries[1], (std::pair<int64_t, int64_t>{0, 2}));
 }
 
-TEST(SelectTest, RemoveEmptyRows) {
-  CooBuilder builder(4, 2);
-  builder.Add(1, 0, 1.0);
-  builder.Add(3, 1, 2.0);
-  auto [compact, kept] = RemoveEmptyRows(builder.Build());
-  EXPECT_EQ(compact.rows(), 2);
-  EXPECT_EQ(kept, (std::vector<int64_t>{1, 3}));
-  EXPECT_DOUBLE_EQ(compact.At(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(compact.At(1, 1), 2.0);
-}
-
 TEST(SelectTest, SelectRowsAndGatherRows) {
   Rng rng(6);
   CsrMatrix m = RandomSparse(rng, 8, 5, 0.4);
@@ -216,18 +175,6 @@ TEST(SelectTest, SelectColumnsCompacts) {
   }
 }
 
-TEST(SelectTest, RbindStacks) {
-  Rng rng(8);
-  CsrMatrix a = RandomSparse(rng, 3, 4, 0.5);
-  CsrMatrix b = RandomSparse(rng, 2, 4, 0.5);
-  CsrMatrix c = Rbind(a, b);
-  EXPECT_EQ(c.rows(), 5);
-  for (int64_t j = 0; j < 4; ++j) {
-    EXPECT_DOUBLE_EQ(c.At(0, j), a.At(0, j));
-    EXPECT_DOUBLE_EQ(c.At(4, j), b.At(1, j));
-  }
-}
-
 TEST(SelectTest, SliceRowRange) {
   Rng rng(9);
   CsrMatrix m = RandomSparse(rng, 10, 3, 0.5);
@@ -248,17 +195,6 @@ TEST(ConstructTest, TableCountsPairs) {
 TEST(ConstructTest, TableWithWeights) {
   CsrMatrix t = Table({0, 0}, {1, 1}, {0.5, 0.25}, 1, 2);
   EXPECT_DOUBLE_EQ(t.At(0, 1), 0.75);
-}
-
-TEST(ConstructTest, CumSumAndCumProd) {
-  EXPECT_EQ(CumSum({1, 2, 3}), (std::vector<double>{1, 3, 6}));
-  EXPECT_EQ(CumProd({2, 3, 4}), (std::vector<double>{2, 6, 24}));
-  EXPECT_TRUE(CumSum({}).empty());
-}
-
-TEST(ConstructTest, OrderDescStable) {
-  std::vector<int64_t> idx = OrderDesc({1.0, 3.0, 3.0, 0.5});
-  EXPECT_EQ(idx, (std::vector<int64_t>{1, 2, 0, 3}));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Outside input never crashes the wire decoders. A worker answers an
 // eval_block whose slices leave the shard's column space, are empty or do
-// not ascend with an error and keeps serving; and a seeded mutation smoke
+// not ascend, and a load_shard with a negative error, with an error and
+// keeps serving; and a seeded mutation smoke
 // feeds byte-mutated copies of every client and worker request type to
 // ParseRequest and to a WorkerHandler holding a loaded shard, which must
 // each return OK or a structured error. Labelled tier1, so the ASan preset
@@ -36,6 +37,14 @@ WorkerRequest LoadShard() {
   c.codes = {1, 1, 1, 2, 2, 1, 2, 2};
   c.errors = {0.5, 1.0, 2.0, 4.0};
   c.fdom = {2, 2};
+  return request;
+}
+
+/// LoadShard() with a negative error in row 1.
+WorkerRequest BadErrorLoadShard() {
+  WorkerRequest request = LoadShard();
+  request.id = "bad-load";
+  request.chunk.errors = {0.5, -1.0, 2.0, 4.0};
   return request;
 }
 
@@ -105,6 +114,25 @@ TEST(WorkerHandlerTest, BadSlicesAreAnErrorAndTheShardStaysUsable) {
   EXPECT_EQ(stats.max_errors, (std::vector<double>{1.0, 4.0}));
 }
 
+TEST(WorkerHandlerTest, BadErrorsAreAnErrorAndTheWorkerStaysUsable) {
+  dist::WorkerHandler handler;
+  const obs::JsonValue bad = Reply(&handler, Line(BadErrorLoadShard()));
+  EXPECT_FALSE(bad.GetBoolOr("ok", true));
+  const obs::JsonValue* error = bad.Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->GetStringOr("code", ""), "invalid_argument");
+  EXPECT_NE(error->GetStringOr("message", "").find("row 1"),
+            std::string::npos);
+
+  ASSERT_TRUE(Reply(&handler, Line(LoadShard())).GetBoolOr("loaded", false));
+  const obs::JsonValue reply = Reply(&handler, Line(EvalBlock({{0}})));
+  ASSERT_TRUE(reply.GetBoolOr("ok", false));
+  uint64_t checksum = 0;
+  StatusOr<core::ExactEvalResult> partial = ParseEvalPayload(reply, &checksum);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_EQ(partial->Round().error_sums, (std::vector<double>{1.5}));
+}
+
 /// One request line of every client request type.
 std::vector<std::string> ClientSeeds() {
   std::vector<std::string> seeds;
@@ -145,7 +173,7 @@ std::vector<std::string> ClientSeeds() {
 }
 
 /// One request line of every worker request type, addressed to the shard
-/// LoadShard() loads.
+/// LoadShard() loads, and BadErrorLoadShard(), which must fail.
 std::vector<std::string> WorkerSeeds() {
   std::vector<std::string> seeds;
   WorkerRequest request;
@@ -166,6 +194,7 @@ std::vector<std::string> WorkerSeeds() {
     seeds.push_back(Line(request));
   }
   seeds.push_back(Line(LoadShard()));
+  seeds.push_back(Line(BadErrorLoadShard()));
   WorkerRequest eval = EvalBlock({{0}, {1, 3}, {0, 2}});
   eval.strategy = core::SliceLineConfig::EvalStrategy::kScanBlock;
   eval.block_size = 2;
@@ -217,10 +246,12 @@ TEST(WireMutationTest, MutatedRequestsGetOkOrAStructuredError) {
 
   dist::WorkerHandler handler;
   const std::string load = Line(LoadShard());
+  const std::string bad_load = Line(BadErrorLoadShard());
   ASSERT_TRUE(Reply(&handler, load).GetBoolOr("loaded", false));
   int evaluated = 0;  // mutated eval_blocks answered ok: the shard was used
   for (const std::string& seed : WorkerSeeds()) {
-    ASSERT_TRUE(Reply(&handler, seed).GetBoolOr("ok", false)) << seed;
+    ASSERT_EQ(Reply(&handler, seed).GetBoolOr("ok", false), seed != bad_load)
+        << seed;
     for (int i = 0; i < kMutantsPerSeed; ++i) {
       const std::string line = Mutate(seed, &rng);
       const obs::JsonValue reply = Reply(&handler, line);
@@ -228,8 +259,9 @@ TEST(WireMutationTest, MutatedRequestsGetOkOrAStructuredError) {
           reply.GetBoolOr("ok", false)) {
         ++evaluated;
       }
-      // A mutated load_shard may have dropped the shard; reload it.
-      if (seed == load) {
+      // A mutated load_shard may have dropped or replaced the shard; reload
+      // it.
+      if (seed == load || seed == bad_load) {
         ASSERT_TRUE(Reply(&handler, load).GetBoolOr("loaded", false));
       }
     }

@@ -1,7 +1,7 @@
 // Seeded differential / metamorphic fuzzer for the SliceLine engines and
 // sparse kernels.
 //
-//   fuzz_driver --seed=7 --cases=200                 # all six checks
+//   fuzz_driver --seed=7 --cases=200                 # all checks
 //   fuzz_driver --checks=oracle,kernel --cases=50
 //   fuzz_driver --inject-bug=scoring --cases=200     # harness self-test
 //   fuzz_driver --replay=replay_oracle_case12.json   # re-run a failure
@@ -30,7 +30,7 @@ void PrintUsage() {
       "  --cases=N            number of generated cases (default 100)\n"
       "  --checks=a,b,...     subset of oracle,kernel,metamorphic,\n"
       "                       determinism,governance,kernels-simd,\n"
-      "                       stream-equivalence (default: all)\n"
+      "                       stream-equivalence,resume (default: all)\n"
       "  --kernel-rounds=N    matrix draws per kernel case (default 2)\n"
       "  --determinism-stride=N  run the determinism check every N-th case\n"
       "                       (default 8; it swaps thread pools, so it is\n"
