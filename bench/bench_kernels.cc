@@ -1,8 +1,9 @@
 // Microbenchmarks of the linear-algebra kernels the SliceLine enumeration
 // is built from: one-hot encoding, colSums, the vector-matrix error
 // aggregation e^T X, the S*S^T pair join, the X*S^T evaluation product,
-// table()-based selection-matrix construction, and the bit-packed
-// evaluation kernels (exact masked sums and error planes). Each kernel
+// table()-based selection-matrix construction, the bit-packed
+// evaluation kernels (exact masked sums and error planes), and the column
+// bitmap fill. Each kernel
 // is timed over repeated runs on the shared harness (bench_util.h); the
 // best wall-clock per run and the derived items/s are printed, and
 // recorded through bench::Reporter when SLICELINE_BENCH_JSON is set.
@@ -320,6 +321,74 @@ int main() {
         }
       }
     }
+  }
+  // The bitmap fill of the columns level 2 reads (each level-1 slice of at
+  // least sigma = max(32, n/100) rows and a non-zero error sum), one feature
+  // at a time over blocks of rows as ColumnStore::Materialize runs it, on
+  // one thread: the scalar scatter vs the vector levels' code compares.
+  {
+    const int64_t sigma = std::max<int64_t>(32, ds.n() / 100);
+    std::vector<int32_t> slots(static_cast<size_t>(offsets.total));
+    std::vector<int32_t> values;
+    std::vector<std::vector<uint64_t>> bitmaps;
+    std::vector<std::pair<int64_t, size_t>> features;  // feature, first entry
+    for (int j = 0; j < offsets.num_features(); ++j) {
+      const size_t first = values.size();
+      for (int64_t c = offsets.fb[j]; c < offsets.fe[j]; ++c) {
+        const size_t col = static_cast<size_t>(c);
+        slots[col] = -1;
+        if (store.basic_sizes()[col] < sigma ||
+            store.basic_error_sums()[col] <= 0.0) {
+          continue;
+        }
+        slots[col] = static_cast<int32_t>(values.size() - first);
+        values.push_back(static_cast<int32_t>(c - offsets.fb[j] + 1));
+        bitmaps.emplace_back(static_cast<size_t>(words));
+      }
+      const int32_t count = static_cast<int32_t>(values.size() - first);
+      std::replace(slots.begin() + offsets.fb[j], slots.begin() + offsets.fe[j],
+                   -1, count);
+      if (count > 0) features.emplace_back(j, first);
+    }
+    std::vector<uint64_t*> dst;
+    for (std::vector<uint64_t>& bitmap : bitmaps) dst.push_back(bitmap.data());
+    const int64_t m = ds.x0.cols();
+    const int64_t block = std::max<int64_t>(64, (int64_t{1} << 15) / m / 64 * 64);
+    double scalar_fill = 0.0;
+    for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
+      const linalg::SimdKernels& kernels = linalg::KernelsFor(isa);
+      constexpr int kInner = 16;  // amortize timer granularity
+      const double best = RunCase(
+          reporter, std::string("column_fill/") + linalg::IsaName(isa),
+          ds.n() * static_cast<int64_t>(features.size()) * kInner, [&] {
+            for (int i = 0; i < kInner; ++i) {
+              for (int64_t b = 0; b < ds.n(); b += block) {
+                const int64_t rows = std::min(block, ds.n() - b);
+                for (size_t f = 0; f < features.size(); ++f) {
+                  const auto [j, first] = features[f];
+                  const size_t end = f + 1 < features.size()
+                                         ? features[f + 1].second
+                                         : values.size();
+                  kernels.fill_words(
+                      ds.x0.row(b) + j, m, rows,
+                      {values.data() + first, slots.data() + offsets.fb[j],
+                       static_cast<int32_t>(end - first), dst.data() + first},
+                      b >> 6);
+                }
+              }
+            }
+            return static_cast<double>(bitmaps[0][0] & 1);
+          });
+      if (isa == linalg::SimdIsa::kScalar) {
+        scalar_fill = best;
+      } else if (scalar_fill > 0.0 && best > 0.0) {
+        speedups.emplace_back(std::string("column_fill_") +
+                                  linalg::IsaName(isa),
+                              scalar_fill / best);
+      }
+    }
+    std::printf("  (%zu columns over %zu features, sigma=%lld)\n",
+                bitmaps.size(), features.size(), static_cast<long long>(sigma));
   }
   if (!speedups.empty()) {
     std::printf("\nSIMD speedup over scalar (target >= 5x on "

@@ -297,7 +297,8 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
       state.frontier,
       linalg::ParseMatrixMarket(
           payload.substr(static_cast<size_t>(at),
-                         static_cast<size_t>(mm_bytes))));
+                         static_cast<size_t>(mm_bytes)),
+          /*max_rows=*/num_stats));
   if (state.frontier.rows() != num_stats) {
     return Status::InvalidArgument(
         "checkpoint frontier matrix row count does not match its stats");

@@ -66,6 +66,10 @@ std::vector<RowRange> SplitRows(int64_t begin, int64_t end, int64_t cols,
   return ranges;
 }
 
+/// Codes per block of rows that the fill's features read in turn while the
+/// block stays in cache.
+constexpr int64_t kFillBlockCodes = int64_t{1} << 15;
+
 /// The current 64-row word of some destination bitmaps: rows set bits in
 /// words()[slot], and Store writes each slot's word once. The extra last
 /// slot, dst.size(), takes the bits no destination wants and is never
@@ -378,15 +382,11 @@ Status ColumnStore::Accumulate() {
   total_error_ = exact_total_error_.ToDouble();
 
   // The columns already built grow over the new rows.
-  std::vector<int32_t> slot(l, -1);
-  std::vector<uint64_t*> bitmaps;
+  std::vector<int64_t> built;
   for (size_t c = 0; c < l; ++c) {
-    if (!built_[c]) continue;
-    columns_[c].resize(static_cast<size_t>(words_), 0);
-    slot[c] = static_cast<int32_t>(bitmaps.size());
-    bitmaps.push_back(columns_[c].data());
+    if (built_[c]) built.push_back(static_cast<int64_t>(c));
   }
-  if (!bitmaps.empty()) Fill(&slot, bitmaps, begin, /*parallel=*/true);
+  if (!built.empty()) Fill(built, begin, /*parallel=*/true);
   return Status::OK();
 }
 
@@ -482,64 +482,91 @@ void ColumnStore::ResizePlanes() {
 void ColumnStore::Materialize(const int64_t* cols, int64_t count,
                               bool parallel) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<int32_t> slot;
-  std::vector<uint64_t*> bitmaps;
-  std::vector<size_t> built;
+  // A level's candidates list each column many times: mark, then collect.
+  std::vector<uint8_t> wanted;
   for (int64_t k = 0; k < count; ++k) {
     const size_t c = static_cast<size_t>(cols[k]);
     if (built_[c]) continue;
-    if (slot.empty()) slot.assign(built_.size(), -1);
-    if (slot[c] >= 0) continue;
-    columns_[c].assign(static_cast<size_t>(words_), 0);
-    slot[c] = static_cast<int32_t>(bitmaps.size());
-    bitmaps.push_back(columns_[c].data());
-    built.push_back(c);
+    if (wanted.empty()) wanted.assign(built_.size(), 0);
+    wanted[c] = 1;
   }
-  if (bitmaps.empty()) return;
-  Fill(&slot, bitmaps, 0, parallel);
-  for (size_t c : built) built_[c] = 1;
+  if (wanted.empty()) return;
+  std::vector<int64_t> fresh;
+  for (size_t c = 0; c < wanted.size(); ++c) {
+    if (wanted[c]) fresh.push_back(static_cast<int64_t>(c));
+  }
+  Fill(fresh, 0, parallel);
+  for (int64_t c : fresh) built_[static_cast<size_t>(c)] = 1;
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Default()
         ->GetCounter("column_store/columns_lazy")
-        ->Add(static_cast<int64_t>(built.size()));
+        ->Add(static_cast<int64_t>(fresh.size()));
   }
 }
 
-void ColumnStore::Fill(std::vector<int32_t>* slot,
-                       const std::vector<uint64_t*>& bitmaps, int64_t begin,
+void ColumnStore::Fill(const std::vector<int64_t>& cols, int64_t begin,
                        bool parallel) const {
-  const int32_t sink = static_cast<int32_t>(bitmaps.size());
-  std::replace(slot->begin(), slot->end(), -1, sink);
-  const std::vector<int32_t>& to = *slot;
-  // Only the features that own a listed column are read.
+  TRACE_SPAN("column_store/fill", static_cast<int64_t>(cols.size()));
   const FeatureOffsets& offsets = *offsets_;
-  std::vector<int64_t> features;
-  std::vector<int64_t> col_base;
-  for (int j = 0; j < offsets.num_features(); ++j) {
-    if (std::any_of(to.begin() + offsets.fb[j], to.begin() + offsets.fe[j],
-                    [sink](int32_t s) { return s != sink; })) {
-      features.push_back(j);
-      col_base.push_back(offsets.fb[j] - 1);
-    }
+  const int64_t first_word = begin >> 6;
+  const int64_t used = (n_ + 63) >> 6;
+  // The words a bitmap grows by are not zeroed: the fill writes every word
+  // below `used`, each on the pool thread of its range, which also touches
+  // that range's pages first. The padding past `used` is zero for the
+  // evaluation loop.
+  for (int64_t c : cols) {
+    auto& column = columns_[static_cast<size_t>(c)];
+    column.resize(static_cast<size_t>(words_));
+    std::fill(column.begin() + used, column.end(), 0);
   }
+
+  // The listed columns of each feature that owns one, with the scatter's
+  // slots: slots[fb + code - 1] is the code's place in its feature's list,
+  // or the list's length.
+  std::vector<int32_t> values(cols.size());
+  std::vector<uint64_t*> dst(cols.size());
+  std::vector<int32_t> slots(static_cast<size_t>(offsets.total));
+  struct FeatureColumns {
+    int64_t feature;
+    linalg::FillColumns columns;
+  };
+  std::vector<FeatureColumns> features;
+  for (size_t k = 0; k < cols.size();) {
+    const int j = offsets.FeatureOfColumn(cols[k]);
+    const int64_t fb = offsets.fb[j];
+    size_t end = k;
+    while (end < cols.size() && cols[end] < offsets.fe[j]) ++end;
+    const int32_t count = static_cast<int32_t>(end - k);
+    std::fill(slots.begin() + fb, slots.begin() + offsets.fe[j], count);
+    for (size_t i = k; i < end; ++i) {
+      values[i] = static_cast<int32_t>(cols[i] - fb + 1);
+      dst[i] = columns_[static_cast<size_t>(cols[i])].data();
+      slots[static_cast<size_t>(cols[i])] = static_cast<int32_t>(i - k);
+    }
+    features.push_back(
+        {j, {values.data() + k, slots.data() + fb, count, dst.data() + k}});
+    k = end;
+  }
+
+  // Rows of begin's word that precede it are rebuilt from their codes, which
+  // the owner keeps, so every word from there on is written whole, once. A
+  // range walks its rows in blocks whose codes stay in cache while each
+  // feature reads them.
   const IntMatrix& x0 = *x0_;
-  // A range buffers one word per listed column.
+  const int64_t m = x0.cols();
+  const int64_t block = std::max<int64_t>(64, kFillBlockCodes / m / 64 * 64);
+  const linalg::SimdKernels& kernels = linalg::ActiveKernels();
+  // A range of the scatter buffers one word per listed column.
   const std::vector<RowRange> ranges =
-      SplitRows(begin, n_, static_cast<int64_t>(features.size()),
-                static_cast<int64_t>(bitmaps.size()), parallel);
+      SplitRows(first_word * 64, n_, static_cast<int64_t>(features.size()),
+                static_cast<int64_t>(cols.size()), parallel);
   GlobalThreadPool().ParallelFor(ranges.size(), [&](size_t r) {
-    WordBuffer buffer(bitmaps);
-    uint64_t* words = buffer.words();
-    ForEachWord(
-        ranges[r], begin,
-        [&](int64_t i, uint64_t bit) {
-          const int32_t* row = x0.row(i);
-          for (size_t f = 0; f < features.size(); ++f) {
-            words[to[static_cast<size_t>(col_base[f] + row[features[f]])]] |=
-                bit;
-          }
-        },
-        [&](int64_t w, bool merge) { buffer.Store(w, merge); });
+    for (int64_t b = ranges[r].begin; b < ranges[r].end; b += block) {
+      const int64_t rows = std::min(block, ranges[r].end - b);
+      for (const FeatureColumns& f : features) {
+        kernels.fill_words(x0.row(b) + f.feature, m, rows, f.columns, b >> 6);
+      }
+    }
   });
 }
 

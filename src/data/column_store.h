@@ -72,8 +72,12 @@ class ErrorGrid {
 ///     kMaxErrorPlanes bits.
 /// Bitmaps are built lazily: Materialize fills the requested columns that
 /// are not built yet, so ultra-wide one-hot spaces only pay for the columns
-/// candidate slices touch. The fill splits the rows the same way and stores
-/// each 64-row word once from a local buffer.
+/// candidate slices touch. The fill splits the rows the same way and runs
+/// the kernel table's fill_words per feature: the vector levels compare each
+/// 64-row word's codes with each listed code and store the mask as that
+/// column's word; the scalar level, and a feature listing a code of 255 or
+/// more, OR one bit per code into a word buffer instead. Either way each
+/// word is stored once, and a new bitmap is not zeroed first.
 ///
 /// Borrows the codes and errors (and the offsets, when the caller gives
 /// them), which must outlive the store. The owner may append rows to the
@@ -186,11 +190,12 @@ class ColumnStore {
   /// and folds in the column sizes and the error grid; sizes the
   /// statistics, the row count and the planes for the new rows.
   Status MergeScans(const std::vector<CodeScan>& scans);
-  /// Sets the bits of rows [begin, rows()) in bitmaps[(*slot)[c]] for every
-  /// column c whose slot is not -1 (the other slots become the sink,
-  /// bitmaps.size()). A word holding rows before `begin` keeps their bits.
-  void Fill(std::vector<int32_t>* slot, const std::vector<uint64_t*>& bitmaps,
-            int64_t begin, bool parallel) const;
+  /// Builds rows [begin, rows()) of the bitmaps of `cols` (ascending,
+  /// distinct), growing them to words() words first; they already hold the
+  /// rows before `begin`. A word holding rows before `begin` is rebuilt
+  /// whole from their codes, which gives the same bits.
+  void Fill(const std::vector<int64_t>& cols, int64_t begin,
+            bool parallel) const;
   /// Grows the planes to the grid's unit and width, moving the earlier rows'
   /// bits up when the unit got finer.
   void ResizePlanes();
@@ -215,9 +220,20 @@ class ColumnStore {
   std::vector<double> basic_max_errors_;
   std::vector<linalg::ExactSum> exact_basic_error_sums_;
 
+  /// Leaves the words a vector grows by unset (resize(n) without a value):
+  /// the fill writes every word below the row count and zeroes the padding.
+  template <class T>
+  struct UnsetAllocator : std::allocator<T> {
+    template <class U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+
   // Indexed by one-hot column; a column's words are allocated when it is
   // built and never move until Extend. built_ is written under mutex_ only.
-  mutable std::vector<std::vector<uint64_t>> columns_;
+  mutable std::vector<std::vector<uint64_t, UnsetAllocator<uint64_t>>>
+      columns_;
   mutable std::vector<uint8_t> built_;
   mutable std::mutex mutex_;
 };

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -141,9 +142,62 @@ void MaskedSum(const uint64_t* mask, int64_t words, const double* errors,
   *max_bits = std::bit_cast<uint64_t>(max);
 }
 
+/// The scalar fill_words: each row ORs its bit into the buffer word of its
+/// code's slot (slot `count` takes the codes no column lists), and each
+/// word is stored once.
+void FillWordsScalar(const int32_t* codes, int64_t stride, int64_t rows,
+                     const FillColumns& columns, int64_t first_word) {
+  const size_t count = static_cast<size_t>(columns.count);
+  uint64_t small[64];
+  std::vector<uint64_t> large;
+  uint64_t* words = small;
+  if (count >= 64) {
+    large.resize(count + 1);
+    words = large.data();
+  }
+  std::fill_n(words, count + 1, 0);
+  for (int64_t w = 0; w * 64 < rows; ++w) {
+    const int32_t* word_codes = codes + w * 64 * stride;
+    const int64_t end = std::min<int64_t>(64, rows - w * 64);
+    for (int64_t i = 0; i < end; ++i) {
+      words[columns.slot[word_codes[i * stride] - 1]] |= uint64_t{1} << i;
+    }
+    for (size_t k = 0; k < count; ++k) {
+      columns.dst[k][first_word + w] = words[k];
+      words[k] = 0;
+    }
+    words[count] = 0;
+  }
+}
+
+/// Whether the vector fill_words may compare `columns` on bytes: every
+/// listed code is below 255, so a code that saturates to a byte (255, or 0
+/// through a signed pack) matches none of them, and the 32-bit gather
+/// indices of a word's codes cannot wrap.
+bool FillsByBytes(int64_t stride, const FillColumns& columns) {
+  if (stride >= (int64_t{1} << 26)) return false;
+  for (int32_t k = 0; k < columns.count; ++k) {
+    if (columns.values[k] >= 255) return false;
+  }
+  return true;
+}
+
+/// Word `word` of every column of `columns` from the `rows` (< 64) codes
+/// at `codes`, by scalar compares: the vector fills' last, partial word.
+void FillPartialWord(const int32_t* codes, int64_t stride, int64_t rows,
+                     const FillColumns& columns, int64_t word) {
+  for (int32_t k = 0; k < columns.count; ++k) {
+    uint64_t bits = 0;
+    for (int64_t i = 0; i < rows; ++i) {
+      bits |= uint64_t{codes[i * stride] == columns.values[k]} << i;
+    }
+    columns.dst[k][word] = bits;
+  }
+}
+
 constexpr SimdKernels kScalarKernels = {
     SimdIsa::kScalar,       PopcountScalar,         AndPopcountScalar,
-    IntersectColumnsScalar, MaskedSum<SumBatch<2>>,
+    IntersectColumnsScalar, MaskedSum<SumBatch<2>>, FillWordsScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -232,9 +286,57 @@ __attribute__((target("avx2"))) void SumBatchAvx2(const double* errors,
   SumBatch<4>(errors, count, scale, total, max);
 }
 
+/// The codes of 32 rows, `stride` apart from `codes`, as bytes in row
+/// order (`index` holds 0, stride, ..., 7 * stride). Each 128-bit lane of
+/// the two packs interleaves its four sources; the permute undoes that.
+__attribute__((target("avx2"))) inline __m256i CodeBytesAvx2(
+    const int32_t* codes, int64_t stride, __m256i index) {
+  const __m256i low = _mm256_packus_epi32(
+      _mm256_i32gather_epi32(codes, index, 4),
+      _mm256_i32gather_epi32(codes + 8 * stride, index, 4));
+  const __m256i high = _mm256_packus_epi32(
+      _mm256_i32gather_epi32(codes + 16 * stride, index, 4),
+      _mm256_i32gather_epi32(codes + 24 * stride, index, 4));
+  return _mm256_permutevar8x32_epi32(_mm256_packus_epi16(low, high),
+                                     _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+}
+
+__attribute__((target("avx2"))) void FillWordsAvx2(const int32_t* codes,
+                                                   int64_t stride, int64_t rows,
+                                                   const FillColumns& columns,
+                                                   int64_t first_word) {
+  if (!FillsByBytes(stride, columns)) {
+    FillWordsScalar(codes, stride, rows, columns, first_word);
+    return;
+  }
+  const __m256i index =
+      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(static_cast<int32_t>(stride)));
+  const int64_t whole = rows / 64;
+  for (int64_t w = 0; w < whole; ++w) {
+    const int32_t* word_codes = codes + w * 64 * stride;
+    const __m256i low = CodeBytesAvx2(word_codes, stride, index);
+    const __m256i high = CodeBytesAvx2(word_codes + 32 * stride, stride, index);
+    for (int32_t k = 0; k < columns.count; ++k) {
+      const __m256i code =
+          _mm256_set1_epi8(static_cast<char>(columns.values[k]));
+      const uint32_t low_bits = static_cast<uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(low, code)));
+      const uint32_t high_bits = static_cast<uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(high, code)));
+      columns.dst[k][first_word + w] =
+          uint64_t{low_bits} | uint64_t{high_bits} << 32;
+    }
+  }
+  if (rows > whole * 64) {
+    FillPartialWord(codes + whole * 64 * stride, stride, rows - whole * 64,
+                    columns, first_word + whole);
+  }
+}
+
 constexpr SimdKernels kAvx2Kernels = {
     SimdIsa::kAvx2,       PopcountAvx2,            AndPopcountAvx2,
-    IntersectColumnsAvx2, MaskedSum<SumBatchAvx2>,
+    IntersectColumnsAvx2, MaskedSum<SumBatchAvx2>, FillWordsAvx2,
 };
 
 // ---------------------------------------------------------------------------
@@ -315,9 +417,47 @@ __attribute__((target("avx512f"))) void SumBatchAvx512(
   SumBatch<8>(errors, count, scale, total, max);
 }
 
+/// The codes of 16 rows at `codes` + `index`, saturated to bytes.
+__attribute__((target("avx512f"))) inline __m128i CodeBytesAvx512(
+    const int32_t* codes, __m512i index) {
+  return _mm512_cvtusepi32_epi8(_mm512_i32gather_epi32(index, codes, 4));
+}
+
+__attribute__((target("avx512f,avx512bw"))) void FillWordsAvx512(
+    const int32_t* codes, int64_t stride, int64_t rows,
+    const FillColumns& columns, int64_t first_word) {
+  if (!FillsByBytes(stride, columns)) {
+    FillWordsScalar(codes, stride, rows, columns, first_word);
+    return;
+  }
+  const __m512i index = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int32_t>(stride)));
+  const int64_t whole = rows / 64;
+  for (int64_t w = 0; w < whole; ++w) {
+    const int32_t* word_codes = codes + w * 64 * stride;
+    __m512i bytes = _mm512_castsi128_si512(
+        CodeBytesAvx512(word_codes, index));
+    bytes = _mm512_inserti32x4(
+        bytes, CodeBytesAvx512(word_codes + 16 * stride, index), 1);
+    bytes = _mm512_inserti32x4(
+        bytes, CodeBytesAvx512(word_codes + 32 * stride, index), 2);
+    bytes = _mm512_inserti32x4(
+        bytes, CodeBytesAvx512(word_codes + 48 * stride, index), 3);
+    for (int32_t k = 0; k < columns.count; ++k) {
+      columns.dst[k][first_word + w] = _mm512_cmpeq_epi8_mask(
+          bytes, _mm512_set1_epi8(static_cast<char>(columns.values[k])));
+    }
+  }
+  if (rows > whole * 64) {
+    FillPartialWord(codes + whole * 64 * stride, stride, rows - whole * 64,
+                    columns, first_word + whole);
+  }
+}
+
 constexpr SimdKernels kAvx512Kernels = {
     SimdIsa::kAvx512,       PopcountAvx512,            AndPopcountAvx512,
-    IntersectColumnsAvx512, MaskedSum<SumBatchAvx512>,
+    IntersectColumnsAvx512, MaskedSum<SumBatchAvx512>, FillWordsAvx512,
 };
 
 #pragma GCC diagnostic pop
@@ -376,7 +516,7 @@ int64_t IntersectColumnsNeon(const uint64_t* const* cols, int32_t len,
 
 constexpr SimdKernels kNeonKernels = {
     SimdIsa::kNeon,       PopcountNeon,           AndPopcountNeon,
-    IntersectColumnsNeon, MaskedSum<SumBatch<2>>,
+    IntersectColumnsNeon, MaskedSum<SumBatch<2>>, FillWordsScalar,
 };
 
 #endif  // SLICELINE_SIMD_NEON

@@ -73,6 +73,17 @@ struct CandidateColumns {
   int32_t len = 0;
 };
 
+/// The listed one-hot columns of one feature that fill_words builds: column
+/// k holds code values[k] (distinct codes, each at least 1) and its packed
+/// bitmap is dst[k]. slot[code - 1] is k for each listed code and `count`
+/// for every other code of the feature's domain: the scatter's lookup.
+struct FillColumns {
+  const int32_t* values = nullptr;
+  const int32_t* slot = nullptr;
+  int32_t count = 0;
+  uint64_t* const* dst = nullptr;
+};
+
 /// Kernel table of one ISA level. Every entry is bit-exact against the
 /// kScalar table on identical inputs: counts are integer popcounts, word
 /// outputs are identical bit patterns, and masked sums are exact integers
@@ -98,6 +109,20 @@ struct SimdKernels {
   void (*masked_sum)(const uint64_t* mask, int64_t words, const double* errors,
                      const SumLayout& layout, uint64_t* lanes,
                      uint64_t* max_bits);
+  /// The one-hot X of Algorithm 1 line 2, one feature at a time: writes
+  /// words [first_word, first_word + ceil(rows / 64)) of every bitmap of
+  /// `columns` from `rows` rows of the feature, where codes[i * stride] is
+  /// the code of row 64 * first_word + i. Bit i % 64 of a word is set iff
+  /// that row holds the column's code; bits past `rows` are zero. Reads no
+  /// code past `rows`. The scalar level ORs one bit per code into a word
+  /// buffer; the vector levels compare each word's 64 codes, packed to
+  /// bytes, with each listed code (codes of 255 and up saturate, so a
+  /// feature listing such a code takes the scalar path). A sweep of 1 to
+  /// 254 listed columns found the compares cheaper at every width
+  /// (EXPERIMENTS.md, "Compare-built bitmaps"), so the width never picks
+  /// the scalar path.
+  void (*fill_words)(const int32_t* codes, int64_t stride, int64_t rows,
+                     const FillColumns& columns, int64_t first_word);
 };
 
 /// Kernel table of a specific level; `isa` must be in AvailableIsas().

@@ -32,7 +32,8 @@ Status WriteMatrixMarket(const CsrMatrix& matrix, const std::string& path) {
   return Status::OK();
 }
 
-StatusOr<CsrMatrix> ParseMatrixMarket(const std::string& content) {
+StatusOr<CsrMatrix> ParseMatrixMarket(const std::string& content,
+                                      int64_t max_rows) {
   std::istringstream in(content);
   std::string line;
   // Header.
@@ -65,6 +66,12 @@ StatusOr<CsrMatrix> ParseMatrixMarket(const std::string& content) {
   size_line >> rows >> cols >> nnz;
   if (rows < 0 || cols < 0 || nnz < 0) {
     return Status::InvalidArgument("malformed size line: '" + line + "'");
+  }
+  if (rows > max_rows) {
+    return Status::InvalidArgument("MatrixMarket header declares " +
+                                   std::to_string(rows) +
+                                   " rows, more than the " +
+                                   std::to_string(max_rows) + " expected");
   }
   // File-controlled sizes: reject products that would wrap before any
   // reservation happens. For symmetric inputs the mirrored entries can at

@@ -1,6 +1,8 @@
 #ifndef SLICELINE_LINALG_MATRIX_IO_H_
 #define SLICELINE_LINALG_MATRIX_IO_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/status.h"
@@ -19,9 +21,14 @@ Status WriteMatrixMarket(const CsrMatrix& matrix, const std::string& path);
 /// duplicate coordinates are summed.
 StatusOr<CsrMatrix> ReadMatrixMarket(const std::string& path);
 
-/// String-based variants (testing and embedding convenience).
+/// String-based variants (testing and embedding convenience). The parser
+/// checks the declared row count against `max_rows` before anything is
+/// sized by it, and returns InvalidArgument past it: a caller that knows
+/// how many rows to expect bounds a hostile header that way.
 std::string ToMatrixMarketString(const CsrMatrix& matrix);
-StatusOr<CsrMatrix> ParseMatrixMarket(const std::string& content);
+StatusOr<CsrMatrix> ParseMatrixMarket(
+    const std::string& content,
+    int64_t max_rows = std::numeric_limits<int64_t>::max());
 
 }  // namespace sliceline::linalg
 

@@ -1,7 +1,8 @@
 // SIMD differential check of the fuzzing subsystem: every bit-packed
 // evaluation kernel at every ISA level this host can execute, against the
 // always-compiled scalar reference — first on random bitmaps regenerated
-// from the case seed (word tails, all-zero and full columns), then end to
+// from the case seed (word tails, all-zero and full columns) and on random
+// codes for the bitmap fill (domains past a byte), then end to
 // end on the case's dataset: the full RunSliceLine top-K under each forced
 // ISA must be BIT-identical to the scalar-forced run.
 #include <algorithm>
@@ -103,6 +104,57 @@ std::string RunKernelRound(Rng& rng, SimdIsa isa) {
   return "";
 }
 
+/// One seeded fill round: one feature's codes (a domain past a byte a third
+/// of the time) over a random row count, a random list of its codes, and
+/// fill_words of `isa` against the scalar scatter, from a first word past 0.
+std::string RunFillRound(Rng& rng, SimdIsa isa) {
+  static constexpr int64_t kRowChoices[] = {1, 63, 64, 65, 127, 1024, 4099};
+  const int64_t rows = kRowChoices[rng.NextUint64(std::size(kRowChoices))];
+  const int64_t stride = rng.NextInt(1, 5);
+  const int32_t domain = static_cast<int32_t>(
+      rng.NextBool(0.33) ? rng.NextInt(255, 2000) : rng.NextInt(1, 254));
+  std::vector<int32_t> codes(static_cast<size_t>(rows * stride));
+  for (int32_t& code : codes) {
+    code = static_cast<int32_t>(rng.NextInt(1, domain));
+  }
+  // Listed codes stop at `top`: the domain, 255 (where codes past a byte
+  // saturate, so a list may end there while the rows go on) or any code.
+  std::vector<int32_t> values;
+  std::vector<int32_t> slot(static_cast<size_t>(domain));
+  const double listed = rng.NextDouble();
+  const int32_t tops[] = {domain, std::min(domain, 255),
+                          static_cast<int32_t>(rng.NextInt(1, domain))};
+  const int32_t top = tops[rng.NextUint64(std::size(tops))];
+  for (int32_t code = 1; code <= top; ++code) {
+    if (rng.NextBool(listed)) values.push_back(code);
+  }
+  const int32_t count = static_cast<int32_t>(values.size());
+  std::fill(slot.begin(), slot.end(), count);
+  for (int32_t k = 0; k < count; ++k) slot[values[k] - 1] = k;
+  const int64_t first_word = rng.NextInt(0, 3);
+  const size_t span = static_cast<size_t>(first_word + (rows + 63) / 64);
+  const auto fill = [&](const SimdKernels& kernels) {
+    std::vector<uint64_t> out(values.size() * span, 0);
+    std::vector<uint64_t*> dst;
+    for (size_t k = 0; k < values.size(); ++k) {
+      dst.push_back(out.data() + k * span);
+    }
+    kernels.fill_words(codes.data(), stride, rows,
+                       {values.data(), slot.data(), count, dst.data()},
+                       first_word);
+    return out;
+  };
+  if (fill(linalg::KernelsFor(isa)) !=
+      fill(linalg::KernelsFor(SimdIsa::kScalar))) {
+    std::ostringstream os;
+    os << "isa=" << linalg::IsaName(isa)
+       << " fill_words diverges from scalar (rows=" << rows
+       << " domain=" << domain << " listed=" << count << ")";
+    return os.str();
+  }
+  return "";
+}
+
 /// Restores environment/auto ISA selection on scope exit, so a failing check
 /// never leaves the process pinned to a test ISA.
 struct ScopedIsaReset {
@@ -116,8 +168,10 @@ std::string CheckSimdDifferential(const FuzzCase& fuzz_case) {
   // round is not skipped: it exercises the kernels on this round's shapes
   // even on hosts with no vector units.
   Rng rng(fuzz_case.seed * 0x9e3779b97f4a7c15ULL + 1);
+  Rng fill_rng(fuzz_case.seed * 0x9e3779b97f4a7c15ULL + 2);
   for (SimdIsa isa : linalg::AvailableIsas()) {
     std::string failure = RunKernelRound(rng, isa);
+    if (failure.empty()) failure = RunFillRound(fill_rng, isa);
     if (!failure.empty()) {
       return DescribeCase(fuzz_case) + " " + failure;
     }

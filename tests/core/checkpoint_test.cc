@@ -322,6 +322,34 @@ void WidenFrontier(std::string* payload) {
   ReplaceKeyLine(payload, "frontier", std::to_string(body.size()));
 }
 
+/// The embedded MatrixMarket frontier's size line declaring 2^36 rows: a
+/// parser that sized its row pointers by it would ask for 512 GiB.
+void OversizeFrontierRows(std::string* payload) {
+  const size_t key = payload->find("\nfrontier ");
+  ASSERT_NE(key, std::string::npos);
+  const size_t mm = payload->find('\n', key + 1) + 1;
+  size_t size_line = mm;
+  while (payload->compare(size_line, 1, "%") == 0) {
+    size_line = payload->find('\n', size_line) + 1;
+  }
+  payload->replace(size_line, payload->find(' ', size_line) - size_line,
+                   "68719476736");
+  ReplaceKeyLine(payload, "frontier", std::to_string(payload->size() - mm));
+}
+
+TEST(CheckpointTest, OversizedFrontierRowsAreAnError) {
+  const std::string dir = MakeTempDir("oversized_rows");
+  ASSERT_TRUE(SaveCheckpoint(dir, MakeState()).ok());
+  RewriteCheckpoint(dir, OversizeFrontierRows);
+  const StatusOr<CheckpointState> loaded = LoadCheckpoint(dir);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointTest, NativeOversizedFrontierRowsStartFresh) {
+  ExpectTamperedCheckpointStartsFresh("oversized_rows_native", RunSliceLine,
+                                      OversizeFrontierRows);
+}
+
 TEST(CheckpointTest, OversizedCountIsAnError) {
   const std::string dir = MakeTempDir("oversized");
   ASSERT_TRUE(SaveCheckpoint(dir, MakeState()).ok());

@@ -3,7 +3,8 @@
 // statistics against a row-scan reference, both build passes and the fill
 // memcmp-equal at every pool size, input checks from any row range, appends
 // continuing the statistics and bitmaps, concurrent fills through the
-// evaluator, and the error grid with its error planes.
+// evaluator, the fill bit-identical at every ISA, its trace span, and the
+// error grid with its error planes.
 #include "data/column_store.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "linalg/bitmap.h"
 #include "linalg/kernels_simd.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "reference_sum.h"
 
 namespace sliceline::data {
@@ -531,6 +533,143 @@ TEST(ColumnStoreTest, CounterCountsTheColumnsFilledLazily) {
   EXPECT_EQ(lazy->Value(), total);
   registry->ResetValues();
   obs::SetMetricsEnabled(was_enabled);
+}
+
+/// The column counts of the column_store/fill spans recorded since the
+/// last call.
+std::vector<int64_t> TakeFillSpans() {
+  std::vector<int64_t> columns;
+  for (const obs::TraceEvent& event :
+       obs::TraceRecorder::Default()->TakeEvents()) {
+    if (std::string(event.name) == "column_store/fill") {
+      columns.push_back(event.arg);
+    }
+  }
+  return columns;
+}
+
+TEST(ColumnStoreTest, FillSpanMarksEachCallThatBuildsColumns) {
+  obs::TraceRecorder* recorder = obs::TraceRecorder::Default();
+  const bool was_enabled = recorder->enabled();
+  const IntMatrix full = RandomCodes(72, 500, {5, 7, 3});
+  const std::vector<double> full_errors = RandomErrors(73, 500);
+  IntMatrix x0(300, full.cols());
+  std::copy_n(full.data().begin(), 300 * full.cols(), x0.row(0));
+  std::vector<double> errors(full_errors.begin(), full_errors.begin() + 300);
+  const FeatureOffsets offsets = ComputeOffsets(full);
+  ColumnStore store(x0, offsets, errors);
+  recorder->SetEnabled(true);
+  recorder->Clear();
+  const std::vector<int64_t> some = {3, 0, 3, 9};
+  store.Materialize(some.data(), 4, /*parallel=*/false);
+  EXPECT_EQ(TakeFillSpans(), std::vector<int64_t>{3});
+  // Every listed column is built: no fill, no span.
+  store.Materialize(some.data(), 4, /*parallel=*/true);
+  EXPECT_EQ(TakeFillSpans(), std::vector<int64_t>{});
+  // Extend refills the three built columns over the appended rows.
+  IntMatrix tail(200, full.cols());
+  std::copy_n(full.data().begin() + 300 * full.cols(), 200 * full.cols(),
+              tail.row(0));
+  x0.AppendRows(tail);
+  errors.insert(errors.end(), full_errors.begin() + 300, full_errors.end());
+  store.Extend();
+  EXPECT_EQ(TakeFillSpans(), std::vector<int64_t>{3});
+  std::vector<int64_t> all(static_cast<size_t>(store.offsets().total));
+  std::iota(all.begin(), all.end(), int64_t{0});
+  store.Materialize(all.data(), store.offsets().total, /*parallel=*/true);
+  EXPECT_EQ(TakeFillSpans(), std::vector<int64_t>{store.offsets().total - 3});
+  recorder->SetEnabled(was_enabled);
+}
+
+TEST(ColumnStoreTest, FillIsBitIdenticalAtEveryIsaAndPoolSize) {
+  // The last word is partial and the append starts mid-word. Feature 0 has
+  // codes past a byte, which saturate in the vector fills' byte pack;
+  // feature 1 lists 254 columns, the most a byte compare takes; the rest
+  // are small and enough for the parallel fill.
+  const int64_t n = 64 * 40 + 37;
+  const int64_t split = 64 * 17 + 29;
+  std::vector<int32_t> domains =
+      SmallDomains(70, FeaturesForParallelRows(split, n - split), n - split);
+  domains[0] = 300;
+  domains[1] = 254;
+  IntMatrix full = RandomCodes(71, n, domains);
+  // Every feature's top code, in the first word and in the partial last.
+  for (size_t j = 0; j < domains.size(); ++j) {
+    full.At(5, static_cast<int64_t>(j)) = domains[j];
+    full.At(n - 1, static_cast<int64_t>(j)) = domains[j];
+  }
+  const FeatureOffsets offsets = OffsetsFromDomains(domains);
+  const std::vector<double> full_errors = RandomErrors(72, n);
+  std::vector<linalg::Bitmap> want;
+  for (int64_t c = 0; c < offsets.total; ++c) {
+    want.push_back(InvertedList(full, offsets, c));
+  }
+  // First codes 1, 2 and 254 of feature 0, which its rows' codes past a
+  // byte must not match, and every other feature's first and top codes;
+  // then every column. Both lists repeat columns.
+  std::vector<int64_t> early = {offsets.ColumnOf(0, 1), offsets.ColumnOf(0, 2),
+                                offsets.ColumnOf(0, 254)};
+  for (int j = 1; j < offsets.num_features(); ++j) {
+    early.push_back(offsets.fb[j]);
+    early.push_back(offsets.fe[j] - 1);
+  }
+  const std::vector<int64_t> repeated(early.begin(), early.begin() + 6);
+  early.insert(early.end(), repeated.begin(), repeated.end());
+  std::vector<int64_t> all(static_cast<size_t>(offsets.total));
+  std::iota(all.begin(), all.end(), int64_t{0});
+  all.insert(all.end(), early.begin(), early.end());
+  const auto expect_built = [&](const ColumnStore& store,
+                                const std::vector<int64_t>& cols,
+                                const std::string& what) {
+    for (int64_t c : cols) {
+      ASSERT_NE(store.Column(c), nullptr) << what << " column " << c;
+      EXPECT_TRUE(SameWords(store.Column(c), want[static_cast<size_t>(c)].data(),
+                            store.words()))
+          << what << " column " << c;
+    }
+  };
+
+  IntMatrix tail(n - split, full.cols());
+  std::copy_n(full.data().begin() + split * full.cols(),
+              (n - split) * full.cols(), tail.row(0));
+  for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
+    linalg::ForceIsa(isa);
+    for (size_t threads = 1; threads <= 4; ++threads) {
+      ResizeGlobalThreadPoolForTesting(threads);
+      for (bool parallel : {false, true}) {
+        const std::string what = std::string(linalg::IsaName(isa)) +
+                                 " threads=" + std::to_string(threads) +
+                                 (parallel ? " parallel" : " serial");
+        const ColumnStore store(full, offsets, full_errors);
+        store.Materialize(early.data(), static_cast<int64_t>(early.size()),
+                          parallel);
+        expect_built(store, early, what);
+        store.Materialize(all.data(), static_cast<int64_t>(all.size()),
+                          parallel);
+        expect_built(store, all, what);
+        EXPECT_EQ(store.built(), offsets.total) << what;
+
+        // Extend refills the early columns from the append's first word.
+        IntMatrix x0(split, full.cols());
+        std::copy_n(full.data().begin(), split * full.cols(), x0.row(0));
+        std::vector<double> errors(full_errors.begin(),
+                                   full_errors.begin() + split);
+        ColumnStore grown(x0, offsets, errors);
+        grown.Materialize(early.data(), static_cast<int64_t>(early.size()),
+                          parallel);
+        x0.AppendRows(tail);
+        errors.insert(errors.end(), full_errors.begin() + split,
+                      full_errors.end());
+        grown.Extend();
+        expect_built(grown, early, what + " extended");
+        grown.Materialize(all.data(), static_cast<int64_t>(all.size()),
+                          parallel);
+        expect_built(grown, all, what + " extended");
+      }
+    }
+  }
+  linalg::ClearForcedIsa();
+  ResizeGlobalThreadPoolForTesting(0);
 }
 
 TEST(ColumnStoreTest, ZeroOneErrorsGetOnePlane) {

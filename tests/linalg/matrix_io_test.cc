@@ -92,6 +92,21 @@ TEST(MatrixIoTest, RejectsMalformedInput) {
                    .ok());
 }
 
+TEST(MatrixIoTest, RowsPastTheCallersBoundAreAnErrorBeforeAnyAllocation) {
+  // 2^36 rows: row pointers sized by the header would need 512 GiB.
+  const std::string huge =
+      "%%MatrixMarket matrix coordinate real general\n68719476736 1 0\n";
+  EXPECT_EQ(ParseMatrixMarket(huge, /*max_rows=*/1000).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::string small =
+      "%%MatrixMarket matrix coordinate real general\n3 2 1\n3 2 4.0\n";
+  EXPECT_EQ(ParseMatrixMarket(small, /*max_rows=*/2).status().code(),
+            StatusCode::kInvalidArgument);
+  const auto exact = ParseMatrixMarket(small, /*max_rows=*/3);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_DOUBLE_EQ(exact->At(2, 1), 4.0);
+}
+
 TEST(MatrixIoTest, ReadMissingFileFails) {
   EXPECT_FALSE(ReadMatrixMarket("/no/such/file.mtx").ok());
 }

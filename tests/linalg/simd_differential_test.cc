@@ -452,6 +452,79 @@ TEST_P(SimdDifferentialTest, BlockedPlaneLoopMatchesAscendingChain) {
   }
 }
 
+// fill_words of one feature, the middle of three row-major features: the
+// words equal the scalar scatter's and the inverted lists over partial last
+// words and a first word past 0; codes past a byte (up to 70000) match no
+// listed code below 255; lists hold the domain's top code; the words before
+// and after the written ones are left alone.
+TEST_P(SimdDifferentialTest, FillWordsMatchesScalar) {
+  const SimdKernels& simd = KernelsFor(GetParam());
+  const SimdKernels& scalar = KernelsFor(SimdIsa::kScalar);
+  constexpr int64_t kStride = 3;
+  constexpr int64_t kFirstWord = 2;
+  constexpr uint64_t kUntouched = 0xa5a5a5a5a5a5a5a5;
+  Rng rng(97);
+  for (int64_t rows : {1, 63, 64, 65, 200, 1000}) {
+    for (int32_t domain : {1, 5, 254, 255, 256, 300, 70000}) {
+      std::vector<int32_t> codes(static_cast<size_t>(rows * kStride));
+      for (int32_t& code : codes) {
+        code = static_cast<int32_t>(rng.NextInt(1, domain));
+      }
+      codes[static_cast<size_t>((rows - 1) * kStride + 1)] = domain;
+      std::vector<std::vector<int32_t>> lists = {{domain}};
+      if (domain > 1) lists.push_back({1, domain});
+      // 255 is where codes past a byte saturate.
+      if (domain > 255) lists.push_back({1, 254, 255});
+      std::vector<int32_t> spread;  // up to 60 codes, ascending
+      for (int32_t code = 1; code <= domain && spread.size() < 60;
+           code += 1 + static_cast<int32_t>(rng.NextUint64(domain / 40 + 1))) {
+        spread.push_back(code);
+      }
+      lists.push_back(spread);
+      std::vector<int32_t> below_byte;  // every code below 255
+      for (int32_t code = 1; code <= std::min(domain, 254); ++code) {
+        below_byte.push_back(code);
+      }
+      lists.push_back(below_byte);
+      for (const std::vector<int32_t>& values : lists) {
+        const std::string what = "rows=" + std::to_string(rows) +
+                                 " domain=" + std::to_string(domain) +
+                                 " listed=" + std::to_string(values.size());
+        const int32_t count = static_cast<int32_t>(values.size());
+        std::vector<int32_t> slot(static_cast<size_t>(domain), count);
+        for (int32_t k = 0; k < count; ++k) slot[values[k] - 1] = k;
+        const int64_t words = (rows + 63) / 64;
+        const size_t span = static_cast<size_t>(kFirstWord + words + 1);
+        const auto fill = [&](const SimdKernels& kernels) {
+          std::vector<uint64_t> out(values.size() * span, kUntouched);
+          std::vector<uint64_t*> dst;
+          for (size_t k = 0; k < values.size(); ++k) {
+            dst.push_back(out.data() + k * span);
+          }
+          kernels.fill_words(codes.data() + 1, kStride, rows,
+                             {values.data(), slot.data(), count, dst.data()},
+                             kFirstWord);
+          return out;
+        };
+        const std::vector<uint64_t> got = fill(simd);
+        EXPECT_EQ(got, fill(scalar)) << what;
+        for (size_t k = 0; k < values.size(); ++k) {
+          std::vector<uint64_t> bits(span, kUntouched);
+          for (int64_t w = 0; w < words; ++w) bits[kFirstWord + w] = 0;
+          for (int64_t i = 0; i < rows; ++i) {
+            if (codes[static_cast<size_t>(i * kStride + 1)] == values[k]) {
+              bits[kFirstWord + (i >> 6)] |= uint64_t{1} << (i & 63);
+            }
+          }
+          EXPECT_TRUE(std::equal(bits.begin(), bits.end(),
+                                 got.begin() + k * span))
+              << what << " code " << values[k];
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIsas, SimdDifferentialTest,
                          ::testing::Values(SimdIsa::kScalar, SimdIsa::kNeon,
                                            SimdIsa::kAvx2, SimdIsa::kAvx512),
