@@ -43,6 +43,15 @@ struct ParentBounds {
 double UpperBoundScore(const ScoringContext& context, int64_t sigma,
                        const ParentBounds& bounds);
 
+/// The score-pruning test of Equation 9: true exactly when
+///   UpperBoundScore(context, sigma, bounds) > threshold  &&  ... >= 0.
+/// It returns as soon as one interesting point clears both, without
+/// evaluating the rest. The bound is the maximum of those points, and the
+/// maximum clears `> threshold && >= 0` exactly when some point does, so the
+/// decision is the same for every input.
+bool UpperBoundClears(const ScoringContext& context, int64_t sigma,
+                      const ParentBounds& bounds, double threshold);
+
 }  // namespace sliceline::core
 
 #endif  // SLICELINE_CORE_BOUNDS_H_

@@ -28,6 +28,11 @@ struct Chunk {
   // the partners they touched.
   std::vector<int32_t> overlap;
   std::vector<int32_t> touched;
+  // Prefix-join scratch, per dropped key position: the cursor into the
+  // other parent's sibling group (-1 before the group is searched) and the
+  // group's end.
+  std::vector<int32_t> cursor;
+  std::vector<int32_t> cursor_end;
 
   void ChargeBuffers() {
     charge.Resize(static_cast<int64_t>(records.size() * sizeof(int32_t) +
@@ -71,25 +76,46 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
   // in each parent minimum): a failing bound fails for every parent superset.
   auto fails_forever = [&](const ParentBounds& bounds) {
     if (config.prune_size && bounds.size_ub < sigma) return true;
-    if (!config.prune_score) return false;
-    const double ub = UpperBoundScore(context, sigma, bounds);
-    return !(ub > score_threshold && ub >= 0.0);
+    return config.prune_score &&
+           !UpperBoundClears(context, sigma, bounds, score_threshold);
+  };
+  // The test reads only the three minima, so bounds with the same minima as
+  // bounds known to pass pass too.
+  auto same_minima = [](const ParentBounds& x, const ParentBounds& y) {
+    return x.size_ub == y.size_ub && x.error_ub == y.error_ub &&
+           x.max_error_ub == y.max_error_ub;
   };
 
   // Step 1: keep only valid parents (minimum support unless size pruning is
   // ablated away; se > 0 is part of the problem and stays on in every
   // ablation). A parent whose own bound fails is dropped too: every pair with
   // it fails the pair check below, so no candidate, bound or np changes.
+  // The parents are judged in ranges on the pool and kept in `prev` order.
+  ThreadPool& pool = GlobalThreadPool();
+  const int64_t threads = config.parallel ? pool.num_threads() : 1;
+  enum Verdict : char { kInvalid, kFiltered, kKept };
+  std::vector<Verdict> verdicts(static_cast<size_t>(prev.size()), kInvalid);
+  auto judge = [&](size_t first, size_t last) {
+    for (size_t i = first; i < last; ++i) {
+      if (prev.Length(i) == parent_len && prev_stats.error_sums[i] > 0.0 &&
+          (!config.prune_size || prev_stats.sizes[i] >= sigma)) {
+        verdicts[i] = fails_forever(bounds_of({static_cast<int32_t>(i)}))
+                          ? kFiltered
+                          : kKept;
+      }
+    }
+  };
+  if (threads > 1) {
+    pool.ParallelForRange(verdicts.size(), judge);
+  } else {
+    judge(0, verdicts.size());
+  }
   std::vector<int32_t> kept;
   for (int32_t i = 0; i < prev.size(); ++i) {
-    if (prev.Length(i) != parent_len || !(prev_stats.error_sums[i] > 0.0) ||
-        (config.prune_size && prev_stats.sizes[i] < sigma)) {
-      continue;
-    }
-    const bool fails = fails_forever(bounds_of({i}));
-    stats.parents_filtered += fails;
-    if (!fails) kept.push_back(i);
+    stats.parents_filtered += verdicts[i] == kFiltered;
+    if (verdicts[i] == kKept) kept.push_back(i);
   }
+  verdicts = {};
   const int64_t p = static_cast<int64_t>(kept.size());
   std::vector<int> feature_of(static_cast<size_t>(offsets.total));
   for (int64_t c = 0; c < offsets.total; ++c) {
@@ -110,8 +136,6 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
   // concatenating them in range order gives serial order for any pool size.
   // join(a, chunk) handles outer parent kept[a]. A range polls the run
   // context every 64 outer parents and charges its buffers after each one.
-  ThreadPool& pool = GlobalThreadPool();
-  const int64_t threads = config.parallel ? pool.num_threads() : 1;
   std::vector<Chunk> chunks(std::min(
       p, std::clamp<int64_t>(p / 64, 1, threads > 1 ? 4 * threads : 1)));
   const int64_t num_chunks = static_cast<int64_t>(chunks.size());
@@ -143,69 +167,109 @@ SliceSet GeneratePairCandidates(const SliceSet& prev,
   };
 
   if (prefix_join) {
-    // Three-way lexicographic comparison of a parent with `key` minus its
-    // position `skip`; the parent lookup is a binary search over `kept`.
-    auto compare = [&](const int64_t* parent, const int64_t* key,
-                       int64_t skip) {
-      for (int64_t i = 0; i < parent_len; ++i) {
-        const int64_t k = key[i + (i >= skip)];
-        if (parent[i] != k) return parent[i] < k ? -1 : 1;
-      }
-      return 0;
-    };
-    auto find_parent = [&](const int64_t* key, int64_t skip) {
-      const auto it = std::partition_point(
-          kept.begin(), kept.end(), [&](int32_t x) {
-            return compare(prev.Columns(x), key, skip) < 0;
-          });
-      return it != kept.end() && compare(prev.Columns(*it), key, skip) == 0
-                 ? *it
-                 : -1;
-    };
-    // The siblings of kept[a] that follow it share its first L-2 columns and
-    // are contiguous. Parents hold one predicate per feature, so a key's only
-    // unchecked feature pair is last(a), last(b).
+    // In kept order: each parent's last column, and one past the end of its
+    // sibling group (the contiguous parents sharing its first L-2 columns).
+    std::vector<int64_t> last(static_cast<size_t>(p));
+    std::vector<int32_t> group_end(static_cast<size_t>(p));
+    for (int64_t i = p - 1; i >= 0; --i) {
+      const int64_t* ci = prev.Columns(kept[i]);
+      last[i] = ci[level - 2];
+      group_end[i] = i + 1 < p && std::equal(ci, ci + level - 2,
+                                             prev.Columns(kept[i + 1]))
+                         ? group_end[i + 1]
+                         : static_cast<int32_t>(i + 1);
+    }
+    // Each sibling b of kept[a] that follows it forms the key
+    // columns(a) + last[b]; parents hold one predicate per feature, so the
+    // key's only unchecked feature pair is last[a], last[b]. Without
+    // position skip < L-2 the key is the parent whose first L-2 columns are
+    // a's without a[skip] and whose last column is last[b]. That parent's
+    // sibling group lies after a's own, and its last columns rise with b:
+    // one binary search, on a's first key that passes its pair bound, and a
+    // forward cursor find that parent for every key of a.
     run_chunks([&](int64_t a, Chunk* chunk) {
       const int64_t* ca = prev.Columns(kept[a]);
-      for (int64_t b = a + 1; b < p; ++b) {
-        const int64_t* cb = prev.Columns(kept[b]);
-        if (!std::equal(ca, ca + level - 2, cb)) break;
+      const ParentBounds own_a = bounds_of({kept[a]});
+      std::vector<int32_t>& cursor = chunk->cursor;
+      std::vector<int32_t>& cursor_end = chunk->cursor_end;
+      cursor.assign(static_cast<size_t>(level - 2), -1);
+      cursor_end.resize(static_cast<size_t>(level - 2));
+      // Three-way comparison of kept[x]'s first L-2 columns with a's
+      // columns without a[skip].
+      auto compare = [&](int32_t x, int64_t skip) {
+        const int64_t* cx = prev.Columns(kept[x]);
+        for (int64_t i = 0; i < level - 2; ++i) {
+          const int64_t k = ca[i + (i >= skip)];
+          if (cx[i] != k) return cx[i] < k ? -1 : 1;
+        }
+        return 0;
+      };
+      auto find_group = [&](int64_t skip) {
+        int32_t lo = group_end[a];
+        for (int32_t hi = static_cast<int32_t>(p); lo < hi;) {
+          const int32_t mid = lo + (hi - lo) / 2;
+          if (compare(mid, skip) < 0) {
+            lo = mid + 1;
+          } else {
+            hi = mid;
+          }
+        }
+        cursor[skip] = lo;
+        cursor_end[skip] =
+            lo < p && compare(lo, skip) == 0 ? group_end[lo] : lo;
+      };
+      for (int64_t b = a + 1; b < group_end[a]; ++b) {
         ++chunk->stats.pairs;
-        if (feature_of[ca[level - 2]] == feature_of[cb[level - 2]]) continue;
-        ParentBounds bounds = bounds_of({kept[a], kept[b]});
-        if (fails_forever(bounds)) {
+        if (feature_of[last[a]] == feature_of[last[b]]) continue;
+        // Kept parents pass their own bound, so a pair whose minima are
+        // one parent's own passes without a test.
+        ParentBounds bounds = own_a;
+        add_parent(&bounds, kept[b]);
+        if (!same_minima(bounds, own_a) &&
+            !same_minima(bounds, bounds_of({kept[b]})) &&
+            fails_forever(bounds)) {
           ++chunk->stats.pair_rejected;
           continue;
         }
-        const size_t base = chunk->columns.size();
-        chunk->columns.insert(chunk->columns.end(), ca, ca + parent_len);
-        chunk->columns.push_back(cb[level - 2]);
-        const int64_t* key = chunk->columns.data() + base;
+        // The pair's bound passes; the full bound needs a test only when
+        // another parent lowers a minimum.
         bool complete = true;
+        bool lowered = false;
         for (int64_t skip = 0; complete && skip < level - 2; ++skip) {
-          const int32_t parent = find_parent(key, skip);
-          complete = parent >= 0;
-          if (complete) add_parent(&bounds, parent);
+          if (cursor[skip] < 0) find_group(skip);
+          int32_t& c = cursor[skip];
+          while (c < cursor_end[skip] && last[c] < last[b]) ++c;
+          complete = c < cursor_end[skip] && last[c] == last[b];
+          if (complete) {
+            const ParentBounds before = bounds;
+            add_parent(&bounds, kept[c]);
+            lowered = lowered || !same_minima(bounds, before);
+          }
         }
-        if (!complete || fails_forever(bounds)) {
+        if (!complete || (lowered && fails_forever(bounds))) {
           ++chunk->stats.candidate_rejected;
-          chunk->columns.resize(base);
           continue;
         }
+        chunk->columns.insert(chunk->columns.end(), ca, ca + parent_len);
+        chunk->columns.push_back(last[b]);
         chunk->bounds.push_back(bounds);
       }
     });
+    // The join's arrays go before the output is assembled, the level's
+    // memory peak.
+    last = {};
+    group_end = {};
     // A stopped run discards the level; the caller reports the stop.
     if (stats.stop != StopReason::kNone) return out;
+    // Each chunk's keys and bounds join the output in one bulk copy, and
+    // its buffers go as soon as they are copied.
     int64_t total = 0;
     for (const Chunk& chunk : chunks) total += chunk.bounds.size();
     out.Reserve(total, total * level);
     bounds_out->reserve(static_cast<size_t>(total));
     for (Chunk& chunk : chunks) {
-      for (size_t i = 0; i < chunk.bounds.size(); ++i) {
-        const int64_t* key = chunk.columns.data() + i * level;
-        out.Add(key, key + level);
-      }
+      out.AddUniform(chunk.columns.data(),
+                     chunk.columns.data() + chunk.columns.size(), level);
       bounds_out->insert(bounds_out->end(), chunk.bounds.begin(),
                          chunk.bounds.end());
       chunk = Chunk();

@@ -54,13 +54,27 @@ struct CandidateGenStats {
 /// Default path (prune_parents && deduplicate): the prefix join (Apriori
 /// candidate generation). The kept parents are ordered lexicographically
 /// (a sorted `prev` is used as is); parents sharing their first L-2 columns
-/// are contiguous, and each pair a < b of them on different features forms
-/// the key prefix + last(a) + last(b) exactly once, already in order. A key
-/// whose two-parent bound passes looks up its other L-2 parents among the
-/// kept ones by binary search; a missing one drops it (np != L), otherwise
-/// the full bound over all L minima decides. This needs `prev` to hold
-/// distinct slices with one predicate per feature, as every level the
-/// engines produce does.
+/// are contiguous siblings, and each pair a < b of them on different
+/// features forms the key prefix + last(a) + last(b) exactly once, already
+/// in order. A key whose two-parent bound passes finds its other L-2
+/// parents among the kept ones with a sibling cursor. Without position
+/// skip < L-2 the key is the parent whose first L-2 columns are a's without
+/// a[skip] and whose last column is last(b). One binary search per
+/// (a, skip), made on a's first key that passes its pair bound, finds that
+/// prefix's siblings; last(b) rises with b, so a forward cursor over the
+/// siblings' last columns finds every key's parent in O(1) amortized. A
+/// missing parent drops the key (np != L), otherwise the full bound over
+/// all L minima decides. Each range's fixed-width keys and bounds join the
+/// output in one bulk copy. This needs `prev` to hold distinct slices with
+/// one predicate per feature, as every level the engines produce does.
+///
+/// The bound tests return at the first interesting point of Equation 3 that
+/// clears the threshold (UpperBoundClears). On the default path a bound
+/// whose three minima equal those of a bound known to pass is not tested
+/// again: a pair whose minima are one kept parent's own, or a key whose
+/// further parents lower no minimum of its passing pair. Every decision,
+/// and so every candidate, bound and counter, is the one the full test
+/// gives.
 ///
 /// Ablations (prune_parents=false or deduplicate=false), which need keys
 /// with missing parents or one candidate per pair: the pair join. Every
@@ -68,9 +82,9 @@ struct CandidateGenStats {
 /// records are sorted once by key and each run of equal keys becomes one
 /// candidate, or each record one candidate without deduplication.
 ///
-/// With `config.parallel` the loop over outer parents runs in contiguous
-/// ranges on the global thread pool, concatenated in order, so the output is
-/// identical for any pool size. Each range polls `config.run_context` every
+/// With `config.parallel` the parent filter and the loop over outer parents
+/// run in contiguous ranges on the global thread pool, concatenated in
+/// order, so the output is identical for any pool size. Each range polls `config.run_context` every
 /// 64 outer parents and charges its buffers to the calling thread's memory
 /// budget as they grow, so a hard memory limit stops a level within one
 /// poll stride. A stopped run returns an empty set and records why in

@@ -19,6 +19,15 @@ void SliceSet::Add(const int64_t* begin, const int64_t* end) {
   offsets_.push_back(static_cast<int64_t>(columns_.size()));
 }
 
+void SliceSet::AddUniform(const int64_t* begin, const int64_t* end,
+                          int64_t width) {
+  int64_t offset = static_cast<int64_t>(columns_.size());
+  columns_.insert(columns_.end(), begin, end);
+  const int64_t count = (end - begin) / width;
+  offsets_.reserve(offsets_.size() + count);
+  for (int64_t i = 0; i < count; ++i) offsets_.push_back(offset += width);
+}
+
 void SliceSet::Reserve(int64_t slices, int64_t total_columns) {
   offsets_.reserve(offsets_.size() + slices);
   columns_.reserve(columns_.size() + total_columns);

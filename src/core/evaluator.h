@@ -26,6 +26,9 @@ class SliceSet {
   void Add(const std::vector<int64_t>& columns) {
     Add(columns.data(), columns.data() + columns.size());
   }
+  /// Appends the slices of `width` columns each stored row-major in
+  /// [begin, end), each sorted and distinct.
+  void AddUniform(const int64_t* begin, const int64_t* end, int64_t width);
 
   int64_t size() const { return static_cast<int64_t>(offsets_.size()) - 1; }
   int64_t Length(int64_t i) const { return offsets_[i + 1] - offsets_[i]; }

@@ -259,13 +259,17 @@ StatusOr<SliceLineResult> RunLevelWise(const EvaluatorBackend& evaluator,
       stopped_level = level;
       break;
     }
+    const obs::LevelGenCounts gen_counts{gen_stats.pairs,
+                                         gen_stats.pair_rejected,
+                                         gen_stats.candidate_rejected};
     if (cands.size() == 0) {
       LevelStats stats;
       stats.level = level;
       stats.pruned = gen_stats.pruned;
       stats.seconds = level_watch.ElapsedSeconds();
       obs::RecordLevelMetrics(engine, stats.level, stats.candidates,
-                              stats.valid, stats.pruned, stats.seconds);
+                              stats.valid, stats.pruned, stats.seconds,
+                              &gen_counts);
       result.levels.push_back(stats);
       break;
     }
@@ -309,7 +313,8 @@ StatusOr<SliceLineResult> RunLevelWise(const EvaluatorBackend& evaluator,
     }
     stats.seconds = level_watch.ElapsedSeconds();
     obs::RecordLevelMetrics(engine, stats.level, stats.candidates,
-                            stats.valid, stats.pruned, stats.seconds);
+                            stats.valid, stats.pruned, stats.seconds,
+                            &gen_counts);
     result.levels.push_back(stats);
     result.total_evaluated += stats.candidates;
 

@@ -300,9 +300,9 @@ SliceSet GenerateLaCandidates(const SliceSet& prev,
       }
       if (np != L) keep_group = false;
     }
-    if (keep_group && config.prune_score) {
-      const double ub = UpperBoundScore(context, sigma, group.bounds);
-      if (!(ub > score_threshold && ub >= 0.0)) keep_group = false;
+    if (keep_group && config.prune_score &&
+        !UpperBoundClears(context, sigma, group.bounds, score_threshold)) {
+      keep_group = false;
     }
     if (!keep_group) {
       ++stats.candidate_rejected;

@@ -200,13 +200,22 @@ std::string LevelMetricName(const char* engine, int level, const char* what) {
 }
 
 void RecordLevelMetrics(const char* engine, int level, int64_t candidates,
-                        int64_t valid, int64_t pruned, double seconds) {
+                        int64_t valid, int64_t pruned, double seconds,
+                        const LevelGenCounts* gen) {
   if (!MetricsEnabled()) return;
   MetricsRegistry* registry = MetricsRegistry::Default();
   registry->GetCounter(LevelMetricName(engine, level, "candidates"))
       ->Add(candidates);
   registry->GetCounter(LevelMetricName(engine, level, "valid"))->Add(valid);
   registry->GetCounter(LevelMetricName(engine, level, "pruned"))->Add(pruned);
+  if (gen != nullptr) {
+    registry->GetCounter(LevelMetricName(engine, level, "pairs"))
+        ->Add(gen->pairs);
+    registry->GetCounter(LevelMetricName(engine, level, "pair_rejected"))
+        ->Add(gen->pair_rejected);
+    registry->GetCounter(LevelMetricName(engine, level, "candidate_rejected"))
+        ->Add(gen->candidate_rejected);
+  }
   std::string engine_prefix(engine);
   registry->GetHistogram(engine_prefix + "/level_seconds")->Observe(seconds);
   registry->GetCounter(engine_prefix + "/candidates_total")->Add(candidates);

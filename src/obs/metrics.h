@@ -189,12 +189,25 @@ class MetricsRegistry {
 /// LevelMetricName("native", 3, "candidates") == "native/level3/candidates".
 std::string LevelMetricName(const char* engine, int level, const char* what);
 
+/// How candidate generation split one level's work: the counters of
+/// core::CandidateGenStats, whose `pruned` is pair_rejected +
+/// candidate_rejected.
+struct LevelGenCounts {
+  int64_t pairs = 0;               ///< pairs of kept parents joined
+  int64_t pair_rejected = 0;       ///< keys whose two-parent bound fails
+  int64_t candidate_rejected = 0;  ///< keys the full Equation 9 test drops
+};
+
 /// Records one enumeration level's statistics as per-level counters in the
 /// default registry (no-op when metrics are disabled). Every engine calls
 /// this with exactly the values it stores in its LevelStats row, so the
 /// registry view and the struct view are the same numbers by construction.
+/// A level built by candidate generation also passes its split, recorded as
+/// "<engine>/level<L>/pairs", ".../pair_rejected" and
+/// ".../candidate_rejected".
 void RecordLevelMetrics(const char* engine, int level, int64_t candidates,
-                        int64_t valid, int64_t pruned, double seconds);
+                        int64_t valid, int64_t pruned, double seconds,
+                        const LevelGenCounts* gen = nullptr);
 
 }  // namespace sliceline::obs
 

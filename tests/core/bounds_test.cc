@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +114,70 @@ TEST(UpperBoundTest, TighterParentsGiveTighterBound) {
   tight.AddParent(300, 40.0, 1.0);
   EXPECT_LE(UpperBoundScore(ctx, 10, tight),
             UpperBoundScore(ctx, 10, loose) + 1e-12);
+}
+
+/// UpperBoundClears stops at the first interesting point that clears the
+/// threshold; its decision must equal the one read off the full maximum.
+TEST(UpperBoundTest, ClearsExactlyWhenTheBoundDoes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const int64_t sigma = 10;
+  auto parent = [](int64_t size, double error_sum, double max_error) {
+    ParentBounds bounds;
+    bounds.AddParent(size, error_sum, max_error);
+    return bounds;
+  };
+  const std::vector<ParentBounds> cases = {
+      ParentBounds{},                // no parents
+      parent(sigma, 40.0, 5.0),      // size_ub at sigma
+      parent(sigma - 1, 40.0, 5.0),  // size_ub at sigma - 1: infeasible
+      parent(200, 30.0, 5.0),        // knee 6, below sigma
+      parent(200, 5000.0, 5.0),      // knee 1000, above size_ub
+      parent(200, 60.0, 3.0),        // knee 20, on an integer
+      parent(200, 61.0, 3.0),        // knee 20.33, between integers
+      parent(200, 0.0, 2.0),         // error_ub == 0
+      parent(200, -1.0, 2.0),        // error_ub < 0
+      parent(200, 50.0, 0.0),        // max_error_ub == 0
+      parent(200, 0.0, 0.0),         // both zero
+  };
+  const std::vector<ScoringContext> contexts = {
+      ScoringContext(1000, 100.0, 0.95), ScoringContext(1000, 100.0, 1.0),
+      ScoringContext(300, 5.0, 0.5), ScoringContext(50, 1e-3, 0.05)};
+  for (const ScoringContext& ctx : contexts) {
+    for (const ParentBounds& bounds : cases) {
+      const double ub = UpperBoundScore(ctx, sigma, bounds);
+      for (double threshold : {-kInf, 0.0, ub, std::nextafter(ub, -kInf),
+                               std::nextafter(ub, kInf)}) {
+        EXPECT_EQ(UpperBoundClears(ctx, sigma, bounds, threshold),
+                  ub > threshold && ub >= 0.0)
+            << "size_ub=" << bounds.size_ub << " error_ub=" << bounds.error_ub
+            << " max_error_ub=" << bounds.max_error_ub << " ub=" << ub
+            << " threshold=" << threshold;
+      }
+    }
+  }
+  // Random bounds, thresholds at and one ulp around each bound.
+  Rng rng(47);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int64_t n = 20 + rng.NextInt(0, 500);
+    const ScoringContext ctx(n, rng.NextDouble(0.5, 50.0),
+                             rng.NextDouble(0.01, 1.0));
+    const int64_t sig = 1 + rng.NextInt(0, 15);
+    ParentBounds bounds;
+    for (int p = 1 + static_cast<int>(rng.NextUint64(3)); p > 0; --p) {
+      const double sm = rng.NextBool(0.1) ? 0.0 : rng.NextDouble(0.0, 3.0);
+      const int64_t size = sig - 1 + rng.NextInt(0, n - sig + 1);
+      bounds.AddParent(size, sm * static_cast<double>(size) * rng.NextDouble(),
+                       sm);
+    }
+    const double ub = UpperBoundScore(ctx, sig, bounds);
+    for (double threshold :
+         {-kInf, 0.0, ub, std::nextafter(ub, -kInf), std::nextafter(ub, kInf),
+          -ub}) {
+      ASSERT_EQ(UpperBoundClears(ctx, sig, bounds, threshold),
+                ub > threshold && ub >= 0.0)
+          << "trial " << trial << " ub=" << ub << " threshold=" << threshold;
+    }
+  }
 }
 
 }  // namespace

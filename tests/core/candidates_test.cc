@@ -504,33 +504,86 @@ void EveryColumnFrontier(Rng* rng, const data::FeatureOffsets& offsets,
   }
 }
 
-/// The frontiers the generator is checked on: small domains at levels 2-5
-/// (level 5 looks up three parents per key), and wide ones of at least 512
-/// parents at levels 2 and 3, so that prefix groups straddle the boundaries
-/// of the parallel ranges. `draws` == 0 takes every column once: most of
-/// its pairs share feature 0, which keeps the reference join fast.
+/// A level-2 frontier of long prefix groups whose level-3 keys mostly lack
+/// their third parent. Each column x of feature 0 pairs with most columns of
+/// the other features, so x's group is long. Pairs of two other features
+/// are rare, and none starts with feature 1's first column: a key
+/// (x, that column, z) looks for its third parent in a group that does not
+/// exist. With `copies`, a tenth of the slices appear twice.
+void SparseThirdParentFrontier(Rng* rng, const data::FeatureOffsets& offsets,
+                               bool copies, SliceSet* prev,
+                               EvalResult* stats) {
+  const int64_t lonely = offsets.ColumnOf(1, 1);
+  std::vector<std::vector<int64_t>> slices;
+  for (int32_t x = 1; x <= offsets.fdom[0]; ++x) {
+    for (int64_t y = offsets.fb[1]; y < offsets.total; ++y) {
+      if (rng->NextBool(0.95)) slices.push_back({offsets.ColumnOf(0, x), y});
+    }
+  }
+  for (int64_t y = offsets.fb[1]; y < offsets.total; ++y) {
+    for (int64_t z = y + 1; z < offsets.total; ++z) {
+      if (y != lonely &&
+          offsets.FeatureOfColumn(y) != offsets.FeatureOfColumn(z) &&
+          rng->NextBool(0.1)) {
+        slices.push_back({y, z});
+      }
+    }
+  }
+  for (size_t i = slices.size() - 1; i > 0; --i) {
+    std::swap(slices[i], slices[rng->NextUint64(i + 1)]);
+  }
+  for (const std::vector<int64_t>& columns : slices) {
+    AddRandomSlice(rng, columns, prev, stats);
+    if (copies && rng->NextBool(0.1)) AddRandomSlice(rng, columns, prev, stats);
+  }
+}
+
+/// The frontiers the generator is checked on:
+///   * small domains at levels 2-5 (level 5 looks up three parents per key);
+///   * wide ones of at least 512 parents at levels 2, 3 and 4, so that
+///     prefix groups straddle the boundaries of the parallel ranges;
+///   * long level-3 prefix groups whose keys mostly miss their third parent,
+///     one of whose prefixes has no group at all.
+/// kEveryColumn takes every column once: most of its pairs share feature 0,
+/// which keeps the reference join fast.
+enum class FrontierKind { kRandom, kEveryColumn, kSparseThirdParents };
+
 struct FrontierShape {
+  FrontierKind kind;
   std::vector<int32_t> domains;
   int level;
-  int draws;
+  int draws;  ///< random draws of a kRandom frontier
   uint64_t seed;
+  bool wide;  ///< at least 512 parents
 };
 
 std::vector<FrontierShape> FrontierShapes() {
+  using enum FrontierKind;
   const std::vector<int32_t> small = {2, 3, 2, 3, 2, 2};
-  return {{small, 2, 400, 200},   {small, 3, 400, 300},
-          {small, 4, 400, 400},   {small, 5, 400, 500},
-          {{500, 12, 12}, 2, 0, 1200}, {{8, 8, 8, 8, 8, 8}, 3, 900, 1300}};
+  return {{kRandom, small, 2, 400, 200, false},
+          {kRandom, small, 3, 400, 300, false},
+          {kRandom, small, 4, 400, 400, false},
+          {kRandom, small, 5, 400, 500, false},
+          {kEveryColumn, {500, 12, 12}, 2, 0, 1200, true},
+          {kRandom, {8, 8, 8, 8, 8, 8}, 3, 900, 1300, true},
+          {kRandom, {4, 4, 4, 4, 4, 4}, 4, 900, 1400, true},
+          {kSparseThirdParents, {64, 8, 8, 8}, 3, 0, 1500, true}};
 }
 
 void MakeFrontier(const FrontierShape& shape,
                   const data::FeatureOffsets& offsets, Rng* rng, bool copies,
                   SliceSet* prev, EvalResult* stats) {
-  if (shape.draws == 0) {
-    EveryColumnFrontier(rng, offsets, copies, prev, stats);
-  } else {
-    RandomFrontier(rng, offsets, shape.level, shape.draws, copies, prev,
-                   stats);
+  switch (shape.kind) {
+    case FrontierKind::kRandom:
+      RandomFrontier(rng, offsets, shape.level, shape.draws, copies, prev,
+                     stats);
+      break;
+    case FrontierKind::kEveryColumn:
+      EveryColumnFrontier(rng, offsets, copies, prev, stats);
+      break;
+    case FrontierKind::kSparseThirdParents:
+      SparseThirdParentFrontier(rng, offsets, copies, prev, stats);
+      break;
   }
 }
 
@@ -551,7 +604,7 @@ TEST(CandidatesTest, MatchesReferenceGeneratorUnderEveryAblation) {
       SliceSet prev;
       EvalResult stats;
       MakeFrontier(shape, offsets, &rng, !config.deduplicate, &prev, &stats);
-      const bool wide = shape.draws != 400;
+      const bool wide = shape.wide;
       if (wide) {
         ASSERT_GE(prev.size(), 512);
       }
@@ -564,10 +617,11 @@ TEST(CandidatesTest, MatchesReferenceGeneratorUnderEveryAblation) {
         ubs.push_back(UpperBoundScore(context, sigma, own));
       }
       std::nth_element(ubs.begin(), ubs.begin() + ubs.size() / 2, ubs.end());
-      // Wide frontiers take only the median: their reference join costs
-      // ~10^5 pairs per call.
+      // Wide random frontiers take only the median: their reference join
+      // costs ~10^5 pairs per call. The sparse one is cheap, and its groups
+      // are longest at the low thresholds.
       std::vector<double> thresholds = {ubs[ubs.size() / 2]};
-      if (!wide) {
+      if (!wide || shape.kind == FrontierKind::kSparseThirdParents) {
         thresholds.insert(thresholds.begin(),
                           {-std::numeric_limits<double>::infinity(), 0.0});
       }

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sliceline.h"
+#include "data/int_matrix.h"
 #include "obs/metrics.h"
 
 namespace sliceline::obs {
@@ -203,6 +205,53 @@ TEST_F(MetricsTest, RecordLevelMetricsMirrorsLevelStats) {
   EXPECT_EQ(registry->GetCounter("testengine/level2/valid")->Value(), 7);
   EXPECT_EQ(registry->GetCounter("testengine/level2/pruned")->Value(), 3);
   EXPECT_EQ(registry->GetHistogram("testengine/level_seconds")->Count(), 1);
+}
+
+/// The level-wise driver records each generated level's split next to its
+/// pruned count. Eight rows hold every combination of three binary
+/// features (one-hot columns 0-5, two per feature); the two rows with
+/// features 1 and 2 both at code 2 carry no error. With score pruning off:
+///   * level 2 joins the six basic slices as one prefix group: 15 pairs, 3
+///     of them on one feature, 12 candidates;
+///   * slice {3, 5} has no error, so 11 level-2 parents remain. Their prefix
+///     groups {0: 4}, {1: 4}, {2: 2} and {3: 1} form 6 + 6 + 1 pairs, 5 of
+///     them on one feature. Keys {0, 3, 5} and {1, 3, 5} lack parent {3, 5}.
+/// Kept parents pass the size test, so no pair is rejected.
+TEST_F(MetricsTest, LevelWiseRunRecordsGenerationSplit) {
+  data::IntMatrix x0(8, 3);
+  std::vector<double> errors(8, 1.0);
+  for (int64_t row = 0; row < 8; ++row) {
+    for (int64_t j = 0; j < 3; ++j) {
+      x0.At(row, j) = static_cast<int32_t>((row >> j) & 1) + 1;
+    }
+    if (x0.At(row, 1) == 2 && x0.At(row, 2) == 2) errors[row] = 0.0;
+  }
+  core::SliceLineConfig config;
+  config.min_support = 1;
+  config.prune_score = false;
+  config.parallel = false;
+  auto result = core::RunSliceLine(x0, errors, config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->levels.size(), 3u);
+  MetricsRegistry* registry = MetricsRegistry::Default();
+  auto counter = [&](int level, const char* what) {
+    return registry->GetCounter(LevelMetricName("native", level, what))
+        ->Value();
+  };
+  EXPECT_EQ(counter(2, "pairs"), 15);
+  EXPECT_EQ(counter(2, "pair_rejected"), 0);
+  EXPECT_EQ(counter(2, "candidate_rejected"), 0);
+  EXPECT_EQ(counter(2, "candidates"), 12);
+  EXPECT_EQ(counter(3, "pairs"), 13);
+  EXPECT_EQ(counter(3, "pair_rejected"), 0);
+  EXPECT_EQ(counter(3, "candidate_rejected"), 2);
+  EXPECT_EQ(counter(3, "candidates"), 6);
+  for (int level : {2, 3}) {
+    EXPECT_EQ(counter(level, "pruned"),
+              counter(level, "pair_rejected") +
+                  counter(level, "candidate_rejected"));
+    EXPECT_EQ(counter(level, "pruned"), result->levels[level - 1].pruned);
+  }
 }
 
 }  // namespace
