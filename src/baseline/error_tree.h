@@ -37,7 +37,8 @@ struct ErrorTreeResult {
 /// from low-error rows (variance reduction on e). Leaves with the highest
 /// mean error become the reported slices. Because the leaves partition X,
 /// overlapping problem slices -- SliceLine's specialty -- cannot be
-/// expressed, which is exactly the gap the comparison benchmark shows.
+/// expressed; error_tree_test.cc::CannotExpressOverlappingSlices shows the
+/// gap.
 StatusOr<ErrorTreeResult> RunErrorTree(const data::IntMatrix& x0,
                                        const std::vector<double>& errors,
                                        const ErrorTreeConfig& config);

@@ -3,7 +3,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "core/exhaustive.h"
+#include "core/sliceline.h"
+#include "core/sliceline_la.h"
 #include "testing/random_dataset.h"
 
 namespace sliceline::testing {
@@ -34,13 +38,29 @@ enum class InjectedBug {
 /// Real scores sit far above the floor.
 inline constexpr double kScoreFloor = 1e-9;
 
-/// Oracle differential: RunSliceLine, RunSliceLineLA, and
-/// RunSliceLineBestFirst against the exhaustive enumerator on the case's
-/// dataset and config. Over the slices scoring above kScoreFloor, asserts
-/// identical top-K sizes, rank-wise bit-identical scores, and -- for every
-/// slice scoring strictly above the K-th score (i.e. not in a boundary tie
-/// group) -- identical predicate sets across engines. Returns "" on
-/// agreement, else a description of the first divergence.
+/// A named engine entry point, so one scenario loop covers several engines.
+struct Engine {
+  const char* name;
+  StatusOr<core::SliceLineResult> (*run)(const data::IntMatrix&,
+                                         const std::vector<double>&,
+                                         const core::SliceLineConfig&);
+};
+
+/// The engines every governance scenario runs: the two level-wise engines
+/// and the exhaustive oracle (CheckGovernance and the governance unit tests).
+inline constexpr Engine kGovernanceEngines[] = {
+    {"native", core::RunSliceLine},
+    {"la", core::RunSliceLineLA},
+    {"exhaustive", core::RunExhaustive},
+};
+
+/// Oracle differential: RunSliceLine and RunSliceLineLA against the
+/// exhaustive enumerator on the case's dataset and config. Over the slices
+/// scoring above kScoreFloor, asserts identical top-K sizes, rank-wise
+/// bit-identical scores, and -- for every slice scoring strictly above the
+/// K-th score (i.e. not in a boundary tie group) -- identical predicate sets
+/// across engines. Returns "" on agreement, else a description of the first
+/// divergence.
 std::string CheckOracleDifferential(const FuzzCase& fuzz_case,
                                     InjectedBug inject = InjectedBug::kNone);
 
@@ -85,9 +105,9 @@ std::string CheckSimdDifferential(const FuzzCase& fuzz_case);
 /// append must answer fully from cache.
 std::string CheckStreamEquivalence(const FuzzCase& fuzz_case);
 
-/// Governance robustness on the case's dataset: every engine is run
-/// pre-cancelled, under a randomized simulated-time deadline, and under a
-/// randomized memory budget. Each run must return gracefully (no error
+/// Governance robustness on the case's dataset: each of kGovernanceEngines is
+/// run pre-cancelled, under a randomized simulated-time deadline, and under
+/// a randomized memory budget. Each run must return gracefully (no error
 /// status, no crash) with a structurally well-formed RunOutcome and a
 /// sorted, finite top-K; an unconstrained governed run must match the
 /// ungoverned top-K exactly.

@@ -5,30 +5,11 @@
 
 #include "common/rng.h"
 #include "common/run_context.h"
-#include "core/exhaustive.h"
-#include "core/sliceline.h"
-#include "core/sliceline_bestfirst.h"
-#include "core/sliceline_la.h"
 #include "testing/checks.h"
 
 namespace sliceline::testing {
 
 namespace {
-
-/// A named engine entry point so one scenario loop covers all four.
-struct Engine {
-  const char* name;
-  StatusOr<core::SliceLineResult> (*run)(const data::IntMatrix&,
-                                         const std::vector<double>&,
-                                         const core::SliceLineConfig&);
-};
-
-constexpr Engine kEngines[] = {
-    {"native", core::RunSliceLine},
-    {"la", core::RunSliceLineLA},
-    {"bestfirst", core::RunSliceLineBestFirst},
-    {"exhaustive", core::RunExhaustive},
-};
 
 /// Structural sanity of a governed result: the outcome record is
 /// well-formed and the top-K is sorted by descending score with finite
@@ -63,7 +44,7 @@ std::string CheckGovernance(const FuzzCase& fuzz_case) {
   Rng rng(fuzz_case.seed ^ 0x676f7665726e616eULL);
   core::SliceLineConfig config = fuzz_case.config;
 
-  for (const Engine& engine : kEngines) {
+  for (const Engine& engine : kGovernanceEngines) {
     // Ungoverned baseline: also tells us whether the case is big enough for
     // the engine to reach a governance poll at all (tiny runs can finish
     // before the first level boundary or strided check).

@@ -14,7 +14,6 @@
 #include "core/exhaustive.h"
 #include "core/scoring.h"
 #include "core/sliceline.h"
-#include "core/sliceline_bestfirst.h"
 #include "core/sliceline_la.h"
 #include "dist/coordinator.h"
 #include "linalg/exact_sum.h"
@@ -160,15 +159,11 @@ std::string CheckOracleDifferential(const FuzzCase& fuzz_case,
       core::RunSliceLine(fuzz_case.x0, fuzz_case.errors, fuzz_case.config);
   auto la =
       core::RunSliceLineLA(fuzz_case.x0, fuzz_case.errors, fuzz_case.config);
-  auto best_first = core::RunSliceLineBestFirst(fuzz_case.x0, fuzz_case.errors,
-                                                fuzz_case.config);
-  if (oracle.ok() != native.ok() || oracle.ok() != la.ok() ||
-      oracle.ok() != best_first.ok()) {
+  if (oracle.ok() != native.ok() || oracle.ok() != la.ok()) {
     os << DescribeCase(fuzz_case) << " engines disagree on input validity: "
        << "oracle=" << oracle.status().ToString()
        << " native=" << native.status().ToString()
-       << " la=" << la.status().ToString()
-       << " best-first=" << best_first.status().ToString();
+       << " la=" << la.status().ToString();
     return os.str();
   }
   if (!oracle.ok()) return "";  // consistently rejected input
@@ -177,8 +172,7 @@ std::string CheckOracleDifferential(const FuzzCase& fuzz_case,
 
   for (const auto& [result, label] :
        {std::pair<const SliceLineResult*, const char*>{&*native, "native"},
-        {&*la, "la"},
-        {&*best_first, "best-first"}}) {
+        {&*la, "la"}}) {
     std::string diff =
         CompareTopK(*oracle, *result, std::string("oracle vs ") + label);
     if (!diff.empty()) return DescribeCase(fuzz_case) + " " + diff;

@@ -17,13 +17,6 @@ namespace sliceline::testing {
 
 namespace {
 
-struct Engine {
-  const char* name;
-  StatusOr<core::SliceLineResult> (*run)(const data::IntMatrix&,
-                                         const std::vector<double>&,
-                                         const core::SliceLineConfig&);
-};
-
 constexpr Engine kEngines[] = {
     {"native", core::RunSliceLine},
     {"la", core::RunSliceLineLA},

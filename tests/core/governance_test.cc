@@ -15,28 +15,15 @@
 #include "core/candidates.h"
 #include "core/exhaustive.h"
 #include "core/sliceline.h"
-#include "core/sliceline_bestfirst.h"
 #include "core/sliceline_la.h"
 #include "linalg/dense_matrix.h"
+#include "testing/checks.h"
 
 namespace sliceline::core {
 namespace {
 
-using EngineFn = StatusOr<SliceLineResult> (*)(const data::IntMatrix&,
-                                               const std::vector<double>&,
-                                               const SliceLineConfig&);
-
-struct NamedEngine {
-  const char* name;
-  EngineFn run;
-};
-
-const NamedEngine kEngines[] = {
-    {"native", RunSliceLine},
-    {"la", RunSliceLineLA},
-    {"bestfirst", RunSliceLineBestFirst},
-    {"exhaustive", RunExhaustive},
-};
+using ::sliceline::testing::Engine;
+using ::sliceline::testing::kGovernanceEngines;
 
 /// A dataset big enough that every engine enumerates several levels.
 struct Input {
@@ -69,7 +56,7 @@ SliceLineConfig BaseConfig() {
 
 TEST(GovernanceTest, UngovernedRunReportsCompletedOutcome) {
   const Input input = MakeInput(11);
-  for (const NamedEngine& engine : kEngines) {
+  for (const Engine& engine : kGovernanceEngines) {
     auto result = engine.run(input.x0, input.errors, BaseConfig());
     ASSERT_TRUE(result.ok()) << engine.name;
     EXPECT_EQ(result->outcome.termination, RunOutcome::Termination::kCompleted)
@@ -81,7 +68,7 @@ TEST(GovernanceTest, UngovernedRunReportsCompletedOutcome) {
 
 TEST(GovernanceTest, PreCancelledRunReturnsPartialBestSoFar) {
   const Input input = MakeInput(12);
-  for (const NamedEngine& engine : kEngines) {
+  for (const Engine& engine : kGovernanceEngines) {
     SliceLineConfig config = BaseConfig();
     RunContext ctx;
     ctx.cancellation().Cancel();
@@ -100,7 +87,7 @@ TEST(GovernanceTest, CrossThreadCancellationStopsARunningEnumeration) {
   // only after it has already cancelled, so the poll result is
   // deterministic regardless of scheduling.
   const Input input = MakeInput(13, /*n=*/2000, /*m=*/8, /*max_dom=*/4);
-  for (const NamedEngine& engine : kEngines) {
+  for (const Engine& engine : kGovernanceEngines) {
     SliceLineConfig config = BaseConfig();
     config.min_support = 2;
     RunContext ctx;
@@ -125,7 +112,7 @@ TEST(GovernanceTest, CrossThreadCancellationStopsARunningEnumeration) {
 
 TEST(GovernanceTest, SimulatedDeadlineStopsMidEnumerationDeterministically) {
   const Input input = MakeInput(14);
-  for (const NamedEngine& engine : kEngines) {
+  for (const Engine& engine : kGovernanceEngines) {
     SliceLineConfig config = BaseConfig();
     config.min_support = 2;
     // Every governance poll advances simulated time by 1s; a 5s deadline
@@ -165,7 +152,7 @@ TEST(GovernanceTest, SimulatedDeadlineStopsMidEnumerationDeterministically) {
 
 TEST(GovernanceTest, SoftMemoryPressureClimbsTheDegradationLadder) {
   const Input input = MakeInput(15, /*n=*/1200, /*m=*/8, /*max_dom=*/4);
-  for (const NamedEngine& engine : kEngines) {
+  for (const Engine& engine : kGovernanceEngines) {
     if (engine.run == RunExhaustive) continue;  // oracle does not degrade
     SliceLineConfig config = BaseConfig();
     config.min_support = 2;
@@ -191,7 +178,7 @@ TEST(GovernanceTest, SoftMemoryPressureClimbsTheDegradationLadder) {
 
 TEST(GovernanceTest, HardMemoryLimitStopsTheRun) {
   const Input input = MakeInput(16);
-  for (const NamedEngine& engine : kEngines) {
+  for (const Engine& engine : kGovernanceEngines) {
     SliceLineConfig config = BaseConfig();
     config.min_support = 2;
     MemoryBudget budget(1024);
@@ -211,7 +198,7 @@ TEST(GovernanceTest, HardMemoryLimitStopsTheRun) {
 
 TEST(GovernanceTest, GovernedRunWithoutLimitsMatchesUngovernedTopK) {
   const Input input = MakeInput(17);
-  for (const NamedEngine& engine : kEngines) {
+  for (const Engine& engine : kGovernanceEngines) {
     SliceLineConfig config = BaseConfig();
     auto plain = engine.run(input.x0, input.errors, config);
     RunContext ctx;

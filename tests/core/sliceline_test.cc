@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "core/exhaustive.h"
-#include "core/sliceline_bestfirst.h"
 #include "core/sliceline_la.h"
 #include "data/generators/generators.h"
 #include "dist/coordinator.h"
@@ -222,9 +221,6 @@ TEST(SliceLineTest, EveryEngineRejectsNonFiniteOrNegativeErrors) {
     EXPECT_EQ(RunSliceLine(input.x0, errors, config).status().code(),
               StatusCode::kInvalidArgument)
         << what;
-    EXPECT_EQ(RunSliceLineBestFirst(input.x0, errors, config).status().code(),
-              StatusCode::kInvalidArgument)
-        << what;
     EXPECT_EQ(RunSliceLineLA(input.x0, errors, config).status().code(),
               StatusCode::kInvalidArgument)
         << what;
@@ -253,8 +249,6 @@ TEST(SliceLineTest, EveryEngineRejectsCodesBelowOne) {
     const Status want = data::CodeBelowOne(117, 1, bad);
     const std::string what = "code " + std::to_string(bad);
     EXPECT_EQ(RunSliceLine(x0, input.errors, config).status(), want) << what;
-    EXPECT_EQ(RunSliceLineBestFirst(x0, input.errors, config).status(), want)
-        << what;
     EXPECT_EQ(RunSliceLineLA(x0, input.errors, config).status(), want)
         << what;
     EXPECT_EQ(RunExhaustive(x0, input.errors, config).status(), want) << what;
@@ -272,7 +266,7 @@ TEST(SliceLineTest, EveryEngineRejectsCodesBelowOne) {
 }
 
 TEST(SliceLineTest, EveryEngineRunsTheSameInputCheck) {
-  // One table of bad inputs through all five engines: each must return the
+  // One table of bad inputs through all four engines: each must return the
   // same InvalidArgument, naming the bad row where there is one.
   const RandomInput input = MakeRandom(86, 8, 2, 2);
   dist::DistOptions dist_options;
@@ -304,9 +298,6 @@ TEST(SliceLineTest, EveryEngineRunsTheSameInputCheck) {
     EXPECT_EQ(RunSliceLine(input.x0, bad.errors, bad.config).status(), want)
         << bad.what;
     EXPECT_EQ(RunSliceLineLA(input.x0, bad.errors, bad.config).status(), want)
-        << bad.what;
-    EXPECT_EQ(
-        RunSliceLineBestFirst(input.x0, bad.errors, bad.config).status(), want)
         << bad.what;
     EXPECT_EQ(RunExhaustive(input.x0, bad.errors, bad.config).status(), want)
         << bad.what;

@@ -3,7 +3,7 @@
 # ctest suite under it, so the concurrency paths (thread pool, distributed
 # fault recovery) are exercised with sanitizers on every change. Then runs
 # the fixed-seed fuzz smoke batches (label "fuzz") under the same build —
-# including the dedicated governance batch, which drives all four engines
+# including the dedicated governance batch, which drives all three engines
 # through cancellation, simulated deadlines, and randomized memory budgets.
 # The fuzzer's randomized datasets and config combinations reach kernel and
 # enumeration paths the unit suites hold constant. Skip them with
