@@ -2,11 +2,11 @@
 // is built from: one-hot encoding, colSums, the vector-matrix error
 // aggregation e^T X, the S*S^T pair join, the X*S^T evaluation product,
 // table()-based selection-matrix construction, the bit-packed
-// evaluation kernels (exact masked sums and error planes), and the column
-// bitmap fill. Each kernel
-// is timed over repeated runs on the shared harness (bench_util.h); the
-// best wall-clock per run and the derived items/s are printed, and
-// recorded through bench::Reporter when SLICELINE_BENCH_JSON is set.
+// evaluation kernels (exact masked sums, error planes and sibling runs),
+// and the column bitmap fill. Each kernel is timed over repeated runs on
+// the shared harness (bench_util.h); the best wall-clock per run and the
+// derived items/s are printed, and recorded through bench::Reporter when
+// SLICELINE_BENCH_JSON is set.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -135,6 +135,44 @@ std::vector<std::vector<const uint64_t*>> DrawCandidates(
   return candidates;
 }
 
+/// `count` level-`level` candidates in the order the prefix join emits them:
+/// runs of siblings that share a prefix of level - 1 columns from
+/// ascending features, each sibling adding one column of a later feature
+/// (about half of those columns, in column order).
+std::vector<std::vector<const uint64_t*>> DrawSiblingRuns(
+    const std::vector<linalg::Bitmap>& columns,
+    const data::FeatureOffsets& offsets, int64_t count, int level,
+    uint64_t seed) {
+  Rng rng(seed);
+  const int m = offsets.num_features();
+  std::vector<std::vector<const uint64_t*>> candidates;
+  candidates.reserve(static_cast<size_t>(count));
+  while (static_cast<int64_t>(candidates.size()) < count) {
+    std::vector<const uint64_t*> prefix;
+    int feature = -1;
+    for (int k = 0; k + 1 < level; ++k) {
+      feature += 1 + static_cast<int>(
+                         rng.NextUint64(std::max(1, (m - feature) / 3)));
+      if (feature >= m - 1) break;
+      const int64_t lo = offsets.fb[feature];
+      prefix.push_back(columns[static_cast<size_t>(
+                                   lo + rng.NextUint64(offsets.fe[feature] -
+                                                       lo))]
+                           .data());
+    }
+    if (static_cast<int>(prefix.size()) + 1 != level) continue;
+    for (int64_t c = offsets.fb[feature + 1];
+         c < offsets.total && static_cast<int64_t>(candidates.size()) < count;
+         ++c) {
+      if (!rng.NextBool(0.5)) continue;
+      std::vector<const uint64_t*> cols = prefix;
+      cols.push_back(columns[static_cast<size_t>(c)].data());
+      candidates.push_back(std::move(cols));
+    }
+  }
+  return candidates;
+}
+
 }  // namespace
 
 int main() {
@@ -230,15 +268,22 @@ int main() {
     const int64_t num_candidates = 512;
     const auto candidate_cols =
         DrawCandidates(packed, offsets, num_candidates, level, 17 + level);
+    const auto sibling_cols =
+        DrawSiblingRuns(packed, offsets, num_candidates, level, 29 + level);
     std::vector<linalg::CandidateColumns> candidates;
     for (const auto& cols : candidate_cols) {
       candidates.push_back({cols.data(), static_cast<int32_t>(cols.size())});
+    }
+    std::vector<linalg::CandidateColumns> siblings;
+    for (const auto& cols : sibling_cols) {
+      siblings.push_back({cols.data(), static_cast<int32_t>(cols.size())});
     }
     std::vector<int64_t> sizes(num_candidates);
     std::vector<uint64_t> lanes(num_candidates * layout.lanes),
         maxes(num_candidates);
     auto run = [&](const linalg::SimdKernels& kernels,
-                   const linalg::ErrorSource& errors) {
+                   const linalg::ErrorSource& errors,
+                   const std::vector<linalg::CandidateColumns>& candidates) {
       std::fill(sizes.begin(), sizes.end(), 0);
       std::fill(lanes.begin(), lanes.end(), 0);
       std::fill(maxes.begin(), maxes.end(), 0);
@@ -257,7 +302,7 @@ int main() {
                                linalg::IsaName(isa);
       const double best =
           RunCase(reporter, name, num_candidates * ds.n(),
-                  [&] { return run(kernels, masked); });
+                  [&] { return run(kernels, masked, candidates); });
       if (isa == linalg::SimdIsa::kScalar) {
         scalar_best = best;
       } else if (scalar_best > 0.0 && best > 0.0) {
@@ -266,14 +311,25 @@ int main() {
                               scalar_best / best);
       }
     }
-    if (planes == nullptr) continue;
+    if (planes != nullptr) {
+      for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
+        const linalg::SimdKernels& kernels = linalg::KernelsFor(isa);
+        RunCase(reporter,
+                std::string("candidate_eval_planes/L") +
+                    std::to_string(level) + "/" + linalg::IsaName(isa),
+                num_candidates * ds.n(),
+                [&] { return run(kernels, with_planes, candidates); });
+      }
+    }
+    // The sibling runs the evaluator actually sees, over the store's own
+    // error source (planes when it keeps them).
     for (linalg::SimdIsa isa : linalg::AvailableIsas()) {
       const linalg::SimdKernels& kernels = linalg::KernelsFor(isa);
       RunCase(reporter,
-              std::string("candidate_eval_planes/L") + std::to_string(level) +
-                  "/" + linalg::IsaName(isa),
+              std::string("candidate_eval_siblings/L") +
+                  std::to_string(level) + "/" + linalg::IsaName(isa),
               num_candidates * ds.n(),
-              [&] { return run(kernels, with_planes); });
+              [&] { return run(kernels, with_planes, siblings); });
     }
   }
   // Micro rows: the raw AND+popcount membership count and the exact masked

@@ -164,9 +164,9 @@ class SliceEvaluator : public EvaluatorBackend {
   using Sink = std::function<void(int64_t begin, const LaneStats& stats)>;
   // Runs config's schedule over rows [first_row, n) of the set under the
   // evaluator/evaluate span and counters, handing every slice's statistics
-  // to `sink`. Polls config.run_context at candidate-chunk and block
-  // boundaries and bails out early on a governance stop; the callers then
-  // report it.
+  // to `sink`. Polls config.run_context between slabs of
+  // linalg::kEvaluateWordTile row words and between blocks, and bails out
+  // early on a governance stop; the callers then report it.
   void Schedule(const SliceSet& set, int64_t first_row,
                 const SliceLineConfig& config, const Sink& sink) const;
 

@@ -90,7 +90,8 @@ std::string CheckDeterminism(const FuzzCase& fuzz_case);
 /// SIMD differential: every bit-packed evaluation kernel
 /// (linalg/kernels_simd.h) at every ISA level available on this host against
 /// the always-compiled scalar reference — seeded random bitmaps (word-tail
-/// row counts, all-zero and full columns) through each kernel, then the
+/// row counts, all-zero and full columns) through each kernel and through
+/// EvaluateCandidatesBlocked over sibling runs, then the
 /// case's dataset end to end: RunSliceLine on the kBitset strategy under
 /// each forced ISA must return a top-K bit-identical to the scalar-forced
 /// run (scores, error sums, max errors, predicates).

@@ -1,11 +1,14 @@
 // SIMD differential check of the fuzzing subsystem: every bit-packed
 // evaluation kernel at every ISA level this host can execute, against the
 // always-compiled scalar reference — first on random bitmaps regenerated
-// from the case seed (word tails, all-zero and full columns) and on random
-// codes for the bitmap fill (domains past a byte), then end to
-// end on the case's dataset: the full RunSliceLine top-K under each forced
-// ISA must be BIT-identical to the scalar-forced run.
+// from the case seed (word tails, all-zero and full columns), on random
+// codes for the bitmap fill (domains past a byte) and through the blocked
+// evaluation loop over sibling runs, then end to end on the case's dataset:
+// the full RunSliceLine top-K under each forced ISA must be BIT-identical to
+// the scalar-forced run.
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -155,6 +158,124 @@ std::string RunFillRound(Rng& rng, SimdIsa isa) {
   return "";
 }
 
+/// One seeded round of the blocked evaluation loop: candidates drawn as the
+/// prefix join emits them (runs of siblings sharing their first len - 1
+/// columns, len 1 to 4) over random bitmaps, with 0/1, quarter or wide
+/// errors (one plane, several, none), from a random first row. The loop at
+/// `isa` must give every candidate the size, rounded error sum and maximum
+/// of an unblocked scalar pass: intersect all columns, then masked_sum.
+std::string RunBlockedRound(Rng& rng, SimdIsa isa) {
+  const SimdKernels& scalar = linalg::KernelsFor(SimdIsa::kScalar);
+  // The last choice spans two word tiles of the loop.
+  static constexpr int64_t kRowChoices[] = {
+      1, 63, 64, 65, 255, 1024, 4099, 64 * linalg::kEvaluateWordTile + 77};
+  const int64_t rows = kRowChoices[rng.NextUint64(std::size(kRowChoices))];
+  const int64_t words = linalg::BitmapWords(rows);
+  const int num_cols = static_cast<int>(rng.NextInt(3, 10));
+  std::vector<Bitmap> bitmaps;
+  for (int c = 0; c < num_cols; ++c) {
+    Bitmap b(rows);
+    const double density = rng.NextBool(0.15)   ? 0.0
+                           : rng.NextBool(0.15) ? 1.1
+                                                : rng.NextDouble();
+    for (int64_t r = 0; r < rows; ++r) {
+      if (rng.NextBool(density)) b.Set(r);
+    }
+    bitmaps.push_back(std::move(b));
+  }
+  // 0: 0/1 errors, 1: quarters up to 1.75, 2: wide errors (no planes).
+  const int kind = static_cast<int>(rng.NextUint64(3));
+  std::vector<double> errors(static_cast<size_t>(words) * 64, 0.0);
+  data::ErrorGrid grid;
+  for (int64_t r = 0; r < rows; ++r) {
+    double& e = errors[static_cast<size_t>(r)];
+    e = kind == 2   ? rng.NextDouble() * 2.0
+        : kind == 1 ? static_cast<double>(rng.NextInt(0, 7)) * 0.25
+                    : static_cast<double>(rng.NextInt(0, 1));
+    grid.Add(e);
+  }
+  // The planes as the column store keeps them: bit b of each error's k over
+  // the grid's unit.
+  const int plane_count = kind == 2 ? 0 : grid.planes();
+  std::vector<Bitmap> plane_bits(static_cast<size_t>(plane_count),
+                                 Bitmap(rows));
+  for (int64_t r = 0; r < rows && plane_count > 0; ++r) {
+    const auto k = static_cast<int64_t>(std::ldexp(
+        errors[static_cast<size_t>(r)], -grid.low_exponent()));
+    for (int b = 0; b < plane_count; ++b) {
+      if ((k >> b) & 1) plane_bits[static_cast<size_t>(b)].Set(r);
+    }
+  }
+  std::vector<const uint64_t*> plane_words;
+  for (const Bitmap& b : plane_bits) plane_words.push_back(b.data());
+  const linalg::ErrorPlanes planes{plane_words.data(), plane_count,
+                                   grid.low_exponent()};
+  const linalg::ErrorSource source{errors.data(), grid.layout(),
+                                   kind == 2 ? nullptr : &planes};
+
+  std::vector<std::vector<const uint64_t*>> column_sets;
+  const int num_runs = static_cast<int>(rng.NextInt(1, 8));
+  for (int run = 0; run < num_runs; ++run) {
+    const int len = static_cast<int>(rng.NextInt(1, 4));
+    const int64_t siblings = rng.NextBool(0.2) ? rng.NextInt(60, 80)
+                                               : rng.NextInt(1, 3);
+    std::vector<const uint64_t*> prefix;
+    for (int k = 0; k + 1 < len; ++k) {
+      prefix.push_back(bitmaps[rng.NextUint64(bitmaps.size())].data());
+    }
+    for (int64_t s = 0; s < siblings; ++s) {
+      std::vector<const uint64_t*> cols = prefix;
+      cols.push_back(bitmaps[rng.NextUint64(bitmaps.size())].data());
+      column_sets.push_back(std::move(cols));
+    }
+  }
+  const size_t count = column_sets.size();
+  std::vector<linalg::CandidateColumns> candidates;
+  for (const auto& cols : column_sets) {
+    candidates.push_back({cols.data(), static_cast<int32_t>(cols.size())});
+  }
+  const int64_t first_row = rng.NextBool(0.5) ? 0 : rng.NextInt(0, rows - 1);
+  const int64_t stride = source.layout.lanes;
+  std::vector<int64_t> sizes(count, 0);
+  std::vector<uint64_t> lanes(count * static_cast<size_t>(stride), 0);
+  std::vector<uint64_t> max_bits(count, 0);
+  linalg::EvaluateCandidatesBlocked(
+      linalg::KernelsFor(isa), candidates.data(), static_cast<int64_t>(count),
+      words, source, sizes.data(), lanes.data(), max_bits.data(), first_row);
+
+  std::vector<uint64_t> mask(static_cast<size_t>(words));
+  for (size_t c = 0; c < count; ++c) {
+    int64_t size = scalar.intersect_columns(candidates[c].cols,
+                                            candidates[c].len, mask.data(),
+                                            words);
+    for (int64_t r = 0; r < first_row; ++r) {
+      size -= static_cast<int64_t>((mask[r >> 6] >> (r & 63)) & 1);
+      mask[r >> 6] &= ~(uint64_t{1} << (r & 63));
+    }
+    std::vector<uint64_t> want_lanes(static_cast<size_t>(stride), 0);
+    uint64_t want_max = 0;
+    scalar.masked_sum(mask.data(), words, errors.data(), source.layout,
+                      want_lanes.data(), &want_max);
+    const double want_sum =
+        linalg::RoundLanes(want_lanes.data(), source.layout);
+    const double got_sum =
+        linalg::RoundLanes(lanes.data() + c * stride, source.layout);
+    if (sizes[c] != size ||
+        std::bit_cast<uint64_t>(got_sum) != std::bit_cast<uint64_t>(want_sum) ||
+        max_bits[c] != want_max) {
+      std::ostringstream os;
+      os << "isa=" << linalg::IsaName(isa)
+         << " blocked loop diverges from scalar (rows=" << rows
+         << " first_row=" << first_row << " errors=" << kind
+         << " candidate " << c << " of " << count << " len="
+         << candidates[c].len << ": size " << sizes[c] << "/" << size
+         << " sum " << got_sum << "/" << want_sum << ")";
+      return os.str();
+    }
+  }
+  return "";
+}
+
 /// Restores environment/auto ISA selection on scope exit, so a failing check
 /// never leaves the process pinned to a test ISA.
 struct ScopedIsaReset {
@@ -169,9 +290,11 @@ std::string CheckSimdDifferential(const FuzzCase& fuzz_case) {
   // even on hosts with no vector units.
   Rng rng(fuzz_case.seed * 0x9e3779b97f4a7c15ULL + 1);
   Rng fill_rng(fuzz_case.seed * 0x9e3779b97f4a7c15ULL + 2);
+  Rng blocked_rng(fuzz_case.seed * 0x9e3779b97f4a7c15ULL + 3);
   for (SimdIsa isa : linalg::AvailableIsas()) {
     std::string failure = RunKernelRound(rng, isa);
     if (failure.empty()) failure = RunFillRound(fill_rng, isa);
+    if (failure.empty()) failure = RunBlockedRound(blocked_rng, isa);
     if (!failure.empty()) {
       return DescribeCase(fuzz_case) + " " + failure;
     }

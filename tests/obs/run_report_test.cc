@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/evaluator.h"
 #include "core/sliceline.h"
+#include "data/onehot.h"
 #include "data/int_matrix.h"
 #include "linalg/kernels_simd.h"
 #include "obs/json_parse.h"
@@ -178,6 +180,48 @@ TEST_F(RunReportTest, ErrorPlaneCounterFlowsUnderOneName) {
   EXPECT_GT(registry->GetCounter(isa_counter)->Value(), 0);
   EXPECT_EQ(registry->GetCounter("evaluator/error_planes/slices")->Value(),
             0);
+}
+
+TEST_F(RunReportTest, PrefixRunsCountSharedPrefixes) {
+  // Three features with one-hot columns {0, 1, 2}, {3, 4, 5} and {6, 7}.
+  data::IntMatrix x0(64, 3);
+  std::vector<double> errors(64);
+  for (int64_t i = 0; i < 64; ++i) {
+    x0.At(i, 0) = static_cast<int32_t>(i % 3) + 1;
+    x0.At(i, 1) = static_cast<int32_t>(i / 3 % 3) + 1;
+    x0.At(i, 2) = static_cast<int32_t>(i % 2) + 1;
+    errors[static_cast<size_t>(i)] = i % 5 == 0 ? 1.0 : 0.0;
+  }
+  const data::FeatureOffsets offsets = data::ComputeOffsets(x0);
+  const core::SliceEvaluator evaluator(x0, offsets, errors);
+  // Runs of consecutive slices of one length L >= 2 sharing their first
+  // L - 1 columns; every other slice stands alone. Seven runs in all.
+  core::SliceSet set;
+  for (const std::vector<int64_t>& slice :
+       std::vector<std::vector<int64_t>>{
+           {0, 3}, {0, 4},        // prefix {0}
+           {1, 3},                // prefix {1}
+           {1, 4, 6}, {1, 4, 7},  // prefix {1, 4}
+           {1, 5, 7},             // prefix {1, 5}
+           {2},                   // alone
+           {3},                   // alone: a length-1 slice shares nothing
+           {0, 6}}) {             // prefix {0} again, after other runs
+    set.Add(slice);
+  }
+  core::SliceLineConfig config;
+  MetricsRegistry* registry = MetricsRegistry::Default();
+  using Strategy = core::SliceLineConfig::EvalStrategy;
+  for (const Strategy strategy : {Strategy::kBitset, Strategy::kScanBlock}) {
+    config.eval_strategy = strategy;
+    ASSERT_TRUE(evaluator.Evaluate(set, config).ok());
+  }
+  EXPECT_EQ(registry->GetCounter("evaluator/slices_evaluated")->Value(), 18);
+  EXPECT_EQ(registry->GetCounter("evaluator/prefix_runs")->Value(), 14);
+  RunReport report;
+  std::ostringstream json;
+  report.WriteJson(json);
+  EXPECT_NE(json.str().find("\"name\":\"evaluator/prefix_runs\""),
+            std::string::npos);
 }
 
 TEST_F(RunReportTest, PrometheusMetricNameSanitization) {
