@@ -28,19 +28,6 @@ namespace {
 // the differential rig holds every vector path to.
 // ---------------------------------------------------------------------------
 
-int64_t PopcountScalar(const uint64_t* a, int64_t words) {
-  int64_t total = 0;
-  for (int64_t w = 0; w < words; ++w) total += std::popcount(a[w]);
-  return total;
-}
-
-int64_t AndPopcountScalar(const uint64_t* a, const uint64_t* b,
-                          int64_t words) {
-  int64_t total = 0;
-  for (int64_t w = 0; w < words; ++w) total += std::popcount(a[w] & b[w]);
-  return total;
-}
-
 /// The fused_and_popcount of every ISA level: groups of up to four masks,
 /// each counted by the level's `Group<n>` in one pass over x.
 template <typename Level>
@@ -76,7 +63,9 @@ int64_t IntersectColumnsScalar(const uint64_t* const* cols, int32_t len,
   for (int32_t k = 1; k < len; ++k) {
     for (int64_t w = 0; w < words; ++w) dst[w] &= cols[k][w];
   }
-  return PopcountScalar(dst, words);
+  int64_t total = 0;
+  for (int64_t w = 0; w < words; ++w) total += std::popcount(dst[w]);
+  return total;
 }
 
 /// Adds the k's of `count` errors of a narrow layout to *total, N >= 2
@@ -225,8 +214,7 @@ void FillPartialWord(const int32_t* codes, int64_t stride, int64_t rows,
 }
 
 constexpr SimdKernels kScalarKernels = {
-    SimdIsa::kScalar,       PopcountScalar,
-    AndPopcountScalar,      FusedAndPopcount<FusedScalar>,
+    SimdIsa::kScalar,       FusedAndPopcount<FusedScalar>,
     IntersectColumnsScalar, MaskedSum<SumBatch<2>>,
     FillWordsScalar,
 };
@@ -253,36 +241,6 @@ __attribute__((target("avx2"))) inline int64_t HorizontalSum64Avx2(__m256i v) {
   alignas(32) uint64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
   return static_cast<int64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-}
-
-__attribute__((target("avx2"))) int64_t PopcountAvx2(const uint64_t* a,
-                                                     int64_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  int64_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    acc = _mm256_add_epi64(acc, PopcountBytesAvx2(v));
-  }
-  int64_t total = HorizontalSum64Avx2(acc);
-  for (; w < words; ++w) total += std::popcount(a[w]);
-  return total;
-}
-
-__attribute__((target("avx2"))) int64_t AndPopcountAvx2(const uint64_t* a,
-                                                        const uint64_t* b,
-                                                        int64_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  int64_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i v = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
-    acc = _mm256_add_epi64(acc, PopcountBytesAvx2(v));
-  }
-  int64_t total = HorizontalSum64Avx2(acc);
-  for (; w < words; ++w) total += std::popcount(a[w] & b[w]);
-  return total;
 }
 
 struct FusedAvx2 {
@@ -393,8 +351,7 @@ __attribute__((target("avx2"))) void FillWordsAvx2(const int32_t* codes,
 }
 
 constexpr SimdKernels kAvx2Kernels = {
-    SimdIsa::kAvx2,       PopcountAvx2,
-    AndPopcountAvx2,      FusedAndPopcount<FusedAvx2>,
+    SimdIsa::kAvx2,       FusedAndPopcount<FusedAvx2>,
     IntersectColumnsAvx2, MaskedSum<SumBatchAvx2>,
     FillWordsAvx2,
 };
@@ -411,32 +368,6 @@ constexpr SimdKernels kAvx2Kernels = {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) int64_t PopcountAvx512(
-    const uint64_t* a, int64_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  int64_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_loadu_si512(a + w)));
-  }
-  int64_t total = _mm512_reduce_add_epi64(acc);
-  for (; w < words; ++w) total += std::popcount(a[w]);
-  return total;
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) int64_t AndPopcountAvx512(
-    const uint64_t* a, const uint64_t* b, int64_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  int64_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i v = _mm512_and_si512(_mm512_loadu_si512(a + w),
-                                       _mm512_loadu_si512(b + w));
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-  }
-  int64_t total = _mm512_reduce_add_epi64(acc);
-  for (; w < words; ++w) total += std::popcount(a[w] & b[w]);
-  return total;
-}
 
 struct FusedAvx512 {
   template <int N>
@@ -532,8 +463,7 @@ __attribute__((target("avx512f,avx512bw"))) void FillWordsAvx512(
 }
 
 constexpr SimdKernels kAvx512Kernels = {
-    SimdIsa::kAvx512,       PopcountAvx512,
-    AndPopcountAvx512,      FusedAndPopcount<FusedAvx512>,
+    SimdIsa::kAvx512,       FusedAndPopcount<FusedAvx512>,
     IntersectColumnsAvx512, MaskedSum<SumBatchAvx512>,
     FillWordsAvx512,
 };
@@ -548,29 +478,6 @@ constexpr SimdKernels kAvx512Kernels = {
 // ---------------------------------------------------------------------------
 
 #if defined(SLICELINE_SIMD_NEON)
-
-int64_t PopcountNeon(const uint64_t* a, int64_t words) {
-  int64_t total = 0;
-  int64_t w = 0;
-  for (; w + 2 <= words; w += 2) {
-    const uint8x16_t cnt =
-        vcntq_u8(vreinterpretq_u8_u64(vld1q_u64(a + w)));
-    total += vaddvq_u8(cnt);
-  }
-  for (; w < words; ++w) total += std::popcount(a[w]);
-  return total;
-}
-
-int64_t AndPopcountNeon(const uint64_t* a, const uint64_t* b, int64_t words) {
-  int64_t total = 0;
-  int64_t w = 0;
-  for (; w + 2 <= words; w += 2) {
-    const uint64x2_t v = vandq_u64(vld1q_u64(a + w), vld1q_u64(b + w));
-    total += vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(v)));
-  }
-  for (; w < words; ++w) total += std::popcount(a[w] & b[w]);
-  return total;
-}
 
 struct FusedNeon {
   template <int N>
@@ -613,8 +520,7 @@ int64_t IntersectColumnsNeon(const uint64_t* const* cols, int32_t len,
 }
 
 constexpr SimdKernels kNeonKernels = {
-    SimdIsa::kNeon,       PopcountNeon,
-    AndPopcountNeon,      FusedAndPopcount<FusedNeon>,
+    SimdIsa::kNeon,       FusedAndPopcount<FusedNeon>,
     IntersectColumnsNeon, MaskedSum<SumBatch<2>>,
     FillWordsScalar,
 };
@@ -869,8 +775,9 @@ void EvaluateCandidatesBlocked(const SimdKernels& kernels,
       const uint64_t* prefix = prefix_words;
       int64_t prefix_ones;
       if (shared == 1 && !trim) {
+        // x & x = x: the fused count of the column against itself.
         prefix = head.cols[0] + w0;
-        prefix_ones = kernels.popcount(prefix, span);
+        kernels.fused_and_popcount(prefix, &prefix, 1, span, &prefix_ones);
       } else {
         for (int32_t k = 0; k < shared; ++k) shifted[k] = head.cols[k] + w0;
         prefix_ones = kernels.intersect_columns(shifted.data(), shared,

@@ -91,21 +91,19 @@ struct FillColumns {
 /// (linalg/exact_sum.h), which no order of adds can change.
 struct SimdKernels {
   SimdIsa isa;
-  /// Total set bits of a[0..words).
-  int64_t (*popcount)(const uint64_t* a, int64_t words);
-  /// Total set bits of a & b without materializing the intersection — the
-  /// candidate-count kernel (|X·S^T| == level membership via word-AND +
-  /// popcount) for pair candidates.
-  int64_t (*and_popcount)(const uint64_t* a, const uint64_t* b,
-                          int64_t words);
   /// counts[j] = popcount(x & masks[j]) over [0, words) for j < count, in
   /// one pass that loads each word of x once per four masks and stores
-  /// nothing: a sibling's rows (x its last column, masks[0] its run's shared
-  /// prefix) and their counts in each error plane at once.
+  /// nothing. The only counting kernel (|X·S^T| == level membership via
+  /// word-AND + popcount): a sibling's rows (x its last column, masks[0] its
+  /// run's shared prefix) and their counts in each error plane at once, a
+  /// lone candidate's plane counts, and with x as its own one mask
+  /// (x & x = x) the rows of one column.
   void (*fused_and_popcount)(const uint64_t* x, const uint64_t* const* masks,
                              int32_t count, int64_t words, int64_t* counts);
   /// dst = cols[0] & ... & cols[len-1]; returns popcount(dst). len >= 1;
-  /// len == 1 copies. The general candidate-count kernel.
+  /// len == 1 copies. For rows that are kept, not only counted: a run's
+  /// prefix and its ANDs with the error planes, the rows masked_sum reads,
+  /// and the plane walk's rows.
   int64_t (*intersect_columns)(const uint64_t* const* cols, int32_t len,
                                uint64_t* dst, int64_t words);
   /// The exact masked kernel: adds errors[r] for every set row r of mask to

@@ -110,39 +110,42 @@ TEST_P(SimdDifferentialTest, KernelTableReportsItsIsa) {
   EXPECT_EQ(KernelsFor(GetParam()).isa, GetParam());
 }
 
-TEST_P(SimdDifferentialTest, PopcountMatchesScalar) {
+TEST_P(SimdDifferentialTest, FusedAndPopcountMatchesScalar) {
   const SimdKernels& simd = KernelsFor(GetParam());
   const SimdKernels& scalar = KernelsFor(SimdIsa::kScalar);
   uint64_t seed = 11;
   for (const Shape& shape : TestShapes()) {
-    for (const Bitmap& b : BuildBitmaps(shape, seed++)) {
-      EXPECT_EQ(simd.popcount(b.data(), b.words()),
-                scalar.popcount(b.data(), b.words()))
-          << shape.name;
-      // Unpadded word counts exercise the kernels' tail loops (the evaluator
-      // always passes padded buffers, tests and fuzzers may not).
-      for (int64_t words : {int64_t{1}, b.words() - 1, b.words()}) {
-        if (words < 1) continue;
-        EXPECT_EQ(simd.popcount(b.data(), words),
-                  scalar.popcount(b.data(), words))
-            << shape.name << " words=" << words;
+    const std::vector<Bitmap> bitmaps = BuildBitmaps(shape, seed++);
+    const int64_t full = bitmaps.front().words();
+    for (size_t xi = 0; xi < bitmaps.size(); ++xi) {
+      const uint64_t* x = bitmaps[xi].data();
+      // Mask counts 1-5, 8 and 9 split into every tail of the groups of
+      // four: 1, 2, 3, 4, 4+1, 4+4 and 4+4+1. The masks cycle through the
+      // shape's bitmaps starting at x itself, so x is always its own first
+      // mask (the loop's self-count: x & x = x) and later ones differ.
+      for (int32_t count : {1, 2, 3, 4, 5, 8, 9}) {
+        std::vector<const uint64_t*> masks;
+        for (int32_t j = 0; j < count; ++j) {
+          masks.push_back(bitmaps[(xi + j) % bitmaps.size()].data());
+        }
+        // Unpadded word counts exercise the kernels' tail loops (the
+        // evaluator always passes padded buffers, tests and fuzzers may not).
+        for (int64_t words : {int64_t{1}, full - 1, full}) {
+          if (words < 1) continue;
+          std::vector<int64_t> got(static_cast<size_t>(count), -1);
+          std::vector<int64_t> want(static_cast<size_t>(count), -2);
+          simd.fused_and_popcount(x, masks.data(), count, words, got.data());
+          scalar.fused_and_popcount(x, masks.data(), count, words,
+                                    want.data());
+          EXPECT_EQ(got, want) << shape.name << " x=" << xi
+                               << " count=" << count << " words=" << words;
+          // The self-count is the column's rows over those words.
+          int64_t ones = 0;
+          for (int64_t w = 0; w < words; ++w) ones += std::popcount(x[w]);
+          EXPECT_EQ(want[0], ones) << shape.name << " x=" << xi
+                                   << " words=" << words;
+        }
       }
-    }
-  }
-}
-
-TEST_P(SimdDifferentialTest, AndPopcountMatchesScalar) {
-  const SimdKernels& simd = KernelsFor(GetParam());
-  const SimdKernels& scalar = KernelsFor(SimdIsa::kScalar);
-  uint64_t seed = 37;
-  for (const Shape& shape : TestShapes()) {
-    std::vector<Bitmap> bitmaps = BuildBitmaps(shape, seed++);
-    for (size_t i = 0; i + 1 < bitmaps.size(); ++i) {
-      const Bitmap& a = bitmaps[i];
-      const Bitmap& b = bitmaps[i + 1];
-      EXPECT_EQ(simd.and_popcount(a.data(), b.data(), a.words()),
-                scalar.and_popcount(a.data(), b.data(), a.words()))
-          << shape.name << " pair " << i;
     }
   }
 }
